@@ -11,9 +11,16 @@ full grid partition of m^d rules:
 
 Hybrid learning alternates a batch least-squares solve for the linear
 consequents theta (premises frozen) with a gradient-descent step on the
-Gaussian centers and widths.  The least-squares problem is solved by SVD
-(numpy lstsq), which returns the minimum-norm solution on rank-deficient
-designs; such solves are flagged rather than failed.
+Gaussian centers and widths.  The design Phi repeats the inputs [x, 1] once
+per rule, so any linear dependence among the inputs (install year = reference
+year - age on the default inputs) is a null direction of every rule block.
+The solve therefore factors [x, 1] = U S V^T once, keeps the k directions
+above lstsq's own cutoff, solves the minimum-norm problem on
+Psi = wbar * (U_k S_k) with R k columns by SVD (numpy lstsq), and maps each
+rule back with theta_r = V_k c_r.  I_R (x) V_k has orthonormal columns, so
+this is the minimum-norm solution of the full design; rank-deficient solves
+are flagged rather than failed.  One forward pass per epoch feeds the logged
+train MSE before and after the solve, the solve and the premise gradient.
 """
 
 from __future__ import annotations
@@ -131,6 +138,7 @@ class AnfisModel:
                 "target_constants": list(self.target_constants),
                 "norm_mode": self.norm_mode,
                 "trained": self.trained,
+                "lse_degenerate": self.lse_degenerate,
             },
             indent=indent,
         )
@@ -150,6 +158,7 @@ class AnfisModel:
             target_constants=tuple(payload["target_constants"]),
             norm_mode=payload.get("norm_mode", "minmax"),
             trained=bool(payload.get("trained", False)),
+            lse_degenerate=bool(payload.get("lse_degenerate", False)),
         )
 
 
@@ -275,25 +284,44 @@ def _consequent_design(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     return blocks.reshape(x.shape[0], -1)
 
 
-def lse_consequents(model: AnfisModel, x: np.ndarray, y: np.ndarray) -> AnfisModel:
+def lse_consequents(
+    model: AnfisModel, x: np.ndarray, y: np.ndarray, wbar: np.ndarray | None = None
+) -> AnfisModel:
     """Solve the consequents by linear least squares with premises frozen.
 
-    Rank-deficient designs get the minimum-norm solution and set the
-    lse_degenerate flag.  The model is updated in place and returned.
+    The problem is solved in the affine span of the inputs (see the module
+    docstring); wbar, the normalized firing strengths of x under the model's
+    premises, is computed when not given.  Rank-deficient designs get the
+    minimum-norm solution and set the lse_degenerate flag.  The model is
+    updated in place and returned.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    phi = _consequent_design(model, x)
-    theta, _, rank, _ = np.linalg.lstsq(phi, y, rcond=None)
-    model.consequents = theta.reshape(model.n_rules, model.n_inputs + 1)
-    model.lse_degenerate = rank < phi.shape[1]
+    if wbar is None:
+        _, wbar, _ = _forward(model, x)
+    n, n_rules = wbar.shape
+    x1 = np.hstack([x, np.ones((n, 1))])
+    u, s, vt = np.linalg.svd(x1, full_matrices=False)
+    k = int(np.count_nonzero(s > np.finfo(float).eps * max(x1.shape) * s[0]))
+    z = u[:, :k] * s[:k]
+    psi = (wbar[:, :, None] * z[:, None, :]).reshape(n, n_rules * k)
+    # the cutoff the full n x R(d+1) design would get, relative to the same
+    # largest singular value
+    columns = n_rules * x1.shape[1]
+    rcond = np.finfo(float).eps * max(n, columns)
+    c, _, rank, _ = np.linalg.lstsq(psi, y, rcond=rcond)
+    model.consequents = c.reshape(n_rules, k) @ vt[:k]
+    model.lse_degenerate = bool(rank < columns)
     return model
 
 
-def _premise_gradients(model: AnfisModel, x: np.ndarray, t: np.ndarray):
-    """Analytic d(MSE)/d(center), d(MSE)/d(sigma) through all five layers."""
+def _premise_gradients(model: AnfisModel, x: np.ndarray, t: np.ndarray, state=None):
+    """Analytic d(MSE)/d(center), d(MSE)/d(sigma) through all five layers.
+
+    state is _forward(model, x) when the caller already has it.
+    """
     n, d = x.shape
-    y, wbar, w = _forward(model, x)
+    y, wbar, w = _forward(model, x) if state is None else state
     total = w.sum(axis=1)
     f = x @ model.consequents[:, :-1].T + model.consequents[:, -1]
     err = y - t
@@ -313,9 +341,11 @@ def _premise_gradients(model: AnfisModel, x: np.ndarray, t: np.ndarray):
     return grad_c, grad_s
 
 
-def _premise_step(model: AnfisModel, x: np.ndarray, t: np.ndarray, lr: float) -> None:
+def _premise_step(
+    model: AnfisModel, x: np.ndarray, t: np.ndarray, lr: float, state=None
+) -> None:
     """One gradient-descent step on centers and sigmas, widths floored."""
-    grad_c, grad_s = _premise_gradients(model, x, t)
+    grad_c, grad_s = _premise_gradients(model, x, t, state)
     model.centers -= lr * grad_c
     model.sigmas -= lr * grad_s
     np.clip(model.sigmas, SIGMA_FLOOR, None, out=model.sigmas)
@@ -333,11 +363,15 @@ class AnfisHistory:
         return len(self.train_rmse)
 
 
+def _rmse_of(y: np.ndarray, t: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((y - t) ** 2)))
+
+
 def _rmse(model: AnfisModel, x: np.ndarray, t: np.ndarray) -> float:
     if len(t) == 0:
         return np.inf
     y, _, _ = _forward(model, x)
-    return float(np.sqrt(np.mean((y - t) ** 2)))
+    return _rmse_of(y, t)
 
 
 def hybrid_train(
@@ -382,9 +416,14 @@ def hybrid_train(
     best = None
     best_score = np.inf
     for epoch in range(epochs):
-        history.pre_lse_mse.append(_rmse(model, x_train, t_train) ** 2)
-        lse_consequents(model, x_train, t_train)
-        history.post_lse_mse.append(_rmse(model, x_train, t_train) ** 2)
+        # the premises are fixed until the step at the end of the epoch, so
+        # one forward pass serves every train-split quantity of the epoch
+        y, wbar, w = _forward(model, x_train)
+        history.pre_lse_mse.append(_rmse_of(y, t_train) ** 2)
+        lse_consequents(model, x_train, t_train, wbar=wbar)
+        f = x_train @ model.consequents[:, :-1].T + model.consequents[:, -1]
+        y = (wbar * f).sum(axis=1)
+        history.post_lse_mse.append(_rmse_of(y, t_train) ** 2)
         train_rmse = np.sqrt(history.post_lse_mse[-1])
         val_rmse = _rmse(model, x_val, t_val) if val_rows.size else train_rmse
         history.train_rmse.append(train_rmse)
@@ -394,7 +433,7 @@ def hybrid_train(
             best = model.copy()
             history.best_epoch = epoch
         if learning_rate > 0.0:
-            _premise_step(model, x_train, t_train, learning_rate)
+            _premise_step(model, x_train, t_train, learning_rate, (y, wbar, w))
     best = best if best is not None else model
     best.trained = True
     return best, history

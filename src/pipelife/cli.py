@@ -54,7 +54,10 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, args: dict, inputs, outputs, started: float):
+def _write_manifest(
+    out_dir: Path, command: str, args: dict, inputs, outputs, started: float,
+    training=None,
+):
     manifest = {
         "command": command,
         "arguments": args,
@@ -62,6 +65,8 @@ def _write_manifest(out_dir: Path, command: str, args: dict, inputs, outputs, st
         "outputs": [str(p) for p in outputs],
         "duration_seconds": round(time.time() - started, 3),
     }
+    if training is not None:
+        manifest["training"] = training
     path = out_dir / f"{command.replace('-', '_')}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path
@@ -247,6 +252,8 @@ def cmd_train_anfis(args) -> int:
         {"in": str(args.infile), "inputs": args.inputs, "mfs": args.mfs,
          "epochs": args.epochs, "seed": args.seed, "out_dir": str(out_dir)},
         [args.infile], [model_path, rmse_path, rank_path, grid_path], started,
+        training={"best_epoch": history.best_epoch,
+                  "lse_degenerate": trained.lse_degenerate},
     )
     print(f"trained ANFIS with {trained.n_rules} rules on {inputs}")
     print("sensitivity ranking:")
@@ -254,6 +261,22 @@ def cmd_train_anfis(args) -> int:
         print(f"  {name:<26}{slope:.6f}")
     print(f"outputs in {out_dir} (manifest: {manifest.name})")
     return EXIT_OK
+
+
+def _load_model(path):
+    """A saved MLP or ANFIS model; a malformed document is a runtime error."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        kind = json.loads(text).get("format", "")
+        if kind == "pipelife-mlp-v1":
+            return mlp.MlpModel.from_json(text)
+        if kind == "pipelife-anfis-v1":
+            return anfis.AnfisModel.from_json(text)
+    except KeyError as exc:
+        raise PipeLifeError(f"model document {path} lacks the key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise PipeLifeError(f"malformed model document {path}: {exc}") from exc
+    raise PipeLifeError(f"unrecognized model document: {kind!r}")
 
 
 def cmd_predict(args) -> int:
@@ -267,15 +290,7 @@ def cmd_predict(args) -> int:
             [regression.predict_rul(model, a, w)[0] for a, w in zip(age, wtl)]
         )
     else:
-        text = Path(args.model).read_text(encoding="utf-8")
-        kind = json.loads(text).get("format", "")
-        if kind == "pipelife-mlp-v1":
-            loaded = mlp.MlpModel.from_json(text)
-        elif kind == "pipelife-anfis-v1":
-            loaded = anfis.AnfisModel.from_json(text)
-        else:
-            raise PipeLifeError(f"unrecognized model document: {kind!r}")
-        predicted = loaded.predict_dataset(dataset)
+        predicted = _load_model(args.model).predict_dataset(dataset)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     # rows are aligned by re-applying the ingestion row filter, which is
@@ -402,7 +417,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
                    _required=(("infile", "--in"), ("out_dir", "--out-dir")))
 
     p = add_parser("train-anfis", help="train the neuro-fuzzy model")
-    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--in", dest="infile")
     p.add_argument(
         "--inputs",
         default=",".join(anfis.DEFAULT_INPUTS),

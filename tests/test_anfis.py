@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from pipelife.anfis import (
     _consequent_design,
     _forward,
     _premise_gradients,
+    _premise_step,
+    _rmse,
 )
 from pipelife.data import FeatureMatrix, Split, build_features, split_dataset
 from pipelife.errors import (
@@ -251,6 +255,44 @@ def test_lse_never_increases_training_mse():
         assert post <= pre + 1e-12
 
 
+def collinear_or_full_rank(collinear, n=80, seed=12):
+    """Two-input problem; b = 1 - a makes [x, 1] rank deficient."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0, 1, n)
+    b = 1.0 - a if collinear else rng.uniform(0, 1, n)
+    y = 0.3 + 0.5 * a * a + 0.1 * np.sin(3 * b) + rng.normal(0, 0.01, n)
+    return matrix_from_columns({"a": a, "b": b, "rul_years": y})
+
+
+@pytest.mark.parametrize("collinear", [True, False])
+def test_lse_matches_lstsq_on_the_full_design(collinear):
+    fm = collinear_or_full_rank(collinear)
+    norm = fm.normalized()
+    x, y = norm[:, :2], norm[:, 2]
+    model = init_grid(("a", "b"), 3, fm)
+    lse_consequents(model, x, y)
+    phi = _consequent_design(model, x)
+    theta, _, rank, _ = np.linalg.lstsq(phi, y, rcond=None)
+    assert model.consequents.ravel() == pytest.approx(theta, abs=1e-8)
+    assert model.lse_degenerate == (rank < phi.shape[1])
+    assert model.lse_degenerate == collinear
+
+
+@pytest.mark.parametrize("collinear", [True, False])
+def test_hybrid_logged_mse_matches_recomputed(collinear):
+    fm = collinear_or_full_rank(collinear)
+    norm = fm.normalized()
+    x, t = norm[:, :2], norm[:, 2]
+    model = init_grid(("a", "b"), 2, fm)
+    _, history = hybrid_train(model, fm, epochs=3, learning_rate=0.02)
+    replay = model.copy()
+    for epoch in range(3):
+        assert history.pre_lse_mse[epoch] == _rmse(replay, x, t) ** 2
+        lse_consequents(replay, x, t)
+        assert history.post_lse_mse[epoch] == _rmse(replay, x, t) ** 2
+        _premise_step(replay, x, t, 0.02)
+
+
 # -- hybrid training ------------------------------------------------------------------
 
 def test_hybrid_learns_smooth_function():
@@ -359,6 +401,19 @@ def test_anfis_json_round_trip():
     a = trained.predict_dataset(dataset)
     b = clone.predict_dataset(dataset)
     assert a == pytest.approx(b, abs=0)
+
+
+def test_anfis_json_round_trips_lse_degenerate():
+    fm = toy_sine_matrix(20)
+    model = init_grid(("x",), 2, fm)
+    for flag in (True, False):
+        model.lse_degenerate = flag
+        assert AnfisModel.from_json(model.to_json()).lse_degenerate is flag
+    # documents written before the flag was saved load as non-degenerate
+    model.lse_degenerate = True
+    payload = json.loads(model.to_json())
+    del payload["lse_degenerate"]
+    assert AnfisModel.from_json(json.dumps(payload)).lse_degenerate is False
 
 
 # -- sensitivity --------------------------------------------------------------------

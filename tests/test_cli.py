@@ -169,6 +169,66 @@ def test_train_anfis_rule_cap(small_csv, tmp_path, capsys):
     assert "rules" in err and "cap" in err
 
 
+def test_train_anfis_takes_in_from_config(small_csv, tmp_path):
+    out_dir = tmp_path / "anfis"
+    config = tmp_path / "pipelife.conf"
+    config.write_text(
+        f"in={small_csv}\nout-dir={out_dir}\n"
+        "inputs=age_years,wall_thickness_loss_pct\nmfs=2\nepochs=1\n"
+    )
+    assert run(["--config", str(config), "train-anfis"]) == 0
+    assert (out_dir / "anfis_model.json").exists()
+
+
+def test_train_anfis_manifest_records_training(small_csv, tmp_path):
+    out_dir = tmp_path / "anfis"
+    assert run([
+        "train-anfis", "--in", str(small_csv), "--seed", "4",
+        "--inputs", "age_years,wall_thickness_loss_pct,install_year",
+        "--mfs", "2", "--epochs", "4", "--out-dir", str(out_dir),
+    ]) == 0
+    training = json.loads((out_dir / "train_anfis_manifest.json").read_text())["training"]
+    rows = (out_dir / "anfis_rmse.csv").read_text().splitlines()[1:]
+    val = [float(row.split(",")[2]) for row in rows]
+    assert training["best_epoch"] == int(np.argmin(val))
+    # install year = reference year - age: the consequent design is rank deficient
+    assert training["lse_degenerate"] is True
+    model = json.loads((out_dir / "anfis_model.json").read_text())
+    assert model["lse_degenerate"] is True
+
+
+@pytest.fixture(scope="module")
+def anfis_doc(small_csv, tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("anfis_doc")
+    assert run([
+        "train-anfis", "--in", str(small_csv), "--seed", "4",
+        "--inputs", "age_years,wall_thickness_loss_pct",
+        "--mfs", "2", "--epochs", "1", "--out-dir", str(out_dir),
+    ]) == 0
+    return (out_dir / "anfis_model.json").read_text()
+
+
+def test_predict_model_missing_key_is_runtime_error(small_csv, anfis_doc, tmp_path, capsys):
+    payload = json.loads(anfis_doc)
+    del payload["centers"]
+    doc = tmp_path / "model.json"
+    doc.write_text(json.dumps(payload))
+    code = run(["predict", "--model", str(doc), "--in", str(small_csv),
+                "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "centers" in err
+
+
+def test_predict_truncated_model_is_runtime_error(small_csv, anfis_doc, tmp_path, capsys):
+    doc = tmp_path / "model.json"
+    doc.write_text(anfis_doc[: len(anfis_doc) // 2])
+    code = run(["predict", "--model", str(doc), "--in", str(small_csv),
+                "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_predict_builtin_constant_term(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text(
