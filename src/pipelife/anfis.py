@@ -21,18 +21,22 @@ rule back with theta_r = V_k c_r.  I_R (x) V_k has orthonormal columns, so
 this is the minimum-norm solution of the full design; rank-deficient solves
 are flagged rather than failed.  One forward pass per epoch feeds the logged
 train MSE before and after the solve, the solve and the premise gradient.
+
+A model works in normalized units; it keeps the scaling constants of its
+inputs and target and scales with `data.normalize`/`data.denormalize`, as
+the MLP does.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .data import FeatureMatrix, Split
+from .data import TARGET_COLUMN, FeatureMatrix, check_shapes, denormalize, normalize
 from .errors import (
     AllRulesZero,
     DimensionMismatch,
@@ -77,51 +81,25 @@ class AnfisModel:
         return tuple(self.inputs)
 
     def copy(self) -> "AnfisModel":
-        return AnfisModel(
-            inputs=self.inputs,
-            centers=self.centers.copy(),
-            sigmas=self.sigmas.copy(),
-            rules=self.rules.copy(),
-            consequents=self.consequents.copy(),
-            feature_constants=self.feature_constants,
-            target_constants=self.target_constants,
-            norm_mode=self.norm_mode,
-            trained=self.trained,
-            lse_degenerate=self.lse_degenerate,
-        )
+        return replace(self, centers=self.centers.copy(), sigmas=self.sigmas.copy(),
+                       rules=self.rules.copy(), consequents=self.consequents.copy())
 
     # -- raw-unit prediction --------------------------------------------------
-
-    def _normalize(self, raw: np.ndarray) -> np.ndarray:
-        if not self.feature_constants:
-            return raw
-        out = np.empty_like(raw, dtype=float)
-        for j, (a, b) in enumerate(self.feature_constants):
-            col = raw[:, j]
-            if self.norm_mode == "minmax":
-                out[:, j] = 0.0 if b == a else (col - a) / (b - a)
-            else:
-                out[:, j] = (col - a) / b
-        return out
-
-    def _denormalize_target(self, y: np.ndarray) -> np.ndarray:
-        a, b = self.target_constants
-        if self.norm_mode == "minmax":
-            # predictions outside the trained target range are extrapolations
-            return np.clip(y * (b - a) + a, a, b)
-        return y * b + a
 
     def predict_batch(self, raw: np.ndarray) -> np.ndarray:
         """RUL years for an n x d matrix of raw-unit inputs."""
         raw = np.atleast_2d(np.asarray(raw, dtype=float))
         if raw.shape[1] != self.n_inputs:
             raise DimensionMismatch(f"expected {self.n_inputs} inputs, got {raw.shape[1]}")
-        y, _, _ = _forward(self, self._normalize(raw))
-        return self._denormalize_target(y)
+        y, _, _ = _forward(self, normalize(raw, self.feature_constants, self.norm_mode))
+        y = denormalize(y[:, None], (self.target_constants,), self.norm_mode)[:, 0]
+        if self.norm_mode == "minmax":
+            # predictions outside the trained target range are extrapolations
+            return np.clip(y, *self.target_constants)
+        return y
 
     def predict_dataset(self, dataset) -> np.ndarray:
-        raw = np.column_stack([dataset.column(c) for c in self.inputs])
-        return self.predict_batch(raw)
+        return self.predict_batch(dataset.matrix(self.inputs))
 
     # -- serialization ----------------------------------------------------------
 
@@ -145,10 +123,11 @@ class AnfisModel:
 
     @classmethod
     def from_json(cls, text: str) -> "AnfisModel":
+        """Load a model document; wrong array shapes raise DimensionMismatch."""
         payload = json.loads(text)
         if payload.get("format") != "pipelife-anfis-v1":
             raise ValueError(f"not an ANFIS model document: {payload.get('format')!r}")
-        return cls(
+        model = cls(
             inputs=tuple(payload["inputs"]),
             centers=np.array(payload["centers"], dtype=float),
             sigmas=np.array(payload["sigmas"], dtype=float),
@@ -160,6 +139,13 @@ class AnfisModel:
             trained=bool(payload.get("trained", False)),
             lse_degenerate=bool(payload.get("lse_degenerate", False)),
         )
+        d, r = model.n_inputs, len(model.rules)
+        m = model.centers.shape[1] if model.centers.ndim == 2 else -1
+        check_shapes(model, d, centers=(d, m), sigmas=(d, m), rules=(r, d),
+                     consequents=(r, d + 1))
+        if model.rules.min() < 0 or model.rules.max() >= m:
+            raise DimensionMismatch(f"rule membership indices must lie in [0, {m})")
+        return model
 
 
 @dataclass(frozen=True)
@@ -215,9 +201,7 @@ def init_grid(
         sigmas=sigmas,
         rules=rules,
         consequents=consequents,
-        feature_constants=tuple(
-            features.constants[features.column_index(c)] for c in inputs
-        ),
+        feature_constants=features.column_constants(inputs),
         target_constants=(0.0, 1.0),
         norm_mode=features.mode,
     )
@@ -243,8 +227,12 @@ def _forward(model: AnfisModel, x: np.ndarray):
         row = int(np.argmax(total < FIRING_FLOOR))
         raise AllRulesZero(f"total firing strength underflowed at row {row}")
     wbar = w / total[:, None]
-    f = x @ model.consequents[:, :-1].T + model.consequents[:, -1]
-    return (wbar * f).sum(axis=1), wbar, w
+    return (wbar * _rule_outputs(model, x)).sum(axis=1), wbar, w
+
+
+def _rule_outputs(model: AnfisModel, x: np.ndarray) -> np.ndarray:
+    """Layer-4 linear rule outputs theta_r . [x, 1]: (n, R)."""
+    return x @ model.consequents[:, :-1].T + model.consequents[:, -1]
 
 
 def infer(model: AnfisModel, x) -> tuple:
@@ -256,22 +244,15 @@ def infer(model: AnfisModel, x) -> tuple:
     if x.size != model.n_inputs:
         raise DimensionMismatch(f"expected {model.n_inputs} inputs, got {x.size}")
     batch = x[None, :]
-    mu = _memberships(model, batch)[0]                # d x m
-    per_rule = mu[np.arange(model.n_inputs)[:, None], model.rules.T]
-    w = per_rule.prod(axis=0)
-    total = float(w.sum())
-    if total < FIRING_FLOOR:
-        raise AllRulesZero("total firing strength underflowed")
-    wbar = w / total
-    f = model.consequents[:, :-1] @ x + model.consequents[:, -1]
-    weighted = wbar * f
-    y = float(weighted.sum())
+    y, wbar, w = _forward(model, batch)
+    f = _rule_outputs(model, batch)[0]
+    y = float(y[0])
     return y, LayerTrace(
-        memberships=mu,
-        firing=w,
-        normalized=wbar,
+        memberships=_memberships(model, batch)[0],
+        firing=w[0],
+        normalized=wbar[0],
         rule_outputs=f,
-        weighted_outputs=weighted,
+        weighted_outputs=wbar[0] * f,
         output=y,
     )
 
@@ -323,7 +304,7 @@ def _premise_gradients(model: AnfisModel, x: np.ndarray, t: np.ndarray, state=No
     n, d = x.shape
     y, wbar, w = _forward(model, x) if state is None else state
     total = w.sum(axis=1)
-    f = x @ model.consequents[:, :-1].T + model.consequents[:, -1]
+    f = _rule_outputs(model, x)
     err = y - t
     # dL/dw_r = (2/n) e (f_r - y) / S; chain onto w_r itself for log-derivative form
     glw = (2.0 / n) * err[:, None] * (f - y[:, None]) / total[:, None] * w
@@ -388,24 +369,10 @@ def hybrid_train(
     with the best validation RMSE is returned.  With epochs=0 the model gets
     exactly one consequent solve.  Widths are clamped at 1e-4.
     """
-    norm = features.normalized()
-    idx = [features.column_index(c) for c in model.inputs]
-    target_idx = features.column_index("rul_years")
-    x = norm[:, idx]
-    t = norm[:, target_idx]
-    if features.split is not None:
-        train_rows = features.rows_for(Split.TRAIN)
-        val_rows = features.rows_for(Split.VALIDATION)
-    else:
-        train_rows = np.arange(features.n)
-        val_rows = np.array([], dtype=int)
-    if train_rows.size == 0:
-        raise EmptySplit("train split is empty")
-    x_train, t_train = x[train_rows], t[train_rows]
-    x_val, t_val = x[val_rows], t[val_rows]
+    x_train, t_train, x_val, t_val = features.split_arrays(model.inputs)
 
     model = model.copy()
-    model.target_constants = features.constants[target_idx]
+    model.target_constants = features.column_constants((TARGET_COLUMN,))[0]
     history = AnfisHistory()
 
     if epochs == 0:
@@ -421,11 +388,10 @@ def hybrid_train(
         y, wbar, w = _forward(model, x_train)
         history.pre_lse_mse.append(_rmse_of(y, t_train) ** 2)
         lse_consequents(model, x_train, t_train, wbar=wbar)
-        f = x_train @ model.consequents[:, :-1].T + model.consequents[:, -1]
-        y = (wbar * f).sum(axis=1)
+        y = (wbar * _rule_outputs(model, x_train)).sum(axis=1)
         history.post_lse_mse.append(_rmse_of(y, t_train) ** 2)
         train_rmse = np.sqrt(history.post_lse_mse[-1])
-        val_rmse = _rmse(model, x_val, t_val) if val_rows.size else train_rmse
+        val_rmse = _rmse(model, x_val, t_val) if t_val.size else train_rmse
         history.train_rmse.append(train_rmse)
         history.val_rmse.append(val_rmse)
         if val_rmse < best_score:
@@ -460,7 +426,7 @@ def sensitivity_ranking(
     if not getattr(model, "trained", True):
         raise UntrainedModel("sensitivity analysis requires a trained model")
     columns = tuple(model.input_columns)
-    raw = np.column_stack([features.raw_column(c) for c in columns])
+    raw = features.raw_matrix(columns)
     if raw.shape[0] == 0:
         raise EmptySplit("no data rows for sensitivity analysis")
     slopes = []
@@ -492,7 +458,7 @@ def contour_grid(
         raise DimensionMismatch(
             f"contour inputs must be among the model inputs {columns}"
         )
-    raw = np.column_stack([features.raw_column(c) for c in columns])
+    raw = features.raw_matrix(columns)
     medians = np.median(raw, axis=0)
     xi = columns.index(x_input)
     yi = columns.index(y_input)

@@ -23,11 +23,8 @@ import numpy as np
 
 from . import anfis, mlp, regression, stats, synth
 from .data import (
-    COLUMN_MODE_PRECISION,
-    CSV_COLUMNS,
     Material,
     Split,
-    _parse_row,
     build_features,
     ingest_csv,
     split_dataset,
@@ -125,12 +122,7 @@ def cmd_generate(args) -> int:
 
 def cmd_stats(args) -> int:
     dataset, cleaning = ingest_csv(args.infile, args.reference_year)
-    report_rows = []
-    for name in CSV_COLUMNS:
-        if name == "rul_years" and not dataset.has_rul():
-            continue
-        precision = COLUMN_MODE_PRECISION.get(name, 0)
-        report_rows.append((name, stats.summarize(dataset.column(name), precision)))
+    report_rows = stats.summarize_columns(dataset)
     significance = stats.significance_report(dataset) if dataset.has_rul() else None
     if args.json:
         payload = {
@@ -281,41 +273,33 @@ def _load_model(path):
 
 def cmd_predict(args) -> int:
     started = time.time()
-    dataset, _ = ingest_csv(args.infile, args.reference_year)
+    dataset, cleaning = ingest_csv(args.infile, args.reference_year)
     if args.builtin:
-        model = regression.builtin(args.builtin)
-        age = dataset.column("age_years")
-        wtl = dataset.column("wall_thickness_loss_pct")
-        predicted = np.array(
-            [regression.predict_rul(model, a, w)[0] for a, w in zip(age, wtl)]
+        predicted, _ = regression.predict_rul(
+            regression.builtin(args.builtin),
+            dataset.column("age_years"),
+            dataset.column("wall_thickness_loss_pct"),
         )
     else:
         predicted = _load_model(args.model).predict_dataset(dataset)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    # rows are aligned by re-applying the ingestion row filter, which is
-    # order-preserving: the k-th surviving raw row is the k-th record
+    # the k-th record came from the DictReader row cleaning.kept_rows[k]
     with open(args.infile, "r", newline="", encoding="utf-8") as src:
         reader = csv.DictReader(src)
         header = list(reader.fieldnames or [])
         raw_rows = list(reader)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header + ["predicted_rul"])
-        kept = 0
-        for row in raw_rows:
-            record, _ = _parse_row(row, args.reference_year)
-            if record is None:
-                continue
-            writer.writerow([row.get(c, "") for c in header] + [_num(predicted[kept])])
-            kept += 1
+    _write_rows_csv(out, header + ["predicted_rul"], (
+        [raw_rows[i].get(c, "") for c in header] + [_num(value)]
+        for i, value in zip(cleaning.kept_rows, predicted)
+    ))
     manifest = _write_manifest(
         out.parent, "predict",
         {"in": str(args.infile), "model": args.model or f"builtin:{args.builtin}",
          "out": str(out)},
         [args.infile], [out], started,
     )
-    print(f"wrote {kept} predictions to {out} (manifest: {manifest.name})")
+    print(f"wrote {len(predicted)} predictions to {out} (manifest: {manifest.name})")
     return EXIT_OK
 
 

@@ -5,12 +5,15 @@ material, break count, installation year, wall thickness loss) plus an
 optional remaining-useful-life target in years.  Materials are encoded as a
 numeric deterioration-impact score (the EA value) so that every downstream
 model sees a purely numeric table.
+
+Feature scaling (min-max or z-score) is `normalize`/`denormalize`; the MLP
+and ANFIS models keep their constants and call the same pair.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -18,7 +21,9 @@ import numpy as np
 
 from .errors import (
     DegenerateColumn,
+    DimensionMismatch,
     EmptyAfterCleaning,
+    EmptySplit,
     FileUnreadable,
     RatioSumInvalid,
     SchemaMismatch,
@@ -165,6 +170,8 @@ class CleaningReport:
     rows_kept: int
     rows_dropped: int
     drops_by_column: dict
+    # csv.DictReader row index (0 = first data row) of every kept record
+    kept_rows: tuple = field(default=(), repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -226,6 +233,10 @@ class Dataset:
             return np.array([r.rul for r in self.records], dtype=float)
         raise UnknownColumn(f"no such column: {name!r}")
 
+    def matrix(self, names: Sequence[str]) -> np.ndarray:
+        """n x d raw values of the named columns, in the requested order."""
+        return np.column_stack([self.column(name) for name in names])
+
     def subset(self, indices: Sequence[int]) -> "Dataset":
         recs = tuple(self.records[i] for i in indices)
         labels = tuple(self.split[i] for i in indices) if self.split else None
@@ -285,19 +296,17 @@ def ingest_csv(path, reference_year: int):
         if missing:
             raise SchemaMismatch(f"missing required column(s): {', '.join(missing)}")
         records = []
+        kept_rows = []
         drops: dict = {}
         rows_read = 0
-        for row in reader:
-            rows_read += 1
-            if any(row.get(c) in (None, "") for c in REQUIRED_COLUMNS):
-                bad = next(c for c in REQUIRED_COLUMNS if row.get(c) in (None, ""))
-                drops[bad] = drops.get(bad, 0) + 1
-                continue
-            record, bad_col = _parse_row(row, reference_year)
+        for rows_read, row in enumerate(reader, 1):
+            empty = next((c for c in REQUIRED_COLUMNS if row.get(c) in (None, "")), None)
+            record, bad_col = (None, empty) if empty else _parse_row(row, reference_year)
             if record is None:
                 drops[bad_col] = drops.get(bad_col, 0) + 1
                 continue
             records.append(record)
+            kept_rows.append(rows_read - 1)
     if not records:
         raise EmptyAfterCleaning(f"no valid rows in {path}")
     report = CleaningReport(
@@ -305,6 +314,7 @@ def ingest_csv(path, reference_year: int):
         rows_kept=len(records),
         rows_dropped=rows_read - len(records),
         drops_by_column=drops,
+        kept_rows=tuple(kept_rows),
     )
     return Dataset(tuple(records), reference_year), report
 
@@ -360,6 +370,55 @@ def split_dataset(dataset: Dataset, ratios, seed: int) -> Dataset:
     return Dataset(dataset.records, dataset.reference_year, tuple(labels))
 
 
+def _constant_pairs(constants, n_columns: int):
+    """(a, b) arrays of one constant pair per column."""
+    pairs = np.asarray(constants, dtype=float)
+    if pairs.shape != (n_columns, 2):
+        raise DimensionMismatch(f"expected {n_columns} (a, b) pairs, got shape {pairs.shape}")
+    return pairs[:, 0], pairs[:, 1]
+
+
+def normalize(values, constants, mode: str) -> np.ndarray:
+    """Scale each column of an n x d matrix by its (a, b) constants.
+
+    min-max maps [a, b] onto [0, 1] and z-score computes (x - a) / b; a
+    column with a zero scale (a constant min-max column) maps to 0.0.  Empty
+    constants leave the values as they are (a model never fitted to data).
+    """
+    values = np.asarray(values, dtype=float)
+    if not len(constants):
+        return values
+    a, b = _constant_pairs(constants, values.shape[-1])
+    scale = b - a if mode == "minmax" else b
+    out = np.zeros_like(values)
+    # column by column: numpy broadcasts slowly over a short last axis
+    for j in np.flatnonzero(scale):
+        out[..., j] = (values[..., j] - a[j]) / scale[j]
+    return out
+
+
+def denormalize(values, constants, mode: str) -> np.ndarray:
+    """Inverse of `normalize`; a constant min-max column comes back as a."""
+    values = np.asarray(values, dtype=float)
+    a, b = _constant_pairs(constants, values.shape[-1])
+    if mode == "minmax":
+        return values * (b - a) + a
+    return values * b + a
+
+
+def check_shapes(model, n_inputs: int, **expected) -> None:
+    """Raise DimensionMismatch unless each named array of a loaded model has
+    its expected shape, with one (a, b) scaling pair per input (or none) and
+    one for the target."""
+    expected["target_constants"] = (2,)
+    if len(model.feature_constants):
+        expected["feature_constants"] = (n_inputs, 2)
+    for name, shape in expected.items():
+        actual = np.shape(getattr(model, name))
+        if actual != shape:
+            raise DimensionMismatch(f"{name} has shape {actual}, expected {shape}")
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Numeric design matrix with recorded normalization constants.
@@ -388,37 +447,52 @@ class FeatureMatrix:
         except ValueError:
             raise UnknownColumn(f"no such column: {name!r}") from None
 
+    def _indices(self, names: Sequence[str]) -> list:
+        return [self.column_index(name) for name in names]
+
     def raw_column(self, name: str) -> np.ndarray:
         return self.values[:, self.column_index(name)]
 
+    def raw_matrix(self, names: Sequence[str]) -> np.ndarray:
+        """n x d raw values of the named columns, in the requested order."""
+        return self.values[:, self._indices(names)]
+
+    def column_constants(self, names: Sequence[str]) -> tuple:
+        """The (a, b) constants of the named columns, in the requested order."""
+        return tuple(self.constants[j] for j in self._indices(names))
+
     def normalized(self) -> np.ndarray:
-        out = np.empty_like(self.values)
-        for j in range(self.values.shape[1]):
-            out[:, j] = self.normalize_column(self.column_names[j], self.values[:, j])
-        return out
+        return normalize(self.values, self.constants, self.mode)
 
     def normalize_column(self, name: str, values) -> np.ndarray:
-        a, b = self.constants[self.column_index(name)]
-        values = np.asarray(values, dtype=float)
-        if self.mode == "minmax":
-            if b == a:
-                return np.zeros_like(values)
-            return (values - a) / (b - a)
-        return (values - a) / b
+        constants = self.column_constants((name,))
+        return normalize(np.asarray(values)[..., None], constants, self.mode)[..., 0]
 
     def denormalize_column(self, name: str, values) -> np.ndarray:
-        a, b = self.constants[self.column_index(name)]
-        values = np.asarray(values, dtype=float)
-        if self.mode == "minmax":
-            if b == a:
-                return np.full_like(values, a)
-            return values * (b - a) + a
-        return values * b + a
+        constants = self.column_constants((name,))
+        return denormalize(np.asarray(values)[..., None], constants, self.mode)[..., 0]
 
     def rows_for(self, label: Split) -> np.ndarray:
         if self.split is None:
             raise ValueError("feature matrix carries no split labels")
         return np.array([i for i, s in enumerate(self.split) if s == label], dtype=int)
+
+    def split_arrays(self, input_columns: Sequence[str]) -> tuple:
+        """Normalized (x_train, y_train, x_val, y_val) for training on rul_years.
+
+        Without split labels every row trains and the validation arrays are
+        empty.  Raises EmptySplit when no row is labelled Train.
+        """
+        norm = self.normalized()
+        x = norm[:, self._indices(input_columns)]
+        y = norm[:, self.column_index(TARGET_COLUMN)]
+        if self.split is None:
+            train_rows, val_rows = np.arange(self.n), np.array([], dtype=int)
+        else:
+            train_rows, val_rows = self.rows_for(Split.TRAIN), self.rows_for(Split.VALIDATION)
+        if train_rows.size == 0:
+            raise EmptySplit("train split is empty")
+        return x[train_rows], y[train_rows], x[val_rows], y[val_rows]
 
 
 def build_features(dataset: Dataset, columns: Iterable[str], mode: str = "minmax") -> FeatureMatrix:
@@ -431,8 +505,7 @@ def build_features(dataset: Dataset, columns: Iterable[str], mode: str = "minmax
         raise EmptyAfterCleaning("dataset is empty")
     if mode not in ("minmax", "zscore"):
         raise ValueError(f"unknown normalization mode: {mode!r}")
-    cols = [dataset.column(name) for name in columns]  # raises UnknownColumn
-    values = np.column_stack(cols)
+    values = dataset.matrix(columns)  # raises UnknownColumn
     constants = []
     for j, name in enumerate(columns):
         col = values[:, j]

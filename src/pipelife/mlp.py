@@ -9,6 +9,9 @@ bit for bit.
 Training keeps the parameter snapshot with the lowest validation MSE seen
 across the epoch budget; the experiment harness trains a registry of
 configurations on one shared split and ranks them by test error.
+
+A model keeps the scaling constants of its inputs and target and scales with
+`data.normalize`/`data.denormalize`, as ANFIS does.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import Dataset, FeatureMatrix, Split, build_features, split_dataset
+from .data import TARGET_COLUMN, check_shapes, denormalize, normalize
 from .errors import (
     ConstantSeries,
     DimensionMismatch,
@@ -135,36 +139,10 @@ class MlpModel:
         return [self.w1, self.b1, self.w2, np.atleast_1d(self.b2)]
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            config=self.config,
-            w1=self.w1.copy(),
-            b1=self.b1.copy(),
-            w2=self.w2.copy(),
-            b2=float(self.b2),
-            feature_constants=self.feature_constants,
-            target_constants=self.target_constants,
-            norm_mode=self.norm_mode,
-        )
+        return replace(self, w1=self.w1.copy(), b1=self.b1.copy(), w2=self.w2.copy(),
+                       b2=float(self.b2))
 
     # -- raw-unit prediction ------------------------------------------------
-
-    def _normalize(self, raw: np.ndarray) -> np.ndarray:
-        out = np.empty_like(raw, dtype=float)
-        for j, (a, b) in enumerate(self.feature_constants):
-            col = raw[:, j]
-            if self.norm_mode == "minmax":
-                out[:, j] = 0.0 if b == a else (col - a) / (b - a)
-            else:
-                out[:, j] = (col - a) / b
-        return out
-
-    def _denormalize_target(self, y: np.ndarray) -> np.ndarray:
-        a, b = self.target_constants
-        if self.norm_mode == "minmax":
-            # the target was scaled from [a, b]; predictions outside that
-            # range are extrapolations, so pin them to the trained bounds
-            return np.clip(y * (b - a) + a, a, b)
-        return y * b + a
 
     def predict_batch(self, raw: np.ndarray) -> np.ndarray:
         """RUL years for an n x d matrix of raw-unit inputs, clamped to the
@@ -174,11 +152,16 @@ class MlpModel:
             raise DimensionMismatch(
                 f"expected {self.w1.shape[0]} inputs, got {raw.shape[1]}"
             )
-        return self._denormalize_target(forward(self, self._normalize(raw)))
+        y = forward(self, normalize(raw, self.feature_constants, self.norm_mode))
+        y = denormalize(y[:, None], (self.target_constants,), self.norm_mode)[:, 0]
+        if self.norm_mode == "minmax":
+            # the target was scaled from [a, b]; predictions outside that
+            # range are extrapolations, so pin them to the trained bounds
+            return np.clip(y, *self.target_constants)
+        return y
 
     def predict_dataset(self, dataset: Dataset) -> np.ndarray:
-        raw = np.column_stack([dataset.column(c) for c in self.input_columns])
-        return self.predict_batch(raw)
+        return self.predict_batch(dataset.matrix(self.input_columns))
 
     # -- serialization --------------------------------------------------------
 
@@ -200,10 +183,11 @@ class MlpModel:
 
     @classmethod
     def from_json(cls, text: str) -> "MlpModel":
+        """Load a model document; wrong array shapes raise DimensionMismatch."""
         payload = json.loads(text)
         if payload.get("format") != "pipelife-mlp-v1":
             raise InvalidConfig(f"not an MLP model document: {payload.get('format')!r}")
-        return cls(
+        model = cls(
             config=MlpConfig.from_dict(payload["config"]),
             w1=np.array(payload["w1"], dtype=float),
             b1=np.array(payload["b1"], dtype=float),
@@ -213,6 +197,9 @@ class MlpModel:
             target_constants=tuple(payload["target_constants"]),
             norm_mode=payload.get("norm_mode", "minmax"),
         )
+        d, h = len(model.input_columns), len(model.b1)
+        check_shapes(model, d, w1=(d, h), b1=(h,), w2=(h,))
+        return model
 
 
 def init(config: MlpConfig) -> MlpModel:
@@ -282,15 +269,6 @@ class TrainingHistory:
         return len(self.train_mse)
 
 
-def _split_arrays(features: FeatureMatrix, input_columns: Sequence[str]):
-    norm = features.normalized()
-    idx = [features.column_index(c) for c in input_columns]
-    target_idx = features.column_index("rul_years")
-    x = norm[:, idx]
-    y = norm[:, target_idx]
-    return x, y
-
-
 def train(config: MlpConfig, features: FeatureMatrix):
     """Gradient-descent training on the matrix's train split.
 
@@ -310,23 +288,11 @@ def train(config: MlpConfig, features: FeatureMatrix):
             if best is None or score < best[0]:
                 best = (score, model, history)
         return best[1], best[2]
-    x, y = _split_arrays(features, config.input_columns)
-    if features.split is not None:
-        train_rows = features.rows_for(Split.TRAIN)
-        val_rows = features.rows_for(Split.VALIDATION)
-    else:
-        train_rows = np.arange(features.n)
-        val_rows = np.array([], dtype=int)
-    if train_rows.size == 0:
-        raise EmptySplit("train split is empty")
-    x_train, y_train = x[train_rows], y[train_rows]
-    x_val, y_val = x[val_rows], y[val_rows]
+    x_train, y_train, x_val, y_val = features.split_arrays(config.input_columns)
 
     model = init(config)
-    model.feature_constants = tuple(
-        features.constants[features.column_index(c)] for c in config.input_columns
-    )
-    model.target_constants = features.constants[features.column_index("rul_years")]
+    model.feature_constants = features.column_constants(config.input_columns)
+    model.target_constants = features.column_constants((TARGET_COLUMN,))[0]
     model.norm_mode = features.mode
 
     rng = np.random.default_rng(config.seed + 1)  # batch shuffling stream
@@ -337,12 +303,12 @@ def train(config: MlpConfig, features: FeatureMatrix):
         if config.batch_size is None:
             _sgd_step(model, x_train, y_train, config.learning_rate)
         else:
-            order = rng.permutation(train_rows.size)
-            for start in range(0, train_rows.size, config.batch_size):
+            order = rng.permutation(y_train.size)
+            for start in range(0, y_train.size, config.batch_size):
                 rows = order[start:start + config.batch_size]
                 _sgd_step(model, x_train[rows], y_train[rows], config.learning_rate)
         train_mse = _mse(model, x_train, y_train)
-        val_mse = _mse(model, x_val, y_val) if val_rows.size else train_mse
+        val_mse = _mse(model, x_val, y_val) if y_val.size else train_mse
         history.train_mse.append(train_mse)
         history.val_mse.append(val_mse)
         if val_mse < best_score:

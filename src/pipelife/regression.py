@@ -97,18 +97,23 @@ def builtin(material: str) -> DeteriorationModel:
     return DeteriorationModel(material=key, terms=_BUILTIN[key], r2_fit=_BUILTIN_R2[key])
 
 
-def predict_rul(model: DeteriorationModel, age: float, wtl: float) -> tuple:
-    """Evaluate the polynomial at (age, wtl).  Returns (raw, clamped_at_zero)."""
-    if age < 0:
-        raise OutOfDomain(f"age must be >= 0, got {age}")
-    if not 0.0 <= wtl <= 100.0:
-        raise OutOfDomain(f"wall thickness loss must be in [0, 100], got {wtl}")
-    raw = _evaluate(model.terms, age, wtl)
-    return raw, max(raw, 0.0)
+def predict_rul(model: DeteriorationModel, age, wtl) -> tuple:
+    """Evaluate the polynomial at (age, wtl), scalars or arrays of one shape.
 
-
-def _evaluate(terms, age, wtl) -> float:
-    return float(sum(c * age**a * wtl**w for c, a, w in terms))
+    Returns (raw, clamped_at_zero): floats for scalar inputs, arrays
+    otherwise.  Any element out of the domain raises OutOfDomain.
+    """
+    age = np.asarray(age, dtype=float)
+    wtl = np.asarray(wtl, dtype=float)
+    if np.any(age < 0):
+        raise OutOfDomain(f"age must be >= 0, got {age[age < 0].flat[0]}")
+    outside = ~((wtl >= 0.0) & (wtl <= 100.0))
+    if outside.any():
+        raise OutOfDomain(f"wall thickness loss must be in [0, 100], got {wtl[outside].flat[0]}")
+    raw = sum(c * age**a * wtl**w for c, a, w in model.terms)
+    if raw.ndim == 0:
+        return float(raw), max(float(raw), 0.0)
+    return raw, np.maximum(raw, 0.0)
 
 
 def _basis_exponents(degree: int):

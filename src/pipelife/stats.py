@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import FEATURE_COLUMNS, Dataset
+from .data import COLUMN_MODE_PRECISION, CSV_COLUMNS, FEATURE_COLUMNS, TARGET_COLUMN, Dataset
 from .errors import (
     ConstantSeries,
     DegenerateWithinVariance,
@@ -159,6 +159,16 @@ def summarize(series, precision: int = 0) -> SummaryStats:
         std=std,
         mode=mode,
     )
+
+
+def summarize_columns(dataset: Dataset) -> list:
+    """[(column, SummaryStats)] for every CSV column in schema order;
+    rul_years is left out when some record lacks it."""
+    return [
+        (name, summarize(dataset.column(name), COLUMN_MODE_PRECISION.get(name, 0)))
+        for name in CSV_COLUMNS
+        if name != TARGET_COLUMN or dataset.has_rul()
+    ]
 
 
 def z_score(x: float, mean: float, std: float) -> float:

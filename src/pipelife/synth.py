@@ -38,9 +38,9 @@ from typing import Dict
 
 import numpy as np
 
-from .data import COLUMN_MODE_PRECISION, Dataset, Material, PipeRecord
+from .data import Dataset, Material, PipeRecord
 from .errors import EmptyDataset, InvalidConfig
-from .stats import SummaryStats, summarize
+from .stats import summarize_columns
 
 DEFAULT_REFERENCE_YEAR = 2011
 
@@ -278,10 +278,6 @@ def moment_report(dataset: Dataset) -> MomentReport:
     """Side-by-side computed statistics and published targets per column."""
     if len(dataset) == 0:
         raise EmptyDataset("cannot report moments of an empty dataset")
-    columns = []
-    for name, target in INVENTORY_TARGETS.items():
-        if name == "rul_years" and not dataset.has_rul():
-            continue
-        stats = summarize(dataset.column(name), COLUMN_MODE_PRECISION.get(name, 0))
-        columns.append((name, stats, target))
-    return MomentReport(tuple(columns))
+    return MomentReport(tuple(
+        (name, stats, INVENTORY_TARGETS[name]) for name, stats in summarize_columns(dataset)
+    ))

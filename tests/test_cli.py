@@ -1,10 +1,13 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from pipelife import mlp
 from pipelife.cli import main
 from pipelife.data import ingest_csv
+from pipelife.regression import builtin, predict_rul
 from pipelife.synth import DEFAULT_REFERENCE_YEAR
 
 
@@ -227,6 +230,60 @@ def test_predict_truncated_model_is_runtime_error(small_csv, anfis_doc, tmp_path
                 "--out", str(tmp_path / "o.csv")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_predict_anfis_consequents_of_wrong_width_is_runtime_error(
+    small_csv, anfis_doc, tmp_path, capsys
+):
+    payload = json.loads(anfis_doc)
+    payload["consequents"] = [row[:-1] for row in payload["consequents"]]
+    doc = tmp_path / "model.json"
+    doc.write_text(json.dumps(payload))
+    code = run(["predict", "--model", str(doc), "--in", str(small_csv),
+                "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "consequents" in err
+
+
+def test_predict_mlp_w1_with_an_extra_row_is_runtime_error(small_csv, tmp_path, capsys):
+    model = mlp.init(mlp.MlpConfig(hidden_neurons=3))
+    model.feature_constants = ((0.0, 1.0),) * len(model.input_columns)
+    model.target_constants = (0.0, 100.0)
+    payload = json.loads(model.to_json())
+    payload["w1"].append(payload["w1"][0])
+    doc = tmp_path / "model.json"
+    doc.write_text(json.dumps(payload))
+    code = run(["predict", "--model", str(doc), "--in", str(small_csv),
+                "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "w1" in err
+
+
+def test_predict_echoes_exactly_the_kept_rows(tmp_path):
+    header = ("age_years,diameter_in,length_ft,material,breaks,install_year,"
+              "wall_thickness_loss_pct,rul_years")
+    kept = [
+        "10,8,100,CastIron,0,2001,5,40",
+        "20,8.0,250,CI,1,1991,12.5,30",    # alias material, 8.0 diameter
+        "15,12,300,Steel,2,1996,7",         # short row: no rul_years cell
+        "5,6,50,PVC,0,2006,1,60",
+    ]
+    invalid = "30,40,100,PVC,0,1981,5,20"  # diameter outside [4, 24]
+    path = tmp_path / "mixed.csv"
+    path.write_text("\n".join([header, kept[0], kept[1], invalid, "", kept[2], kept[3]]) + "\n")
+    out = tmp_path / "pred.csv"
+    assert run(["predict", "--builtin", "CI", "--in", str(path), "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == header.split(",") + ["predicted_rul"]
+    expected = [line.split(",") for line in kept]
+    expected[2].append("")
+    assert [row[:-1] for row in rows[1:]] == expected
+    for row in rows[1:]:
+        want, _ = predict_rul(builtin("CI"), float(row[0]), float(row[6]))
+        assert float(row[-1]) == want
 
 
 def test_predict_builtin_constant_term(tmp_path):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pipelife.data import (
     CSV_COLUMNS,
@@ -9,8 +12,10 @@ from pipelife.data import (
     PipeRecord,
     Split,
     build_features,
+    denormalize,
     encode_material,
     ingest_csv,
+    normalize,
     split_dataset,
     write_csv,
 )
@@ -316,3 +321,37 @@ def test_build_features_column_order_matches_request():
     fm = build_features(dataset, ("length_ft", "age_years"))
     assert fm.column_names == ("length_ft", "age_years")
     assert fm.values[:, 1] == pytest.approx(dataset.column("age_years"))
+
+
+@st.composite
+def scaled_matrices(draw):
+    """(values, constants, mode): constants fitted to the columns the way
+    build_features fits them; some columns are constant."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 4))
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    values = draw(arrays(float, (n, d), elements=finite))
+    for j in range(d):
+        if draw(st.booleans()):
+            values[:, j] = values[0, j]
+    mode = draw(st.sampled_from(("minmax", "zscore")))
+    if mode == "minmax":
+        constants = tuple((float(c.min()), float(c.max())) for c in values.T)
+    else:
+        # a constant column has no z-score; give it an arbitrary positive scale
+        constants = tuple(
+            (float(c.mean()), float(c.std(ddof=1)) or 1.0) for c in values.T
+        )
+    return values, constants, mode
+
+
+@given(scaled_matrices())
+def test_normalize_then_denormalize_returns_the_input(case):
+    values, constants, mode = case
+    scaled = normalize(values, constants, mode)
+    if mode == "minmax":
+        constant = np.array([a == b for a, b in constants])
+        assert np.all(scaled[:, constant] == 0.0)
+    back = denormalize(scaled, constants, mode)
+    scale = 1.0 + np.abs(values).max() + np.abs(np.asarray(constants)).max()
+    np.testing.assert_allclose(back, values, rtol=0, atol=1e-12 * scale)

@@ -345,3 +345,19 @@ def test_train_restarts_picks_best_validation():
     assert min(h_multi.val_mse) <= min(h_single.val_mse)
     with pytest.raises(InvalidConfig):
         init(toy_config(restarts=0))
+
+
+def test_untrained_model_predicts_from_its_inputs():
+    # fresh from init there are no feature constants: inputs pass unscaled
+    model = init(MlpConfig(input_columns=("a", "b", "c"), hidden_neurons=4, seed=2))
+    model.target_constants = (0.0, 1.0)
+    x = np.array([[0.5, 3.0, -2.0], [0.5, 3.0, -2.0], [0.1, 0.2, 0.3]])
+    assert np.array_equal(model.predict_batch(x), np.clip(forward(model, x), 0.0, 1.0))
+
+
+def test_feature_constants_must_cover_every_input():
+    model = init(MlpConfig(input_columns=("a", "b"), hidden_neurons=3, seed=0))
+    model.feature_constants = ((0.0, 1.0),)
+    model.target_constants = (0.0, 1.0)
+    with pytest.raises(DimensionMismatch):
+        model.predict_batch(np.zeros((2, 2)))

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pipelife.errors import (
     NonpositiveBaseline,
@@ -10,6 +12,7 @@ from pipelife.errors import (
     UnsupportedMaterial,
 )
 from pipelife.regression import (
+    BUILTIN_MATERIALS,
     DeteriorationModel,
     builtin,
     fit_polynomial,
@@ -215,3 +218,48 @@ def test_formula_rendering():
     text = builtin("CI").formula()
     assert text.startswith("Y = ")
     assert "A^2" in text and "W" in text
+
+
+# -- array evaluation ---------------------------------------------------------------
+
+monomials = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda p: sum(p) <= 3)
+polynomials = st.one_of(
+    st.sampled_from(BUILTIN_MATERIALS).map(builtin),
+    st.lists(
+        st.tuples(st.floats(-100, 100, allow_nan=False), monomials), min_size=1, max_size=6
+    ).map(lambda terms: DeteriorationModel(
+        "Custom", tuple((c, a, w) for c, (a, w) in terms), 1.0)),
+)
+ages = st.floats(0.0, 150.0, allow_nan=False)
+losses = st.floats(0.0, 100.0, allow_nan=False)
+
+
+@given(polynomials, st.lists(st.tuples(ages, losses), min_size=1, max_size=30))
+def test_predict_rul_array_matches_scalar(model, points):
+    age = np.array([a for a, _ in points])
+    wtl = np.array([w for _, w in points])
+    raw, clamped = predict_rul(model, age, wtl)
+    for i, (a, w) in enumerate(points):
+        raw_i, clamped_i = predict_rul(model, a, w)
+        assert isinstance(raw_i, float) and isinstance(clamped_i, float)
+        assert raw[i] == raw_i and clamped[i] == clamped_i
+
+
+@given(
+    st.lists(st.tuples(ages, losses), min_size=1, max_size=20),
+    st.data(),
+)
+def test_predict_rul_rejects_any_element_out_of_domain(points, data):
+    age = np.array([a for a, _ in points])
+    wtl = np.array([w for _, w in points])
+    i = data.draw(st.integers(0, len(points) - 1))
+    if data.draw(st.booleans()):
+        age[i] = data.draw(st.floats(max_value=-1e-9, allow_nan=False, allow_infinity=False))
+    else:
+        wtl[i] = data.draw(st.one_of(
+            st.floats(max_value=-1e-9, allow_nan=False),
+            st.floats(min_value=100.0 + 1e-9, allow_nan=False),
+            st.just(float("nan")),
+        ))
+    with pytest.raises(OutOfDomain):
+        predict_rul(builtin("CI"), age, wtl)
