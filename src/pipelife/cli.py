@@ -167,9 +167,8 @@ def cmd_train_ann(args) -> int:
     model_path = out_dir / "ann_best_model.json"
     model_path.write_text(result.best.model.to_json() + "\n", encoding="utf-8")
 
-    labeled = split_dataset(dataset, mlp.DEFAULT_SPLIT_RATIOS, args.seed)
+    labeled, predicted = result.labeled, result.best.predicted
     actual = labeled.column("rul_years")
-    predicted = result.best.model.predict_dataset(labeled)
     test_rows = [i for i, s in enumerate(labeled.split) if s == Split.TEST]
     slope, intercept, r2 = mlp.scatter_fit(predicted[test_rows], actual[test_rows])
     scatter_path = out_dir / "ann_scatter.csv"
@@ -188,6 +187,9 @@ def cmd_train_ann(args) -> int:
         {"in": str(args.infile), "seed": args.seed, "registry": args.registry or "default",
          "out_dir": str(out_dir)},
         [args.infile], [metrics_path, model_path, scatter_path, fit_path], started,
+        training=[{"name": row.name, "best_epoch": row.history.best_epoch,
+                   "epochs": len(row.history), "restart": row.history.restart}
+                  for row in result.rows],
     )
     best_test = result.best.phase(Split.TEST)
     print(f"trained {len(result.rows)} models; best: {result.best.name}")
@@ -284,13 +286,16 @@ def cmd_predict(args) -> int:
         predicted = _load_model(args.model).predict_dataset(dataset)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    # the k-th record came from the DictReader row cleaning.kept_rows[k]
+    # the k-th record came from data row cleaning.kept_rows[k]; rows are counted
+    # as DictReader counts them (blank lines skipped) and echoed padded or cut
+    # to the header's width
     with open(args.infile, "r", newline="", encoding="utf-8") as src:
-        reader = csv.DictReader(src)
-        header = list(reader.fieldnames or [])
-        raw_rows = list(reader)
+        reader = csv.reader(src)
+        header = next(reader, [])
+        raw_rows = [row for row in reader if row]
+    width = len(header)
     _write_rows_csv(out, header + ["predicted_rul"], (
-        [raw_rows[i].get(c, "") for c in header] + [_num(value)]
+        raw_rows[i][:width] + [""] * (width - len(raw_rows[i])) + [_num(value)]
         for i, value in zip(cleaning.kept_rows, predicted)
     ))
     manifest = _write_manifest(

@@ -10,6 +10,20 @@ Training keeps the parameter snapshot with the lowest validation MSE seen
 across the epoch budget; the experiment harness trains a registry of
 configurations on one shared split and ranks them by test error.
 
+The registry trains in lockstep (`train_registry`).  A config with
+restarts = k becomes k members seeded seed, seed + 1, ..., and the first
+member with the strictly lowest validation MSE wins.  Members sharing
+(batch_size, epochs) form one stack: K parameter vectors in one array,
+hidden units zero-padded to the largest h, inputs laid out on the union of
+the members' columns, and a per-parameter learning rate that is zero on the
+padding and on each member's absent inputs.  Every SGD step then runs a
+handful of numpy calls on (K, B, d) batches instead of K separate loops.
+Each member keeps its own Glorot initialization from rng(seed), its own
+batch order from rng(seed + 1), its learning rate, its activation and its
+best-epoch snapshot, so it ends where training it alone ends, up to the
+order of floating-point sums.  `train` is the one-config case, and
+`loss_and_gradient` is the K = 1 view of the same gradient kernel.
+
 A model keeps the scaling constants of its inputs and target and scales with
 `data.normalize`/`data.denormalize`, as ANFIS does.
 """
@@ -71,6 +85,8 @@ class MlpConfig:
             raise InvalidConfig(f"restarts must be >= 1, got {self.restarts}")
         if not self.input_columns:
             raise InvalidConfig("input_columns must be non-empty")
+        if len(set(self.input_columns)) != len(self.input_columns):
+            raise InvalidConfig(f"input_columns repeat a column: {self.input_columns}")
 
     def to_dict(self) -> dict:
         return {
@@ -100,22 +116,29 @@ class MlpConfig:
         )
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "sigmoid":
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
-    return np.tanh(z)
+# act(z) = scale * (offset + tanh(scale * z)): sigmoid is 0.5 (1 + tanh(z / 2)),
+# tanh is scale 1, offset 0.  tanh saturates without overflow at any z.
+_ACTIVATIONS = {"sigmoid": (0.5, 1.0), "tanh": (1.0, 0.0)}
 
 
-def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    # derivative expressed through the activation value itself
-    if kind == "sigmoid":
-        return a * (1.0 - a)
-    return 1.0 - a * a
+def _activation(kinds) -> tuple:
+    """(scale, offset, hi, lo) of K activations as K x 1 x 1 arrays.
+
+    The derivative through the activation value a is (hi - a) * (a + lo):
+    a (1 - a) for the sigmoid, (1 - a) (1 + a) for tanh.
+    """
+    scale, offset = np.array([_ACTIVATIONS[k] for k in kinds]).T.reshape(2, -1, 1, 1)
+    return scale, offset, scale * (1.0 + offset), scale * (1.0 - offset)
+
+
+def _act(z: np.ndarray, act: tuple) -> np.ndarray:
+    """The activation of the pre-activations z, computed in place."""
+    scale, offset = act[:2]
+    z *= scale
+    np.tanh(z, out=z)
+    z += offset
+    z *= scale
+    return z
 
 
 @dataclass
@@ -134,13 +157,6 @@ class MlpModel:
     @property
     def input_columns(self) -> tuple:
         return tuple(self.config.input_columns)
-
-    def parameters(self):
-        return [self.w1, self.b1, self.w2, np.atleast_1d(self.b2)]
-
-    def copy(self) -> "MlpModel":
-        return replace(self, w1=self.w1.copy(), b1=self.b1.copy(), w2=self.w2.copy(),
-                       b2=float(self.b2))
 
     # -- raw-unit prediction ------------------------------------------------
 
@@ -219,6 +235,56 @@ def init(config: MlpConfig) -> MlpModel:
     )
 
 
+# -- stacked networks ----------------------------------------------------------
+#
+# K networks with d inputs and h hidden units live in one K x P array, one
+# flat parameter vector per row: w1 (d*h), b1 (h), w2 (h), b2 (1).  Inputs
+# are (B, d) shared by every network, or (1, B, d) / (K, B, d) batches.
+
+def _unpack(theta: np.ndarray, d: int, h: int) -> tuple:
+    """(w1, b1, w2, b2) views of a K x P parameter stack."""
+    k, dh = theta.shape[0], d * h
+    return (theta[:, :dh].reshape(k, d, h), theta[:, dh:dh + h],
+            theta[:, dh + h:dh + 2 * h], theta[:, dh + 2 * h])
+
+
+def _stack(model: MlpModel) -> tuple:
+    """One model as the K = 1 stack, viewing its arrays."""
+    return model.w1[None], model.b1[None], model.w2[None], np.atleast_1d(model.b2)
+
+
+def _forward(params: tuple, x: np.ndarray, act: tuple) -> tuple:
+    """Hidden activations (K, B, h) and outputs (K, B) of stacked networks."""
+    w1, b1, w2, b2 = params
+    hidden = x @ w1
+    hidden += b1[:, None]
+    _act(hidden, act)
+    return hidden, (hidden @ w2[..., None])[..., 0] + b2[:, None]
+
+
+def _gradient(params: tuple, grads: tuple, x: np.ndarray, y: np.ndarray, act: tuple):
+    """Gradient of each network's batch MSE, written into the `grads` views.
+
+    Returns the (K, B) residuals y_hat - y.
+    """
+    hidden, y_hat = _forward(params, x, act)
+    err = y_hat - y
+    g_w1, g_b1, g_w2, g_b2 = grads
+    g_out = (2.0 / err.shape[1]) * err                       # dL/dy_hat
+    np.matmul(hidden.transpose(0, 2, 1), g_out[..., None], out=g_w2[..., None])
+    g_out.sum(axis=1, out=g_b2)
+    hi, lo = act[2:]
+    g_hidden = g_out[..., None] * params[2][:, None] * ((hi - hidden) * (hidden + lo))
+    np.matmul(x.transpose(0, 2, 1), g_hidden, out=g_w1)
+    g_hidden.sum(axis=1, out=g_b1)
+    return err
+
+
+def _mse(params: tuple, x: np.ndarray, y: np.ndarray, act: tuple) -> np.ndarray:
+    err = _forward(params, x, act)[1] - y
+    return np.einsum("kn,kn->k", err, err) / y.size
+
+
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Network output for normalized inputs (single row or n x d matrix)."""
     x = np.asarray(x, dtype=float)
@@ -228,14 +294,14 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {model.w1.shape[0]} inputs, got {x2.shape[1]}"
         )
-    hidden = _act(x2 @ model.w1 + model.b1, model.config.activation)
-    y = hidden @ model.w2 + model.b2
+    y = _forward(_stack(model), x2, _activation([model.config.activation]))[1][0]
     return float(y[0]) if single else y
 
 
 def loss_and_gradient(model: MlpModel, x: np.ndarray, y: np.ndarray):
     """MSE over the batch and its exact gradients for every parameter.
 
+    This is the K = 1 case of the stacked gradient that training runs.
     Returns (loss, {"w1": ..., "b1": ..., "w2": ..., "b2": ...}).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -244,19 +310,12 @@ def loss_and_gradient(model: MlpModel, x: np.ndarray, y: np.ndarray):
         raise EmptyBatch("gradient evaluation needs at least one row")
     if x.shape[0] != y.size:
         raise DimensionMismatch(f"{x.shape[0]} rows vs {y.size} targets")
-    n = x.shape[0]
-    z1 = x @ model.w1 + model.b1
-    a1 = _act(z1, model.config.activation)
-    y_hat = a1 @ model.w2 + model.b2
-    err = y_hat - y
-    loss = float(err @ err) / n
-    g_out = (2.0 / n) * err                      # dL/dy_hat
-    g_w2 = a1.T @ g_out
-    g_b2 = float(g_out.sum())
-    g_hidden = np.outer(g_out, model.w2) * _act_grad(a1, model.config.activation)
-    g_w1 = x.T @ g_hidden
-    g_b1 = g_hidden.sum(axis=0)
-    return loss, {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
+    d, h = model.w1.shape
+    grads = _unpack(np.empty((1, d * h + 2 * h + 1)), d, h)
+    err = _gradient(_stack(model), grads, x[None], y[None],
+                    _activation([model.config.activation]))[0]
+    g_w1, g_b1, g_w2, g_b2 = (g[0] for g in grads)
+    return float(err @ err) / y.size, {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": float(g_b2)}
 
 
 @dataclass
@@ -264,6 +323,7 @@ class TrainingHistory:
     train_mse: list = field(default_factory=list)
     val_mse: list = field(default_factory=list)
     best_epoch: int = -1
+    restart: int = 0             # index of the winning restart (seed + restart)
 
     def __len__(self) -> int:
         return len(self.train_mse)
@@ -272,65 +332,113 @@ class TrainingHistory:
 def train(config: MlpConfig, features: FeatureMatrix):
     """Gradient-descent training on the matrix's train split.
 
-    Validation MSE is tracked each epoch and the best-epoch snapshot is
-    returned; without a validation split the train loss is used instead.
-    With restarts > 1 the run is repeated from fresh seeds (seed, seed+1,
-    ...) and the restart with the lowest validation MSE wins.  Returns
-    (model, TrainingHistory).
+    The one-config case of `train_registry`.  Returns (model, TrainingHistory).
     """
-    config.validate()
-    if config.restarts > 1:
-        best = None
-        for k in range(config.restarts):
-            attempt = replace(config, restarts=1, seed=config.seed + k)
-            model, history = train(attempt, features)
-            score = min(history.val_mse)
-            if best is None or score < best[0]:
-                best = (score, model, history)
-        return best[1], best[2]
-    x_train, y_train, x_val, y_val = features.split_arrays(config.input_columns)
+    return train_registry((config,), features)[0]
 
-    model = init(config)
-    model.feature_constants = features.column_constants(config.input_columns)
-    model.target_constants = features.column_constants((TARGET_COLUMN,))[0]
-    model.norm_mode = features.mode
 
-    rng = np.random.default_rng(config.seed + 1)  # batch shuffling stream
-    history = TrainingHistory()
-    best = model.copy()
-    best_score = np.inf
-    for epoch in range(config.epochs):
-        if config.batch_size is None:
-            _sgd_step(model, x_train, y_train, config.learning_rate)
+def train_registry(configs: Sequence[MlpConfig], features: FeatureMatrix) -> list:
+    """Train every config on the matrix's train split, in lockstep.
+
+    A config with restarts = k becomes k members seeded seed, seed + 1, ...;
+    the first member with the strictly lowest validation MSE wins.  Members
+    sharing (batch_size, epochs) train as one stacked program.  Returns
+    [(model, TrainingHistory)] in config order.
+    """
+    members = []                   # (config index, restart, member config)
+    for i, config in enumerate(configs):
+        config.validate()
+        for r in range(config.restarts):
+            members.append((i, r, replace(config, restarts=1, seed=config.seed + r)))
+    groups = {}
+    for pos, (_, _, member) in enumerate(members):
+        groups.setdefault((member.batch_size, member.epochs), []).append(pos)
+    trained = [None] * len(members)
+    for positions in groups.values():
+        group = _train_group([members[pos][2] for pos in positions], features)
+        for pos, result in zip(positions, group):
+            trained[pos] = result
+    chosen = {}
+    for (i, r, _), (model, history) in zip(members, trained):
+        history.restart = r
+        if i not in chosen or min(history.val_mse) < min(chosen[i][1].val_mse):
+            chosen[i] = (model, history)
+    return [chosen[i] for i in range(len(configs))]
+
+
+def _train_group(configs: Sequence[MlpConfig], features: FeatureMatrix) -> list:
+    """SGD for members sharing batch size and epochs, as one K-network stack.
+
+    Each member has its d_k inputs on its rows of the union's d and its h_k
+    units on the first of h_max; the learning rate is zero on the rest, so
+    the padding stays zero and adds exact zeros to every sum.  Validation
+    MSE is tracked each epoch and each member's best-epoch snapshot is kept;
+    without a validation split the train loss is used instead.
+    """
+    wanted = {c for config in configs for c in config.input_columns}
+    columns = tuple(c for c in features.column_names if c in wanted)
+    x_train, y_train, x_val, y_val = features.split_arrays(columns)
+    k, d, h = len(configs), len(columns), max(c.hidden_neurons for c in configs)
+    theta = np.zeros((k, d * h + 2 * h + 1))
+    rate = np.zeros_like(theta)    # learning rate per parameter
+    grad = np.empty_like(theta)
+    params, rates, grads = (_unpack(a, d, h) for a in (theta, rate, grad))
+    places = []
+    for i, config in enumerate(configs):
+        rows, units = [columns.index(c) for c in config.input_columns], config.hidden_neurons
+        fresh = init(config)
+        params[0][i, rows, :units] = fresh.w1
+        params[2][i, :units] = fresh.w2
+        rates[0][i, rows, :units] = rates[1][i, :units] = rates[2][i, :units] = \
+            rates[3][i] = config.learning_rate
+        places.append((rows, units))
+    act = _activation([c.activation for c in configs])
+    rngs = [np.random.default_rng(c.seed + 1) for c in configs]  # batch shuffling streams
+    batch_size, epochs = configs[0].batch_size, configs[0].epochs
+    n = y_train.size
+    step = batch_size or n
+
+    best = theta.copy()
+    best_score = np.full(k, np.inf)
+    best_epoch = np.full(k, -1)
+    train_mse, val_mse = np.empty((epochs, k)), np.empty((epochs, k))
+    for epoch in range(epochs):
+        if batch_size is None:
+            x_epoch, y_epoch = x_train[None], y_train[None]
         else:
-            order = rng.permutation(y_train.size)
-            for start in range(0, y_train.size, config.batch_size):
-                rows = order[start:start + config.batch_size]
-                _sgd_step(model, x_train[rows], y_train[rows], config.learning_rate)
-        train_mse = _mse(model, x_train, y_train)
-        val_mse = _mse(model, x_val, y_val) if y_val.size else train_mse
-        history.train_mse.append(train_mse)
-        history.val_mse.append(val_mse)
-        if val_mse < best_score:
-            best_score = val_mse
-            best = model.copy()
-            history.best_epoch = epoch
-    return best, history
+            orders = np.array([rng.permutation(n) for rng in rngs])
+            x_epoch, y_epoch = x_train[orders], y_train[orders]
+        for start in range(0, n, step):
+            batch = slice(start, start + step)
+            _gradient(params, grads, x_epoch[:, batch], y_epoch[:, batch], act)
+            grad *= rate
+            theta -= grad
+        train_mse[epoch] = _mse(params, x_train, y_train, act)
+        val_mse[epoch] = _mse(params, x_val, y_val, act) if y_val.size else train_mse[epoch]
+        better = val_mse[epoch] < best_score
+        best[better] = theta[better]
+        best_score[better] = val_mse[epoch, better]
+        best_epoch[better] = epoch
 
-
-def _sgd_step(model, x, y, lr):
-    _, grads = loss_and_gradient(model, x, y)
-    model.w1 -= lr * grads["w1"]
-    model.b1 -= lr * grads["b1"]
-    model.w2 -= lr * grads["w2"]
-    model.b2 -= lr * grads["b2"]
-
-
-def _mse(model, x, y) -> float:
-    if len(y) == 0:
-        return np.inf
-    err = forward(model, x) - y
-    return float(err @ err) / len(y)
+    w1, b1, w2, b2 = _unpack(best, d, h)
+    target_constants = features.column_constants((TARGET_COLUMN,))[0]
+    out = []
+    for i, (config, (rows, units)) in enumerate(zip(configs, places)):
+        model = MlpModel(
+            config=config,
+            w1=w1[i, rows, :units],
+            b1=b1[i, :units].copy(),
+            w2=w2[i, :units].copy(),
+            b2=float(b2[i]),
+            feature_constants=features.column_constants(config.input_columns),
+            target_constants=target_constants,
+            norm_mode=features.mode,
+        )
+        history = TrainingHistory(
+            train_mse[:, i].tolist(), val_mse[:, i].tolist(), int(best_epoch[i])
+        )
+        out.append((model, history))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +472,8 @@ class ExperimentRow:
     config: MlpConfig
     model: MlpModel
     reports: dict  # phase name -> MetricsReport
+    history: TrainingHistory
+    predicted: np.ndarray  # raw-unit predictions for every row of the split
 
     def phase(self, label: Split) -> MetricsReport:
         return self.reports[label.value]
@@ -374,6 +484,7 @@ class ExperimentResult:
     rows: list
     best: ExperimentRow
     split_seed: int
+    labeled: Dataset  # the dataset with the shared split labels
 
     def table(self) -> list:
         """Rows of (model, phase, mae, rrse, mape, rae, r2) for CSV export."""
@@ -395,29 +506,29 @@ def run_experiment_suite(
 ) -> ExperimentResult:
     """Train every registry entry on one shared split and rank the models.
 
-    The best model minimizes test MAPE, with test MAE as the tie-break.
+    One FeatureMatrix covers the union of the registry's inputs; min-max
+    constants are per column, so each model scales as if built alone.  The
+    best model minimizes test MAPE, with test MAE as the tie-break.
     """
     if not dataset.has_rul():
         raise EmptySplit("experiment suite requires rul targets")
     registry = tuple(registry) or default_registry(split_seed)
     labeled = split_dataset(dataset, ratios, split_seed)
+    inputs = tuple(dict.fromkeys(c for config in registry for c in config.input_columns))
+    features = build_features(labeled, inputs + (TARGET_COLUMN,))
+    actual = features.raw_column(TARGET_COLUMN)
+    phases = [(label, features.rows_for(label))
+              for label in (Split.TRAIN, Split.VALIDATION, Split.TEST)]
     rows = []
-    for config in registry:
-        columns = tuple(config.input_columns) + ("rul_years",)
-        features = build_features(labeled, columns)
-        model, _ = train(config, features)
-        actual = labeled.column("rul_years")
-        predicted = model.predict_dataset(labeled)
-        reports = {}
-        for label in (Split.TRAIN, Split.VALIDATION, Split.TEST):
-            idx = features.rows_for(label)
-            reports[label.value] = evaluate(predicted[idx], actual[idx])
+    for config, (model, history) in zip(registry, train_registry(registry, features)):
+        predicted = model.predict_batch(features.raw_matrix(config.input_columns))
+        reports = {label.value: evaluate(predicted[idx], actual[idx]) for label, idx in phases}
         name = config.name or f"h{config.hidden_neurons}"
-        rows.append(ExperimentRow(name, config, model, reports))
+        rows.append(ExperimentRow(name, config, model, reports, history, predicted))
     best = min(
         rows, key=lambda r: (r.phase(Split.TEST).mape, r.phase(Split.TEST).mae)
     )
-    return ExperimentResult(rows=rows, best=best, split_seed=split_seed)
+    return ExperimentResult(rows=rows, best=best, split_seed=split_seed, labeled=labeled)
 
 
 def scatter_fit(predicted, actual):

@@ -130,6 +130,31 @@ def test_train_ann_registry_of_one(small_csv, tmp_path):
     assert set(fit) == {"slope", "intercept", "r2"}
 
 
+def test_train_ann_manifest_records_training(small_csv, tmp_path):
+    registry = [
+        mlp.MlpConfig(hidden_neurons=3, epochs=4, seed=1, name="plain"),
+        mlp.MlpConfig(hidden_neurons=2, epochs=6, seed=3, restarts=3, batch_size=None,
+                      name="restarted"),
+    ]
+    registry_path = tmp_path / "registry.json"
+    registry_path.write_text(json.dumps([c.to_dict() for c in registry]))
+    out_dir = tmp_path / "ann"
+    assert run(["train-ann", "--in", str(small_csv), "--seed", "2",
+                "--registry", str(registry_path), "--out-dir", str(out_dir)]) == 0
+    training = json.loads((out_dir / "train_ann_manifest.json").read_text())["training"]
+    dataset, _ = ingest_csv(small_csv, DEFAULT_REFERENCE_YEAR)
+    result = mlp.run_experiment_suite(dataset, registry, split_seed=2)
+    # no timings: the block is the same on every run
+    assert training == [
+        {"name": row.name, "best_epoch": row.history.best_epoch,
+         "epochs": row.config.epochs, "restart": row.history.restart}
+        for row in result.rows
+    ]
+    assert [t["epochs"] for t in training] == [4, 6]
+    assert all(0 <= t["best_epoch"] < t["epochs"] for t in training)
+    assert training[1]["restart"] in range(3)
+
+
 def test_train_ann_requires_rul(tmp_path):
     bare = tmp_path / "norul.csv"
     dataset_path = tmp_path / "full.csv"
@@ -284,6 +309,19 @@ def test_predict_echoes_exactly_the_kept_rows(tmp_path):
     for row in rows[1:]:
         want, _ = predict_rul(builtin("CI"), float(row[0]), float(row[6]))
         assert float(row[-1]) == want
+
+
+def test_predict_cuts_a_row_with_more_fields_than_the_header(tmp_path):
+    header = ("age_years,diameter_in,length_ft,material,breaks,install_year,"
+              "wall_thickness_loss_pct,rul_years")
+    rows = ["10,8,100,CastIron,0,2001,5,40,extra,cells", "", "20,8,250,CI,1,1991,12.5,30"]
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join([header] + rows) + "\n")
+    out = tmp_path / "pred.csv"
+    assert run(["predict", "--builtin", "CI", "--in", str(path), "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        echoed = [row[:-1] for row in csv.reader(fh)][1:]
+    assert echoed == [rows[0].split(",")[:8], rows[2].split(",")]
 
 
 def test_predict_builtin_constant_term(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from pipelife.mlp import (
     run_experiment_suite,
     scatter_fit,
     train,
+    train_registry,
 )
 
 
@@ -78,6 +81,12 @@ def test_init_invalid_config():
         init(toy_config(learning_rate=0.0))
     with pytest.raises(InvalidConfig):
         init(toy_config(activation="relu"))
+
+
+def test_config_with_a_repeated_input_column_is_invalid():
+    # each input column has one row of w1 in the stacked layout
+    with pytest.raises(InvalidConfig):
+        init(toy_config(input_columns=("x", "x")))
 
 
 # -- forward ------------------------------------------------------------------------
@@ -273,6 +282,79 @@ def test_model_json_round_trip_and_prediction_consistency():
     assert a == pytest.approx(b, abs=0)
 
 
+# -- lockstep training ------------------------------------------------------------------
+
+NO_WTL = tuple(c for c in MlpConfig().input_columns if c != "wall_thickness_loss_pct")
+
+
+def mixed_registry():
+    """Batch 16 and full batch, 5 and 8 epochs, sigmoid and tanh, restarts,
+    and members without wall thickness loss (one listing its inputs in
+    reverse), in three (batch, epochs) groups."""
+    return [
+        MlpConfig(hidden_neurons=3, epochs=5, seed=1, name="a"),
+        MlpConfig(hidden_neurons=6, epochs=5, seed=2, activation="tanh",
+                  learning_rate=0.1, name="b"),
+        MlpConfig(hidden_neurons=4, epochs=5, seed=3, restarts=3, name="c"),
+        MlpConfig(hidden_neurons=5, epochs=5, seed=4, input_columns=NO_WTL[::-1], name="d"),
+        MlpConfig(hidden_neurons=4, epochs=8, seed=5, batch_size=None, name="e"),
+        MlpConfig(hidden_neurons=3, epochs=8, seed=6, batch_size=None, activation="tanh",
+                  input_columns=NO_WTL, name="f"),
+        MlpConfig(hidden_neurons=2, epochs=8, seed=7, name="g"),
+    ]
+
+
+@pytest.fixture(scope="module")
+def registry_features():
+    dataset = synth.generate(synth.GeneratorConfig(n=400, seed=12))
+    labeled = split_dataset(dataset, (0.75, 0.1, 0.15), 4)
+    return build_features(labeled, MlpConfig().input_columns + ("rul_years",))
+
+
+def test_lockstep_members_match_training_alone(registry_features):
+    registry = mixed_registry()
+    for config, (model, history) in zip(registry, train_registry(registry, registry_features)):
+        alone, alone_history = train(config, registry_features)
+        assert model.config == alone.config
+        for name in ("w1", "b1", "w2"):
+            assert getattr(model, name).shape == getattr(alone, name).shape
+            np.testing.assert_allclose(getattr(model, name), getattr(alone, name),
+                                       rtol=0, atol=1e-10)
+        assert model.b2 == pytest.approx(alone.b2, abs=1e-10)
+        assert model.feature_constants == alone.feature_constants
+        assert len(history) == config.epochs
+        np.testing.assert_allclose(history.val_mse, alone_history.val_mse, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(history.train_mse, alone_history.train_mse,
+                                   rtol=0, atol=1e-10)
+        assert (history.best_epoch, history.restart) == (
+            alone_history.best_epoch, alone_history.restart)
+        assert model.config.seed == config.seed + history.restart
+
+
+def test_lockstep_results_do_not_depend_on_registry_order(registry_features):
+    registry = mixed_registry()
+    reference = dict(zip(
+        (c.name for c in registry), train_registry(registry, registry_features)
+    ))
+    permuted = registry[::-1]
+    for config, (model, history) in zip(permuted, train_registry(permuted, registry_features)):
+        ref_model, ref_history = reference[config.name]
+        for name in ("w1", "b1", "w2"):
+            assert np.array_equal(getattr(model, name), getattr(ref_model, name))
+        assert model.b2 == ref_model.b2
+        assert history == ref_history
+
+
+def test_lockstep_restarts_keep_the_first_best_member(registry_features):
+    config = mixed_registry()[2]
+    _, history = train(config, registry_features)
+    scores = [min(train(replace(config, restarts=1, seed=config.seed + r),
+                        registry_features)[1].val_mse)
+              for r in range(config.restarts)]
+    assert history.restart == scores.index(min(scores))
+    assert min(history.val_mse) == min(scores)
+
+
 # -- experiment suite ----------------------------------------------------------------
 
 def test_default_registry_shape():
@@ -293,6 +375,19 @@ def test_suite_single_config():
     table = result.table()
     assert len(table) == 3  # one row per phase
     assert {row[1] for row in table} == {"train", "validation", "test"}
+
+
+def test_suite_carries_the_split_and_the_best_predictions():
+    dataset = synth.generate(synth.GeneratorConfig(n=400, seed=1))
+    registry = [MlpConfig(hidden_neurons=3, epochs=5, seed=0, name="x"),
+                MlpConfig(hidden_neurons=4, epochs=5, seed=1, input_columns=NO_WTL, name="y")]
+    result = run_experiment_suite(dataset, registry, split_seed=2)
+    labeled = split_dataset(dataset, (0.75, 0.10, 0.15), 2)
+    assert result.labeled.split == labeled.split
+    for row in result.rows:
+        # bit for bit what re-predicting over every row gives
+        assert np.array_equal(row.predicted, row.model.predict_dataset(labeled))
+        assert len(row.history) == row.config.epochs
 
 
 def test_suite_wtl_exclusion_hurts():
