@@ -11,16 +11,20 @@ full grid partition of m^d rules:
 
 Hybrid learning alternates a batch least-squares solve for the linear
 consequents theta (premises frozen) with a gradient-descent step on the
-Gaussian centers and widths.  The design Phi repeats the inputs [x, 1] once
-per rule, so any linear dependence among the inputs (install year = reference
-year - age on the default inputs) is a null direction of every rule block.
-The solve therefore factors [x, 1] = U S V^T once, keeps the k directions
-above lstsq's own cutoff, solves the minimum-norm problem on
-Psi = wbar * (U_k S_k) with R k columns by SVD (numpy lstsq), and maps each
-rule back with theta_r = V_k c_r.  I_R (x) V_k has orthonormal columns, so
-this is the minimum-norm solution of the full design; rank-deficient solves
-are flagged rather than failed.  One forward pass per epoch feeds the logged
-train MSE before and after the solve, the solve and the premise gradient.
+Gaussian centers and widths.  Row n of the design Phi is wbar_n (x) [x_n, 1],
+the row-wise Khatri-Rao product of the firing matrix Wbar and the inputs, so
+a null direction of either factor is one of Phi.  Both occur on the default
+inputs: install year = reference year - age makes [x, 1] rank deficient, and
+the product of an age and an install-year Gaussian is one Gaussian in age,
+so Wbar repeats columns.  The solve factors each by SVD, [x, 1] = U S V^T
+(kept: Z = U_k S_k) and Wbar = U_W S_W V_W^T (kept: G = U_W,r S_W,r), keeps
+only directions whose dropped part of the design lies below lstsq's own
+cutoff on the full design, solves the minimum-norm problem on the r k
+columns g_n (x) z_n by SVD (numpy lstsq) and maps back with
+theta = V_W,r C V_k.  Both maps have orthonormal columns, so this is the
+minimum-norm solution of the full design; rank-deficient solves are flagged
+rather than failed.  One forward pass per epoch feeds the logged train MSE
+before and after the solve, the solve and the premise gradient.
 
 A model works in normalized units; it keeps the scaling constants of its
 inputs and target and scales with `data.normalize`/`data.denormalize`, as
@@ -67,6 +71,7 @@ class AnfisModel:
     norm_mode: str = "minmax"
     trained: bool = False
     lse_degenerate: bool = False   # last solve was rank deficient
+    lse_rank: int = -1             # rank of the last solve (not saved); -1 before any
 
     @property
     def n_inputs(self) -> int:
@@ -218,10 +223,10 @@ def _forward(model: AnfisModel, x: np.ndarray):
 
     Returns (y, wbar, w) with shapes (n,), (n, R), (n, R).
     """
-    n, d = x.shape
     mu = _memberships(model, x)                       # n x d x m
-    gathered = mu[:, np.arange(d)[:, None], model.rules.T]  # n x d x R
-    w = gathered.prod(axis=1)                         # n x R
+    w = mu[:, 0, model.rules[:, 0]]                   # n x R
+    for i in range(1, x.shape[1]):
+        w *= mu[:, i, model.rules[:, i]]
     total = w.sum(axis=1)
     if np.any(total < FIRING_FLOOR):
         row = int(np.argmax(total < FIRING_FLOOR))
@@ -265,16 +270,28 @@ def _consequent_design(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     return blocks.reshape(x.shape[0], -1)
 
 
+def _span(a: np.ndarray, tol) -> tuple:
+    """Leading directions of the thin SVD a = U S V^T: (U_r S_r, V_r^T).
+
+    r is the fewest directions whose dropped singular values s[r:] have
+    2-norm at most tol(s).
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]     # tail[j] = ||s[j:]||
+    r = int(np.count_nonzero(tail > tol(s)))
+    return u[:, :r] * s[:r], vt[:r]
+
+
 def lse_consequents(
     model: AnfisModel, x: np.ndarray, y: np.ndarray, wbar: np.ndarray | None = None
 ) -> AnfisModel:
     """Solve the consequents by linear least squares with premises frozen.
 
-    The problem is solved in the affine span of the inputs (see the module
-    docstring); wbar, the normalized firing strengths of x under the model's
-    premises, is computed when not given.  Rank-deficient designs get the
-    minimum-norm solution and set the lse_degenerate flag.  The model is
-    updated in place and returned.
+    The problem is solved in the span of the firing matrix and of the inputs
+    (see the module docstring); wbar, the normalized firing strengths of x
+    under the model's premises, is computed when not given.  Rank-deficient
+    designs get the minimum-norm solution and set the lse_degenerate flag.
+    The model is updated in place and returned.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -282,16 +299,21 @@ def lse_consequents(
         _, wbar, _ = _forward(model, x)
     n, n_rules = wbar.shape
     x1 = np.hstack([x, np.ones((n, 1))])
-    u, s, vt = np.linalg.svd(x1, full_matrices=False)
-    k = int(np.count_nonzero(s > np.finfo(float).eps * max(x1.shape) * s[0]))
-    z = u[:, :k] * s[:k]
-    psi = (wbar[:, :, None] * z[:, None, :]).reshape(n, n_rules * k)
-    # the cutoff the full n x R(d+1) design would get, relative to the same
-    # largest singular value
+    eps = np.finfo(float).eps
+    z, v_k = _span(x1, lambda s: eps * max(x1.shape) * s[0])
+    # lstsq's cutoff on the full n x R(d+1) design is rcond times its largest
+    # singular value, which is at least c_hat, its largest column norm.
+    # Dropping the tail E of Wbar changes the design by the rows e_n (x) z_n,
+    # of 2-norm at most max_n |z_n| * ||E||_F, so that tail may go.
     columns = n_rules * x1.shape[1]
-    rcond = np.finfo(float).eps * max(n, columns)
+    rcond = eps * max(n, columns)
+    c_hat = np.sqrt((wbar * wbar).T @ (z * z)).max()
+    z_max = np.sqrt((z * z).sum(axis=1)).max()
+    g, v_r = _span(wbar, lambda s: rcond * c_hat / z_max)
+    psi = (g[:, :, None] * z[:, None, :]).reshape(n, -1)
     c, _, rank, _ = np.linalg.lstsq(psi, y, rcond=rcond)
-    model.consequents = c.reshape(n_rules, k) @ vt[:k]
+    model.consequents = v_r.T @ c.reshape(len(v_r), len(v_k)) @ v_k
+    model.lse_rank = int(rank)
     model.lse_degenerate = bool(rank < columns)
     return model
 
@@ -338,6 +360,7 @@ class AnfisHistory:
     val_rmse: list = field(default_factory=list)
     pre_lse_mse: list = field(default_factory=list)
     post_lse_mse: list = field(default_factory=list)
+    lse_rank: list = field(default_factory=list)   # rank of each solve
     best_epoch: int = -1
 
     def __len__(self) -> int:
@@ -367,7 +390,9 @@ def hybrid_train(
     RMSE (normalized target units) is logged per epoch on the train and
     validation splits right after the consequent solve, and the snapshot
     with the best validation RMSE is returned.  With epochs=0 the model gets
-    exactly one consequent solve.  Widths are clamped at 1e-4.
+    exactly one consequent solve.  Widths are clamped at 1e-4.  The rank of
+    every solve is logged; history.lse_rank[history.best_epoch] is the
+    returned model's (best_epoch is -1 when no epoch was kept).
     """
     x_train, t_train, x_val, t_val = features.split_arrays(model.inputs)
 
@@ -377,6 +402,7 @@ def hybrid_train(
 
     if epochs == 0:
         lse_consequents(model, x_train, t_train)
+        history.lse_rank.append(model.lse_rank)
         model.trained = True
         return model, history
 
@@ -388,6 +414,7 @@ def hybrid_train(
         y, wbar, w = _forward(model, x_train)
         history.pre_lse_mse.append(_rmse_of(y, t_train) ** 2)
         lse_consequents(model, x_train, t_train, wbar=wbar)
+        history.lse_rank.append(model.lse_rank)
         y = (wbar * _rule_outputs(model, x_train)).sum(axis=1)
         history.post_lse_mse.append(_rmse_of(y, t_train) ** 2)
         train_rmse = np.sqrt(history.post_lse_mse[-1])
@@ -398,7 +425,8 @@ def hybrid_train(
             best_score = val_rmse
             best = model.copy()
             history.best_epoch = epoch
-        if learning_rate > 0.0:
+        # the step after the last epoch only matters when no epoch was kept
+        if learning_rate > 0.0 and (epoch + 1 < epochs or best is None):
             _premise_step(model, x_train, t_train, learning_rate, (y, wbar, w))
     best = best if best is not None else model
     best.trained = True

@@ -247,7 +247,9 @@ def cmd_train_anfis(args) -> int:
          "epochs": args.epochs, "seed": args.seed, "out_dir": str(out_dir)},
         [args.infile], [model_path, rmse_path, rank_path, grid_path], started,
         training={"best_epoch": history.best_epoch,
-                  "lse_degenerate": trained.lse_degenerate},
+                  "lse_degenerate": trained.lse_degenerate,
+                  "lse_rank": history.lse_rank[history.best_epoch],
+                  "lse_columns": trained.n_rules * (trained.n_inputs + 1)},
     )
     print(f"trained ANFIS with {trained.n_rules} rules on {inputs}")
     print("sensitivity ranking:")

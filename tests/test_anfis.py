@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from pipelife import synth
+from pipelife import anfis, synth
 from pipelife.anfis import (
     AnfisModel,
     contour_grid,
@@ -26,7 +29,7 @@ from pipelife.errors import (
     TooFewMfs,
     UntrainedModel,
 )
-from pipelife.mlp import MlpConfig, init as mlp_init
+from pipelife.mlp import MlpConfig, init as mlp_init, train as mlp_train
 
 
 def matrix_from_columns(named_columns, split=None):
@@ -188,6 +191,21 @@ def test_normalized_firing_sums_to_one_randomized():
     assert checked == 1000
 
 
+def test_forward_firing_equals_the_gathered_product():
+    rng = np.random.default_rng(13)
+    x = rng.uniform(0, 1, (60, 3))
+    fm = matrix_from_columns(
+        {"a": x[:, 0], "b": x[:, 1], "c": x[:, 2], "rul_years": np.zeros(60)}
+    )
+    model = init_grid(("a", "b", "c"), 3, fm)
+    model.centers += rng.normal(0, 0.05, model.centers.shape)
+    model.sigmas *= rng.uniform(0.5, 1.5, model.sigmas.shape)
+    mu = anfis._memberships(model, x)
+    gathered = mu[:, np.arange(3)[:, None], model.rules.T].prod(axis=1)
+    _, _, w = _forward(model, x)
+    assert np.array_equal(w, gathered)
+
+
 def test_infer_invariant_under_rule_permutation():
     rng = np.random.default_rng(4)
     fm = matrix_from_columns(
@@ -276,6 +294,58 @@ def test_lse_matches_lstsq_on_the_full_design(collinear):
     assert model.consequents.ravel() == pytest.approx(theta, abs=1e-8)
     assert model.lse_degenerate == (rank < phi.shape[1])
     assert model.lse_degenerate == collinear
+
+
+def equal_width_collinear(n=120, seed=14):
+    """b = 1 - a at 4 MFs of equal width: an a-Gaussian times a b-Gaussian is
+    one Gaussian in a, so the 16 rules fire along only 7 distinct directions.
+
+    The targets are the outputs of random planted consequents.  With noisy
+    targets this design (kept condition number ~2e6) moves lstsq's own
+    minimum-norm consequents by ~1e-7 under a mere row permutation.
+    """
+    fm = collinear_or_full_rank(True, n=n, seed=seed)
+    x = fm.normalized()[:, :2]
+    model = init_grid(("a", "b"), 4, fm)
+    assert np.array_equal(model.sigmas[0], model.sigmas[1])
+    model.consequents = np.random.default_rng(seed).normal(0, 1, model.consequents.shape)
+    y, _, _ = _forward(model, x)
+    model.consequents = np.zeros_like(model.consequents)
+    return model, x, y
+
+
+def test_lse_on_a_rank_deficient_firing_matrix_matches_the_full_design():
+    model, x, y = equal_width_collinear()
+    _, wbar, _ = _forward(model, x)
+    assert np.linalg.matrix_rank(wbar) == 7
+    lse_consequents(model, x, y)
+    phi = _consequent_design(model, x)
+    theta, _, rank, _ = np.linalg.lstsq(phi, y, rcond=None)
+    assert phi @ model.consequents.ravel() == pytest.approx(phi @ theta, abs=1e-9)
+    assert model.consequents.ravel() == pytest.approx(theta, abs=1e-8)
+    assert model.lse_rank == rank == 7 * 2
+    assert model.lse_degenerate
+
+
+def test_lse_drops_a_firing_tail_below_the_full_design_cutoff(monkeypatch):
+    model, x, y = equal_width_collinear()
+    spans = []
+
+    def recording_span(a, tol):
+        kept, vt = span(a, tol)
+        spans.append((a, kept))
+        return kept, vt
+
+    span = anfis._span
+    monkeypatch.setattr(anfis, "_span", recording_span)
+    lse_consequents(model, x, y)
+    (_, z), (wbar, g) = spans
+    r = g.shape[1]
+    assert r == 7
+    phi = _consequent_design(model, x)
+    cutoff = np.finfo(float).eps * max(phi.shape) * np.linalg.norm(phi, 2)
+    tail = np.linalg.norm(np.linalg.svd(wbar, compute_uv=False)[r:])
+    assert tail * np.linalg.norm(z, axis=1).max() <= cutoff
 
 
 @pytest.mark.parametrize("collinear", [True, False])
@@ -388,6 +458,18 @@ def test_sigma_floor_enforced():
     assert model.sigmas[i, j] == pytest.approx(1e-4)
 
 
+def test_hybrid_logs_the_rank_of_every_solve():
+    fm = collinear_or_full_rank(True)
+    model = init_grid(("a", "b"), 2, fm)
+    trained, history = hybrid_train(model, fm, epochs=3, learning_rate=0.02)
+    assert len(history.lse_rank) == 3
+    assert history.lse_rank[history.best_epoch] == trained.lse_rank
+    # b = 1 - a leaves [x, 1] two independent directions per rule
+    assert all(0 < rank <= 4 * 2 for rank in history.lse_rank)
+    once, single = hybrid_train(model, fm, epochs=0)
+    assert single.lse_rank == [once.lse_rank]
+
+
 # -- model persistence -----------------------------------------------------------------
 
 def test_anfis_json_round_trip():
@@ -484,3 +566,29 @@ def test_contour_grid_shape_and_medians():
     ages = {r[0] for r in rows}
     assert len(ages) == 10
     assert all(np.isfinite(r[2]) for r in rows)
+
+
+@pytest.fixture(scope="module")
+def minmax_models():
+    dataset = synth.generate(synth.GeneratorConfig(n=400, seed=8))
+    labeled = split_dataset(dataset, (0.75, 0.1, 0.15), 8)
+    inputs = ("age_years", "wall_thickness_loss_pct", "install_year")
+    fm = build_features(labeled, inputs + ("rul_years",))
+    fuzzy, _ = hybrid_train(init_grid(inputs, 2, fm), fm, epochs=3)
+    neural, _ = mlp_train(MlpConfig(input_columns=inputs, epochs=5, seed=8), fm)
+    return fuzzy, neural
+
+
+@settings(deadline=None)
+@given(arrays(float, st.tuples(st.integers(1, 8), st.just(3)),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_minmax_predictions_lie_inside_the_target_range(minmax_models, raw):
+    for model in minmax_models:
+        lo, hi = model.target_constants
+        try:
+            predicted = model.predict_batch(raw)
+        except AllRulesZero:
+            # no ANFIS rule fires this far outside the trained inputs
+            assert model is minmax_models[0]
+            continue
+        assert np.all((lo <= predicted) & (predicted <= hi)), (raw, predicted)

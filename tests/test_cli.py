@@ -225,6 +225,20 @@ def test_train_anfis_manifest_records_training(small_csv, tmp_path):
     assert model["lse_degenerate"] is True
 
 
+def test_train_anfis_manifest_records_the_solve_rank(small_csv, tmp_path):
+    out_dir = tmp_path / "anfis"
+    assert run([
+        "train-anfis", "--in", str(small_csv), "--seed", "4",
+        "--inputs", "age_years,wall_thickness_loss_pct,install_year",
+        "--mfs", "2", "--epochs", "3", "--out-dir", str(out_dir),
+    ]) == 0
+    training = json.loads((out_dir / "train_anfis_manifest.json").read_text())["training"]
+    assert training["lse_columns"] == 8 * 4  # 2^3 rules, d + 1 = 4
+    # install year = reference year - age leaves [x, 1] three directions per rule
+    assert 0 < training["lse_rank"] <= 8 * 3
+    assert training["lse_degenerate"] is (training["lse_rank"] < training["lse_columns"])
+
+
 @pytest.fixture(scope="module")
 def anfis_doc(small_csv, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("anfis_doc")
