@@ -4,7 +4,6 @@ from .data import (
     Dataset,
     FeatureMatrix,
     Material,
-    PipeRecord,
     Split,
     build_features,
     encode_material,
@@ -26,7 +25,6 @@ __all__ = [
     "GeneratorConfig",
     "Material",
     "MetricsReport",
-    "PipeRecord",
     "SignificanceReport",
     "Split",
     "SummaryStats",

@@ -45,6 +45,7 @@ from .errors import (
     AllRulesZero,
     DimensionMismatch,
     EmptySplit,
+    InvalidConfig,
     RuleExplosion,
     TooFewMfs,
     UntrainedModel,
@@ -392,8 +393,11 @@ def hybrid_train(
     with the best validation RMSE is returned.  With epochs=0 the model gets
     exactly one consequent solve.  Widths are clamped at 1e-4.  The rank of
     every solve is logged; history.lse_rank[history.best_epoch] is the
-    returned model's (best_epoch is -1 when no epoch was kept).
+    returned model's (best_epoch is -1 when no epoch was kept).  Negative
+    epochs raise InvalidConfig.
     """
+    if epochs < 0:
+        raise InvalidConfig(f"epochs must be >= 0, got {epochs}")
     x_train, t_train, x_val, t_val = features.split_arrays(model.inputs)
 
     model = model.copy()

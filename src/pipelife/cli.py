@@ -2,8 +2,8 @@
 
 Subcommands: generate, stats, train-ann, train-anfis, predict,
 fit-regression.  Every run writes a manifest (flags, seeds, input digests,
-outputs, duration) beside its outputs; re-running with identical flags and
-files reproduces byte-identical numeric outputs.
+outputs, duration, the input CSV's cleaning report) beside its outputs;
+identical flags and files reproduce byte-identical numeric outputs.
 
 Exit codes: 0 success, 1 runtime or domain error, 2 usage error.
 """
@@ -19,13 +19,12 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import anfis, mlp, regression, stats, synth
 from .data import (
-    Material,
+    MATERIALS,
     Split,
     build_features,
+    encode_material,
     ingest_csv,
     split_dataset,
     write_csv,
@@ -52,18 +51,17 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(
-    out_dir: Path, command: str, args: dict, inputs, outputs, started: float,
-    training=None,
+    out_dir: Path, command: str, args: dict, inputs, outputs, started: float, **sections
 ):
+    """`started` is a time.perf_counter() reading; each keyword adds a section."""
     manifest = {
         "command": command,
         "arguments": args,
         "input_digests": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
-        "duration_seconds": round(time.time() - started, 3),
+        "duration_seconds": round(time.perf_counter() - started, 3),
+        **sections,
     }
-    if training is not None:
-        manifest["training"] = training
     path = out_dir / f"{command.replace('-', '_')}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path
@@ -100,7 +98,7 @@ def _write_rows_csv(path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     config = synth.GeneratorConfig(n=args.n, seed=args.seed)
     dataset = synth.generate(config)
     out = Path(args.out)
@@ -146,11 +144,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train_ann(args) -> int:
-    started = time.time()
-    dataset, _ = ingest_csv(args.infile, args.reference_year)
+    started = time.perf_counter()
+    dataset, cleaning = ingest_csv(args.infile, args.reference_year)
     if args.registry:
-        payload = json.loads(Path(args.registry).read_text(encoding="utf-8"))
-        registry = tuple(mlp.MlpConfig.from_dict(entry) for entry in payload)
+        registry = _load_document(args.registry, lambda text: tuple(
+            mlp.MlpConfig.from_dict(entry) for entry in json.loads(text)))
     else:
         registry = mlp.default_registry(args.seed)
     result = mlp.run_experiment_suite(dataset, registry, split_seed=args.seed)
@@ -187,6 +185,7 @@ def cmd_train_ann(args) -> int:
         {"in": str(args.infile), "seed": args.seed, "registry": args.registry or "default",
          "out_dir": str(out_dir)},
         [args.infile], [metrics_path, model_path, scatter_path, fit_path], started,
+        cleaning=cleaning.to_dict(),
         training=[{"name": row.name, "best_epoch": row.history.best_epoch,
                    "epochs": len(row.history), "restart": row.history.restart}
                   for row in result.rows],
@@ -207,8 +206,8 @@ def cmd_train_ann(args) -> int:
 
 
 def cmd_train_anfis(args) -> int:
-    started = time.time()
-    dataset, _ = ingest_csv(args.infile, args.reference_year)
+    started = time.perf_counter()
+    dataset, cleaning = ingest_csv(args.infile, args.reference_year)
     inputs = tuple(args.inputs.split(","))
     labeled = split_dataset(dataset, mlp.DEFAULT_SPLIT_RATIOS, args.seed)
     features = build_features(labeled, inputs + ("rul_years",))
@@ -246,6 +245,7 @@ def cmd_train_anfis(args) -> int:
         {"in": str(args.infile), "inputs": args.inputs, "mfs": args.mfs,
          "epochs": args.epochs, "seed": args.seed, "out_dir": str(out_dir)},
         [args.infile], [model_path, rmse_path, rank_path, grid_path], started,
+        cleaning=cleaning.to_dict(),
         training={"best_epoch": history.best_epoch,
                   "lse_degenerate": trained.lse_degenerate,
                   "lse_rank": history.lse_rank[history.best_epoch],
@@ -259,24 +259,28 @@ def cmd_train_anfis(args) -> int:
     return EXIT_OK
 
 
-def _load_model(path):
-    """A saved MLP or ANFIS model; a malformed document is a runtime error."""
+def _load_document(path, parse):
+    """parse(text) of a JSON file; a malformed document is a runtime error."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        kind = json.loads(text).get("format", "")
-        if kind == "pipelife-mlp-v1":
-            return mlp.MlpModel.from_json(text)
-        if kind == "pipelife-anfis-v1":
-            return anfis.AnfisModel.from_json(text)
+        return parse(text)
     except KeyError as exc:
-        raise PipeLifeError(f"model document {path} lacks the key {exc}") from exc
+        raise PipeLifeError(f"document {path} lacks the key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
-        raise PipeLifeError(f"malformed model document {path}: {exc}") from exc
+        raise PipeLifeError(f"malformed document {path}: {exc}") from exc
+
+
+def _parse_model(text):
+    kind = json.loads(text).get("format", "")
+    if kind == "pipelife-mlp-v1":
+        return mlp.MlpModel.from_json(text)
+    if kind == "pipelife-anfis-v1":
+        return anfis.AnfisModel.from_json(text)
     raise PipeLifeError(f"unrecognized model document: {kind!r}")
 
 
 def cmd_predict(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     dataset, cleaning = ingest_csv(args.infile, args.reference_year)
     if args.builtin:
         predicted, _ = regression.predict_rul(
@@ -285,7 +289,7 @@ def cmd_predict(args) -> int:
             dataset.column("wall_thickness_loss_pct"),
         )
     else:
-        predicted = _load_model(args.model).predict_dataset(dataset)
+        predicted = _load_document(args.model, _parse_model).predict_dataset(dataset)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     # the k-th record came from data row cleaning.kept_rows[k]; rows are counted
@@ -304,33 +308,26 @@ def cmd_predict(args) -> int:
         out.parent, "predict",
         {"in": str(args.infile), "model": args.model or f"builtin:{args.builtin}",
          "out": str(out)},
-        [args.infile], [out], started,
+        [args.infile], [out], started, cleaning=cleaning.to_dict(),
     )
     print(f"wrote {len(predicted)} predictions to {out} (manifest: {manifest.name})")
     return EXIT_OK
 
 
 def cmd_fit_regression(args) -> int:
-    started = time.time()
-    dataset, _ = ingest_csv(args.infile, args.reference_year)
+    started = time.perf_counter()
+    dataset, cleaning = ingest_csv(args.infile, args.reference_year)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     age = dataset.column("age_years")
     wtl = dataset.column("wall_thickness_loss_pct")
     rul = dataset.column("rul_years")
-    materials = np.array([r.material for r in dataset.records])
     selection = "greedy" if args.greedy else "full"
-    class_map = {
-        "CI": Material.CAST_IRON,
-        "DI": Material.DUCTILE_IRON,
-        "AC": Material.ASBESTOS,
-        "Steel": Material.STEEL,
-    }
     outputs = []
     lines = [f"{'material':<10}{'model':<72}{'R2':>8}"]
     lines.append("-" * len(lines[0]))
-    for tag, mat in class_map.items():
-        mask = materials == mat
+    for tag in regression.BUILTIN_MATERIALS:
+        mask = dataset.materials == MATERIALS.index(encode_material(tag))
         if not mask.any():
             print(f"no {tag} records; skipped", file=sys.stderr)
             continue
@@ -354,7 +351,7 @@ def cmd_fit_regression(args) -> int:
         out_dir, "fit-regression",
         {"in": str(args.infile), "degree": args.degree, "greedy": args.greedy,
          "out_dir": str(out_dir)},
-        [args.infile], outputs, started,
+        [args.infile], outputs, started, cleaning=cleaning.to_dict(),
     )
     print(table, end="")
     print(f"outputs in {out_dir} (manifest: {manifest.name})")

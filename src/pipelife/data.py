@@ -1,10 +1,15 @@
-"""Pipe record schema, material encoding, CSV ingestion, cleaning and splitting.
+"""Inventory columns, material encoding, CSV ingestion, validation and splitting.
 
 A pipe segment carries seven inventory attributes (age, diameter, length,
 material, break count, installation year, wall thickness loss) plus an
-optional remaining-useful-life target in years.  Materials are encoded as a
-numeric deterioration-impact score (the EA value) so that every downstream
-model sees a purely numeric table.
+optional remaining-useful-life target in years.  A `Dataset` stores them as
+columns: one read-only float array per numeric CSV column (`rul_years` is NaN
+where it is absent) and one array of material codes, each an index into
+`MATERIALS = tuple(Material)`.  Materials are read as a numeric deterioration-impact score
+(the EA value) so that every downstream model sees a purely numeric table.
+
+`first_failing_column` is the one validator: `ingest_csv` runs it on the rows
+that parsed, and `synth.generate` on what it generated.
 
 Feature scaling (min-max or z-score) is `normalize`/`denormalize`; the MLP
 and ANFIS models keep their constants and call the same pair.
@@ -13,9 +18,11 @@ and ANFIS models keep their constants and call the same pair.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from math import isfinite
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -43,17 +50,11 @@ CSV_COLUMNS = (
     "rul_years",
 )
 REQUIRED_COLUMNS = CSV_COLUMNS[:-1]
+# the float columns of a Dataset: every CSV column but material
+NUMERIC_COLUMNS = tuple(c for c in CSV_COLUMNS if c != "material")
 
-# Feature identifiers usable with build_features.
-FEATURE_COLUMNS = (
-    "age_years",
-    "diameter_in",
-    "length_ft",
-    "material",
-    "breaks",
-    "install_year",
-    "wall_thickness_loss_pct",
-)
+# Feature identifiers usable with build_features: the seven inventory attributes.
+FEATURE_COLUMNS = REQUIRED_COLUMNS
 TARGET_COLUMN = "rul_years"
 
 # decimals used when rounding a column for its mode; EA scores are the only
@@ -90,6 +91,8 @@ _EA_VALUES = {
     Material.ASBESTOS: 6.68,
     Material.CAST_IRON: 8.35,
 }
+MATERIALS = tuple(Material)  # a material's code is its index here
+_EA_BY_CODE = np.array([m.ea_value for m in MATERIALS])
 
 # Accepted spellings, keyed on lowercase with spaces/underscores/dashes removed.
 # CI/DI/AC are the abbreviations used by the deterioration-model tables.
@@ -110,7 +113,7 @@ _MATERIAL_ALIASES = {
 
 def encode_material(name: str) -> Material:
     """Map a material name (case-insensitive, CI/DI/AC aliases) to its variant."""
-    key = "".join(ch for ch in name.strip().lower() if ch not in " _-")
+    key = name.strip().lower().replace(" ", "").replace("_", "").replace("-", "")
     try:
         return _MATERIAL_ALIASES[key]
     except KeyError:
@@ -123,43 +126,27 @@ class Split(Enum):
     TEST = "test"
 
 
-@dataclass(frozen=True)
-class PipeRecord:
-    """One pipe segment: seven input attributes plus optional RUL target."""
+def first_failing_column(numeric: Mapping[str, np.ndarray], reference_year: int) -> np.ndarray:
+    """Each row's first failing column, '' when the row is valid.
 
-    age: int                     # years
-    diameter: float              # inches
-    length: float                # feet
-    material: Material
-    breaks: int
-    install_year: int
-    wall_thickness_loss: float   # percent of original wall
-    rul: Optional[float] = None  # years; absent for prediction-only records
-
-    def validate(self, reference_year: int) -> None:
-        """Raise ValueError (with a .column attribute) on any invariant breach."""
-        if self.age < 0:
-            raise _field_error("age_years", f"age must be >= 0, got {self.age}")
-        if not DIAMETER_RANGE[0] <= self.diameter <= DIAMETER_RANGE[1]:
-            raise _field_error(
-                "diameter_in", f"diameter {self.diameter} outside {DIAMETER_RANGE}"
-            )
-        if self.length <= 0:
-            raise _field_error("length_ft", f"length must be positive, got {self.length}")
-        if self.breaks < 0:
-            raise _field_error("breaks", f"breaks must be >= 0, got {self.breaks}")
-        if not WTL_RANGE[0] <= self.wall_thickness_loss <= WTL_RANGE[1]:
-            raise _field_error(
-                "wall_thickness_loss_pct",
-                f"wall thickness loss {self.wall_thickness_loss} outside {WTL_RANGE}",
-            )
-        implied_age = reference_year - self.install_year
-        if abs(implied_age - self.age) > AGE_YEAR_TOLERANCE:
-            raise _field_error(
-                "install_year",
-                f"age {self.age} inconsistent with install year "
-                f"{self.install_year} (reference {reference_year})",
-            )
+    The checks run in this order: age >= 0, diameter in range, length > 0,
+    breaks >= 0, wall loss in range, then age within AGE_YEAR_TOLERANCE of
+    reference_year - install_year.  NaN fails every check.
+    """
+    age = numeric["age_years"]
+    diameter, wtl = numeric["diameter_in"], numeric["wall_thickness_loss_pct"]
+    passes = {
+        "age_years": age >= 0,
+        "diameter_in": (DIAMETER_RANGE[0] <= diameter) & (diameter <= DIAMETER_RANGE[1]),
+        "length_ft": numeric["length_ft"] > 0,
+        "breaks": numeric["breaks"] >= 0,
+        "wall_thickness_loss_pct": (WTL_RANGE[0] <= wtl) & (wtl <= WTL_RANGE[1]),
+        "install_year": np.abs(reference_year - numeric["install_year"] - age)
+        <= AGE_YEAR_TOLERANCE,
+    }
+    fails = ~np.column_stack(list(passes.values()))
+    first = np.where(fails.any(axis=1), fails.argmax(axis=1), len(passes))
+    return np.array(tuple(passes) + ("",))[first]
 
 
 @dataclass(frozen=True)
@@ -194,96 +181,92 @@ class CleaningReport:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Validated, ordered collection of pipe records.
+    """Inventory columns in row order.
 
-    Immutable after construction; safe to share across workers.
+    `numeric` maps each of NUMERIC_COLUMNS to a float array, rul_years NaN
+    where absent; `materials` holds each row's material code, its index in
+    MATERIALS.  Both are copied into read-only arrays on construction, so a
+    Dataset is immutable and safe to share across workers.
     """
 
-    records: tuple
+    numeric: Mapping[str, np.ndarray]
+    materials: np.ndarray
     reference_year: int
-    split: Optional[tuple] = None  # per-record Split labels, same length
+    split: Optional[tuple] = None  # per-row Split labels, same length
+
+    def __post_init__(self):
+        numeric = {name: np.array(self.numeric[name], dtype=float) for name in NUMERIC_COLUMNS}
+        materials = np.array(self.materials, dtype=np.int8)
+        for values in (materials, *numeric.values()):
+            if values.shape != materials.shape:
+                raise DimensionMismatch(f"column of shape {values.shape} beside "
+                                        f"{materials.shape} material codes")
+            values.setflags(write=False)
+        object.__setattr__(self, "numeric", numeric)
+        object.__setattr__(self, "materials", materials)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.materials)
 
     def has_rul(self) -> bool:
-        return all(r.rul is not None for r in self.records)
+        return not np.isnan(self.numeric[TARGET_COLUMN]).any()
 
     def column(self, name: str) -> np.ndarray:
         """Raw numeric values of one column; material yields EA values."""
-        if name == "age_years":
-            return np.array([r.age for r in self.records], dtype=float)
-        if name == "diameter_in":
-            return np.array([r.diameter for r in self.records], dtype=float)
-        if name == "length_ft":
-            return np.array([r.length for r in self.records], dtype=float)
         if name == "material":
-            return np.array([r.material.ea_value for r in self.records], dtype=float)
-        if name == "breaks":
-            return np.array([r.breaks for r in self.records], dtype=float)
-        if name == "install_year":
-            return np.array([r.install_year for r in self.records], dtype=float)
-        if name == "wall_thickness_loss_pct":
-            return np.array(
-                [r.wall_thickness_loss for r in self.records], dtype=float
-            )
-        if name == TARGET_COLUMN:
-            if not self.has_rul():
-                raise UnknownColumn("dataset has records without rul_years")
-            return np.array([r.rul for r in self.records], dtype=float)
-        raise UnknownColumn(f"no such column: {name!r}")
+            return _EA_BY_CODE[self.materials]
+        if name not in self.numeric:
+            raise UnknownColumn(f"no such column: {name!r}")
+        if name == TARGET_COLUMN and not self.has_rul():
+            raise UnknownColumn("dataset has records without rul_years")
+        return self.numeric[name]
 
     def matrix(self, names: Sequence[str]) -> np.ndarray:
         """n x d raw values of the named columns, in the requested order."""
         return np.column_stack([self.column(name) for name in names])
 
-    def subset(self, indices: Sequence[int]) -> "Dataset":
-        recs = tuple(self.records[i] for i in indices)
-        labels = tuple(self.split[i] for i in indices) if self.split else None
-        return Dataset(recs, self.reference_year, labels)
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
-def _field_error(column: str, message: str) -> ValueError:
-    exc = ValueError(message)
-    exc.column = column
-    return exc
-
-
-def _parse_row(row: dict, reference_year: int):
-    """Parse one CSV row into a PipeRecord, or return the offending column name."""
+def _parse_row(row: dict):
+    """Parse one CSV row into its CSV_COLUMNS values (material as its code, an
+    empty rul_years as NaN), or return the first column that fails to parse.
+    A non-finite number fails its column."""
     try:
         col = "age_years"
-        age = int(float(row[col]))
+        age = int(_finite(row[col]))
         col = "diameter_in"
-        diameter = float(row[col])
+        diameter = _finite(row[col])
         col = "length_ft"
-        length = float(row[col])
+        length = _finite(row[col])
         col = "material"
-        material = encode_material(row[col])
+        material = MATERIALS.index(encode_material(row[col]))
         col = "breaks"
-        breaks = int(float(row[col]))
+        breaks = int(_finite(row[col]))
         col = "install_year"
-        install_year = int(float(row[col]))
+        install_year = int(_finite(row[col]))
         col = "wall_thickness_loss_pct"
-        wtl = float(row[col])
+        wtl = _finite(row[col])
         col = "rul_years"
         raw_rul = row.get(col)
-        rul = float(raw_rul) if raw_rul not in (None, "") else None
+        rul = _finite(raw_rul) if raw_rul not in (None, "") else np.nan
     except (ValueError, UnknownMaterial, TypeError):
         return None, col
-    record = PipeRecord(age, diameter, length, material, breaks, install_year, wtl, rul)
-    try:
-        record.validate(reference_year)
-    except ValueError as exc:
-        return None, getattr(exc, "column", "install_year")
-    return record, None
+    return (age, diameter, length, material, breaks, install_year, wtl, rul), None
 
 
 def ingest_csv(path, reference_year: int):
     """Read the canonical CSV schema, dropping and counting invalid rows.
 
-    Returns (Dataset, CleaningReport).  Rows with any missing or unparseable
-    cell are removed, never imputed; surviving rows keep file order.
+    Returns (Dataset, CleaningReport).  Rows with any missing, unparseable or
+    non-finite cell, or failing `first_failing_column`, are removed, never
+    imputed, and counted under their first failing column; surviving rows
+    keep file order.
     """
     try:
         fh = open(path, "r", newline="", encoding="utf-8")
@@ -295,53 +278,52 @@ def ingest_csv(path, reference_year: int):
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
             raise SchemaMismatch(f"missing required column(s): {', '.join(missing)}")
-        records = []
-        kept_rows = []
-        drops: dict = {}
-        rows_read = 0
-        for rows_read, row in enumerate(reader, 1):
+        parsed = []   # CSV_COLUMNS values of every row that parses
+        failing = []  # per data row: its parse failure, None until validated
+        for row in reader:
             empty = next((c for c in REQUIRED_COLUMNS if row.get(c) in (None, "")), None)
-            record, bad_col = (None, empty) if empty else _parse_row(row, reference_year)
-            if record is None:
-                drops[bad_col] = drops.get(bad_col, 0) + 1
-                continue
-            records.append(record)
-            kept_rows.append(rows_read - 1)
-    if not records:
+            values, bad_col = (None, empty) if empty else _parse_row(row)
+            failing.append(bad_col)
+            if values is not None:
+                parsed.append(values)
+    columns = dict(zip(CSV_COLUMNS, np.array(parsed, dtype=float).reshape(-1, len(CSV_COLUMNS)).T))
+    checked = first_failing_column(columns, reference_year)
+    verdicts = iter(checked.tolist())
+    failing = [col or next(verdicts) for col in failing]
+    kept_rows = tuple(i for i, col in enumerate(failing) if not col)
+    if not kept_rows:
         raise EmptyAfterCleaning(f"no valid rows in {path}")
     report = CleaningReport(
-        rows_read=rows_read,
-        rows_kept=len(records),
-        rows_dropped=rows_read - len(records),
-        drops_by_column=drops,
-        kept_rows=tuple(kept_rows),
+        rows_read=len(failing),
+        rows_kept=len(kept_rows),
+        rows_dropped=len(failing) - len(kept_rows),
+        drops_by_column=dict(Counter(filter(None, failing))),
+        kept_rows=kept_rows,
     )
-    return Dataset(tuple(records), reference_year), report
+    valid = checked == ""
+    materials = columns.pop("material")[valid]
+    numeric = {name: values[valid] for name, values in columns.items()}
+    return Dataset(numeric, materials, reference_year), report
 
 
 def write_csv(dataset: Dataset, path) -> None:
     """Write a dataset in the canonical CSV schema."""
+    cells = [
+        [MATERIALS[code].value for code in dataset.materials.tolist()] if name == "material"
+        else _cells(dataset.numeric[name])
+        for name in CSV_COLUMNS
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in dataset.records:
-            writer.writerow(
-                [
-                    r.age,
-                    _fmt(r.diameter),
-                    _fmt(r.length),
-                    r.material.value,
-                    r.breaks,
-                    r.install_year,
-                    _fmt(r.wall_thickness_loss),
-                    _fmt(r.rul) if r.rul is not None else "",
-                ]
-            )
+        writer.writerows(zip(*cells))
 
 
-def _fmt(x: float) -> str:
-    # repr keeps round-trips exact while writing integers compactly
-    return repr(int(x)) if float(x).is_integer() else repr(float(x))
+def _cells(values: np.ndarray) -> list:
+    # repr keeps round-trips exact while writing integers compactly; NaN is
+    # an absent rul_years
+    return [repr(int(x)) if x.is_integer() else repr(x) if x == x else ""
+            for x in values.tolist()]
 
 
 def split_dataset(dataset: Dataset, ratios, seed: int) -> Dataset:
@@ -367,7 +349,7 @@ def split_dataset(dataset: Dataset, ratios, seed: int) -> Dataset:
         for idx in order[cursor:cursor + count]:
             labels[idx] = label
         cursor += count
-    return Dataset(dataset.records, dataset.reference_year, tuple(labels))
+    return replace(dataset, split=tuple(labels))
 
 
 def _constant_pairs(constants, n_columns: int):

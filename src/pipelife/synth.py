@@ -38,7 +38,7 @@ from typing import Dict
 
 import numpy as np
 
-from .data import Dataset, Material, PipeRecord
+from .data import MATERIALS, Dataset, Material, first_failing_column
 from .errors import EmptyDataset, InvalidConfig
 from .stats import summarize_columns
 
@@ -181,8 +181,7 @@ def generate(config: GeneratorConfig = GeneratorConfig()) -> Dataset:
     mats = list(config.material_mix)
     probs = np.array([config.material_mix[m] for m in mats])
     mat_idx = rng.choice(len(mats), size=n, p=probs / probs.sum())
-    materials = [mats[i] for i in mat_idx]
-    ea = np.array([m.ea_value for m in materials])
+    ea = np.array([m.ea_value for m in mats])[mat_idx]
 
     impact = 0.6 + 0.4 * ea / Material.CAST_IRON.ea_value
     wtl = (
@@ -201,7 +200,7 @@ def generate(config: GeneratorConfig = GeneratorConfig()) -> Dataset:
     length = np.exp(rng.normal(LENGTH_LOG_MU, LENGTH_LOG_SIGMA, size=n))
     length = np.round(np.clip(length, *LENGTH_CLIP), 1)
 
-    asl = np.array([config.asl_by_material[m] for m in materials])
+    asl = np.array([config.asl_by_material[m] for m in mats])[mat_idx]
     rul = (
         asl
         - RUL_AGE_COEF * age
@@ -210,21 +209,16 @@ def generate(config: GeneratorConfig = GeneratorConfig()) -> Dataset:
     )
     rul = np.round(np.clip(rul, *RUL_CLIP), 2)
 
-    records = []
-    for i in range(n):
-        record = PipeRecord(
-            age=int(age[i]),
-            diameter=float(diameter[i]),
-            length=float(length[i]),
-            material=materials[i],
-            breaks=int(breaks[i]),
-            install_year=int(install_year[i]),
-            wall_thickness_loss=float(wtl[i]),
-            rul=float(rul[i]),
-        )
-        record.validate(config.reference_year)
-        records.append(record)
-    return Dataset(tuple(records), config.reference_year)
+    dataset = Dataset(
+        {"age_years": age, "diameter_in": diameter, "length_ft": length, "breaks": breaks,
+         "install_year": install_year, "wall_thickness_loss_pct": wtl, "rul_years": rul},
+        np.array([MATERIALS.index(m) for m in mats])[mat_idx],
+        config.reference_year,
+    )
+    failing = first_failing_column(dataset.numeric, config.reference_year)
+    if (failing != "").any():
+        raise ValueError(f"generated rows fail validation: {sorted(set(failing) - {''})}")
+    return dataset
 
 
 @dataclass(frozen=True)

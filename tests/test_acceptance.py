@@ -14,7 +14,7 @@ import pytest
 
 from pipelife import anfis, mlp, regression, stats, synth
 from pipelife.cli import main as cli_main
-from pipelife.data import FeatureMatrix, Material, Split, build_features, split_dataset
+from pipelife.data import MATERIALS, FeatureMatrix, Material, Split, build_features, split_dataset
 from pipelife.metrics import evaluate
 
 DEFAULT_SEED = 0
@@ -275,10 +275,10 @@ def test_criterion_08_polynomial_fit_recovery(default_dataset):
         ages = default_dataset.column("age_years")
         losses = default_dataset.column("wall_thickness_loss_pct")
         ruls = default_dataset.column("rul_years")
-        mats = np.array([r.material for r in default_dataset.records])
+        mats = default_dataset.materials
         for tag, mat in (("CI", Material.CAST_IRON), ("DI", Material.DUCTILE_IRON),
                          ("AC", Material.ASBESTOS), ("Steel", Material.STEEL)):
-            mask = mats == mat
+            mask = mats == MATERIALS.index(mat)
             fitted = regression.fit_polynomial(
                 ages[mask], losses[mask], ruls[mask], degree=2, material=tag
             )
@@ -305,11 +305,11 @@ def test_criterion_10_headline_halflife(default_dataset):
         ages = default_dataset.column("age_years")
         losses = default_dataset.column("wall_thickness_loss_pct")
         ruls = default_dataset.column("rul_years")
-        mats = np.array([r.material for r in default_dataset.records])
+        mats = default_dataset.materials
         changes = []
         for tag, mat in (("CI", Material.CAST_IRON), ("DI", Material.DUCTILE_IRON),
                          ("AC", Material.ASBESTOS), ("Steel", Material.STEEL)):
-            mask = mats == mat
+            mask = mats == MATERIALS.index(mat)
             model = regression.fit_polynomial(
                 ages[mask], losses[mask], ruls[mask], degree=2, material=tag
             )

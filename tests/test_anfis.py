@@ -25,6 +25,7 @@ from pipelife.data import FeatureMatrix, Split, build_features, split_dataset
 from pipelife.errors import (
     AllRulesZero,
     DimensionMismatch,
+    InvalidConfig,
     RuleExplosion,
     TooFewMfs,
     UntrainedModel,
@@ -386,6 +387,12 @@ def test_hybrid_epochs_zero_is_single_lse_pass():
     train_rows = fm.rows_for(Split.TRAIN)
     lse_consequents(reference, norm[train_rows][:, [0]], norm[train_rows][:, 1])
     assert trained.consequents == pytest.approx(reference.consequents, abs=1e-12)
+
+
+def test_hybrid_negative_epochs_is_invalid():
+    fm = toy_sine_matrix(40, with_split=True)
+    with pytest.raises(InvalidConfig):
+        hybrid_train(init_grid(("x",), 3, fm), fm, epochs=-1)
 
 
 def test_hybrid_lse_only_rmse_monotone():

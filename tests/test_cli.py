@@ -449,3 +449,75 @@ def test_predict_output_reingests(small_csv, tmp_path):
     dataset, report = ingest_csv(out, DEFAULT_REFERENCE_YEAR)
     assert report.rows_dropped == 0
     assert len(dataset) == 600
+
+
+@pytest.fixture(scope="module")
+def dirty_csv(small_csv, tmp_path_factory):
+    """small_csv with invalid cells, non-finite numbers among them, in some rows."""
+    lines = small_csv.read_text().splitlines()
+    col = {name: j for j, name in enumerate(lines[0].split(","))}
+    edits = [("length_ft", "nan"), ("breaks", "inf"), ("rul_years", "nan"),
+             ("length_ft", "-inf"), ("diameter_in", "40"), ("material", "Clay"),
+             ("wall_thickness_loss_pct", "")]
+    for i, (name, value) in enumerate(edits * 3):
+        cells = lines[1 + 17 * (i + 1)].split(",")
+        cells[col[name]] = value
+        lines[1 + 17 * (i + 1)] = ",".join(cells)
+    path = tmp_path_factory.mktemp("dirty") / "dirty.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_stats_drops_non_finite_cells(dirty_csv, capsys):
+    assert run(["stats", "--json", "--in", str(dirty_csv)]) == 0
+    cleaning = json.loads(capsys.readouterr().out)["cleaning"]
+    assert cleaning["rows_dropped"] == 21
+    assert cleaning["drops_by_column"] == {
+        "length_ft": 6, "breaks": 3, "rul_years": 3, "diameter_in": 3,
+        "material": 3, "wall_thickness_loss_pct": 3,
+    }
+
+
+def test_manifests_carry_the_cleaning_report(dirty_csv, tmp_path, capsys):
+    assert run(["stats", "--json", "--in", str(dirty_csv)]) == 0
+    expected = json.loads(capsys.readouterr().out)["cleaning"]
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps([{"input_columns": ["age_years"], "hidden_neurons": 2,
+                                     "epochs": 2}]))
+    src = ["--in", str(dirty_csv)]
+    runs = {
+        "train_ann": ["train-ann", "--registry", str(registry)] + src,
+        "train_anfis": ["train-anfis", "--inputs", "age_years,wall_thickness_loss_pct",
+                        "--epochs", "1"] + src,
+        "predict": ["predict", "--builtin", "CI", "--out", str(tmp_path / "predict" / "p.csv")]
+        + src,
+        "fit_regression": ["fit-regression"] + src,
+    }
+    for command, argv in runs.items():
+        out_dir = tmp_path / command
+        if command != "predict":
+            argv = argv + ["--out-dir", str(out_dir)]
+        assert run(argv) == 0, command
+        manifest = json.loads((out_dir / f"{command}_manifest.json").read_text())
+        assert manifest["cleaning"] == expected, command
+
+
+def test_train_anfis_negative_epochs_is_runtime_error(small_csv, tmp_path, capsys):
+    code = run(["train-anfis", "--in", str(small_csv), "--epochs", "-1",
+                "--out-dir", str(tmp_path / "anfis")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("document", [
+    '[{"input_columns": ["age_years"], "hidden_neu',
+    '[{"input_columns": ["age_years"], "epochs": 2}]',
+], ids=["truncated", "no_hidden_neurons"])
+def test_train_ann_malformed_registry_is_runtime_error(small_csv, tmp_path, capsys, document):
+    registry = tmp_path / "registry.json"
+    registry.write_text(document)
+    code = run(["train-ann", "--in", str(small_csv), "--registry", str(registry),
+                "--out-dir", str(tmp_path / "ann")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1

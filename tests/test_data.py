@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,14 +9,18 @@ from hypothesis.extra.numpy import arrays
 
 from pipelife.data import (
     CSV_COLUMNS,
+    DIAMETER_RANGE,
+    MATERIALS,
+    NUMERIC_COLUMNS,
+    WTL_RANGE,
     Dataset,
     FeatureMatrix,
     Material,
-    PipeRecord,
     Split,
     build_features,
     denormalize,
     encode_material,
+    first_failing_column,
     ingest_csv,
     normalize,
     split_dataset,
@@ -33,12 +40,16 @@ REF_YEAR = 2011
 
 
 def make_record(age=30, diameter=8.0, length=500.0, material=Material.CAST_IRON,
-                breaks=2, wtl=25.0, rul=40.0):
-    return PipeRecord(
-        age=age, diameter=diameter, length=length, material=material,
-        breaks=breaks, install_year=REF_YEAR - age,
-        wall_thickness_loss=wtl, rul=rul,
-    )
+                breaks=2, wtl=25.0, rul=40.0, install_year=None):
+    """One row's values in CSV_COLUMNS order, material as its code."""
+    iy = REF_YEAR - age if install_year is None else install_year
+    return (age, diameter, length, MATERIALS.index(material), breaks, iy, wtl, rul)
+
+
+def dataset_of(records):
+    columns = dict(zip(CSV_COLUMNS, np.array(records, dtype=float).reshape(-1, len(CSV_COLUMNS)).T))
+    materials = columns.pop("material")
+    return Dataset(columns, materials, REF_YEAR)
 
 
 def make_dataset(n=20, with_rul=True):
@@ -47,19 +58,16 @@ def make_dataset(n=20, with_rul=True):
     mats = list(Material)
     for i in range(n):
         age = int(rng.integers(1, 100))
-        records.append(
-            PipeRecord(
-                age=age,
-                diameter=float(rng.choice([4, 6, 8, 12, 24])),
-                length=float(rng.uniform(50, 5000)),
-                material=mats[i % len(mats)],
-                breaks=int(rng.integers(0, 10)),
-                install_year=REF_YEAR - age,
-                wall_thickness_loss=float(rng.uniform(1, 59)),
-                rul=float(rng.uniform(3, 90)) if with_rul else None,
-            )
-        )
-    return Dataset(tuple(records), REF_YEAR)
+        records.append(make_record(
+            age=age,
+            diameter=float(rng.choice([4, 6, 8, 12, 24])),
+            length=float(rng.uniform(50, 5000)),
+            material=mats[i % len(mats)],
+            breaks=int(rng.integers(0, 10)),
+            wtl=float(rng.uniform(1, 59)),
+            rul=float(rng.uniform(3, 90)) if with_rul else np.nan,
+        ))
+    return dataset_of(records)
 
 
 # -- material encoding --------------------------------------------------------
@@ -105,22 +113,36 @@ def test_ea_values_bounded_and_tied():
 # -- record validation ----------------------------------------------------------
 
 def test_record_validation_rejects_bad_fields():
-    with pytest.raises(ValueError):
-        make_record(diameter=30.0).validate(REF_YEAR)
-    with pytest.raises(ValueError):
-        make_record(length=0.0).validate(REF_YEAR)
-    with pytest.raises(ValueError):
-        make_record(wtl=120.0).validate(REF_YEAR)
-    with pytest.raises(ValueError):
-        make_record(breaks=-1).validate(REF_YEAR)
+    records = [make_record(diameter=30.0), make_record(length=0.0),
+               make_record(wtl=120.0), make_record(breaks=-1)]
+    failing = first_failing_column(dataset_of(records).numeric, REF_YEAR)
+    assert failing.tolist() == ["diameter_in", "length_ft", "wall_thickness_loss_pct", "breaks"]
 
 
 def test_record_age_install_year_consistency():
-    good = PipeRecord(30, 8.0, 100.0, Material.STEEL, 0, REF_YEAR - 31, 10.0)
-    good.validate(REF_YEAR)  # one year of slack allowed
-    bad = PipeRecord(30, 8.0, 100.0, Material.STEEL, 0, REF_YEAR - 35, 10.0)
-    with pytest.raises(ValueError):
-        bad.validate(REF_YEAR)
+    good = make_record(30, 8.0, 100.0, Material.STEEL, 0, install_year=REF_YEAR - 31, wtl=10.0)
+    bad = make_record(30, 8.0, 100.0, Material.STEEL, 0, install_year=REF_YEAR - 35, wtl=10.0)
+    failing = first_failing_column(dataset_of([good, bad]).numeric, REF_YEAR)
+    assert failing.tolist() == ["", "install_year"]  # one year of slack allowed
+
+
+def test_validation_reports_the_first_failing_check():
+    off = REF_YEAR - 80  # install year inconsistent with age 30
+    records = [
+        make_record(age=-1, diameter=30.0, length=0.0, breaks=-1, wtl=120.0, install_year=off),
+        make_record(diameter=30.0, length=0.0, breaks=-1, wtl=120.0, install_year=off),
+        make_record(length=0.0, breaks=-1, wtl=120.0, install_year=off),
+        make_record(breaks=-1, wtl=120.0, install_year=off),
+        make_record(wtl=120.0, install_year=off),
+        make_record(install_year=off),
+        make_record(length=np.nan),
+        make_record(),
+    ]
+    failing = first_failing_column(dataset_of(records).numeric, REF_YEAR)
+    assert failing.tolist() == [
+        "age_years", "diameter_in", "length_ft", "breaks", "wall_thickness_loss_pct",
+        "install_year", "length_ft", "",
+    ]
 
 
 # -- ingestion --------------------------------------------------------------------
@@ -192,6 +214,16 @@ def test_ingest_rul_optional(tmp_path):
     assert not dataset.has_rul()
 
 
+def test_ingest_rul_missing_from_some_rows(tmp_path):
+    path = tmp_path / "pipes.csv"
+    write_lines(path, [HEADER, row(rul="35.5"), row(rul="")])
+    dataset, _ = ingest_csv(path, REF_YEAR)
+    assert not dataset.has_rul()
+    assert np.array_equal(dataset.numeric["rul_years"], [35.5, np.nan], equal_nan=True)
+    with pytest.raises(UnknownColumn):
+        dataset.column("rul_years")
+
+
 def test_ingest_preserves_row_order(tmp_path):
     path = tmp_path / "pipes.csv"
     ages = [40, 10, 70, 25, 55]
@@ -202,7 +234,7 @@ def test_ingest_preserves_row_order(tmp_path):
         lines.append(row(age=age))
     write_lines(path, lines)
     dataset, _ = ingest_csv(path, REF_YEAR)
-    assert [r.age for r in dataset.records] == ages
+    assert dataset.column("age_years").tolist() == ages
 
 
 def test_csv_round_trip(tmp_path):
@@ -212,11 +244,71 @@ def test_csv_round_trip(tmp_path):
     back, report = ingest_csv(path, REF_YEAR)
     assert report.rows_dropped == 0
     assert len(back) == len(dataset)
-    for a, b in zip(dataset.records, back.records):
-        assert a.age == b.age
-        assert a.material is b.material
-        assert a.length == pytest.approx(b.length, abs=0)
-        assert a.rul == pytest.approx(b.rul, abs=0)
+    assert np.array_equal(back.column("age_years"), dataset.column("age_years"))
+    assert np.array_equal(back.materials, dataset.materials)
+    assert np.array_equal(back.column("length_ft"), dataset.column("length_ft"))
+    assert np.array_equal(back.column("rul_years"), dataset.column("rul_years"))
+
+
+@pytest.mark.parametrize("column", NUMERIC_COLUMNS)
+def test_ingest_drops_non_finite_cells(tmp_path, column):
+    path = tmp_path / "pipes.csv"
+    j = CSV_COLUMNS.index(column)
+    lines = [HEADER, row()]
+    for cell in ("nan", "inf", "-inf", "NaN", "Infinity"):
+        cells = row().split(",")
+        cells[j] = cell
+        lines.append(",".join(cells))
+    write_lines(path, lines)
+    dataset, report = ingest_csv(path, REF_YEAR)
+    assert len(dataset) == 1 and dataset.has_rul()
+    assert report.drops_by_column == {column: 5}
+
+
+def test_ingest_counts_a_non_finite_cell_in_parse_order(tmp_path):
+    path = tmp_path / "pipes.csv"
+    # diameter parses before material; breaks before the install-year check
+    write_lines(path, [HEADER, row(), row(diameter="inf", material="granite"),
+                       row(breaks="nan", install_year=1900), row(length="nan", wtl="")])
+    _, report = ingest_csv(path, REF_YEAR)
+    assert list(report.drops_by_column.items()) == [
+        ("diameter_in", 1), ("breaks", 1), ("wall_thickness_loss_pct", 1)]
+
+
+def finite(lo=None, hi=None, **kwargs):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+@st.composite
+def inventories(draw):
+    """Datasets that pass validation: every material, rul_years present or not."""
+    records = []
+    for _ in range(draw(st.integers(1, 12))):
+        age = draw(st.integers(0, 300))
+        records.append(make_record(
+            age=age,
+            diameter=draw(finite(*DIAMETER_RANGE)),
+            length=draw(finite(0.0, exclude_min=True)),
+            material=draw(st.sampled_from(MATERIALS)),
+            breaks=draw(st.integers(0, 10**6)),
+            wtl=draw(finite(*WTL_RANGE)),
+            rul=draw(st.one_of(st.just(np.nan), finite())),
+            install_year=REF_YEAR - age + draw(st.integers(-1, 1)),
+        ))
+    return dataset_of(records)
+
+
+@given(inventories())
+def test_write_then_ingest_returns_the_same_data(dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pipes.csv"
+        write_csv(dataset, path)
+        back, report = ingest_csv(path, REF_YEAR)
+    assert report.rows_dropped == 0 and report.drops_by_column == {}
+    assert np.array_equal(back.materials, dataset.materials)
+    for name in NUMERIC_COLUMNS:
+        # the same doubles, except that a negative zero is written as 0
+        assert np.array_equal(back.numeric[name], dataset.numeric[name], equal_nan=True), name
 
 
 # -- splitting ------------------------------------------------------------------
@@ -270,7 +362,7 @@ def test_build_features_minmax_endpoints():
 def test_build_features_material_is_ea():
     dataset = make_dataset(14)
     fm = build_features(dataset, ("material",))
-    expected = [r.material.ea_value for r in dataset.records]
+    expected = [MATERIALS[code].ea_value for code in dataset.materials]
     assert fm.values[:, 0] == pytest.approx(expected)
 
 
@@ -294,8 +386,7 @@ def test_build_features_round_trip():
 
 
 def test_build_features_constant_column_minmax():
-    records = tuple(make_record(age=30) for _ in range(5))
-    dataset = Dataset(records, REF_YEAR)
+    dataset = dataset_of([make_record(age=30)] * 5)
     fm = build_features(dataset, ("age_years",))
     assert fm.normalized()[:, 0] == pytest.approx(np.zeros(5))
     a, b = fm.constants[0]
@@ -305,8 +396,7 @@ def test_build_features_constant_column_minmax():
 
 
 def test_build_features_constant_column_zscore_degenerate():
-    records = tuple(make_record(age=30) for _ in range(5))
-    dataset = Dataset(records, REF_YEAR)
+    dataset = dataset_of([make_record(age=30)] * 5)
     with pytest.raises(DegenerateColumn):
         build_features(dataset, ("age_years",), mode="zscore")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -286,12 +287,8 @@ def test_significance_independent_feature_rarely_flagged():
 
 def test_significance_requires_rul():
     dataset = synth.generate(synth.GeneratorConfig(n=50, seed=1))
-    records = tuple(
-        type(r)(r.age, r.diameter, r.length, r.material, r.breaks,
-                r.install_year, r.wall_thickness_loss, None)
-        for r in dataset.records
-    )
-    stripped = type(dataset)(records, dataset.reference_year)
+    no_rul = np.full(len(dataset), np.nan)
+    stripped = dataclasses.replace(dataset, numeric={**dataset.numeric, "rul_years": no_rul})
     with pytest.raises(EmptySeries):
         significance_report(stripped)
 

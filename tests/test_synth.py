@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pipelife.data import Dataset, Material, PipeRecord
+from pipelife.data import MATERIALS, NUMERIC_COLUMNS, Dataset, Material, first_failing_column
 from pipelife.errors import EmptyDataset, InvalidConfig
 from pipelife.stats import pearson
 from pipelife.synth import (
@@ -44,14 +44,15 @@ def test_config_validation():
 def test_determinism():
     a = generate(GeneratorConfig(n=200, seed=9))
     b = generate(GeneratorConfig(n=200, seed=9))
-    assert a.records == b.records
+    assert all(np.array_equal(a.numeric[k], b.numeric[k]) for k in NUMERIC_COLUMNS)
+    assert np.array_equal(a.materials, b.materials)
     c = generate(GeneratorConfig(n=200, seed=10))
-    assert a.records != c.records
+    assert not np.array_equal(a.column("age_years"), c.column("age_years"))
 
 
 def test_every_record_satisfies_invariants(dataset):
-    for record in dataset.records:
-        record.validate(dataset.reference_year)  # raises on violation
+    failing = first_failing_column(dataset.numeric, dataset.reference_year)
+    assert (failing == "").all()
     assert len(dataset) == 5000
 
 
@@ -102,7 +103,7 @@ def test_monotone_decile_structure(dataset):
 def test_material_conditioned_deterioration(dataset):
     age = dataset.column("age_years")
     wtl = dataset.column("wall_thickness_loss_pct")
-    mats = np.array([r.material for r in dataset.records])
+    mats = np.array(MATERIALS)[dataset.materials]
     edges = np.quantile(age, [0.0, 0.25, 0.5, 0.75, 1.0])
     for i in range(4):
         hi = age <= edges[i + 1] if i == 3 else age < edges[i + 1]
@@ -113,7 +114,7 @@ def test_material_conditioned_deterioration(dataset):
 
 
 def test_material_mix_fractions(dataset):
-    mats = [r.material for r in dataset.records]
+    mats = [MATERIALS[code] for code in dataset.materials]
     ci_frac = mats.count(Material.CAST_IRON) / len(mats)
     assert ci_frac == pytest.approx(0.46, abs=0.03)
     counts = {m: mats.count(m) for m in set(mats)}
@@ -122,7 +123,7 @@ def test_material_mix_fractions(dataset):
 
 def test_durable_materials_have_more_life(dataset):
     rul = dataset.column("rul_years")
-    mats = np.array([r.material for r in dataset.records])
+    mats = np.array(MATERIALS)[dataset.materials]
     mean_rul = {m: rul[mats == m].mean() for m in
                 (Material.CAST_IRON, Material.ASBESTOS, Material.DUCTILE_IRON, Material.STEEL)}
     assert mean_rul[Material.DUCTILE_IRON] > mean_rul[Material.CAST_IRON]
@@ -130,8 +131,8 @@ def test_durable_materials_have_more_life(dataset):
 
 
 def test_install_year_consistency(dataset):
-    for record in dataset.records[:200]:
-        assert record.install_year == dataset.reference_year - record.age
+    install_year, age = dataset.column("install_year"), dataset.column("age_years")
+    assert np.array_equal(install_year, dataset.reference_year - age)
 
 
 def test_moment_report_contents(dataset):
@@ -145,12 +146,12 @@ def test_moment_report_contents(dataset):
 
 
 def test_moment_report_single_record():
-    record = PipeRecord(30, 8.0, 100.0, Material.STEEL, 1, 1981, 20.0, 50.0)
-    report = moment_report(Dataset((record,), 2011))
+    record = dict(zip(NUMERIC_COLUMNS, ([30], [8.0], [100.0], [1], [1981], [20.0], [50.0])))
+    report = moment_report(Dataset(record, [MATERIALS.index(Material.STEEL)], 2011))
     entry = report.to_dict()["age_years"]
     assert entry["computed"]["std"] == 0.0
 
 
 def test_moment_report_empty():
     with pytest.raises(EmptyDataset):
-        moment_report(Dataset((), 2011))
+        moment_report(Dataset({name: [] for name in NUMERIC_COLUMNS}, [], 2011))
