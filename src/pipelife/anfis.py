@@ -176,8 +176,11 @@ def init_grid(
 
     Centers are equally spaced across each normalized column's [min, max];
     every width starts at spacing / sqrt(2).  Consequents start at zero.
+    An input named twice raises InvalidConfig.
     """
     inputs = tuple(inputs)
+    if len(set(inputs)) != len(inputs):
+        raise InvalidConfig(f"inputs repeat a column: {inputs}")
     d = len(inputs)
     m = int(mfs_per_input)
     if m < 2:

@@ -24,12 +24,14 @@ from .data import (
     MATERIALS,
     Split,
     build_features,
+    clean_table,
     encode_material,
     ingest_csv,
+    read_table,
     split_dataset,
     write_csv,
 )
-from .errors import PipeLifeError
+from .errors import InvalidConfig, PipeLifeError
 from .metrics import classify_accuracy
 
 SEED_ENV_VAR = "PIPELIFE_SEED"
@@ -207,8 +209,11 @@ def cmd_train_ann(args) -> int:
 
 def cmd_train_anfis(args) -> int:
     started = time.perf_counter()
-    dataset, cleaning = ingest_csv(args.infile, args.reference_year)
     inputs = tuple(args.inputs.split(","))
+    if len(inputs) < 2:
+        # the contour grid spans the two highest-ranked inputs
+        raise InvalidConfig(f"train-anfis needs at least two --inputs, got {args.inputs!r}")
+    dataset, cleaning = ingest_csv(args.infile, args.reference_year)
     labeled = split_dataset(dataset, mlp.DEFAULT_SPLIT_RATIOS, args.seed)
     features = build_features(labeled, inputs + ("rul_years",))
     model = anfis.init_grid(inputs, args.mfs, features, rule_cap=args.rule_cap)
@@ -281,7 +286,8 @@ def _parse_model(text):
 
 def cmd_predict(args) -> int:
     started = time.perf_counter()
-    dataset, cleaning = ingest_csv(args.infile, args.reference_year)
+    header, rows = read_table(args.infile)
+    dataset, cleaning = clean_table(header, rows, args.reference_year, args.infile)
     if args.builtin:
         predicted, _ = regression.predict_rul(
             regression.builtin(args.builtin),
@@ -292,16 +298,11 @@ def cmd_predict(args) -> int:
         predicted = _load_document(args.model, _parse_model).predict_dataset(dataset)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    # the k-th record came from data row cleaning.kept_rows[k]; rows are counted
-    # as DictReader counts them (blank lines skipped) and echoed padded or cut
-    # to the header's width
-    with open(args.infile, "r", newline="", encoding="utf-8") as src:
-        reader = csv.reader(src)
-        header = next(reader, [])
-        raw_rows = [row for row in reader if row]
+    # the k-th record came from rows[cleaning.kept_rows[k]]; each is echoed
+    # padded or cut to the header's width
     width = len(header)
     _write_rows_csv(out, header + ["predicted_rul"], (
-        raw_rows[i][:width] + [""] * (width - len(raw_rows[i])) + [_num(value)]
+        rows[i][:width] + [""] * (width - len(rows[i])) + [_num(value)]
         for i, value in zip(cleaning.kept_rows, predicted)
     ))
     manifest = _write_manifest(

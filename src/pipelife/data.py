@@ -8,8 +8,15 @@ where it is absent) and one array of material codes, each an index into
 `MATERIALS = tuple(Material)`.  Materials are read as a numeric deterioration-impact score
 (the EA value) so that every downstream model sees a purely numeric table.
 
-`first_failing_column` is the one validator: `ingest_csv` runs it on the rows
-that parsed, and `synth.generate` on what it generated.
+`ingest_csv` is `read_table` (one csv.reader pass, blank rows skipped) then
+`clean_table`, which parses column by column: each numeric column with one
+float array conversion (a per-cell pass only for a column holding a cell
+that does not parse), each distinct material spelling encoded once.  A row
+that fails is counted under one column: its first empty required column,
+else its first column in CSV_COLUMNS order that does not parse (a non-finite
+number does not), else its first failing check.  `first_failing_column` is
+the one validator of those checks: `clean_table` runs it on the parsed
+columns, and `synth.generate` on what it generated.
 
 Feature scaling (min-max or z-score) is `normalize`/`denormalize`; the MLP
 and ANFIS models keep their constants and call the same pair.
@@ -18,10 +25,9 @@ and ANFIS models keep their constants and call the same pair.
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from math import isfinite
+from itertools import islice, zip_longest
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -52,6 +58,8 @@ CSV_COLUMNS = (
 REQUIRED_COLUMNS = CSV_COLUMNS[:-1]
 # the float columns of a Dataset: every CSV column but material
 NUMERIC_COLUMNS = tuple(c for c in CSV_COLUMNS if c != "material")
+# numeric columns read as whole numbers, truncated toward zero
+_INTEGER_COLUMNS = ("age_years", "breaks", "install_year")
 
 # Feature identifiers usable with build_features: the seven inventory attributes.
 FEATURE_COLUMNS = REQUIRED_COLUMNS
@@ -157,7 +165,7 @@ class CleaningReport:
     rows_kept: int
     rows_dropped: int
     drops_by_column: dict
-    # csv.DictReader row index (0 = first data row) of every kept record
+    # data row index (0 = first data row, blank rows not counted) of every kept record
     kept_rows: tuple = field(default=(), repr=False)
 
     def to_dict(self) -> dict:
@@ -226,38 +234,114 @@ class Dataset:
         return np.column_stack([self.column(name) for name in names])
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
-
-
-def _parse_row(row: dict):
-    """Parse one CSV row into its CSV_COLUMNS values (material as its code, an
-    empty rul_years as NaN), or return the first column that fails to parse.
-    A non-finite number fails its column."""
+def read_table(path):
+    """(header, rows) of a CSV file: the first row's cells, then every data
+    row as a list of cells, blank rows skipped as csv.DictReader skips them."""
     try:
-        col = "age_years"
-        age = int(_finite(row[col]))
-        col = "diameter_in"
-        diameter = _finite(row[col])
-        col = "length_ft"
-        length = _finite(row[col])
-        col = "material"
-        material = MATERIALS.index(encode_material(row[col]))
-        col = "breaks"
-        breaks = int(_finite(row[col]))
-        col = "install_year"
-        install_year = int(_finite(row[col]))
-        col = "wall_thickness_loss_pct"
-        wtl = _finite(row[col])
-        col = "rul_years"
-        raw_rul = row.get(col)
-        rul = _finite(raw_rul) if raw_rul not in (None, "") else np.nan
-    except (ValueError, UnknownMaterial, TypeError):
-        return None, col
-    return (age, diameter, length, material, breaks, install_year, wtl, rul), None
+        fh = open(path, "r", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise FileUnreadable(f"cannot open {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        return header, list(filter(None, reader))
+
+
+def _empty(cells) -> np.ndarray:
+    return np.fromiter(map("".__eq__, cells), dtype=bool, count=len(cells))
+
+
+def _number_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return np.nan
+
+
+def _parse_numbers(cells):
+    """(values, empty) of one column's cells: float() of each cell, NaN where
+    a cell does not parse, and the mask of empty cells (None when none is)."""
+    try:
+        return np.array(cells, dtype=float), None
+    except ValueError:
+        # only a column holding an unparseable cell is parsed cell by cell
+        values = np.fromiter(map(_number_or_nan, cells), dtype=float, count=len(cells))
+        return values, _empty(cells)
+
+
+def _material_codes(cells):
+    """(codes, empty) of one column's cells: each material's code, -1 where
+    the name is unknown or empty, and the mask of empty cells (None when none is)."""
+    codes = {}
+    for name in set(cells):
+        try:
+            codes[name] = MATERIALS.index(encode_material(name))
+        except UnknownMaterial:
+            codes[name] = -1
+    values = np.fromiter(map(codes.__getitem__, cells), dtype=np.int8, count=len(cells))
+    return values, _empty(cells) if "" in codes else None
+
+
+def clean_table(header: Sequence[str], rows: Sequence[Sequence[str]], reference_year: int,
+                source):
+    """Parse and validate the rows of `read_table` column by column.
+
+    Returns (Dataset, CleaningReport) as `ingest_csv` does; `source` names the
+    input in the error raised when no row survives.  The rows are not changed.
+    """
+    # a duplicated header name reads from its last copy, as in csv.DictReader
+    position = {name: j for j, name in enumerate(header)}
+    missing = [c for c in REQUIRED_COLUMNS if c not in position]
+    if missing:
+        raise SchemaMismatch(f"missing required column(s): {', '.join(missing)}")
+    wanted = {position[c] for c in CSV_COLUMNS if c in position}
+    # a short row's missing cells read as empty; cells past the header are ignored
+    transposed = islice(zip_longest(*rows, fillvalue=""), max(wanted) + 1)
+    cells_at = {j: cells for j, cells in enumerate(transposed) if j in wanted}
+    n = len(rows)
+    empty, unparsed, columns = {}, {}, {}
+    for name in CSV_COLUMNS:
+        if name not in position:  # rul_years is optional
+            columns[name] = np.full(n, np.nan)
+            continue
+        cells = cells_at.get(position[name], ("",) * n)
+        if name == "material":
+            codes, empty[name] = _material_codes(cells)
+            unparsed[name] = codes < 0
+            continue
+        values, empty[name] = _parse_numbers(cells)
+        bad = ~np.isfinite(values)
+        if name == TARGET_COLUMN and empty[name] is not None:
+            bad &= ~empty[name]  # an empty rul_years is absent, not invalid
+        if bad.any():
+            values[bad] = np.nan
+            unparsed[name] = bad
+        columns[name] = np.trunc(values) + 0.0 if name in _INTEGER_COLUMNS else values
+    failing = first_failing_column(columns, reference_year)
+    # an empty required cell outranks a cell that does not parse, which
+    # outranks the validator; within each, the first column counts
+    precedence = [(c, empty.get(c)) for c in REQUIRED_COLUMNS]
+    precedence += [(c, unparsed.get(c)) for c in CSV_COLUMNS]
+    precedence = [(c, mask) for c, mask in precedence if mask is not None and mask.any()]
+    if precedence:
+        names, masks = zip(*precedence)
+        hits = np.column_stack(masks)
+        failing = np.where(hits.any(axis=1), np.array(names)[hits.argmax(axis=1)], failing)
+    kept = failing == ""
+    kept_rows = tuple(np.flatnonzero(kept).tolist())
+    if not kept_rows:
+        raise EmptyAfterCleaning(f"no valid rows in {source}")
+    # drops are counted in the order their columns first fail in the file
+    labels, first, counts = np.unique(failing[~kept], return_index=True, return_counts=True)
+    report = CleaningReport(
+        rows_read=n,
+        rows_kept=len(kept_rows),
+        rows_dropped=n - len(kept_rows),
+        drops_by_column={str(labels[k]): int(counts[k]) for k in np.argsort(first)},
+        kept_rows=kept_rows,
+    )
+    numeric = {name: values[kept] for name, values in columns.items()}
+    return Dataset(numeric, codes[kept], reference_year), report
 
 
 def ingest_csv(path, reference_year: int):
@@ -266,44 +350,10 @@ def ingest_csv(path, reference_year: int):
     Returns (Dataset, CleaningReport).  Rows with any missing, unparseable or
     non-finite cell, or failing `first_failing_column`, are removed, never
     imputed, and counted under their first failing column; surviving rows
-    keep file order.
+    keep file order.  This is `read_table` followed by `clean_table`.
     """
-    try:
-        fh = open(path, "r", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise FileUnreadable(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise SchemaMismatch(f"missing required column(s): {', '.join(missing)}")
-        parsed = []   # CSV_COLUMNS values of every row that parses
-        failing = []  # per data row: its parse failure, None until validated
-        for row in reader:
-            empty = next((c for c in REQUIRED_COLUMNS if row.get(c) in (None, "")), None)
-            values, bad_col = (None, empty) if empty else _parse_row(row)
-            failing.append(bad_col)
-            if values is not None:
-                parsed.append(values)
-    columns = dict(zip(CSV_COLUMNS, np.array(parsed, dtype=float).reshape(-1, len(CSV_COLUMNS)).T))
-    checked = first_failing_column(columns, reference_year)
-    verdicts = iter(checked.tolist())
-    failing = [col or next(verdicts) for col in failing]
-    kept_rows = tuple(i for i, col in enumerate(failing) if not col)
-    if not kept_rows:
-        raise EmptyAfterCleaning(f"no valid rows in {path}")
-    report = CleaningReport(
-        rows_read=len(failing),
-        rows_kept=len(kept_rows),
-        rows_dropped=len(failing) - len(kept_rows),
-        drops_by_column=dict(Counter(filter(None, failing))),
-        kept_rows=kept_rows,
-    )
-    valid = checked == ""
-    materials = columns.pop("material")[valid]
-    numeric = {name: values[valid] for name, values in columns.items()}
-    return Dataset(numeric, materials, reference_year), report
+    header, rows = read_table(path)
+    return clean_table(header, rows, reference_year, path)
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -322,8 +372,11 @@ def write_csv(dataset: Dataset, path) -> None:
 def _cells(values: np.ndarray) -> list:
     # repr keeps round-trips exact while writing integers compactly; NaN is
     # an absent rul_years
-    return [repr(int(x)) if x.is_integer() else repr(x) if x == x else ""
-            for x in values.tolist()]
+    cells = [repr(int(x)) if x.is_integer() else repr(x) if x == x else ""
+             for x in values.tolist()]
+    for i in np.flatnonzero(np.signbit(values) & (values == 0)).tolist():
+        cells[i] = "-0.0"  # repr(int(-0.0)) would drop the sign
+    return cells
 
 
 def split_dataset(dataset: Dataset, ratios, seed: int) -> Dataset:

@@ -92,6 +92,13 @@ def test_init_grid_too_few_mfs():
         init_grid(("x",), 1, fm)
 
 
+def test_init_grid_repeated_input_is_invalid():
+    fm = toy_sine_matrix()
+    assert init_grid(("x",), 2, fm).inputs == ("x",)  # one input is a model
+    with pytest.raises(InvalidConfig):
+        init_grid(("x", "x"), 2, fm)
+
+
 def test_init_grid_centers_and_sigmas():
     fm = toy_sine_matrix()
     model = init_grid(("x",), 3, fm)

@@ -521,3 +521,41 @@ def test_train_ann_malformed_registry_is_runtime_error(small_csv, tmp_path, caps
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("inputs", ["age_years", ""])
+def test_train_anfis_needs_two_inputs(small_csv, tmp_path, capsys, inputs):
+    out_dir = tmp_path / "anfis"
+    # checked before the input is read: an absent file gives the same error
+    for infile in (small_csv, tmp_path / "absent.csv"):
+        code = run(["train-anfis", "--in", str(infile), "--inputs", inputs,
+                    "--out-dir", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at least two --inputs" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
+
+def test_train_anfis_repeated_input_is_runtime_error(small_csv, tmp_path, capsys):
+    out_dir = tmp_path / "anfis"
+    code = run(["train-anfis", "--in", str(small_csv), "--inputs", "age_years,age_years",
+                "--epochs", "1", "--out-dir", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "repeat" in err and len(err.strip().splitlines()) == 1
+    assert not out_dir.exists()
+
+
+def test_predict_reads_its_input_once(small_csv, tmp_path, monkeypatch):
+    readers = []
+    make_reader = csv.reader
+
+    def counting_reader(fh, *args, **kwargs):
+        readers.append(getattr(fh, "name", None))
+        return make_reader(fh, *args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counting_reader)
+    assert run(["predict", "--builtin", "CI", "--in", str(small_csv),
+                "--out", str(tmp_path / "p.csv")]) == 0
+    assert readers.count(str(small_csv)) == 1

@@ -1,17 +1,22 @@
+import csv
 import tempfile
+from collections import Counter
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pipelife.data import (
     CSV_COLUMNS,
+    CleaningReport,
     DIAMETER_RANGE,
     MATERIALS,
     NUMERIC_COLUMNS,
+    REQUIRED_COLUMNS,
     WTL_RANGE,
     Dataset,
     FeatureMatrix,
@@ -23,6 +28,7 @@ from pipelife.data import (
     first_failing_column,
     ingest_csv,
     normalize,
+    read_table,
     split_dataset,
     write_csv,
 )
@@ -291,11 +297,15 @@ def inventories(draw):
             length=draw(finite(0.0, exclude_min=True)),
             material=draw(st.sampled_from(MATERIALS)),
             breaks=draw(st.integers(0, 10**6)),
-            wtl=draw(finite(*WTL_RANGE)),
-            rul=draw(st.one_of(st.just(np.nan), finite())),
+            wtl=draw(st.one_of(st.just(-0.0), finite(*WTL_RANGE))),
+            rul=draw(st.one_of(st.just(np.nan), st.just(-0.0), finite())),
             install_year=REF_YEAR - age + draw(st.integers(-1, 1)),
         ))
     return dataset_of(records)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
 
 
 @given(inventories())
@@ -307,8 +317,207 @@ def test_write_then_ingest_returns_the_same_data(dataset):
     assert report.rows_dropped == 0 and report.drops_by_column == {}
     assert np.array_equal(back.materials, dataset.materials)
     for name in NUMERIC_COLUMNS:
-        # the same doubles, except that a negative zero is written as 0
-        assert np.array_equal(back.numeric[name], dataset.numeric[name], equal_nan=True), name
+        # the same doubles bit for bit: a negative zero included, NaN for an absent rul
+        assert np.array_equal(bits(back.numeric[name]), bits(dataset.numeric[name])), name
+
+
+def test_write_csv_keeps_a_negative_zero(tmp_path):
+    dataset = dataset_of([make_record(wtl=-0.0, rul=-0.0), make_record(wtl=0.0, rul=0.0)])
+    path = tmp_path / "pipes.csv"
+    write_csv(dataset, path)
+    header, rows = read_table(path)
+    wtl, rul = header.index("wall_thickness_loss_pct"), header.index("rul_years")
+    assert [(r[wtl], r[rul]) for r in rows] == [("-0.0", "-0.0"), ("0", "0")]
+
+
+# -- the per-row ingest, kept as the oracle of the column-wise one -------------------
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def _parse_row(row: dict):
+    """One csv.DictReader row's CSV_COLUMNS values, or its first column that
+    fails to parse (a non-finite number fails its column)."""
+    try:
+        col = "age_years"
+        age = int(_finite(row[col]))
+        col = "diameter_in"
+        diameter = _finite(row[col])
+        col = "length_ft"
+        length = _finite(row[col])
+        col = "material"
+        material = MATERIALS.index(encode_material(row[col]))
+        col = "breaks"
+        breaks = int(_finite(row[col]))
+        col = "install_year"
+        install_year = int(_finite(row[col]))
+        col = "wall_thickness_loss_pct"
+        wtl = _finite(row[col])
+        col = "rul_years"
+        raw_rul = row.get(col)
+        rul = _finite(raw_rul) if raw_rul not in (None, "") else np.nan
+    except (ValueError, UnknownMaterial, TypeError):
+        return None, col
+    return (age, diameter, length, material, breaks, install_year, wtl, rul), None
+
+
+def ingest_row_by_row(path, reference_year):
+    """ingest_csv as one csv.DictReader pass parsing row by row."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in REQUIRED_COLUMNS if c not in header]
+        if missing:
+            raise SchemaMismatch(f"missing required column(s): {', '.join(missing)}")
+        parsed, failing = [], []
+        for row in reader:
+            empty = next((c for c in REQUIRED_COLUMNS if row.get(c) in (None, "")), None)
+            values, bad_col = (None, empty) if empty else _parse_row(row)
+            failing.append(bad_col)
+            if values is not None:
+                parsed.append(values)
+    columns = dict(zip(CSV_COLUMNS, np.array(parsed, dtype=float).reshape(-1, len(CSV_COLUMNS)).T))
+    checked = first_failing_column(columns, reference_year)
+    verdicts = iter(checked.tolist())
+    failing = [col or next(verdicts) for col in failing]
+    kept_rows = tuple(i for i, col in enumerate(failing) if not col)
+    if not kept_rows:
+        raise EmptyAfterCleaning(f"no valid rows in {path}")
+    report = CleaningReport(
+        rows_read=len(failing),
+        rows_kept=len(kept_rows),
+        rows_dropped=len(failing) - len(kept_rows),
+        drops_by_column=dict(Counter(filter(None, failing))),
+        kept_rows=kept_rows,
+    )
+    valid = checked == ""
+    materials = columns.pop("material")[valid]
+    return Dataset({name: v[valid] for name, v in columns.items()}, materials, reference_year), report
+
+
+def spellings(value):
+    """Ways of writing one number that float() reads as `value`."""
+    text = repr(value)
+    ways = [text, f" {text} "]
+    if "e" not in text and "n" not in text:
+        ways.append(text + "e0")
+    if float(value).is_integer() and abs(value) < 1e15:
+        k = int(value)
+        ways += [str(k), f"{k}.0", f"{k}e0", " " + str(k) + " "]
+        if abs(k) >= 10:  # 1_0 for 10
+            digits = str(abs(k))
+            ways.append(("-" if k < 0 else "") + digits[0] + "_" + digits[1:])
+    return st.sampled_from(ways)
+
+
+JUNK = st.sampled_from(["", "", " ", "nan", "-Infinity", "inf", "abc"])
+MATERIAL_CELLS = st.sampled_from(
+    ["ci", "Cast Iron", "cast_iron", "CastIron", "PVC", " steel ", "DI", "AC", "asbestos cement",
+     "Polyethylene", "granite", "Clay", "", " "])
+
+
+@st.composite
+def dirty_cells(draw):
+    """One data row's cells by column name: mostly valid values in mixed
+    spellings, some out of range or inconsistent, some junk."""
+    age = draw(st.one_of(st.integers(-2, 90), st.sampled_from([-0.5, 0.5, 30.9, -1.5])))
+    install = REF_YEAR - int(age) + draw(st.sampled_from([0, 0, 0, 1, -1, 2, -3]))
+    values = {
+        "age_years": age,
+        "diameter_in": draw(st.sampled_from([4, 8, 12.5, 24, 3.9, 40, 6.0])),
+        "length_ft": draw(st.sampled_from([100, 12.25, 0, -5, 0.001, 1e9])),
+        "breaks": draw(st.sampled_from([0, 2, 17, -1, 2.7, -0.3])),
+        "install_year": install,
+        "wall_thickness_loss_pct": draw(st.sampled_from([0, -0.0, 25.5, 100, 100.5, -2])),
+        "rul_years": draw(st.sampled_from([40, 12.5, -3, 0.0])),
+    }
+    cells = {name: draw(spellings(v)) for name, v in values.items()}
+    cells["material"] = draw(MATERIAL_CELLS)
+    for name in CSV_COLUMNS:
+        if draw(st.integers(0, 9)) == 0:
+            cells[name] = draw(JUNK)
+    return cells
+
+
+@st.composite
+def dirty_files(draw):
+    """Lines of a CSV file: a header in any order, with or without rul_years,
+    sometimes missing a required column or repeating one, then full, short,
+    long and blank rows."""
+    header = list(draw(st.permutations(REQUIRED_COLUMNS)))
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), "rul_years")
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), "notes")
+    if draw(st.integers(0, 3)) == 0:  # a repeated column, read from its last copy
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from(header)))
+    last = {name: j for j, name in enumerate(header)}
+    if draw(st.integers(0, 9)) == 0:
+        header.remove(draw(st.sampled_from(REQUIRED_COLUMNS)))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["full"] * 6 + ["short", "long", "blank"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        cells = draw(dirty_cells())
+        row = [cells.get(name, "x") if last[name] == j else "x" for j, name in enumerate(header)]
+        if kind == "short":
+            row = row[:draw(st.integers(1, len(row) - 1))]
+        elif kind == "long":
+            row += draw(st.lists(st.sampled_from(["7", "", "extra"]), min_size=1, max_size=3))
+        lines.append(",".join(row))
+    return lines
+
+
+def ingest_both(path):
+    """(result or exception) of ingest_csv and of the row-by-row oracle."""
+    results = []
+    for ingest in (ingest_csv, ingest_row_by_row):
+        try:
+            results.append(ingest(path, REF_YEAR))
+        except (SchemaMismatch, EmptyAfterCleaning) as exc:
+            results.append(exc)
+    return results
+
+
+@settings(deadline=None, max_examples=200)
+@given(dirty_files())
+def test_column_wise_ingest_matches_the_row_by_row_oracle(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pipes.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got, want = ingest_both(path)
+    if isinstance(want, Exception) or isinstance(got, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    (dataset, report), (expected, expected_report) = got, want
+    assert report == expected_report
+    assert list(report.drops_by_column.items()) == list(expected_report.drops_by_column.items())
+    assert report.kept_rows == expected_report.kept_rows
+    assert np.array_equal(dataset.materials, expected.materials)
+    for name in NUMERIC_COLUMNS:
+        assert np.array_equal(bits(dataset.numeric[name]), bits(expected.numeric[name])), name
+
+
+def test_ingest_reads_the_last_copy_of_a_duplicated_column(tmp_path):
+    path = tmp_path / "pipes.csv"
+    header = HEADER + ",length_ft"
+    write_lines(path, [header, row() + ",250", row() + ",-1", row()])
+    dataset, report = ingest_csv(path, REF_YEAR)
+    assert dataset.column("length_ft").tolist() == [250.0]
+    assert report.drops_by_column == {"length_ft": 2}  # -1 fails; the short row's copy is empty
+
+
+def test_read_table_skips_blank_rows_and_keeps_short_ones(tmp_path):
+    path = tmp_path / "pipes.csv"
+    path.write_text("a,b,c\n1,2,3\n\n4\n,\n5,6,7,8\n", encoding="utf-8")
+    assert read_table(path) == (["a", "b", "c"], [["1", "2", "3"], ["4"], ["", ""],
+                                                  ["5", "6", "7", "8"]])
 
 
 # -- splitting ------------------------------------------------------------------
