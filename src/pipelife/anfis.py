@@ -16,15 +16,22 @@ the row-wise Khatri-Rao product of the firing matrix Wbar and the inputs, so
 a null direction of either factor is one of Phi.  Both occur on the default
 inputs: install year = reference year - age makes [x, 1] rank deficient, and
 the product of an age and an install-year Gaussian is one Gaussian in age,
-so Wbar repeats columns.  The solve factors each by SVD, [x, 1] = U S V^T
-(kept: Z = U_k S_k) and Wbar = U_W S_W V_W^T (kept: G = U_W,r S_W,r), keeps
-only directions whose dropped part of the design lies below lstsq's own
-cutoff on the full design, solves the minimum-norm problem on the r k
-columns g_n (x) z_n by SVD (numpy lstsq) and maps back with
-theta = V_W,r C V_k.  Both maps have orthonormal columns, so this is the
-minimum-norm solution of the full design; rank-deficient solves are flagged
-rather than failed.  One forward pass per epoch feeds the logged train MSE
-before and after the solve, the solve and the premise gradient.
+so Wbar repeats columns.  The solve factors each as QR and then takes the
+SVD of the small triangular R, which gives [x, 1] = U S V^T (kept:
+Z = U_k S_k = [x, 1] V_k) and Wbar = U_W S_W V_W^T (kept:
+G = U_W,r S_W,r = Wbar V_W,r) without forming the tall U.  It keeps only
+directions whose dropped part of the design lies below lstsq's own cutoff
+on the full design, solves the minimum-norm problem on the r k columns
+g_n (x) z_n by SVD (numpy lstsq) and maps back with theta = V_W,r C V_k.
+Both maps have orthonormal columns, so this is the minimum-norm solution of
+the full design; rank-deficient solves are flagged rather than failed.  One
+forward pass per epoch feeds the logged train MSE before and after the
+solve, the solve and the premise gradient.
+
+The sensitivity ranking moves one input at a time.  For an ANFIS model it
+makes one pass per input of sums over the rules that both moves share (the
+other inputs' firing product, weighted by the rule outputs and by the
+moved input's consequent), instead of two full forward passes.
 
 A model works in normalized units; it keeps the scaling constants of its
 inputs and target and scales with `data.normalize`/`data.denormalize`, as
@@ -98,6 +105,10 @@ class AnfisModel:
         if raw.shape[1] != self.n_inputs:
             raise DimensionMismatch(f"expected {self.n_inputs} inputs, got {raw.shape[1]}")
         y, _, _ = _forward(self, normalize(raw, self.feature_constants, self.norm_mode))
+        return self._raw_target(y)
+
+    def _raw_target(self, y: np.ndarray) -> np.ndarray:
+        """RUL years of normalized outputs y, clipped to the trained range."""
         y = denormalize(y[:, None], (self.target_constants,), self.norm_mode)[:, 0]
         if self.norm_mode == "minmax":
             # predictions outside the trained target range are extrapolations
@@ -218,8 +229,20 @@ def init_grid(
 
 def _memberships(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     """Layer 1 for a batch: (n, d, m) Gaussian membership values."""
-    diff = x[:, :, None] - model.centers[None, :, :]
-    return np.exp(-(diff * diff) / (2.0 * model.sigmas[None, :, :] ** 2))
+    return _gaussians(x, model.centers, model.sigmas)
+
+
+def _gaussians(x: np.ndarray, centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """exp(-(x - c)^2 / (2 sigma^2)) with the centers on a new last axis."""
+    diff = x[..., None] - centers
+    return np.exp(-(diff * diff) / (2.0 * sigmas**2))
+
+
+def _onehot(model: AnfisModel, i: int) -> np.ndarray:
+    """R x m indicator of the membership function each rule takes for input i."""
+    onehot = np.zeros((model.n_rules, model.centers.shape[1]))
+    onehot[np.arange(model.n_rules), model.rules[:, i]] = 1.0
+    return onehot
 
 
 def _forward(model: AnfisModel, x: np.ndarray):
@@ -278,12 +301,14 @@ def _span(a: np.ndarray, tol) -> tuple:
     """Leading directions of the thin SVD a = U S V^T: (U_r S_r, V_r^T).
 
     r is the fewest directions whose dropped singular values s[r:] have
-    2-norm at most tol(s).
+    2-norm at most tol(s).  a is factored as QR first: the SVD of the small
+    triangular R has the singular values and right vectors of a, and
+    U_r S_r = a V_r, so the tall factor U is never formed.
     """
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    _, s, vt = np.linalg.svd(np.linalg.qr(a, mode="r"), full_matrices=False)
     tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]     # tail[j] = ||s[j:]||
     r = int(np.count_nonzero(tail > tol(s)))
-    return u[:, :r] * s[:r], vt[:r]
+    return a @ vt[:r].T, vt[:r]
 
 
 def lse_consequents(
@@ -291,9 +316,10 @@ def lse_consequents(
 ) -> AnfisModel:
     """Solve the consequents by linear least squares with premises frozen.
 
-    The problem is solved in the span of the firing matrix and of the inputs
-    (see the module docstring); wbar, the normalized firing strengths of x
-    under the model's premises, is computed when not given.  Rank-deficient
+    The problem is solved in the span of the firing matrix and of the inputs,
+    each factored by `_span` as QR, then an SVD of R (see the module
+    docstring); wbar, the normalized firing strengths of x under the model's
+    premises, is computed when not given.  Rank-deficient
     designs get the minimum-norm solution and set the lse_degenerate flag.
     The model is updated in place and returned.
     """
@@ -336,11 +362,8 @@ def _premise_gradients(model: AnfisModel, x: np.ndarray, t: np.ndarray, state=No
     glw = (2.0 / n) * err[:, None] * (f - y[:, None]) / total[:, None] * w
     grad_c = np.zeros_like(model.centers)
     grad_s = np.zeros_like(model.sigmas)
-    m = model.centers.shape[1]
     for i in range(d):
-        onehot = np.zeros((model.n_rules, m))
-        onehot[np.arange(model.n_rules), model.rules[:, i]] = 1.0
-        acc = glw @ onehot                                  # n x m
+        acc = glw @ _onehot(model, i)                       # n x m
         diff = x[:, i:i + 1] - model.centers[i][None, :]    # n x m
         sig = model.sigmas[i][None, :]
         grad_c[i] = (acc * diff / sig**2).sum(axis=0)
@@ -454,9 +477,11 @@ def sensitivity_ranking(
     held at each row's observed values.  By default slopes are taken with
     respect to the range-normalized coordinate (raw slope times the input's
     range) so features measured in feet, inches and years rank on a common
-    scale; pass per_range=False for raw-unit slopes.  Works for any model
-    exposing input_columns and predict_batch.  Returns [(feature, slope)]
-    descending.
+    scale; pass per_range=False for raw-unit slopes.  An AnfisModel is
+    evaluated in one pass of sums shared by each input's two perturbations
+    (`_perturbed_outputs`); any other model exposing input_columns and
+    predict_batch gets two predict_batch calls per input.  Returns
+    [(feature, slope)] descending.
     """
     if not getattr(model, "trained", True):
         raise UntrainedModel("sensitivity analysis requires a trained model")
@@ -464,20 +489,62 @@ def sensitivity_ranking(
     raw = features.raw_matrix(columns)
     if raw.shape[0] == 0:
         raise EmptySplit("no data rows for sensitivity analysis")
+    spans = raw.max(axis=0) - raw.min(axis=0)
+    steps = [h_fraction * float(span) if span > 0 else h_fraction for span in spans]
+    if isinstance(model, AnfisModel):
+        pairs = _perturbed_outputs(model, raw, steps)
+    else:
+        pairs = ((model.predict_batch(_moved(raw, i, h)), model.predict_batch(_moved(raw, i, -h)))
+                 for i, h in enumerate(steps))
     slopes = []
-    for i, name in enumerate(columns):
-        col = raw[:, i]
-        span = float(col.max() - col.min())
-        h = h_fraction * span if span > 0 else h_fraction
-        hi = raw.copy()
-        lo = raw.copy()
-        hi[:, i] = col + h
-        lo[:, i] = col - h
-        slope = np.abs(model.predict_batch(hi) - model.predict_batch(lo)) / (2.0 * h)
-        scale = span if per_range and span > 0 else 1.0
+    for name, span, h, (hi, lo) in zip(columns, spans, steps, pairs):
+        slope = np.abs(hi - lo) / (2.0 * h)
+        scale = float(span) if per_range and span > 0 else 1.0
         slopes.append((name, float(slope.mean()) * scale))
     slopes.sort(key=lambda item: item[1], reverse=True)
     return slopes
+
+
+def _moved(raw: np.ndarray, i: int, h: float) -> np.ndarray:
+    """raw with column i moved by h."""
+    moved = raw.copy()
+    moved[:, i] = raw[:, i] + h
+    return moved
+
+
+def _perturbed_outputs(model: AnfisModel, raw: np.ndarray, steps):
+    """Yield predict_batch of raw with column i moved by +h_i and by -h_i.
+
+    Moving input i changes only its memberships mu_i and, in the rule
+    outputs F = theta [x, 1], the term theta_ri x_i.  So with W the product
+    of the other inputs' memberships and, over the rules r using MF j of
+    input i, P_j = sum W_r F_r, Q_j = sum W_r theta_ri and S_j = sum W_r,
+    the output at x_i' is sum_j mu_ij(x_i') (P_j + (x_i' - x_i) Q_j) /
+    sum_j mu_ij(x_i') S_j.  P, Q and S serve both signs, and F serves every
+    input.
+    """
+    x = normalize(raw, model.feature_constants, model.norm_mode)
+    mu = _memberships(model, x)
+    f = _rule_outputs(model, x)
+    for i, h in enumerate(steps):
+        w = np.ones((x.shape[0], model.n_rules))
+        for k in range(model.n_inputs):
+            if k != i:
+                w *= mu[:, k, model.rules[:, k]]
+        onehot = _onehot(model, i)
+        p = (w * f) @ onehot
+        q, s = np.hsplit(w @ np.hstack([onehot * model.consequents[:, i:i + 1], onehot]), 2)
+        outputs = []
+        for moved in (raw[:, i] + h, raw[:, i] - h):
+            xi = normalize(moved[:, None], model.feature_constants[i:i + 1], model.norm_mode)[:, 0]
+            mu_i = _gaussians(xi, model.centers[i], model.sigmas[i])
+            total = (mu_i * s).sum(axis=1)
+            if np.any(total < FIRING_FLOOR):
+                row = int(np.argmax(total < FIRING_FLOOR))
+                raise AllRulesZero(f"total firing strength underflowed at row {row}")
+            y = (mu_i * (p + (xi - x[:, i])[:, None] * q)).sum(axis=1) / total
+            outputs.append(model._raw_target(y))
+        yield outputs
 
 
 def contour_grid(
@@ -487,7 +554,10 @@ def contour_grid(
     y_input: str,
     grid_size: int = 25,
 ):
-    """Surface data (x1, x2, y) over two inputs, others held at their medians."""
+    """Surface data (x1, x2, y) over two inputs, others held at their medians.
+
+    Rows run over y for each x in turn; the whole grid is one predict_batch.
+    """
     columns = tuple(model.input_columns)
     if x_input not in columns or y_input not in columns:
         raise DimensionMismatch(
@@ -499,11 +569,9 @@ def contour_grid(
     yi = columns.index(y_input)
     xs = np.linspace(raw[:, xi].min(), raw[:, xi].max(), grid_size)
     ys = np.linspace(raw[:, yi].min(), raw[:, yi].max(), grid_size)
-    rows = []
-    for xv in xs:
-        batch = np.tile(medians, (grid_size, 1))
-        batch[:, xi] = xv
-        batch[:, yi] = ys
-        out = model.predict_batch(batch)
-        rows.extend((float(xv), float(yv), float(o)) for yv, o in zip(ys, out))
-    return rows
+    grid_x, grid_y = np.repeat(xs, grid_size), np.tile(ys, grid_size)
+    batch = np.tile(medians, (grid_size * grid_size, 1))
+    batch[:, xi] = grid_x
+    batch[:, yi] = grid_y
+    out = model.predict_batch(batch)
+    return [(float(xv), float(yv), float(o)) for xv, yv, o in zip(grid_x, grid_y, out)]

@@ -31,7 +31,7 @@ from .data import (
     split_dataset,
     write_csv,
 )
-from .errors import InvalidConfig, PipeLifeError
+from .errors import FileUnreadable, InvalidConfig, PipeLifeError
 from .metrics import classify_accuracy
 
 SEED_ENV_VAR = "PIPELIFE_SEED"
@@ -266,9 +266,10 @@ def cmd_train_anfis(args) -> int:
 
 def _load_document(path, parse):
     """parse(text) of a JSON file; a malformed document is a runtime error."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return parse(text)
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FileUnreadable(f"cannot read {path} as UTF-8: {exc}") from exc
     except KeyError as exc:
         raise PipeLifeError(f"document {path} lacks the key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
@@ -480,7 +481,7 @@ def main(argv=None) -> int:
     if config_path:
         try:
             raw_defaults = _load_config_defaults(config_path)
-        except (PipeLifeError, OSError) as exc:
+        except (PipeLifeError, OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
         defaults = {}

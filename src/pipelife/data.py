@@ -243,8 +243,11 @@ def read_table(path):
         raise FileUnreadable(f"cannot open {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        return header, list(filter(None, reader))
+        try:
+            header = next(reader, [])
+            return header, list(filter(None, reader))
+        except UnicodeDecodeError as exc:
+            raise FileUnreadable(f"cannot read {path} as UTF-8: {exc}") from exc
 
 
 def _empty(cells) -> np.ndarray:

@@ -356,6 +356,35 @@ def test_lse_drops_a_firing_tail_below_the_full_design_cutoff(monkeypatch):
     assert tail * np.linalg.norm(z, axis=1).max() <= cutoff
 
 
+def thin_svd_rank(a, tol):
+    """(r, s) of _span by the thin SVD of a itself, without the QR step."""
+    s = np.linalg.svd(a, compute_uv=False)
+    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
+    return int(np.count_nonzero(tail > tol(s))), s
+
+
+@pytest.mark.parametrize("which", ["collinear_firing", "random_full_rank"])
+def test_qr_first_span_keeps_the_thin_svd_directions(which):
+    if which == "collinear_firing":
+        model, x, _ = equal_width_collinear()
+        _, a, _ = _forward(model, x)
+    else:
+        a = np.random.default_rng(21).normal(0, 1, (300, 20))
+    tol = lambda s: np.finfo(float).eps * max(a.shape) * s[0]
+    seen = []
+    g, vt = anfis._span(a, lambda s: seen.append(s) or tol(s))
+    r_svd, s_svd = thin_svd_rank(a, tol)
+    (s,) = seen
+    r = len(vt)
+    assert r == r_svd == (7 if which == "collinear_firing" else 20)
+    assert s[:r] == pytest.approx(s_svd[:r], rel=1e-12, abs=0)
+    assert np.abs(s - s_svd).max() <= 1e-12 * s_svd[0]
+    gram = g.T @ g
+    assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-12 * s[0] ** 2
+    assert np.sqrt(np.diag(gram)) == pytest.approx(s[:r], rel=1e-12, abs=0)
+    assert np.linalg.norm(g @ vt - a) <= 1e-12 * np.linalg.norm(a)
+
+
 @pytest.mark.parametrize("collinear", [True, False])
 def test_hybrid_logged_mse_matches_recomputed(collinear):
     fm = collinear_or_full_rank(collinear)
@@ -568,6 +597,77 @@ def test_sensitivity_synthetic_age_and_wtl_top_three():
         assert "wall_thickness_loss_pct" in top_three, (seed, ranking)
 
 
+class PredictBatchOnly:
+    """A model seen only through predict_batch: the generic ranking path."""
+
+    def __init__(self, model):
+        self.model = model
+        self.input_columns = model.input_columns
+
+    def predict_batch(self, raw):
+        return self.model.predict_batch(raw)
+
+
+@pytest.fixture(scope="module")
+def sensitivity_cases():
+    dataset = synth.generate(synth.GeneratorConfig(n=600, seed=9))
+    labeled = split_dataset(dataset, (0.75, 0.1, 0.15), 9)
+    collinear = ("age_years", "wall_thickness_loss_pct", "install_year")
+    fm = build_features(labeled, collinear + ("rul_years",))
+    grid4, _ = hybrid_train(init_grid(collinear, 4, fm), fm, epochs=2)
+    zscore_inputs = ("age_years", "wall_thickness_loss_pct", "diameter_in")
+    fm_z = build_features(labeled, zscore_inputs + ("rul_years",), mode="zscore")
+    zscore, _ = hybrid_train(init_grid(zscore_inputs, 3, fm_z), fm_z, epochs=2)
+    fm_one = toy_sine_matrix(40)
+    one_input, _ = hybrid_train(init_grid(("x",), 3, fm_one), fm_one, epochs=2)
+    payload = json.loads(grid4.to_json())
+    perm = np.random.default_rng(9).permutation(grid4.n_rules)
+    payload["rules"] = np.array(payload["rules"])[perm].tolist()
+    payload["consequents"] = np.array(payload["consequents"])[perm].tolist()
+    permuted = AnfisModel.from_json(json.dumps(payload))
+    clipped = grid4.copy()
+    clipped.consequents *= 2.0     # normalized outputs 2 y - 0.5: clipped below 0.25
+    clipped.consequents[:, -1] -= 0.5
+    return {
+        "collinear_4mf": (grid4, fm),
+        "zscore": (zscore, fm_z),
+        "one_input": (one_input, fm_one),
+        "permuted_rules": (permuted, fm),
+        "clipped": (clipped, fm),
+    }
+
+
+@pytest.mark.parametrize("case", ["collinear_4mf", "zscore", "one_input",
+                                  "permuted_rules", "clipped"])
+def test_anfis_sensitivity_matches_predict_batch_differences(sensitivity_cases, case):
+    model, fm = sensitivity_cases[case]
+    if case == "permuted_rules":
+        assert not np.array_equal(model.rules, sensitivity_cases["collinear_4mf"][0].rules)
+    if case == "clipped":
+        raw = fm.raw_matrix(model.inputs)
+        at_bound = np.isin(model.predict_batch(raw), model.target_constants).mean()
+        assert 0.1 < at_bound < 0.9
+    for per_range in (True, False):
+        ranking = sensitivity_ranking(model, fm, per_range=per_range)
+        reference = sensitivity_ranking(PredictBatchOnly(model), fm, per_range=per_range)
+        assert [name for name, _ in ranking] == [name for name, _ in reference]
+        for (_, slope), (_, expected) in zip(ranking, reference):
+            assert slope == pytest.approx(expected, rel=1e-10, abs=0)
+
+
+def test_anfis_sensitivity_raises_where_predict_batch_does(sensitivity_cases):
+    model, fm = sensitivity_cases["collinear_4mf"]
+    raw = fm.raw_matrix(model.inputs)[:5].copy()
+    raw[3, 1] = 1e6        # far outside the trained wall-loss range
+    far = matrix_from_columns(dict(zip(model.inputs, raw.T)))
+    errors = []
+    for candidate in (model, PredictBatchOnly(model)):
+        with pytest.raises(AllRulesZero) as exc:
+            sensitivity_ranking(candidate, far)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == "total firing strength underflowed at row 3"
+
+
 def test_contour_grid_shape_and_medians():
     dataset = synth.generate(synth.GeneratorConfig(n=500, seed=6))
     labeled = split_dataset(dataset, (0.75, 0.1, 0.15), 1)
@@ -606,3 +706,21 @@ def test_minmax_predictions_lie_inside_the_target_range(minmax_models, raw):
             assert model is minmax_models[0]
             continue
         assert np.all((lo <= predicted) & (predicted <= hi)), (raw, predicted)
+
+
+def test_contour_grid_equals_one_predict_batch_per_x(sensitivity_cases):
+    model, fm = sensitivity_cases["collinear_4mf"]
+    x_input, y_input = "age_years", "wall_thickness_loss_pct"
+    raw = fm.raw_matrix(model.inputs)
+    medians = np.median(raw, axis=0)
+    xi, yi = model.inputs.index(x_input), model.inputs.index(y_input)
+    xs = np.linspace(raw[:, xi].min(), raw[:, xi].max(), 25)
+    ys = np.linspace(raw[:, yi].min(), raw[:, yi].max(), 25)
+    expected = []
+    for xv in xs:
+        batch = np.tile(medians, (25, 1))
+        batch[:, xi] = xv
+        batch[:, yi] = ys
+        out = model.predict_batch(batch)
+        expected.extend((float(xv), float(yv), float(o)) for yv, o in zip(ys, out))
+    assert contour_grid(model, fm, x_input, y_input) == expected

@@ -559,3 +559,45 @@ def test_predict_reads_its_input_once(small_csv, tmp_path, monkeypatch):
     assert run(["predict", "--builtin", "CI", "--in", str(small_csv),
                 "--out", str(tmp_path / "p.csv")]) == 0
     assert readers.count(str(small_csv)) == 1
+
+
+@pytest.fixture
+def latin1_csv(small_csv, tmp_path):
+    """small_csv's header and first two rows, the second's material spelled
+    with a Latin-1 e-acute."""
+    with open(small_csv, newline="") as fh:
+        header, first, second = list(csv.reader(fh))[:3]
+    second[header.index("material")] = "Caf\xe9"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("".join(",".join(row) + "\n" for row in (header, first, second))
+                     .encode("latin-1"))
+    return path
+
+
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_stats_on_a_file_that_is_not_utf8_is_runtime_error(latin1_csv, capsys):
+    assert run(["stats", "--in", str(latin1_csv)]) == 1
+    assert_one_error_line(capsys, str(latin1_csv), "UTF-8", "0xe9")
+
+
+def test_predict_with_a_model_that_is_not_utf8_is_runtime_error(small_csv, anfis_doc, tmp_path, capsys):
+    doc = tmp_path / "model.json"
+    doc.write_bytes(anfis_doc.replace('"inputs"', '"inputs\xe9"', 1).encode("latin-1"))
+    code = run(["predict", "--model", str(doc), "--in", str(small_csv),
+                "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert_one_error_line(capsys, str(doc), "UTF-8")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_config_file_that_is_not_utf8_is_runtime_error(small_csv, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_bytes(f"in={small_csv}\n# caf\xe9\n".encode("latin-1"))
+    assert run(["--config", str(config), "stats"]) == 1
+    assert_one_error_line(capsys, "0xe9")
