@@ -34,8 +34,8 @@ other inputs' firing product, weighted by the rule outputs and by the
 moved input's consequent), instead of two full forward passes.
 
 A model works in normalized units; it keeps the scaling constants of its
-inputs and target and scales with `data.normalize`/`data.denormalize`, as
-the MLP does.
+inputs and target, and `predict_batch` scales with `data.scaled_inputs` and
+`data.raw_target`, as the MLP does.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import TARGET_COLUMN, FeatureMatrix, check_shapes, denormalize, normalize
+from .data import TARGET_COLUMN, FeatureMatrix, check_shapes, normalize, raw_target, scaled_inputs
 from .errors import (
     AllRulesZero,
     DimensionMismatch,
@@ -63,6 +63,7 @@ DEFAULT_MFS = 2
 DEFAULT_RULE_CAP = 256
 SIGMA_FLOOR = 1e-4
 FIRING_FLOOR = 1e-300
+SENSITIVITY_STEP = 0.01  # central-difference step, as a fraction of the input's range
 
 
 @dataclass
@@ -100,20 +101,10 @@ class AnfisModel:
     # -- raw-unit prediction --------------------------------------------------
 
     def predict_batch(self, raw: np.ndarray) -> np.ndarray:
-        """RUL years for an n x d matrix of raw-unit inputs."""
-        raw = np.atleast_2d(np.asarray(raw, dtype=float))
-        if raw.shape[1] != self.n_inputs:
-            raise DimensionMismatch(f"expected {self.n_inputs} inputs, got {raw.shape[1]}")
-        y, _, _ = _forward(self, normalize(raw, self.feature_constants, self.norm_mode))
-        return self._raw_target(y)
-
-    def _raw_target(self, y: np.ndarray) -> np.ndarray:
-        """RUL years of normalized outputs y, clipped to the trained range."""
-        y = denormalize(y[:, None], (self.target_constants,), self.norm_mode)[:, 0]
-        if self.norm_mode == "minmax":
-            # predictions outside the trained target range are extrapolations
-            return np.clip(y, *self.target_constants)
-        return y
+        """RUL years for an n x d matrix of raw-unit inputs, clamped to the
+        trained target range under min-max normalization."""
+        y, _, _ = _forward(self, scaled_inputs(self, raw))
+        return raw_target(self, y)
 
     def predict_dataset(self, dataset) -> np.ndarray:
         return self.predict_batch(dataset.matrix(self.inputs))
@@ -467,14 +458,12 @@ def hybrid_train(
 # sensitivity analysis
 # ---------------------------------------------------------------------------
 
-def sensitivity_ranking(
-    model, features: FeatureMatrix, h_fraction: float = 0.01, per_range: bool = True
-):
+def sensitivity_ranking(model, features: FeatureMatrix, per_range: bool = True):
     """Rank inputs by the mean absolute output slope over the data rows.
 
     The slope of input i is the central difference of the model output with
-    step h = h_fraction of that input's observed raw range, all other inputs
-    held at each row's observed values.  By default slopes are taken with
+    step h = SENSITIVITY_STEP of that input's observed raw range, all other
+    inputs held at each row's observed values.  By default slopes are taken with
     respect to the range-normalized coordinate (raw slope times the input's
     range) so features measured in feet, inches and years rank on a common
     scale; pass per_range=False for raw-unit slopes.  An AnfisModel is
@@ -490,7 +479,8 @@ def sensitivity_ranking(
     if raw.shape[0] == 0:
         raise EmptySplit("no data rows for sensitivity analysis")
     spans = raw.max(axis=0) - raw.min(axis=0)
-    steps = [h_fraction * float(span) if span > 0 else h_fraction for span in spans]
+    steps = [SENSITIVITY_STEP * float(span) if span > 0 else SENSITIVITY_STEP
+             for span in spans]
     if isinstance(model, AnfisModel):
         pairs = _perturbed_outputs(model, raw, steps)
     else:
@@ -523,7 +513,7 @@ def _perturbed_outputs(model: AnfisModel, raw: np.ndarray, steps):
     sum_j mu_ij(x_i') S_j.  P, Q and S serve both signs, and F serves every
     input.
     """
-    x = normalize(raw, model.feature_constants, model.norm_mode)
+    x = scaled_inputs(model, raw)
     mu = _memberships(model, x)
     f = _rule_outputs(model, x)
     for i, h in enumerate(steps):
@@ -543,7 +533,7 @@ def _perturbed_outputs(model: AnfisModel, raw: np.ndarray, steps):
                 row = int(np.argmax(total < FIRING_FLOOR))
                 raise AllRulesZero(f"total firing strength underflowed at row {row}")
             y = (mu_i * (p + (xi - x[:, i])[:, None] * q)).sum(axis=1) / total
-            outputs.append(model._raw_target(y))
+            outputs.append(raw_target(model, y))
         yield outputs
 
 

@@ -5,6 +5,12 @@ fit-regression.  Every run writes a manifest (flags, seeds, input digests,
 outputs, duration, the input CSV's cleaning report) beside its outputs;
 identical flags and files reproduce byte-identical numeric outputs.
 
+argparse is the one parser.  `--config FILE`, given before the subcommand,
+reads each KEY=VALUE line as the flag --KEY=VALUE (`_` reads as `-`); the
+flags the subcommand takes go in front of the explicit ones, so an explicit
+flag wins, and the rest are skipped.  $PIPELIFE_SEED is the string default
+of --seed, parsed as the flag would be.
+
 Exit codes: 0 success, 1 runtime or domain error, 2 usage error.
 """
 
@@ -40,10 +46,6 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
-
-
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -67,20 +69,6 @@ def _write_manifest(
     path = out_dir / f"{command.replace('-', '_')}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path
-
-
-def _load_config_defaults(path):
-    """Plain-text KEY=VALUE file mirroring the command flags."""
-    defaults = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise PipeLifeError(f"bad config line (expected KEY=VALUE): {line!r}")
-        key, value = line.split("=", 1)
-        defaults[key.strip().replace("-", "_")] = value.strip()
-    return defaults
 
 
 def _num(x) -> str:
@@ -364,50 +352,93 @@ def cmd_fit_regression(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser(defaults=None) -> argparse.ArgumentParser:
-    """Construct the CLI parser; `defaults` pre-seeds flag values (config file).
+def _config_flags(path) -> dict:
+    """{flag: "--KEY=VALUE"} for the KEY=VALUE lines of a config file.
 
-    Subcommand parsers get their own namespaces, so defaults are pushed onto
-    every subparser rather than just the root.
+    `_` in a key reads as `-`, so `out_dir` and `out-dir` are both
+    `--out-dir`; a later line for the same flag replaces an earlier one.
     """
+    flags = {}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise PipeLifeError(f"bad config line (expected KEY=VALUE): {line!r}")
+        key, value = line.split("=", 1)
+        flag = "--" + key.strip().replace("_", "-")
+        flags[flag] = f"{flag}={value.strip()}"
+    return flags
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Runs the chosen subcommand's parser on the `--config` file's flags
+    that it takes, then the explicit ones, so an explicit flag wins."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name, *explicit = values
+        if namespace.config:
+            known = self.choices[name]._option_string_actions
+            config = _config_flags(namespace.config)
+            explicit = [arg for flag, arg in config.items() if flag in known] + explicit
+        super().__call__(parser, namespace, [name, *explicit], option_string)
+
+
+def _switch(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+def _seed(text: str) -> int:
+    # numpy refuses a negative seed
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; `--seed` defaults to $PIPELIFE_SEED, else 0."""
     parser = argparse.ArgumentParser(
         prog="pipelife",
         description="Remaining-useful-life prediction toolkit for water pipes.",
     )
     parser.add_argument(
-        "--config", help="plain-text KEY=VALUE file providing flag defaults"
+        "--config", help="plain-text file of KEY=VALUE lines, each read as --KEY=VALUE"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = []
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
+    seed = dict(type=_seed, default=os.environ.get(SEED_ENV_VAR, "0"),
+                help=f"default: ${SEED_ENV_VAR}, else 0")
+    # every subcommand but generate reads an inventory CSV
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("--in", dest="infile", type=_path, required=True)
+    reads.add_argument("--reference-year", type=int, default=synth.DEFAULT_REFERENCE_YEAR)
+    switch = dict(type=_switch, nargs="?", const=True, default=False, metavar="BOOL")
 
-    def add_parser(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        subparsers.append(p)
-        return p
-
-    p = add_parser("generate", help="write a calibrated synthetic dataset CSV")
+    p = sub.add_parser("generate", help="write a calibrated synthetic dataset CSV")
     p.add_argument("--n", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_generate, _required=(("out", "--out"),))
+    p.add_argument("--seed", **seed)
+    p.add_argument("--out", type=_path, required=True)
+    p.set_defaults(func=cmd_generate)
 
-    p = add_parser("stats", help="summary table and significance report")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--reference-year", type=int, default=synth.DEFAULT_REFERENCE_YEAR)
-    p.set_defaults(func=cmd_stats, _required=(("infile", "--in"),))
+    p = sub.add_parser("stats", parents=[reads], help="summary table and significance report")
+    p.add_argument("--json", **switch)
+    p.set_defaults(func=cmd_stats)
 
-    p = add_parser("train-ann", help="run the neural-network experiment suite")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("train-ann", parents=[reads],
+                       help="run the neural-network experiment suite")
+    p.add_argument("--seed", **seed)
     p.add_argument("--registry", help="JSON file with a list of model configs")
-    p.add_argument("--out-dir")
-    p.add_argument("--reference-year", type=int, default=synth.DEFAULT_REFERENCE_YEAR)
-    p.set_defaults(func=cmd_train_ann,
-                   _required=(("infile", "--in"), ("out_dir", "--out-dir")))
+    p.add_argument("--out-dir", type=_path, required=True)
+    p.set_defaults(func=cmd_train_ann)
 
-    p = add_parser("train-anfis", help="train the neuro-fuzzy model")
-    p.add_argument("--in", dest="infile")
+    p = sub.add_parser("train-anfis", parents=[reads], help="train the neuro-fuzzy model")
     p.add_argument(
         "--inputs",
         default=",".join(anfis.DEFAULT_INPUTS),
@@ -417,99 +448,31 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--learning-rate", type=float, default=0.02)
     p.add_argument("--rule-cap", type=int, default=anfis.DEFAULT_RULE_CAP)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out-dir")
-    p.add_argument("--reference-year", type=int, default=synth.DEFAULT_REFERENCE_YEAR)
-    p.set_defaults(func=cmd_train_anfis,
-                   _required=(("infile", "--in"), ("out_dir", "--out-dir")))
+    p.add_argument("--seed", **seed)
+    p.add_argument("--out-dir", type=_path, required=True)
+    p.set_defaults(func=cmd_train_anfis)
 
-    p = add_parser("predict", help="append predicted_rul to a dataset CSV")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--model", help="path to a saved model JSON")
+    p = sub.add_parser("predict", parents=[reads], help="append predicted_rul to a dataset CSV")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--model", type=_path, help="path to a saved model JSON")
     group.add_argument("--builtin", choices=regression.BUILTIN_MATERIALS)
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--out")
-    p.add_argument("--reference-year", type=int, default=synth.DEFAULT_REFERENCE_YEAR)
-    p.set_defaults(func=cmd_predict,
-                   _required=(("infile", "--in"), ("out", "--out")),
-                   _one_of=(("model", "--model"), ("builtin", "--builtin")))
+    p.add_argument("--out", type=_path, required=True)
+    p.set_defaults(func=cmd_predict)
 
-    p = add_parser("fit-regression", help="fit per-material deterioration models")
-    p.add_argument("--in", dest="infile")
+    p = sub.add_parser("fit-regression", parents=[reads],
+                       help="fit per-material deterioration models")
     p.add_argument("--degree", type=int, choices=(1, 2, 3), default=2)
-    p.add_argument("--greedy", action="store_true")
-    p.add_argument("--out-dir")
-    p.add_argument("--reference-year", type=int, default=synth.DEFAULT_REFERENCE_YEAR)
-    p.set_defaults(func=cmd_fit_regression,
-                   _required=(("infile", "--in"), ("out_dir", "--out-dir")))
-
-    if defaults:
-        parser.set_defaults(**defaults)
-        for p in subparsers:
-            known = {a.dest for a in p._actions}
-            p.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+    p.add_argument("--greedy", **switch)
+    p.add_argument("--out-dir", type=_path, required=True)
+    p.set_defaults(func=cmd_fit_regression)
     return parser
 
 
-def _coerce(value: str):
-    lowered = value.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        return value
-
-
-def _extract_config_path(argv):
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    defaults = None
-    config_path = _extract_config_path(argv)
-    if config_path:
-        try:
-            raw_defaults = _load_config_defaults(config_path)
-        except (PipeLifeError, OSError, UnicodeDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        defaults = {}
-        for key, value in raw_defaults.items():
-            defaults["infile" if key == "in" else key] = _coerce(value)
-    # config values land as parser defaults, so explicit flags win
-    parser = build_parser(defaults)
-    args = parser.parse_args(argv)
-    for dest, flag in getattr(args, "_required", ()):
-        if getattr(args, dest, None) in (None, ""):
-            parser.error(f"the following arguments are required: {flag}")
-    one_of = getattr(args, "_one_of", ())
-    if one_of:
-        supplied = [flag for dest, flag in one_of if getattr(args, dest, None)]
-        if len(supplied) != 1:
-            parser.error(
-                "exactly one of " + " / ".join(flag for _, flag in one_of) + " is required"
-            )
-    if hasattr(args, "seed") and args.seed is None:
-        args.seed = _default_seed()
-    elif hasattr(args, "seed"):
-        args.seed = int(args.seed)
     try:
+        args = build_parser().parse_args(argv)  # reads the --config file
         return args.func(args)
-    except PipeLifeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except FileNotFoundError as exc:
+    except (PipeLifeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -19,7 +19,8 @@ the one validator of those checks: `clean_table` runs it on the parsed
 columns, and `synth.generate` on what it generated.
 
 Feature scaling (min-max or z-score) is `normalize`/`denormalize`; the MLP
-and ANFIS models keep their constants and call the same pair.
+and ANFIS models keep their constants, and both scale a prediction's inputs
+with `scaled_inputs` and its output with `raw_target`.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import (
     EmptyAfterCleaning,
     EmptySplit,
     FileUnreadable,
+    InvalidConfig,
     RatioSumInvalid,
     SchemaMismatch,
     UnknownColumn,
@@ -58,6 +60,7 @@ CSV_COLUMNS = (
 REQUIRED_COLUMNS = CSV_COLUMNS[:-1]
 # the float columns of a Dataset: every CSV column but material
 NUMERIC_COLUMNS = tuple(c for c in CSV_COLUMNS if c != "material")
+NORM_MODES = ("minmax", "zscore")
 # numeric columns read as whole numbers, truncated toward zero
 _INTEGER_COLUMNS = ("age_years", "breaks", "install_year")
 
@@ -444,10 +447,34 @@ def denormalize(values, constants, mode: str) -> np.ndarray:
     return values * b + a
 
 
+def scaled_inputs(model, raw) -> np.ndarray:
+    """A model's normalized inputs for an n x d matrix of raw-unit rows;
+    DimensionMismatch unless d is the model's number of inputs."""
+    raw = np.atleast_2d(np.asarray(raw, dtype=float))
+    d = len(model.input_columns)
+    if raw.shape[1] != d:
+        raise DimensionMismatch(f"expected {d} inputs, got {raw.shape[1]}")
+    return normalize(raw, model.feature_constants, model.norm_mode)
+
+
+def raw_target(model, y: np.ndarray) -> np.ndarray:
+    """RUL years of a model's normalized outputs y.
+
+    The min-max target was scaled from [a, b]; an output outside that range
+    is an extrapolation, so it is pinned to the trained bounds.
+    """
+    y = denormalize(y[:, None], (model.target_constants,), model.norm_mode)[:, 0]
+    if model.norm_mode == "minmax":
+        return np.clip(y, *model.target_constants)
+    return y
+
+
 def check_shapes(model, n_inputs: int, **expected) -> None:
-    """Raise DimensionMismatch unless each named array of a loaded model has
-    its expected shape, with one (a, b) scaling pair per input (or none) and
-    one for the target."""
+    """Check a loaded model: InvalidConfig for an unknown norm_mode, and
+    DimensionMismatch unless each named array has its expected shape, with
+    one (a, b) scaling pair per input (or none) and one for the target."""
+    if model.norm_mode not in NORM_MODES:
+        raise InvalidConfig(f"unknown norm_mode: {model.norm_mode!r}")
     expected["target_constants"] = (2,)
     if len(model.feature_constants):
         expected["feature_constants"] = (n_inputs, 2)
@@ -541,7 +568,7 @@ def build_features(dataset: Dataset, columns: Iterable[str], mode: str = "minmax
     columns = tuple(columns)
     if len(dataset) == 0:
         raise EmptyAfterCleaning("dataset is empty")
-    if mode not in ("minmax", "zscore"):
+    if mode not in NORM_MODES:
         raise ValueError(f"unknown normalization mode: {mode!r}")
     values = dataset.matrix(columns)  # raises UnknownColumn
     constants = []

@@ -24,8 +24,9 @@ best-epoch snapshot, so it ends where training it alone ends, up to the
 order of floating-point sums.  `train` is the one-config case, and
 `loss_and_gradient` is the K = 1 view of the same gradient kernel.
 
-A model keeps the scaling constants of its inputs and target and scales with
-`data.normalize`/`data.denormalize`, as ANFIS does.
+A model keeps the scaling constants of its inputs and target, and
+`predict_batch` scales with `data.scaled_inputs` and `data.raw_target`, as
+ANFIS does.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import Dataset, FeatureMatrix, Split, build_features, split_dataset
-from .data import TARGET_COLUMN, check_shapes, denormalize, normalize
+from .data import TARGET_COLUMN, check_shapes, raw_target, scaled_inputs
 from .errors import (
     ConstantSeries,
     DimensionMismatch,
@@ -163,18 +164,7 @@ class MlpModel:
     def predict_batch(self, raw: np.ndarray) -> np.ndarray:
         """RUL years for an n x d matrix of raw-unit inputs, clamped to the
         trained target range under min-max normalization."""
-        raw = np.atleast_2d(np.asarray(raw, dtype=float))
-        if raw.shape[1] != self.w1.shape[0]:
-            raise DimensionMismatch(
-                f"expected {self.w1.shape[0]} inputs, got {raw.shape[1]}"
-            )
-        y = forward(self, normalize(raw, self.feature_constants, self.norm_mode))
-        y = denormalize(y[:, None], (self.target_constants,), self.norm_mode)[:, 0]
-        if self.norm_mode == "minmax":
-            # the target was scaled from [a, b]; predictions outside that
-            # range are extrapolations, so pin them to the trained bounds
-            return np.clip(y, *self.target_constants)
-        return y
+        return raw_target(self, forward(self, scaled_inputs(self, raw)))
 
     def predict_dataset(self, dataset: Dataset) -> np.ndarray:
         return self.predict_batch(dataset.matrix(self.input_columns))
@@ -199,12 +189,15 @@ class MlpModel:
 
     @classmethod
     def from_json(cls, text: str) -> "MlpModel":
-        """Load a model document; wrong array shapes raise DimensionMismatch."""
+        """Load a model document; an invalid config or norm_mode raises
+        InvalidConfig and wrong array shapes raise DimensionMismatch."""
         payload = json.loads(text)
         if payload.get("format") != "pipelife-mlp-v1":
             raise InvalidConfig(f"not an MLP model document: {payload.get('format')!r}")
+        config = MlpConfig.from_dict(payload["config"])
+        config.validate()
         model = cls(
-            config=MlpConfig.from_dict(payload["config"]),
+            config=config,
             w1=np.array(payload["w1"], dtype=float),
             b1=np.array(payload["b1"], dtype=float),
             w2=np.array(payload["w2"], dtype=float),
@@ -502,7 +495,6 @@ def run_experiment_suite(
     dataset: Dataset,
     registry: Sequence[MlpConfig] = (),
     split_seed: int = 0,
-    ratios=DEFAULT_SPLIT_RATIOS,
 ) -> ExperimentResult:
     """Train every registry entry on one shared split and rank the models.
 
@@ -513,7 +505,7 @@ def run_experiment_suite(
     if not dataset.has_rul():
         raise EmptySplit("experiment suite requires rul targets")
     registry = tuple(registry) or default_registry(split_seed)
-    labeled = split_dataset(dataset, ratios, split_seed)
+    labeled = split_dataset(dataset, DEFAULT_SPLIT_RATIOS, split_seed)
     inputs = tuple(dict.fromkeys(c for config in registry for c in config.input_columns))
     features = build_features(labeled, inputs + (TARGET_COLUMN,))
     actual = features.raw_column(TARGET_COLUMN)

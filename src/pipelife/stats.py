@@ -276,7 +276,7 @@ def t_test_two_sample(a, b, equal_var: bool = False) -> TTestResult:
 # ---------------------------------------------------------------------------
 
 SIGNIFICANCE_ALPHA = 0.05
-DEFAULT_ANOVA_BINS = 4  # quartile bins for continuous features
+ANOVA_BINS = 4  # quartile bins for continuous features
 
 
 @dataclass(frozen=True)
@@ -335,22 +335,21 @@ class SignificanceReport:
         return "\n".join(lines)
 
 
-def _quantile_groups(feature: np.ndarray, target: np.ndarray, bins: int):
-    """Split target values by quantile bins of the feature."""
-    edges = np.unique(np.quantile(feature, np.linspace(0, 1, bins + 1)[1:-1]))
+def _quantile_groups(feature: np.ndarray, target: np.ndarray):
+    """Split target values by ANOVA_BINS quantile bins of the feature."""
+    edges = np.unique(np.quantile(feature, np.linspace(0, 1, ANOVA_BINS + 1)[1:-1]))
     assignment = np.searchsorted(edges, feature, side="right")
     groups = [target[assignment == g] for g in range(len(edges) + 1)]
     return [g for g in groups if g.size >= 2]
 
 
-def significance_report(
-    dataset: Dataset, bins: int = DEFAULT_ANOVA_BINS, alpha: float = SIGNIFICANCE_ALPHA
-) -> SignificanceReport:
+def significance_report(dataset: Dataset) -> SignificanceReport:
     """Screen every input feature against the RUL target.
 
     Per feature: Pearson correlation with RUL, one-way ANOVA of RUL over
-    quantile bins of the feature, and a t-test of RUL between the below- and
-    above-median halves.  significant <=> anova_p < alpha.
+    ANOVA_BINS quantile bins of the feature, and a t-test of RUL between the
+    below- and above-median halves.  significant <=> anova_p <
+    SIGNIFICANCE_ALPHA.
     """
     if not dataset.has_rul():
         raise EmptySeries("significance report requires rul targets")
@@ -364,7 +363,7 @@ def significance_report(
         except ConstantSeries:
             r = None
             note = "constant feature"
-        groups = _quantile_groups(feature, target, bins)
+        groups = _quantile_groups(feature, target)
         if len(groups) >= 2:
             try:
                 f_value, p_value = anova_one_way(groups)
@@ -391,8 +390,8 @@ def significance_report(
                 anova_p=p_value,
                 t_stat=t_stat,
                 t_p=t_p,
-                significant=p_value < alpha,
+                significant=p_value < SIGNIFICANCE_ALPHA,
                 note=note,
             )
         )
-    return SignificanceReport(tuple(results), alpha)
+    return SignificanceReport(tuple(results), SIGNIFICANCE_ALPHA)

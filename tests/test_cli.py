@@ -1,8 +1,15 @@
 import csv
+import io
 import json
+import string
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pipelife import mlp
 from pipelife.cli import main
@@ -601,3 +608,110 @@ def test_config_file_that_is_not_utf8_is_runtime_error(small_csv, tmp_path, caps
     config.write_bytes(f"in={small_csv}\n# caf\xe9\n".encode("latin-1"))
     assert run(["--config", str(config), "stats"]) == 1
     assert_one_error_line(capsys, "0xe9")
+
+
+@pytest.fixture(scope="module")
+def mlp_doc():
+    model = mlp.init(mlp.MlpConfig(hidden_neurons=3))
+    model.feature_constants = ((0.0, 1.0),) * len(model.input_columns)
+    model.target_constants = (0.0, 100.0)
+    return model.to_json()
+
+
+@pytest.mark.parametrize("doc_name, edit", [
+    ("mlp_doc", lambda payload: payload["config"].update(activation="relu")),
+    ("mlp_doc", lambda payload: payload.update(norm_mode="bogus")),
+    ("anfis_doc", lambda payload: payload.update(norm_mode="bogus")),
+], ids=["mlp_activation", "mlp_norm_mode", "anfis_norm_mode"])
+def test_predict_rejects_an_invalid_model_document(small_csv, tmp_path, capsys, request,
+                                                   doc_name, edit):
+    payload = json.loads(request.getfixturevalue(doc_name))
+    edit(payload)
+    doc = tmp_path / "model.json"
+    doc.write_text(json.dumps(payload))
+    out = tmp_path / "o.csv"
+    assert run(["predict", "--model", str(doc), "--in", str(small_csv), "--out", str(out)]) == 1
+    assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "tiny.csv"
+    assert run(["generate", "--n", "40", "--seed", "3", "--out", str(path)]) == 0
+    return str(path)
+
+
+# subcommand: (its flags, the KEY=VALUE settings every run gives it, None
+# standing for the input file); outputs are written relative to the working
+# directory
+CONFIGURABLE = {
+    "generate": ({"--n", "--seed", "--out"}, {"n": "30", "out": "gen.csv"}),
+    "stats": ({"--in", "--json", "--reference-year"}, {"in": None}),
+    "fit-regression": ({"--in", "--degree", "--greedy", "--out-dir", "--reference-year"},
+                       {"in": None, "out_dir": "reg"}),
+    "predict": ({"--in", "--model", "--builtin", "--out", "--reference-year"},
+                {"in": None, "builtin": "CI", "out": "pred.csv"}),
+    "train-anfis": ({"--in", "--inputs", "--mfs", "--epochs", "--out-dir"},
+                    {"in": None, "inputs": "age_years,wall_thickness_loss_pct",
+                     "epochs": "0", "out_dir": "anfis"}),
+}
+KEYS = ["n", "seed", "out", "in", "json", "reference_year", "reference-year", "degree",
+        "greedy", "out_dir", "out-dir", "model", "builtin", "mfs", "inputs", "bogus"]
+VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats(-5, 50).map(repr),
+    st.sampled_from(["", "true", "false", "TRUE", "yes", "XX", "CI", "Steel", "2024", "2.5"]),
+    st.text(string.ascii_letters + string.digits + "-_,", min_size=1, max_size=6),
+)
+
+
+def _outcome(argv, cwd):
+    """(exit code, stdout, stderr, {file: content}) of main(argv) run in cwd."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(stdout), redirect_stderr(stderr):
+        mp.chdir(cwd)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    files = {}
+    for path in sorted(Path(cwd).rglob("*")):
+        if path.is_file():
+            content = path.read_bytes()
+            if path.name.endswith("_manifest.json"):
+                content = json.loads(content)
+                del content["duration_seconds"]
+            files[str(path.relative_to(cwd))] = content
+    return code, stdout.getvalue(), stderr.getvalue(), files
+
+
+@settings(deadline=None, max_examples=60)
+@given(command=st.sampled_from(["generate", "stats", "fit-regression", "predict"]),
+       key=st.sampled_from(KEYS), value=VALUES,
+       env_seed=st.sampled_from([None, "7", "-2", "", "abc", "1.5"]))
+@example(command="generate", key="out", value="2024", env_seed=None)
+@example(command="fit-regression", key="degree", value="4", env_seed=None)
+@example(command="generate", key="seed", value="5", env_seed="abc")
+@example(command="generate", key="n", value="20", env_seed="abc")
+@example(command="train-anfis", key="mfs", value="2.5", env_seed=None)
+@example(command="predict", key="builtin", value="XX", env_seed=None)
+@example(command="stats", key="json", value="yes", env_seed=None)
+def test_a_config_line_behaves_like_its_flag(tiny_csv, command, key, value, env_seed):
+    flags, base = CONFIGURABLE[command]
+    lines = {k: tiny_csv if v is None else v for k, v in base.items()}
+    flag = "--" + key.replace("_", "-")
+    explicit = [f"--{k.replace('_', '-')}={v}" for k, v in lines.items()]
+    explicit += [f"{flag}={value}"] if flag in flags else []
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+        if env_seed is None:
+            mp.delenv("PIPELIFE_SEED", raising=False)
+        else:
+            mp.setenv("PIPELIFE_SEED", env_seed)
+        config = Path(root) / "run.conf"
+        config.write_text("".join(f"{k}={v}\n" for k, v in lines.items()) + f"{key}={value}\n")
+        via_config, via_flags = Path(root) / "config", Path(root) / "flags"
+        via_config.mkdir()
+        via_flags.mkdir()
+        assert (_outcome(["--config", str(config), command], via_config)
+                == _outcome([command] + explicit, via_flags))
