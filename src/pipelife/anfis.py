@@ -64,6 +64,7 @@ DEFAULT_RULE_CAP = 256
 SIGMA_FLOOR = 1e-4
 FIRING_FLOOR = 1e-300
 SENSITIVITY_STEP = 0.01  # central-difference step, as a fraction of the input's range
+CONTOUR_GRID_SIZE = 25    # contour points along each of its two inputs
 
 
 @dataclass
@@ -111,7 +112,7 @@ class AnfisModel:
 
     # -- serialization ----------------------------------------------------------
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         return json.dumps(
             {
                 "format": "pipelife-anfis-v1",
@@ -126,7 +127,7 @@ class AnfisModel:
                 "trained": self.trained,
                 "lse_degenerate": self.lse_degenerate,
             },
-            indent=indent,
+            indent=2,
         )
 
     @classmethod
@@ -178,11 +179,13 @@ def init_grid(
 
     Centers are equally spaced across each normalized column's [min, max];
     every width starts at spacing / sqrt(2).  Consequents start at zero.
-    An input named twice raises InvalidConfig.
+    An input named twice, or the target as an input, raises InvalidConfig.
     """
     inputs = tuple(inputs)
     if len(set(inputs)) != len(inputs):
         raise InvalidConfig(f"inputs repeat a column: {inputs}")
+    if TARGET_COLUMN in inputs:
+        raise InvalidConfig(f"the target {TARGET_COLUMN} cannot be an input")
     d = len(inputs)
     m = int(mfs_per_input)
     if m < 2:
@@ -458,15 +461,15 @@ def hybrid_train(
 # sensitivity analysis
 # ---------------------------------------------------------------------------
 
-def sensitivity_ranking(model, features: FeatureMatrix, per_range: bool = True):
+def sensitivity_ranking(model, features: FeatureMatrix):
     """Rank inputs by the mean absolute output slope over the data rows.
 
     The slope of input i is the central difference of the model output with
     step h = SENSITIVITY_STEP of that input's observed raw range, all other
-    inputs held at each row's observed values.  By default slopes are taken with
-    respect to the range-normalized coordinate (raw slope times the input's
-    range) so features measured in feet, inches and years rank on a common
-    scale; pass per_range=False for raw-unit slopes.  An AnfisModel is
+    inputs held at each row's observed values.  Slopes are taken with respect
+    to the range-normalized coordinate (raw slope times the input's range), so
+    features measured in feet, inches and years rank on a common scale; an
+    input with a zero range keeps its raw slope.  An AnfisModel is
     evaluated in one pass of sums shared by each input's two perturbations
     (`_perturbed_outputs`); any other model exposing input_columns and
     predict_batch gets two predict_batch calls per input.  Returns
@@ -489,7 +492,7 @@ def sensitivity_ranking(model, features: FeatureMatrix, per_range: bool = True):
     slopes = []
     for name, span, h, (hi, lo) in zip(columns, spans, steps, pairs):
         slope = np.abs(hi - lo) / (2.0 * h)
-        scale = float(span) if per_range and span > 0 else 1.0
+        scale = float(span) if span > 0 else 1.0
         slopes.append((name, float(slope.mean()) * scale))
     slopes.sort(key=lambda item: item[1], reverse=True)
     return slopes
@@ -542,11 +545,12 @@ def contour_grid(
     features: FeatureMatrix,
     x_input: str,
     y_input: str,
-    grid_size: int = 25,
 ):
     """Surface data (x1, x2, y) over two inputs, others held at their medians.
 
-    Rows run over y for each x in turn; the whole grid is one predict_batch.
+    Each input takes CONTOUR_GRID_SIZE evenly spaced values across its
+    observed range.  Rows run over y for each x in turn; the whole grid is
+    one predict_batch.
     """
     columns = tuple(model.input_columns)
     if x_input not in columns or y_input not in columns:
@@ -557,10 +561,11 @@ def contour_grid(
     medians = np.median(raw, axis=0)
     xi = columns.index(x_input)
     yi = columns.index(y_input)
-    xs = np.linspace(raw[:, xi].min(), raw[:, xi].max(), grid_size)
-    ys = np.linspace(raw[:, yi].min(), raw[:, yi].max(), grid_size)
-    grid_x, grid_y = np.repeat(xs, grid_size), np.tile(ys, grid_size)
-    batch = np.tile(medians, (grid_size * grid_size, 1))
+    size = CONTOUR_GRID_SIZE
+    xs = np.linspace(raw[:, xi].min(), raw[:, xi].max(), size)
+    ys = np.linspace(raw[:, yi].min(), raw[:, yi].max(), size)
+    grid_x, grid_y = np.repeat(xs, size), np.tile(ys, size)
+    batch = np.tile(medians, (size * size, 1))
     batch[:, xi] = grid_x
     batch[:, yi] = grid_y
     out = model.predict_batch(batch)

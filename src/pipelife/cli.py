@@ -28,6 +28,7 @@ from pathlib import Path
 from . import anfis, mlp, regression, stats, synth
 from .data import (
     MATERIALS,
+    SPLITS,
     Split,
     build_features,
     clean_table,
@@ -155,15 +156,15 @@ def cmd_train_ann(args) -> int:
     model_path = out_dir / "ann_best_model.json"
     model_path.write_text(result.best.model.to_json() + "\n", encoding="utf-8")
 
-    labeled, predicted = result.labeled, result.best.predicted
-    actual = labeled.column("rul_years")
-    test_rows = [i for i, s in enumerate(labeled.split) if s == Split.TEST]
-    slope, intercept, r2 = mlp.scatter_fit(predicted[test_rows], actual[test_rows])
+    test_rows = result.labeled.rows_for(Split.TEST)
+    actual = result.labeled.column("rul_years")[test_rows]
+    predicted = result.best.predicted[test_rows]
+    slope, intercept, r2 = mlp.scatter_fit(predicted, actual)
     scatter_path = out_dir / "ann_scatter.csv"
     _write_rows_csv(
         scatter_path,
         ("actual_rul", "predicted_rul"),
-        [(_num(actual[i]), _num(predicted[i])) for i in test_rows],
+        zip(map(_num, actual), map(_num, predicted)),
     )
     fit_path = out_dir / "ann_scatter_fit.json"
     fit_path.write_text(
@@ -185,7 +186,7 @@ def cmd_train_ann(args) -> int:
     header = f"{'phase':<12}{'MAE':>10}{'RRSE':>10}{'MAPE':>10}{'RAE':>10}{'R2':>10}"
     print(header)
     print("-" * len(header))
-    for label in (Split.TRAIN, Split.VALIDATION, Split.TEST):
+    for label in SPLITS:
         rep = result.best.phase(label)
         print(f"{label.value:<12}{rep.mae:>10.3f}{rep.rrse:>10.3f}"
               f"{rep.mape:>10.3f}{rep.rae:>10.3f}{rep.r2:>10.4f}")

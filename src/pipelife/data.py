@@ -18,6 +18,11 @@ number does not), else its first failing check.  `first_failing_column` is
 the one validator of those checks: `clean_table` runs it on the parsed
 columns, and `synth.generate` on what it generated.
 
+`split_dataset` labels each row Train, Validation or Test.  The labels are
+stored as materials are: `split` is one read-only int8 array of codes, each
+an index into `SPLITS = tuple(Split)`, and `rows_for(label)` gives the
+ascending row indices of one label.
+
 Feature scaling (min-max or z-score) is `normalize`/`denormalize`; the MLP
 and ANFIS models keep their constants, and both scale a prediction's inputs
 with `scaled_inputs` and its output with `raw_target`.
@@ -137,6 +142,21 @@ class Split(Enum):
     TEST = "test"
 
 
+SPLITS = tuple(Split)  # a split label's code is its index here
+
+
+def _split_codes(split, n: int) -> Optional[np.ndarray]:
+    """A read-only int8 copy of the split codes, DimensionMismatch unless
+    there is one per row; None (no split) stays None."""
+    if split is None:
+        return None
+    codes = np.array(split, dtype=np.int8)
+    if codes.shape != (n,):
+        raise DimensionMismatch(f"split of shape {codes.shape} beside {n} rows")
+    codes.setflags(write=False)
+    return codes
+
+
 def first_failing_column(numeric: Mapping[str, np.ndarray], reference_year: int) -> np.ndarray:
     """Each row's first failing column, '' when the row is valid.
 
@@ -196,14 +216,15 @@ class Dataset:
 
     `numeric` maps each of NUMERIC_COLUMNS to a float array, rul_years NaN
     where absent; `materials` holds each row's material code, its index in
-    MATERIALS.  Both are copied into read-only arrays on construction, so a
-    Dataset is immutable and safe to share across workers.
+    MATERIALS, and `split` (None before `split_dataset`) each row's split
+    code, its index in SPLITS.  All are copied into read-only arrays on
+    construction, so a Dataset is immutable and safe to share across workers.
     """
 
     numeric: Mapping[str, np.ndarray]
     materials: np.ndarray
     reference_year: int
-    split: Optional[tuple] = None  # per-row Split labels, same length
+    split: Optional[np.ndarray] = None
 
     def __post_init__(self):
         numeric = {name: np.array(self.numeric[name], dtype=float) for name in NUMERIC_COLUMNS}
@@ -215,9 +236,17 @@ class Dataset:
             values.setflags(write=False)
         object.__setattr__(self, "numeric", numeric)
         object.__setattr__(self, "materials", materials)
+        object.__setattr__(self, "split", _split_codes(self.split, len(materials)))
 
     def __len__(self) -> int:
         return len(self.materials)
+
+    def rows_for(self, label: Split) -> np.ndarray:
+        """Ascending indices of the rows labelled `label`; FeatureMatrix
+        reads its split through this same function."""
+        if self.split is None:
+            raise ValueError("no split labels")
+        return np.flatnonzero(self.split == SPLITS.index(label))
 
     def has_rul(self) -> bool:
         return not np.isnan(self.numeric[TARGET_COLUMN]).any()
@@ -398,17 +427,13 @@ def split_dataset(dataset: Dataset, ratios, seed: int) -> Dataset:
         raise RatioSumInvalid(f"ratios must sum to 1, got {ratios}")
     n = len(dataset)
     counts = [int(np.floor(r * n)) for r in (train_r, val_r, test_r)]
-    remainder = n - sum(counts)
-    for i in range(remainder):
+    for i in range(n - sum(counts)):
         counts[i % 3] += 1
     order = np.random.default_rng(seed).permutation(n)
-    labels = [None] * n
-    cursor = 0
-    for label, count in zip((Split.TRAIN, Split.VALIDATION, Split.TEST), counts):
-        for idx in order[cursor:cursor + count]:
-            labels[idx] = label
-        cursor += count
-    return replace(dataset, split=tuple(labels))
+    # the first counts[0] rows of the shuffled order train, and so on
+    codes = np.empty(n, dtype=np.int8)
+    codes[order] = np.repeat(np.arange(len(SPLITS)), counts)
+    return replace(dataset, split=codes)
 
 
 def _constant_pairs(constants, n_columns: int):
@@ -497,10 +522,11 @@ class FeatureMatrix:
     column_names: tuple
     mode: str                     # "minmax" | "zscore"
     constants: tuple              # per column: (min, max) or (mean, std)
-    split: Optional[tuple] = None
+    split: Optional[np.ndarray] = None  # per-row codes into SPLITS, as in Dataset
 
     def __post_init__(self):
         self.values.setflags(write=False)
+        object.__setattr__(self, "split", _split_codes(self.split, self.n))
 
     @property
     def n(self) -> int:
@@ -537,10 +563,7 @@ class FeatureMatrix:
         constants = self.column_constants((name,))
         return denormalize(np.asarray(values)[..., None], constants, self.mode)[..., 0]
 
-    def rows_for(self, label: Split) -> np.ndarray:
-        if self.split is None:
-            raise ValueError("feature matrix carries no split labels")
-        return np.array([i for i, s in enumerate(self.split) if s == label], dtype=int)
+    rows_for = Dataset.rows_for
 
     def split_arrays(self, input_columns: Sequence[str]) -> tuple:
         """Normalized (x_train, y_train, x_val, y_val) for training on rul_years.

@@ -15,7 +15,6 @@ synthetic RUL targets can legitimately sit at zero.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -53,9 +52,6 @@ class MetricsReport:
             "n": self.n,
             "mape_skipped": self.mape_skipped,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def evaluate(predicted, actual) -> MetricsReport:

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, FeatureMatrix, Split, build_features, split_dataset
+from .data import SPLITS, Dataset, FeatureMatrix, Split, build_features, split_dataset
 from .data import TARGET_COLUMN, check_shapes, raw_target, scaled_inputs
 from .errors import (
     ConstantSeries,
@@ -88,6 +88,8 @@ class MlpConfig:
             raise InvalidConfig("input_columns must be non-empty")
         if len(set(self.input_columns)) != len(self.input_columns):
             raise InvalidConfig(f"input_columns repeat a column: {self.input_columns}")
+        if TARGET_COLUMN in self.input_columns:
+            raise InvalidConfig(f"the target {TARGET_COLUMN} cannot be an input")
 
     def to_dict(self) -> dict:
         return {
@@ -104,13 +106,14 @@ class MlpConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MlpConfig":
+        batch_size = payload.get("batch_size", 16)
         return cls(
             input_columns=tuple(payload["input_columns"]),
             hidden_neurons=int(payload["hidden_neurons"]),
             activation=payload.get("activation", "sigmoid"),
             learning_rate=float(payload.get("learning_rate", 0.2)),
             epochs=int(payload.get("epochs", DEFAULT_EPOCHS)),
-            batch_size=payload.get("batch_size", 16),
+            batch_size=None if batch_size is None else int(batch_size),
             restarts=int(payload.get("restarts", 1)),
             seed=int(payload.get("seed", 0)),
             name=payload.get("name", ""),
@@ -171,7 +174,7 @@ class MlpModel:
 
     # -- serialization --------------------------------------------------------
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         return json.dumps(
             {
                 "format": "pipelife-mlp-v1",
@@ -184,7 +187,7 @@ class MlpModel:
                 "target_constants": list(self.target_constants),
                 "norm_mode": self.norm_mode,
             },
-            indent=indent,
+            indent=2,
         )
 
     @classmethod
@@ -476,14 +479,13 @@ class ExperimentRow:
 class ExperimentResult:
     rows: list
     best: ExperimentRow
-    split_seed: int
     labeled: Dataset  # the dataset with the shared split labels
 
     def table(self) -> list:
         """Rows of (model, phase, mae, rrse, mape, rae, r2) for CSV export."""
         out = []
         for row in self.rows:
-            for label in (Split.TRAIN, Split.VALIDATION, Split.TEST):
+            for label in SPLITS:
                 rep = row.phase(label)
                 out.append(
                     (row.name, label.value, rep.mae, rep.rrse, rep.mape, rep.rae, rep.r2)
@@ -509,8 +511,7 @@ def run_experiment_suite(
     inputs = tuple(dict.fromkeys(c for config in registry for c in config.input_columns))
     features = build_features(labeled, inputs + (TARGET_COLUMN,))
     actual = features.raw_column(TARGET_COLUMN)
-    phases = [(label, features.rows_for(label))
-              for label in (Split.TRAIN, Split.VALIDATION, Split.TEST)]
+    phases = [(label, features.rows_for(label)) for label in SPLITS]
     rows = []
     for config, (model, history) in zip(registry, train_registry(registry, features)):
         predicted = model.predict_batch(features.raw_matrix(config.input_columns))
@@ -520,7 +521,7 @@ def run_experiment_suite(
     best = min(
         rows, key=lambda r: (r.phase(Split.TEST).mape, r.phase(Split.TEST).mae)
     )
-    return ExperimentResult(rows=rows, best=best, split_seed=split_seed, labeled=labeled)
+    return ExperimentResult(rows=rows, best=best, labeled=labeled)
 
 
 def scatter_fit(predicted, actual):

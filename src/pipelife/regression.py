@@ -50,8 +50,8 @@ class DeteriorationModel:
             "degenerate": self.degenerate,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps({"format": "pipelife-deterioration-v1", **self.to_dict()}, indent=indent)
+    def to_json(self) -> str:
+        return json.dumps({"format": "pipelife-deterioration-v1", **self.to_dict()}, indent=2)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DeteriorationModel":

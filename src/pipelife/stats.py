@@ -314,10 +314,10 @@ class SignificanceReport:
                 return f
         raise KeyError(name)
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         return json.dumps(
             {"alpha": self.alpha, "features": [f.to_dict() for f in self.features]},
-            indent=indent,
+            indent=2,
         )
 
     def render(self) -> str:

@@ -10,8 +10,8 @@ dataset mean.
 Construction per record (all draws from one seeded generator, fixed order):
 
     age          ~ truncated normal mixture, integers in [1, 124]
-    install_year = reference_year - age
-    material     ~ configured mix (cast iron dominant)
+    install_year = DEFAULT_REFERENCE_YEAR - age
+    material     ~ MATERIAL_MIX (cast iron dominant)
     wall loss    = slope * age * impact(ea) + base + ea_gain * ea + noise,
                    clipped to [1, 59]; impact(ea) = 0.6 + 0.4 * ea / 8.35
     breaks       ~ Poisson(rate * age * ea / 8.35), capped at 95
@@ -25,16 +25,14 @@ put the RUL spread (std 20.46) far below the age spread (std 30.31), which
 no unit-slope age term can reproduce, and a unit slope would park a quarter
 of all records on the RUL floor.  Most of the age effect therefore flows
 through wall thickness loss, leaving an observable age->RUL slope near 0.74
-per year.  The anticipated-service-life constants and beta are calibration
-constants chosen to land the published moment targets under this
-construction; they are not field data.
+per year.  The anticipated-service-life constants (ASL_BY_MATERIAL) and beta
+(RUL_WTL_BETA) are calibration constants chosen to land the published moment
+targets under this construction; they are not field data.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +74,7 @@ LENGTH_CLIP = (20.5, 36161.4)
 
 RUL_CLIP = (3.0, 90.0)
 
-DEFAULT_MATERIAL_MIX = {
+MATERIAL_MIX = {
     Material.CAST_IRON: 0.46,
     Material.ASBESTOS: 0.30,
     Material.DUCTILE_IRON: 0.14,
@@ -85,14 +83,14 @@ DEFAULT_MATERIAL_MIX = {
 
 # calibration constants, not field data: chosen so clipped RUL lands on the
 # target mean with beta fixed by the half-life-at-the-mean requirement
-DEFAULT_ASL = {
+ASL_BY_MATERIAL = {
     Material.CAST_IRON: 110.0,
     Material.ASBESTOS: 107.0,
     Material.DUCTILE_IRON: 110.0,
     Material.STEEL: 107.0,
 }
-DEFAULT_WTL_BETA = 2.0
-DEFAULT_RUL_NOISE_SD = 0.75
+RUL_WTL_BETA = 2.0
+RUL_NOISE_SD = 0.75
 
 # published inventory moments used as calibration targets:
 # column -> (min, max, mean, std, mode)
@@ -112,40 +110,10 @@ INVENTORY_TARGETS = {
 class GeneratorConfig:
     n: int = 5000
     seed: int = 0
-    material_mix: Dict[Material, float] = field(
-        default_factory=lambda: dict(DEFAULT_MATERIAL_MIX)
-    )
-    noise_sd: float = DEFAULT_RUL_NOISE_SD
-    asl_by_material: Dict[Material, float] = field(
-        default_factory=lambda: dict(DEFAULT_ASL)
-    )
-    wtl_beta: float = DEFAULT_WTL_BETA
-    reference_year: int = DEFAULT_REFERENCE_YEAR
 
     def validate(self) -> None:
         if self.n < 1:
             raise InvalidConfig(f"n must be >= 1, got {self.n}")
-        if self.noise_sd < 0:
-            raise InvalidConfig(f"noise_sd must be >= 0, got {self.noise_sd}")
-        total = sum(self.material_mix.values())
-        if abs(total - 1.0) > 1e-9:
-            raise InvalidConfig(f"material fractions sum to {total}, expected 1")
-        if any(f < 0 for f in self.material_mix.values()):
-            raise InvalidConfig("material fractions must be non-negative")
-        for mat in self.material_mix:
-            if mat not in self.asl_by_material:
-                raise InvalidConfig(f"no anticipated service life for {mat.value}")
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "material_mix": {m.value: f for m, f in self.material_mix.items()},
-            "noise_sd": self.noise_sd,
-            "asl_by_material": {m.value: a for m, a in self.asl_by_material.items()},
-            "wtl_beta": self.wtl_beta,
-            "reference_year": self.reference_year,
-        }
 
 
 def _sample_ages(rng, n) -> np.ndarray:
@@ -176,10 +144,10 @@ def generate(config: GeneratorConfig = GeneratorConfig()) -> Dataset:
     n = config.n
 
     age = _sample_ages(rng, n)
-    install_year = config.reference_year - age
+    install_year = DEFAULT_REFERENCE_YEAR - age
 
-    mats = list(config.material_mix)
-    probs = np.array([config.material_mix[m] for m in mats])
+    mats = list(MATERIAL_MIX)
+    probs = np.array([MATERIAL_MIX[m] for m in mats])
     mat_idx = rng.choice(len(mats), size=n, p=probs / probs.sum())
     ea = np.array([m.ea_value for m in mats])[mat_idx]
 
@@ -200,12 +168,12 @@ def generate(config: GeneratorConfig = GeneratorConfig()) -> Dataset:
     length = np.exp(rng.normal(LENGTH_LOG_MU, LENGTH_LOG_SIGMA, size=n))
     length = np.round(np.clip(length, *LENGTH_CLIP), 1)
 
-    asl = np.array([config.asl_by_material[m] for m in mats])[mat_idx]
+    asl = np.array([ASL_BY_MATERIAL[m] for m in mats])[mat_idx]
     rul = (
         asl
         - RUL_AGE_COEF * age
-        - config.wtl_beta * wtl
-        + rng.normal(0.0, config.noise_sd, size=n)
+        - RUL_WTL_BETA * wtl
+        + rng.normal(0.0, RUL_NOISE_SD, size=n)
     )
     rul = np.round(np.clip(rul, *RUL_CLIP), 2)
 
@@ -213,9 +181,9 @@ def generate(config: GeneratorConfig = GeneratorConfig()) -> Dataset:
         {"age_years": age, "diameter_in": diameter, "length_ft": length, "breaks": breaks,
          "install_year": install_year, "wall_thickness_loss_pct": wtl, "rul_years": rul},
         np.array([MATERIALS.index(m) for m in mats])[mat_idx],
-        config.reference_year,
+        DEFAULT_REFERENCE_YEAR,
     )
-    failing = first_failing_column(dataset.numeric, config.reference_year)
+    failing = first_failing_column(dataset.numeric, DEFAULT_REFERENCE_YEAR)
     if (failing != "").any():
         raise ValueError(f"generated rows fail validation: {sorted(set(failing) - {''})}")
     return dataset
@@ -241,9 +209,6 @@ class MomentReport:
                 entry["std_deviation_pct"] = _pct(stats.std, t_std)
             out[name] = entry
         return out
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def render(self) -> str:
         header = (

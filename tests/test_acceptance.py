@@ -14,7 +14,9 @@ import pytest
 
 from pipelife import anfis, mlp, regression, stats, synth
 from pipelife.cli import main as cli_main
-from pipelife.data import MATERIALS, FeatureMatrix, Material, Split, build_features, split_dataset
+from pipelife.data import (
+    MATERIALS, SPLITS, FeatureMatrix, Material, Split, build_features, split_dataset,
+)
 from pipelife.metrics import evaluate
 
 DEFAULT_SEED = 0
@@ -140,7 +142,7 @@ def test_criterion_04_ann_synthetic_performance(default_dataset):
         labeled = split_dataset(default_dataset, mlp.DEFAULT_SPLIT_RATIOS, DEFAULT_SEED)
         actual = labeled.column("rul_years")
         predicted = best.model.predict_dataset(labeled)
-        idx = [i for i, s in enumerate(labeled.split) if s == Split.TEST]
+        idx = labeled.rows_for(Split.TEST)
         slope, _, _ = mlp.scatter_fit(predicted[idx], actual[idx])
         assert 0.8 <= slope <= 1.1, slope
 
@@ -184,9 +186,8 @@ def test_criterion_05_anfis_structural_invariants():
         # LSE-only training RMSE is monotone non-increasing
         x = np.linspace(0, 1, 60)
         y = 0.5 + 0.4 * np.sin(2 * np.pi * x)
-        labels = tuple(
-            Split.VALIDATION if i % 5 == 0 else Split.TRAIN for i in range(60)
-        )
+        labels = np.full(60, SPLITS.index(Split.TRAIN))
+        labels[::5] = SPLITS.index(Split.VALIDATION)
         fm = FeatureMatrix(
             np.column_stack([x, y]), ("x", "rul_years"), "minmax",
             ((0.0, 1.0), (float(y.min()), float(y.max()))), labels,
@@ -200,9 +201,8 @@ def test_criterion_06_anfis_learning():
     with criterion(6, "ANFIS toy RMSE < 0.05 and premise gradients exact", 60):
         x = np.linspace(0, 1, 50)
         y = 0.5 + 0.4 * np.sin(2 * np.pi * x)
-        labels = tuple(
-            Split.VALIDATION if i % 5 == 0 else Split.TRAIN for i in range(50)
-        )
+        labels = np.full(50, SPLITS.index(Split.TRAIN))
+        labels[::5] = SPLITS.index(Split.VALIDATION)
         fm = FeatureMatrix(
             np.column_stack([x, y]), ("x", "rul_years"), "minmax",
             ((0.0, 1.0), (float(y.min()), float(y.max()))), labels,

@@ -21,7 +21,7 @@ from pipelife.anfis import (
     _premise_step,
     _rmse,
 )
-from pipelife.data import FeatureMatrix, Split, build_features, split_dataset
+from pipelife.data import SPLITS, FeatureMatrix, Split, build_features, split_dataset
 from pipelife.errors import (
     AllRulesZero,
     DimensionMismatch,
@@ -48,10 +48,8 @@ def toy_sine_matrix(n=50, with_split=False):
     y = 0.5 + 0.4 * np.sin(2 * np.pi * x)
     split = None
     if with_split:
-        labels = [Split.TRAIN] * n
-        for i in range(0, n, 5):
-            labels[i] = Split.VALIDATION
-        split = tuple(labels)
+        split = np.full(n, SPLITS.index(Split.TRAIN))
+        split[::5] = SPLITS.index(Split.VALIDATION)
     return matrix_from_columns({"x": x, "rul_years": y}, split)
 
 
@@ -647,12 +645,11 @@ def test_anfis_sensitivity_matches_predict_batch_differences(sensitivity_cases, 
         raw = fm.raw_matrix(model.inputs)
         at_bound = np.isin(model.predict_batch(raw), model.target_constants).mean()
         assert 0.1 < at_bound < 0.9
-    for per_range in (True, False):
-        ranking = sensitivity_ranking(model, fm, per_range=per_range)
-        reference = sensitivity_ranking(PredictBatchOnly(model), fm, per_range=per_range)
-        assert [name for name, _ in ranking] == [name for name, _ in reference]
-        for (_, slope), (_, expected) in zip(ranking, reference):
-            assert slope == pytest.approx(expected, rel=1e-10, abs=0)
+    ranking = sensitivity_ranking(model, fm)
+    reference = sensitivity_ranking(PredictBatchOnly(model), fm)
+    assert [name for name, _ in ranking] == [name for name, _ in reference]
+    for (_, slope), (_, expected) in zip(ranking, reference):
+        assert slope == pytest.approx(expected, rel=1e-10, abs=0)
 
 
 def test_anfis_sensitivity_raises_where_predict_batch_does(sensitivity_cases):
@@ -675,10 +672,10 @@ def test_contour_grid_shape_and_medians():
     fm = build_features(labeled, inputs + ("rul_years",))
     model = init_grid(inputs, 2, fm)
     trained, _ = hybrid_train(model, fm, epochs=5, learning_rate=0.02)
-    rows = contour_grid(trained, fm, "age_years", "wall_thickness_loss_pct", grid_size=10)
-    assert len(rows) == 100
+    rows = contour_grid(trained, fm, "age_years", "wall_thickness_loss_pct")
+    assert len(rows) == 625
     ages = {r[0] for r in rows}
-    assert len(ages) == 10
+    assert len(ages) == 25
     assert all(np.isfinite(r[2]) for r in rows)
 
 

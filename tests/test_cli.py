@@ -554,6 +554,30 @@ def test_train_anfis_repeated_input_is_runtime_error(small_csv, tmp_path, capsys
     assert not out_dir.exists()
 
 
+def test_train_anfis_refuses_the_target_as_an_input(small_csv, tmp_path, capsys):
+    out_dir = tmp_path / "anfis"
+    code = run(["train-anfis", "--in", str(small_csv), "--inputs", "age_years,rul_years",
+                "--epochs", "1", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert_one_error_line(capsys, "rul_years cannot be an input")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"input_columns": ["age_years", "rul_years"]}, "rul_years cannot be an input"),
+    ({"input_columns": ["age_years"], "batch_size": "x"}, "malformed document"),
+], ids=["target_as_input", "batch_size_not_a_number"])
+def test_train_ann_refuses_a_bad_registry_entry(small_csv, tmp_path, capsys, entry, message):
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps([dict(entry, hidden_neurons=2, epochs=1)]))
+    out_dir = tmp_path / "ann"
+    code = run(["train-ann", "--in", str(small_csv), "--registry", str(registry),
+                "--out-dir", str(out_dir)])
+    assert code == 1
+    assert_one_error_line(capsys, message)
+    assert not out_dir.exists()
+
+
 def test_predict_reads_its_input_once(small_csv, tmp_path, monkeypatch):
     readers = []
     make_reader = csv.reader

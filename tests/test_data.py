@@ -1,6 +1,7 @@
 import csv
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from math import isfinite
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from pipelife.data import (
     MATERIALS,
     NUMERIC_COLUMNS,
     REQUIRED_COLUMNS,
+    SPLITS,
     WTL_RANGE,
     Dataset,
     FeatureMatrix,
@@ -34,6 +36,7 @@ from pipelife.data import (
 )
 from pipelife.errors import (
     DegenerateColumn,
+    DimensionMismatch,
     EmptyAfterCleaning,
     FileUnreadable,
     RatioSumInvalid,
@@ -525,18 +528,15 @@ def test_read_table_skips_blank_rows_and_keeps_short_ones(tmp_path):
 def test_split_counts_100():
     dataset = make_dataset(100)
     labeled = split_dataset(dataset, (0.75, 0.10, 0.15), seed=7)
-    counts = {label: 0 for label in Split}
-    for s in labeled.split:
-        counts[s] += 1
-    assert counts[Split.TRAIN] == 75
-    assert counts[Split.VALIDATION] == 10
-    assert counts[Split.TEST] == 15
+    assert labeled.rows_for(Split.TRAIN).size == 75
+    assert labeled.rows_for(Split.VALIDATION).size == 10
+    assert labeled.rows_for(Split.TEST).size == 15
 
 
 def test_split_remainder_goes_train_first():
     dataset = make_dataset(1)
     labeled = split_dataset(dataset, (0.75, 0.10, 0.15), seed=0)
-    assert labeled.split == (Split.TRAIN,)
+    assert labeled.split.tolist() == [SPLITS.index(Split.TRAIN)]
 
 
 def test_split_ratio_sum_invalid():
@@ -551,10 +551,57 @@ def test_split_deterministic_and_partitioning():
     a = split_dataset(dataset, (0.75, 0.10, 0.15), seed=11)
     b = split_dataset(dataset, (0.75, 0.10, 0.15), seed=11)
     c = split_dataset(dataset, (0.75, 0.10, 0.15), seed=12)
-    assert a.split == b.split
-    assert a.split != c.split
+    assert np.array_equal(a.split, b.split)
+    assert not np.array_equal(a.split, c.split)
     assert len(a.split) == len(dataset)  # every record labeled exactly once
-    assert all(s in set(Split) for s in a.split)
+    assert set(a.split.tolist()) <= set(range(len(SPLITS)))
+
+
+def reference_split_codes(n, ratios, seed):
+    """The row-by-row label assignment split_dataset replaced, as codes."""
+    counts = [int(np.floor(r * n)) for r in ratios]
+    for i in range(n - sum(counts)):
+        counts[i % 3] += 1
+    order = np.random.default_rng(seed).permutation(n)
+    labels = [None] * n
+    cursor = 0
+    for label, count in zip((Split.TRAIN, Split.VALIDATION, Split.TEST), counts):
+        for idx in order[cursor:cursor + count]:
+            labels[idx] = label
+        cursor += count
+    return [SPLITS.index(label) for label in labels]
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 300),
+    weights=st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2**63),
+)
+def test_split_codes_match_the_row_by_row_assignment(n, weights, seed):
+    ratios = tuple(w / sum(weights) for w in weights)
+    labeled = split_dataset(dataset_of([make_record()] * n), ratios, seed)
+    assert labeled.split.dtype == np.int8 and not labeled.split.flags.writeable
+    assert labeled.split.tolist() == reference_split_codes(n, ratios, seed)
+    rows = [labeled.rows_for(label) for label in SPLITS]
+    for part in rows:
+        assert np.all(np.diff(part) > 0)
+    assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(n))
+    features = build_features(labeled, ("age_years", "rul_years"))
+    for label, part in zip(SPLITS, rows):
+        assert np.array_equal(features.rows_for(label), part)
+
+
+def test_a_split_of_the_wrong_length_is_refused():
+    dataset = make_dataset(50)
+    with pytest.raises(DimensionMismatch):
+        replace(dataset, split=np.zeros(10, dtype=np.int8))
+    features = build_features(dataset, ("age_years", "rul_years"))
+    with pytest.raises(DimensionMismatch):
+        replace(features, split=np.zeros(10, dtype=np.int8))
+    with pytest.raises(DimensionMismatch):
+        FeatureMatrix(features.values, features.column_names, "minmax",
+                      features.constants, np.zeros(51, dtype=np.int8))
 
 
 # -- feature building ---------------------------------------------------------------

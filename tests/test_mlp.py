@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pipelife import synth
-from pipelife.data import FeatureMatrix, Split, build_features, split_dataset
+from pipelife.data import SPLITS, FeatureMatrix, Split, build_features, split_dataset
 from pipelife.errors import (
     ConstantSeries,
     DimensionMismatch,
@@ -46,10 +46,8 @@ def toy_matrix(fn, n=50, seed=0, as_split=True):
     values = np.column_stack([x, y])
     split = None
     if as_split:
-        labels = [Split.TRAIN] * n
-        for i in range(0, n, 5):
-            labels[i] = Split.VALIDATION
-        split = tuple(labels)
+        split = np.full(n, SPLITS.index(Split.TRAIN))
+        split[::5] = SPLITS.index(Split.VALIDATION)
     return FeatureMatrix(
         values, ("x", "rul_years"), "minmax",
         ((float(x.min()), float(x.max())), (float(y.min()), float(y.max()))),
@@ -264,7 +262,7 @@ def test_train_empty_split():
     values = np.column_stack([np.linspace(0, 1, 10), np.linspace(0, 1, 10)])
     fm = FeatureMatrix(
         values, ("x", "rul_years"), "minmax",
-        ((0.0, 1.0), (0.0, 1.0)), tuple([Split.TEST] * 10),
+        ((0.0, 1.0), (0.0, 1.0)), np.full(10, SPLITS.index(Split.TEST)),
     )
     with pytest.raises(EmptySplit):
         train(toy_config(), fm)
@@ -383,7 +381,7 @@ def test_suite_carries_the_split_and_the_best_predictions():
                 MlpConfig(hidden_neurons=4, epochs=5, seed=1, input_columns=NO_WTL, name="y")]
     result = run_experiment_suite(dataset, registry, split_seed=2)
     labeled = split_dataset(dataset, (0.75, 0.10, 0.15), 2)
-    assert result.labeled.split == labeled.split
+    assert np.array_equal(result.labeled.split, labeled.split)
     for row in result.rows:
         # bit for bit what re-predicting over every row gives
         assert np.array_equal(row.predicted, row.model.predict_dataset(labeled))
