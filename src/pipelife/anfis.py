@@ -21,12 +21,24 @@ SVD of the small triangular R, which gives [x, 1] = U S V^T (kept:
 Z = U_k S_k = [x, 1] V_k) and Wbar = U_W S_W V_W^T (kept:
 G = U_W,r S_W,r = Wbar V_W,r) without forming the tall U.  It keeps only
 directions whose dropped part of the design lies below lstsq's own cutoff
-on the full design, solves the minimum-norm problem on the r k columns
-g_n (x) z_n by SVD (numpy lstsq) and maps back with theta = V_W,r C V_k.
-Both maps have orthonormal columns, so this is the minimum-norm solution of
-the full design; rank-deficient solves are flagged rather than failed.  One
-forward pass per epoch feeds the logged train MSE before and after the
-solve, the solve and the premise gradient.
+on the full design, solves on the r k columns Psi, rows g_n (x) z_n, and
+maps back with theta = V_W,r C V_k.  Both maps have orthonormal columns, so
+|theta| = |C| and the ridge solution on Psi is the one on Phi.
+
+The solve is a ridge, min mean((Phi theta - y)^2) + RIDGE |theta|^2, from
+the r k x r k system (Psi^T Psi + RIDGE n I) c = Psi^T y.  An exact
+minimum-norm solve keeps directions down to a design condition number of
+~1e17 on collinear inputs: its consequents reach |theta| ~1e5-1e8 and
+cancel each other, so one premise step, or one sparse grid cell, throws the
+output off by whole target ranges.  RIDGE is Jang's sequential-LSE start
+S0 = gamma I with gamma = 1 / (RIDGE n) large (~2.7e4 at n = 3750).  Its
+value 1e-8 sits in the middle of the 1e-10..1e-6 range over which the
+validation RMSE is flat, and it bounds the condition number of the system
+by 1 + (d + 1) / RIDGE for inputs in [0, 1], so the normal equations lose
+at most ~1e-7 relative.  A solve's rank (lse_rank) is the r k directions
+kept, and it is degenerate when r k < R (d + 1).  One forward pass per
+epoch feeds the logged train MSE before and after the solve, the solve and
+the premise gradient.
 
 The sensitivity ranking moves one input at a time.  For an ANFIS model it
 makes one pass per input of sums over the rules that both moves share (the
@@ -65,6 +77,7 @@ SIGMA_FLOOR = 1e-4
 FIRING_FLOOR = 1e-300
 SENSITIVITY_STEP = 0.01  # central-difference step, as a fraction of the input's range
 CONTOUR_GRID_SIZE = 25    # contour points along each of its two inputs
+RIDGE = 1e-8  # ridge lambda of hybrid training's consequent solve; see the module docstring
 
 
 @dataclass
@@ -308,14 +321,13 @@ def _span(a: np.ndarray, tol) -> tuple:
 def lse_consequents(
     model: AnfisModel, x: np.ndarray, y: np.ndarray, wbar: np.ndarray | None = None
 ) -> AnfisModel:
-    """Solve the consequents by linear least squares with premises frozen.
+    """Solve the consequents by ridge least squares with premises frozen.
 
     The problem is solved in the span of the firing matrix and of the inputs,
-    each factored by `_span` as QR, then an SVD of R (see the module
-    docstring); wbar, the normalized firing strengths of x under the model's
-    premises, is computed when not given.  Rank-deficient
-    designs get the minimum-norm solution and set the lse_degenerate flag.
-    The model is updated in place and returned.
+    each factored by `_span` as QR, then an SVD of R; the module docstring
+    gives the method and the reason for the ridge RIDGE.  wbar, the
+    normalized firing strengths of x under the model's premises, is computed
+    when not given.  The model is updated in place and returned.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -335,10 +347,12 @@ def lse_consequents(
     z_max = np.sqrt((z * z).sum(axis=1)).max()
     g, v_r = _span(wbar, lambda s: rcond * c_hat / z_max)
     psi = (g[:, :, None] * z[:, None, :]).reshape(n, -1)
-    c, _, rank, _ = np.linalg.lstsq(psi, y, rcond=rcond)
+    gram = psi.T @ psi
+    gram.flat[::gram.shape[0] + 1] += RIDGE * n
+    c = np.linalg.solve(gram, psi.T @ y)
     model.consequents = v_r.T @ c.reshape(len(v_r), len(v_k)) @ v_k
-    model.lse_rank = int(rank)
-    model.lse_degenerate = bool(rank < columns)
+    model.lse_rank = psi.shape[1]
+    model.lse_degenerate = psi.shape[1] < columns
     return model
 
 
@@ -405,8 +419,8 @@ def hybrid_train(
     epochs: int = 50,
     learning_rate: float = 0.02,
 ):
-    """Hybrid learning: per epoch, least-squares consequents then a gradient
-    step on the Gaussian premises.
+    """Hybrid learning: per epoch, ridge least-squares consequents then a
+    gradient step on the Gaussian premises.
 
     RMSE (normalized target units) is logged per epoch on the train and
     validation splits right after the consequent solve, and the snapshot

@@ -243,7 +243,8 @@ def cmd_train_anfis(args) -> int:
         training={"best_epoch": history.best_epoch,
                   "lse_degenerate": trained.lse_degenerate,
                   "lse_rank": history.lse_rank[history.best_epoch],
-                  "lse_columns": trained.n_rules * (trained.n_inputs + 1)},
+                  "lse_columns": trained.n_rules * (trained.n_inputs + 1),
+                  "ridge": anfis.RIDGE},
     )
     print(f"trained ANFIS with {trained.n_rules} rules on {inputs}")
     print("sensitivity ranking:")

@@ -555,14 +555,6 @@ class FeatureMatrix:
     def normalized(self) -> np.ndarray:
         return normalize(self.values, self.constants, self.mode)
 
-    def normalize_column(self, name: str, values) -> np.ndarray:
-        constants = self.column_constants((name,))
-        return normalize(np.asarray(values)[..., None], constants, self.mode)[..., 0]
-
-    def denormalize_column(self, name: str, values) -> np.ndarray:
-        constants = self.column_constants((name,))
-        return denormalize(np.asarray(values)[..., None], constants, self.mode)[..., 0]
-
     rows_for = Dataset.rows_for
 
     def split_arrays(self, input_columns: Sequence[str]) -> tuple:

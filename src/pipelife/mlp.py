@@ -106,18 +106,29 @@ class MlpConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MlpConfig":
+        """A config from its to_dict document; an integer field that holds
+        a fraction or a bool (2.5, true) raises InvalidConfig rather than
+        being truncated."""
         batch_size = payload.get("batch_size", 16)
         return cls(
             input_columns=tuple(payload["input_columns"]),
-            hidden_neurons=int(payload["hidden_neurons"]),
+            hidden_neurons=_whole("hidden_neurons", payload["hidden_neurons"]),
             activation=payload.get("activation", "sigmoid"),
             learning_rate=float(payload.get("learning_rate", 0.2)),
-            epochs=int(payload.get("epochs", DEFAULT_EPOCHS)),
-            batch_size=None if batch_size is None else int(batch_size),
-            restarts=int(payload.get("restarts", 1)),
-            seed=int(payload.get("seed", 0)),
+            epochs=_whole("epochs", payload.get("epochs", DEFAULT_EPOCHS)),
+            batch_size=None if batch_size is None else _whole("batch_size", batch_size),
+            restarts=_whole("restarts", payload.get("restarts", 1)),
+            seed=_whole("seed", payload.get("seed", 0)),
             name=payload.get("name", ""),
         )
+
+
+def _whole(key: str, value) -> int:
+    """The document value of key as an int; a bool or a float with a
+    fractional part raises InvalidConfig."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidConfig(f"{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
 # act(z) = scale * (offset + tanh(scale * z)): sigmoid is 0.5 (1 + tanh(z / 2)),

@@ -168,7 +168,9 @@ def test_criterion_05_anfis_structural_invariants():
             _, wbar, _ = anfis._forward(model, xs)
             assert np.abs(wbar.sum(axis=1) - 1.0).max() < 1e-9
             pairs += 25
-        # LSE residual orthogonality on random instances
+        # LSE residual orthogonality on random instances: the solve is a ridge,
+        # so the residual of the design stacked over sqrt(RIDGE n) I, i.e.
+        # Phi^T r + RIDGE n theta, is orthogonal to it
         for trial in range(5):
             x = rng.uniform(0, 1, (80, 2))
             y = rng.normal(0, 1, 80)
@@ -181,8 +183,9 @@ def test_criterion_05_anfis_structural_invariants():
             model = anfis.init_grid(("a", "b"), 2, fm)
             anfis.lse_consequents(model, x, y)
             phi = anfis._consequent_design(model, x)
-            resid = phi @ model.consequents.ravel() - y
-            assert np.abs(phi.T @ resid).max() < 1e-8
+            theta = model.consequents.ravel()
+            resid = phi @ theta - y
+            assert np.abs(phi.T @ resid + anfis.RIDGE * len(y) * theta).max() < 1e-8
         # LSE-only training RMSE is monotone non-increasing
         x = np.linspace(0, 1, 60)
         y = 0.5 + 0.4 * np.sin(2 * np.pi * x)

@@ -231,6 +231,15 @@ def test_infer_invariant_under_rule_permutation():
 
 # -- least squares -----------------------------------------------------------------
 
+def ridge_lstsq(phi, y):
+    """The oracle of the consequent solve: lstsq on the full design stacked
+    over sqrt(RIDGE n) I against [y, 0], which minimizes
+    mean((phi theta - y)^2) + RIDGE |theta|^2."""
+    n, columns = phi.shape
+    stacked = np.vstack([phi, np.sqrt(anfis.RIDGE * n) * np.eye(columns)])
+    return np.linalg.lstsq(stacked, np.concatenate([y, np.zeros(columns)]), rcond=None)[0]
+
+
 def test_lse_recovers_planted_consequents():
     rng = np.random.default_rng(7)
     x = rng.uniform(0, 1, (200, 2))
@@ -243,7 +252,10 @@ def test_lse_recovers_planted_consequents():
     y, _, _ = _forward(model, x)
     model.consequents = np.zeros_like(planted)
     lse_consequents(model, x, y)
-    assert model.consequents == pytest.approx(planted, abs=1e-8)
+    # the ridge shrinks the planted consequents by (Phi^T Phi + RIDGE n I)^-1
+    # RIDGE n planted, up to 0.02 here; the oracle holds that shrinkage
+    oracle = ridge_lstsq(_consequent_design(model, x), y)
+    assert model.consequents.ravel() == pytest.approx(oracle, abs=1e-8)
 
 
 def test_lse_residual_orthogonality():
@@ -256,9 +268,12 @@ def test_lse_residual_orthogonality():
         )
         model = init_grid(("a", "b"), 2, fm)
         lse_consequents(model, x, y)
+        # the residual of the design stacked over sqrt(RIDGE n) I is orthogonal
+        # to it: Phi^T r + RIDGE n theta = 0, the ridge's normal equations
         phi = _consequent_design(model, x)
-        resid = phi @ model.consequents.ravel() - y
-        assert np.abs(phi.T @ resid).max() < 1e-8
+        theta = model.consequents.ravel()
+        resid = phi @ theta - y
+        assert np.abs(phi.T @ resid + anfis.RIDGE * len(y) * theta).max() < 1e-8
 
 
 def test_lse_zero_targets_give_zero_consequents():
@@ -275,8 +290,15 @@ def test_lse_never_increases_training_mse():
     fm = toy_sine_matrix(60, with_split=True)
     model = init_grid(("x",), 4, fm)
     _, history = hybrid_train(model, fm, epochs=15, learning_rate=0.05)
+    # the training solve is a ridge: it minimizes MSE + RIDGE |theta|^2, not MSE
+    x, t, _, _ = fm.split_arrays(model.inputs)
+    replay = model.copy()
     for pre, post in zip(history.pre_lse_mse, history.post_lse_mse):
-        assert post <= pre + 1e-12
+        penalty_pre = anfis.RIDGE * np.sum(replay.consequents ** 2)
+        lse_consequents(replay, x, t)
+        penalty_post = anfis.RIDGE * np.sum(replay.consequents ** 2)
+        assert post + penalty_post <= pre + penalty_pre + 1e-12
+        _premise_step(replay, x, t, 0.05)
 
 
 def collinear_or_full_rank(collinear, n=80, seed=12):
@@ -296,10 +318,15 @@ def test_lse_matches_lstsq_on_the_full_design(collinear):
     model = init_grid(("a", "b"), 3, fm)
     lse_consequents(model, x, y)
     phi = _consequent_design(model, x)
-    theta, _, rank, _ = np.linalg.lstsq(phi, y, rcond=None)
+    theta = ridge_lstsq(phi, y)
     assert model.consequents.ravel() == pytest.approx(theta, abs=1e-8)
-    assert model.lse_degenerate == (rank < phi.shape[1])
-    assert model.lse_degenerate == collinear
+    assert phi @ model.consequents.ravel() == pytest.approx(phi @ theta, abs=1e-10)
+    # the rank is the r k directions kept.  b = 1 - a leaves k = 2, and an
+    # a-Gaussian times a b-Gaussian of equal width is one Gaussian in a,
+    # centered at one of 5 points, so the 9 rules give r = 5
+    rank = np.linalg.matrix_rank(phi)
+    assert model.lse_rank == rank == (5 * 2 if collinear else 9 * 3)
+    assert model.lse_degenerate == (rank < phi.shape[1]) == collinear
 
 
 def equal_width_collinear(n=120, seed=14):
@@ -326,10 +353,10 @@ def test_lse_on_a_rank_deficient_firing_matrix_matches_the_full_design():
     assert np.linalg.matrix_rank(wbar) == 7
     lse_consequents(model, x, y)
     phi = _consequent_design(model, x)
-    theta, _, rank, _ = np.linalg.lstsq(phi, y, rcond=None)
+    theta = ridge_lstsq(phi, y)
     assert phi @ model.consequents.ravel() == pytest.approx(phi @ theta, abs=1e-9)
     assert model.consequents.ravel() == pytest.approx(theta, abs=1e-8)
-    assert model.lse_rank == rank == 7 * 2
+    assert model.lse_rank == np.linalg.matrix_rank(phi) == 7 * 2
     assert model.lse_degenerate
 
 
@@ -509,6 +536,19 @@ def test_hybrid_logs_the_rank_of_every_solve():
     assert all(0 < rank <= 4 * 2 for rank in history.lse_rank)
     once, single = hybrid_train(model, fm, epochs=0)
     assert single.lse_rank == [once.lse_rank]
+
+
+def test_hybrid_stays_bounded_on_collinear_default_inputs():
+    # age and install year are collinear; the exact minimum-norm solve left
+    # |theta| ~5e5 here and one premise step threw the train MSE to ~1e16
+    dataset = synth.generate(synth.GeneratorConfig(n=2000, seed=3))
+    labeled = split_dataset(dataset, (0.75, 0.1, 0.15), 3)
+    fm = build_features(labeled, anfis.DEFAULT_INPUTS + ("rul_years",))
+    model = init_grid(anfis.DEFAULT_INPUTS, 3, fm)
+    trained, history = hybrid_train(model, fm, epochs=4)
+    assert all(mse < 1e-2 for mse in history.pre_lse_mse[1:])
+    assert max(history.val_rmse[1:]) <= 1.01 * history.val_rmse[0]
+    assert np.abs(trained.consequents).max() < 100
 
 
 # -- model persistence -----------------------------------------------------------------

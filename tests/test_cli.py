@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pipelife import mlp
+from pipelife import anfis, mlp
 from pipelife.cli import main
 from pipelife.data import ingest_csv
 from pipelife.regression import builtin, predict_rul
@@ -244,6 +244,17 @@ def test_train_anfis_manifest_records_the_solve_rank(small_csv, tmp_path):
     # install year = reference year - age leaves [x, 1] three directions per rule
     assert 0 < training["lse_rank"] <= 8 * 3
     assert training["lse_degenerate"] is (training["lse_rank"] < training["lse_columns"])
+
+
+def test_train_anfis_manifest_records_the_ridge(small_csv, tmp_path):
+    out_dir = tmp_path / "anfis"
+    assert run([
+        "train-anfis", "--in", str(small_csv), "--seed", "4",
+        "--inputs", "age_years,wall_thickness_loss_pct",
+        "--mfs", "2", "--epochs", "1", "--out-dir", str(out_dir),
+    ]) == 0
+    training = json.loads((out_dir / "train_anfis_manifest.json").read_text())["training"]
+    assert training["ridge"] == anfis.RIDGE
 
 
 @pytest.fixture(scope="module")
@@ -575,6 +586,23 @@ def test_train_ann_refuses_a_bad_registry_entry(small_csv, tmp_path, capsys, ent
                 "--out-dir", str(out_dir)])
     assert code == 1
     assert_one_error_line(capsys, message)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hidden_neurons", 2.7), ("epochs", 2.5), ("batch_size", 16.9),
+    ("restarts", 1.5), ("seed", True),
+])
+def test_train_ann_refuses_a_registry_count_that_is_not_whole(
+        small_csv, tmp_path, capsys, field, value):
+    registry = tmp_path / "registry.json"
+    entry = {"input_columns": ["age_years"], "hidden_neurons": 2, "epochs": 1}
+    registry.write_text(json.dumps([dict(entry, **{field: value})]))
+    out_dir = tmp_path / "ann"
+    code = run(["train-ann", "--in", str(small_csv), "--registry", str(registry),
+                "--out-dir", str(out_dir)])
+    assert code == 1
+    assert_one_error_line(capsys, f"{field} must be a whole number")
     assert not out_dir.exists()
 
 

@@ -87,6 +87,16 @@ def test_config_with_a_repeated_input_column_is_invalid():
         init(toy_config(input_columns=("x", "x")))
 
 
+def test_config_from_dict_loads_whole_floats_as_ints():
+    config = MlpConfig.from_dict({"input_columns": ["x"], "hidden_neurons": 3.0,
+                                  "epochs": 2.0, "batch_size": 16.0, "restarts": 2,
+                                  "seed": 7.0})
+    assert (config.hidden_neurons, config.epochs, config.batch_size,
+            config.restarts, config.seed) == (3, 2, 16, 2, 7)
+    assert all(type(v) is int for v in (config.hidden_neurons, config.epochs,
+                                        config.batch_size, config.seed))
+
+
 # -- forward ------------------------------------------------------------------------
 
 def test_forward_constant_network():
