@@ -43,7 +43,11 @@ the premise gradient.
 The sensitivity ranking moves one input at a time.  For an ANFIS model it
 makes one pass per input of sums over the rules that both moves share (the
 other inputs' firing product, weighted by the rule outputs and by the
-moved input's consequent), instead of two full forward passes.
+moved input's consequent), instead of two full forward passes.  Rules
+with the same MFs on the other inputs share that firing product, so the
+sums are taken per group of such rules: m^(d-1) products on a grid rather
+than m^d.  The groups are read from the rules, so this holds for any rule
+set, permuted, partial or with repeats.
 
 A model works in normalized units; it keeps the scaling constants of its
 inputs and target, and `predict_batch` scales with `data.scaled_inputs` and
@@ -239,6 +243,12 @@ def _memberships(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     return _gaussians(x, model.centers, model.sigmas)
 
 
+def _memberships_by_input(model: AnfisModel, x: np.ndarray) -> np.ndarray:
+    """Layer 1 laid out per input, (d, n, m): each input's n x m block is
+    contiguous, so a gather of its columns reads contiguous rows."""
+    return np.ascontiguousarray(_memberships(model, x).transpose(1, 0, 2))
+
+
 def _gaussians(x: np.ndarray, centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """exp(-(x - c)^2 / (2 sigma^2)) with the centers on a new last axis."""
     diff = x[..., None] - centers
@@ -257,10 +267,10 @@ def _forward(model: AnfisModel, x: np.ndarray):
 
     Returns (y, wbar, w) with shapes (n,), (n, R), (n, R).
     """
-    mu = _memberships(model, x)                       # n x d x m
-    w = mu[:, 0, model.rules[:, 0]]                   # n x R
+    mu = _memberships_by_input(model, x)              # d x n x m
+    w = mu[0][:, model.rules[:, 0]]                   # n x R
     for i in range(1, x.shape[1]):
-        w *= mu[:, i, model.rules[:, i]]
+        w *= mu[i][:, model.rules[:, i]]
     total = w.sum(axis=1)
     if np.any(total < FIRING_FLOOR):
         row = int(np.argmax(total < FIRING_FLOOR))
@@ -428,10 +438,13 @@ def hybrid_train(
     exactly one consequent solve.  Widths are clamped at 1e-4.  The rank of
     every solve is logged; history.lse_rank[history.best_epoch] is the
     returned model's (best_epoch is -1 when no epoch was kept).  Negative
-    epochs raise InvalidConfig.
+    epochs, and a learning rate that is negative or not finite, raise
+    InvalidConfig; a rate of 0 trains the consequents only.
     """
     if epochs < 0:
         raise InvalidConfig(f"epochs must be >= 0, got {epochs}")
+    if not (np.isfinite(learning_rate) and learning_rate >= 0.0):
+        raise InvalidConfig(f"learning_rate must be finite and >= 0, got {learning_rate}")
     x_train, t_train, x_val, t_val = features.split_arrays(model.inputs)
 
     model = model.copy()
@@ -527,20 +540,33 @@ def _perturbed_outputs(model: AnfisModel, raw: np.ndarray, steps):
     of the other inputs' memberships and, over the rules r using MF j of
     input i, P_j = sum W_r F_r, Q_j = sum W_r theta_ri and S_j = sum W_r,
     the output at x_i' is sum_j mu_ij(x_i') (P_j + (x_i' - x_i) Q_j) /
-    sum_j mu_ij(x_i') S_j.  P, Q and S serve both signs, and F serves every
-    input.
+    sum_j mu_ij(x_i') S_j.  P, Q and S serve both signs.
+
+    Rules that take the same MFs on the other inputs share W, so the sums
+    are taken per group g of such rules: B_gj = sum of [theta_r, 1] over
+    the rules of g with MF j on input i, and one product W_g B gives
+    [sum W theta, S] per MF, from which P = (sum W theta) [x, 1] and Q is
+    column i.  On an m^d grid there are m^(d-1) groups, not m^d rules.  The
+    grouping is read from the rules themselves, so it holds for any rule
+    set: permuted, partial or with repeats.
     """
     x = scaled_inputs(model, raw)
-    mu = _memberships(model, x)
-    f = _rule_outputs(model, x)
+    mu = _memberships_by_input(model, x)
+    x1 = np.hstack([x, np.ones((x.shape[0], 1))])
+    theta1 = np.hstack([model.consequents, np.ones((model.n_rules, 1))])
+    n, d = x.shape
+    m = model.centers.shape[1]
     for i, h in enumerate(steps):
-        w = np.ones((x.shape[0], model.n_rules))
-        for k in range(model.n_inputs):
+        group, first = _groups(model.rules, i, m)
+        w = np.ones((n, len(first)))
+        for k in range(d):
             if k != i:
-                w *= mu[:, k, model.rules[:, k]]
-        onehot = _onehot(model, i)
-        p = (w * f) @ onehot
-        q, s = np.hsplit(w @ np.hstack([onehot * model.consequents[:, i:i + 1], onehot]), 2)
+                w *= mu[k][:, model.rules[first, k]]
+        sums = np.zeros((len(first), m, d + 2))
+        np.add.at(sums, (group, model.rules[:, i]), theta1)
+        totals = (w @ sums.reshape(len(first), -1)).reshape(n, m, d + 2)
+        p = np.einsum("njk,nk->nj", totals[:, :, :-1], x1)
+        q, s = totals[:, :, i], totals[:, :, -1]
         outputs = []
         for moved in (raw[:, i] + h, raw[:, i] - h):
             xi = normalize(moved[:, None], model.feature_constants[i:i + 1], model.norm_mode)[:, 0]
@@ -552,6 +578,20 @@ def _perturbed_outputs(model: AnfisModel, raw: np.ndarray, steps):
             y = (mu_i * (p + (xi - x[:, i])[:, None] * q)).sum(axis=1) / total
             outputs.append(raw_target(model, y))
         yield outputs
+
+
+def _groups(rules: np.ndarray, i: int, m: int) -> tuple:
+    """Group the rules by their MF indices on every input but i.
+
+    Returns (group, first): each rule's group id in 0..G-1 and the first
+    rule of each group.  The key is built one input at a time and renumbered
+    by a 1-D unique after each, so it stays below R m for any d.
+    """
+    group = np.zeros(len(rules), dtype=np.intp)
+    for k in range(rules.shape[1]):
+        if k != i:
+            group = np.unique(group * m + rules[:, k], return_inverse=True)[1]
+    return group, np.unique(group, return_index=True)[1]
 
 
 def contour_grid(

@@ -237,7 +237,8 @@ def cmd_train_anfis(args) -> int:
     manifest = _write_manifest(
         out_dir, "train-anfis",
         {"in": str(args.infile), "inputs": args.inputs, "mfs": args.mfs,
-         "epochs": args.epochs, "seed": args.seed, "out_dir": str(out_dir)},
+         "epochs": args.epochs, "learning_rate": args.learning_rate,
+         "rule_cap": args.rule_cap, "seed": args.seed, "out_dir": str(out_dir)},
         [args.infile], [model_path, rmse_path, rank_path, grid_path], started,
         cleaning=cleaning.to_dict(),
         training={"best_epoch": history.best_epoch,

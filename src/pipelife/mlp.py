@@ -74,8 +74,9 @@ class MlpConfig:
     def validate(self) -> None:
         if self.hidden_neurons < 1:
             raise InvalidConfig(f"hidden_neurons must be >= 1, got {self.hidden_neurons}")
-        if self.learning_rate <= 0:
-            raise InvalidConfig(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidConfig(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 1:
             raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
         if self.activation not in ("sigmoid", "tanh"):

@@ -666,21 +666,33 @@ def sensitivity_cases():
     clipped = grid4.copy()
     clipped.consequents *= 2.0     # normalized outputs 2 y - 0.5: clipped below 0.25
     clipped.consequents[:, -1] -= 0.5
+    half = grid4.copy()            # not a grid: every other rule, in shuffled order
+    kept = np.random.default_rng(10).permutation(grid4.n_rules)[: grid4.n_rules // 2]
+    half.rules, half.consequents = grid4.rules[kept], grid4.consequents[kept]
+    repeated = grid4.copy()        # one rule twice, so it counts double
+    repeated.rules = np.vstack([grid4.rules, grid4.rules[37:38]])
+    repeated.consequents = np.vstack([grid4.consequents, grid4.consequents[37:38]])
     return {
         "collinear_4mf": (grid4, fm),
         "zscore": (zscore, fm_z),
         "one_input": (one_input, fm_one),
         "permuted_rules": (permuted, fm),
         "clipped": (clipped, fm),
+        "half_the_rules": (half, fm),
+        "duplicated_rule": (repeated, fm),
     }
 
 
 @pytest.mark.parametrize("case", ["collinear_4mf", "zscore", "one_input",
-                                  "permuted_rules", "clipped"])
+                                  "permuted_rules", "clipped", "half_the_rules",
+                                  "duplicated_rule"])
 def test_anfis_sensitivity_matches_predict_batch_differences(sensitivity_cases, case):
     model, fm = sensitivity_cases[case]
     if case == "permuted_rules":
         assert not np.array_equal(model.rules, sensitivity_cases["collinear_4mf"][0].rules)
+    if case in ("half_the_rules", "duplicated_rule"):
+        grid_rules = sensitivity_cases["collinear_4mf"][0].n_rules
+        assert model.n_rules in (grid_rules // 2, grid_rules + 1)
     if case == "clipped":
         raw = fm.raw_matrix(model.inputs)
         at_bound = np.isin(model.predict_batch(raw), model.target_constants).mean()

@@ -251,10 +251,12 @@ def test_train_anfis_manifest_records_the_ridge(small_csv, tmp_path):
     assert run([
         "train-anfis", "--in", str(small_csv), "--seed", "4",
         "--inputs", "age_years,wall_thickness_loss_pct",
-        "--mfs", "2", "--epochs", "1", "--out-dir", str(out_dir),
+        "--mfs", "2", "--epochs", "1", "--learning-rate", "0.5", "--rule-cap", "64",
+        "--out-dir", str(out_dir),
     ]) == 0
-    training = json.loads((out_dir / "train_anfis_manifest.json").read_text())["training"]
-    assert training["ridge"] == anfis.RIDGE
+    manifest = json.loads((out_dir / "train_anfis_manifest.json").read_text())
+    assert manifest["training"]["ridge"] == anfis.RIDGE
+    assert (manifest["arguments"]["learning_rate"], manifest["arguments"]["rule_cap"]) == (0.5, 64)
 
 
 @pytest.fixture(scope="module")
@@ -449,6 +451,14 @@ def test_cli_reproducibility(tmp_path):
     report_a = out_a.with_suffix(".csv.report.txt").read_bytes()
     report_b = out_b.with_suffix(".csv.report.txt").read_bytes()
     assert report_a == report_b
+    dirs = (tmp_path / "anfis_a", tmp_path / "anfis_b")
+    for out_dir in dirs:
+        assert run(["train-anfis", "--in", str(out_a), "--seed", "11",
+                    "--inputs", "age_years,wall_thickness_loss_pct,diameter_in",
+                    "--mfs", "3", "--epochs", "2", "--out-dir", str(out_dir)]) == 0
+    for name in ("anfis_model.json", "anfis_rmse.csv", "anfis_sensitivity.csv",
+                 "anfis_contour.csv"):
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
 def test_env_seed_default(tmp_path, monkeypatch):
@@ -574,10 +584,27 @@ def test_train_anfis_refuses_the_target_as_an_input(small_csv, tmp_path, capsys)
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("rate", ["-1", "nan", "inf"])
+def test_train_anfis_refuses_a_learning_rate_that_is_negative_or_not_finite(
+        small_csv, tmp_path, capsys, rate):
+    out_dir = tmp_path / "anfis"
+    code = run(["train-anfis", "--in", str(small_csv), "--inputs",
+                "age_years,wall_thickness_loss_pct", "--epochs", "1",
+                f"--learning-rate={rate}", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert_one_error_line(capsys, "learning_rate must be finite and >= 0")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("entry, message", [
     ({"input_columns": ["age_years", "rul_years"]}, "rul_years cannot be an input"),
     ({"input_columns": ["age_years"], "batch_size": "x"}, "malformed document"),
-], ids=["target_as_input", "batch_size_not_a_number"])
+    ({"input_columns": ["age_years"], "learning_rate": float("nan")},
+     "learning_rate must be finite and positive"),
+    ({"input_columns": ["age_years"], "learning_rate": float("inf")},
+     "learning_rate must be finite and positive"),
+], ids=["target_as_input", "batch_size_not_a_number", "learning_rate_nan",
+        "learning_rate_infinity"])
 def test_train_ann_refuses_a_bad_registry_entry(small_csv, tmp_path, capsys, entry, message):
     registry = tmp_path / "registry.json"
     registry.write_text(json.dumps([dict(entry, hidden_neurons=2, epochs=1)]))
