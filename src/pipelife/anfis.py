@@ -19,11 +19,13 @@ the product of an age and an install-year Gaussian is one Gaussian in age,
 so Wbar repeats columns.  The solve factors each as QR and then takes the
 SVD of the small triangular R, which gives [x, 1] = U S V^T (kept:
 Z = U_k S_k = [x, 1] V_k) and Wbar = U_W S_W V_W^T (kept:
-G = U_W,r S_W,r = Wbar V_W,r) without forming the tall U.  It keeps only
-directions whose dropped part of the design lies below lstsq's own cutoff
-on the full design, solves on the r k columns Psi, rows g_n (x) z_n, and
-maps back with theta = V_W,r C V_k.  Both maps have orthonormal columns, so
-|theta| = |C| and the ridge solution on Psi is the one on Phi.
+G = U_W,r S_W,r = Wbar V_W,r) without forming the tall U.  Each factor
+keeps its singular values above eps max(shape) s_1, the rule of
+numpy.linalg.matrix_rank.  The solve runs on the r k columns Psi, rows
+g_n (x) z_n, rather than the R (d + 1) of Phi, and maps back with
+theta = V_W,r C V_k.  Both maps have orthonormal columns, so |theta| = |C|
+and the ridge solution on Psi is the one on Phi; the ridge, not the
+cutoff, keeps the solve well posed.
 
 The solve is a ridge, min mean((Phi theta - y)^2) + RIDGE |theta|^2, from
 the r k x r k system (Psi^T Psi + RIDGE n I) c = Psi^T y.  An exact
@@ -36,9 +38,9 @@ value 1e-8 sits in the middle of the 1e-10..1e-6 range over which the
 validation RMSE is flat, and it bounds the condition number of the system
 by 1 + (d + 1) / RIDGE for inputs in [0, 1], so the normal equations lose
 at most ~1e-7 relative.  A solve's rank (lse_rank) is the r k directions
-kept, and it is degenerate when r k < R (d + 1).  One forward pass per
-epoch feeds the logged train MSE before and after the solve, the solve and
-the premise gradient.
+kept, and it is degenerate (lse_degenerate) when r k < R (d + 1).  One
+forward pass per epoch feeds the logged train MSE before and after the
+solve, the solve and the premise gradient.
 
 The sensitivity ranking moves one input at a time.  For an ANFIS model it
 makes one pass per input of sums over the rules that both moves share (the
@@ -64,6 +66,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import TARGET_COLUMN, FeatureMatrix, check_shapes, normalize, raw_target, scaled_inputs
+from .data import whole_number
 from .errors import (
     AllRulesZero,
     DimensionMismatch,
@@ -97,7 +100,6 @@ class AnfisModel:
     target_constants: tuple = (0.0, 1.0)
     norm_mode: str = "minmax"
     trained: bool = False
-    lse_degenerate: bool = False   # last solve was rank deficient
     lse_rank: int = -1             # rank of the last solve (not saved); -1 before any
 
     @property
@@ -111,6 +113,12 @@ class AnfisModel:
     @property
     def input_columns(self) -> tuple:
         return tuple(self.inputs)
+
+    @property
+    def lse_degenerate(self) -> bool:
+        """The last solve kept fewer directions than the R (d + 1) design
+        columns; False before any solve, as on a loaded model."""
+        return 0 <= self.lse_rank < self.n_rules * (self.n_inputs + 1)
 
     def copy(self) -> "AnfisModel":
         return replace(self, centers=self.centers.copy(), sigmas=self.sigmas.copy(),
@@ -142,28 +150,29 @@ class AnfisModel:
                 "target_constants": list(self.target_constants),
                 "norm_mode": self.norm_mode,
                 "trained": self.trained,
-                "lse_degenerate": self.lse_degenerate,
             },
             indent=2,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "AnfisModel":
-        """Load a model document; wrong array shapes raise DimensionMismatch."""
+        """Load a model document; wrong array shapes raise DimensionMismatch,
+        and a rule index that is a fraction or a bool raises InvalidConfig."""
         payload = json.loads(text)
         if payload.get("format") != "pipelife-anfis-v1":
             raise ValueError(f"not an ANFIS model document: {payload.get('format')!r}")
+        rules = np.array(payload["rules"], dtype=object)
         model = cls(
             inputs=tuple(payload["inputs"]),
             centers=np.array(payload["centers"], dtype=float),
             sigmas=np.array(payload["sigmas"], dtype=float),
-            rules=np.array(payload["rules"], dtype=int),
+            rules=np.array([whole_number("rules", v) for v in rules.flat],
+                           dtype=int).reshape(rules.shape),
             consequents=np.array(payload["consequents"], dtype=float),
             feature_constants=tuple(tuple(c) for c in payload["feature_constants"]),
             target_constants=tuple(payload["target_constants"]),
             norm_mode=payload.get("norm_mode", "minmax"),
             trained=bool(payload.get("trained", False)),
-            lse_degenerate=bool(payload.get("lse_degenerate", False)),
         )
         d, r = model.n_inputs, len(model.rules)
         m = model.centers.shape[1] if model.centers.ndim == 2 else -1
@@ -238,15 +247,10 @@ def init_grid(
     )
 
 
-def _memberships(model: AnfisModel, x: np.ndarray) -> np.ndarray:
-    """Layer 1 for a batch: (n, d, m) Gaussian membership values."""
-    return _gaussians(x, model.centers, model.sigmas)
-
-
 def _memberships_by_input(model: AnfisModel, x: np.ndarray) -> np.ndarray:
-    """Layer 1 laid out per input, (d, n, m): each input's n x m block is
-    contiguous, so a gather of its columns reads contiguous rows."""
-    return np.ascontiguousarray(_memberships(model, x).transpose(1, 0, 2))
+    """Layer 1 for a batch laid out per input, (d, n, m): each input's n x m
+    block is contiguous, so a gather of its columns reads contiguous rows."""
+    return np.ascontiguousarray(_gaussians(x, model.centers, model.sigmas).transpose(1, 0, 2))
 
 
 def _gaussians(x: np.ndarray, centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -255,11 +259,13 @@ def _gaussians(x: np.ndarray, centers: np.ndarray, sigmas: np.ndarray) -> np.nda
     return np.exp(-(diff * diff) / (2.0 * sigmas**2))
 
 
-def _onehot(model: AnfisModel, i: int) -> np.ndarray:
-    """R x m indicator of the membership function each rule takes for input i."""
-    onehot = np.zeros((model.n_rules, model.centers.shape[1]))
-    onehot[np.arange(model.n_rules), model.rules[:, i]] = 1.0
-    return onehot
+def _checked_total(total: np.ndarray) -> np.ndarray:
+    """total, each row's firing strength summed over the rules; a row below
+    FIRING_FLOOR raises AllRulesZero naming the first such row."""
+    low = total < FIRING_FLOOR
+    if np.any(low):
+        raise AllRulesZero(f"total firing strength underflowed at row {int(np.argmax(low))}")
+    return total
 
 
 def _forward(model: AnfisModel, x: np.ndarray):
@@ -271,11 +277,7 @@ def _forward(model: AnfisModel, x: np.ndarray):
     w = mu[0][:, model.rules[:, 0]]                   # n x R
     for i in range(1, x.shape[1]):
         w *= mu[i][:, model.rules[:, i]]
-    total = w.sum(axis=1)
-    if np.any(total < FIRING_FLOOR):
-        row = int(np.argmax(total < FIRING_FLOOR))
-        raise AllRulesZero(f"total firing strength underflowed at row {row}")
-    wbar = w / total[:, None]
+    wbar = w / _checked_total(w.sum(axis=1))[:, None]
     return (wbar * _rule_outputs(model, x)).sum(axis=1), wbar, w
 
 
@@ -297,7 +299,7 @@ def infer(model: AnfisModel, x) -> tuple:
     f = _rule_outputs(model, batch)[0]
     y = float(y[0])
     return y, LayerTrace(
-        memberships=_memberships(model, batch)[0],
+        memberships=_gaussians(x, model.centers, model.sigmas),
         firing=w[0],
         normalized=wbar[0],
         rule_outputs=f,
@@ -306,25 +308,16 @@ def infer(model: AnfisModel, x) -> tuple:
     )
 
 
-def _consequent_design(model: AnfisModel, x: np.ndarray) -> np.ndarray:
-    """Phi matrix: row n holds wbar_r * [x, 1] blocks for every rule."""
-    _, wbar, _ = _forward(model, x)
-    x1 = np.hstack([x, np.ones((x.shape[0], 1))])
-    blocks = wbar[:, :, None] * x1[:, None, :]
-    return blocks.reshape(x.shape[0], -1)
-
-
-def _span(a: np.ndarray, tol) -> tuple:
+def _span(a: np.ndarray) -> tuple:
     """Leading directions of the thin SVD a = U S V^T: (U_r S_r, V_r^T).
 
-    r is the fewest directions whose dropped singular values s[r:] have
-    2-norm at most tol(s).  a is factored as QR first: the SVD of the small
-    triangular R has the singular values and right vectors of a, and
-    U_r S_r = a V_r, so the tall factor U is never formed.
+    r counts the singular values above eps max(a.shape) s[0], the rank that
+    numpy.linalg.matrix_rank gives.  a is factored as QR first: the SVD of
+    the small triangular R has the singular values and right vectors of a,
+    and U_r S_r = a V_r, so the tall factor U is never formed.
     """
     _, s, vt = np.linalg.svd(np.linalg.qr(a, mode="r"), full_matrices=False)
-    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]     # tail[j] = ||s[j:]||
-    r = int(np.count_nonzero(tail > tol(s)))
+    r = int(np.count_nonzero(s > np.finfo(float).eps * max(a.shape) * s[0]))
     return a @ vt[:r].T, vt[:r]
 
 
@@ -343,26 +336,15 @@ def lse_consequents(
     y = np.asarray(y, dtype=float).ravel()
     if wbar is None:
         _, wbar, _ = _forward(model, x)
-    n, n_rules = wbar.shape
-    x1 = np.hstack([x, np.ones((n, 1))])
-    eps = np.finfo(float).eps
-    z, v_k = _span(x1, lambda s: eps * max(x1.shape) * s[0])
-    # lstsq's cutoff on the full n x R(d+1) design is rcond times its largest
-    # singular value, which is at least c_hat, its largest column norm.
-    # Dropping the tail E of Wbar changes the design by the rows e_n (x) z_n,
-    # of 2-norm at most max_n |z_n| * ||E||_F, so that tail may go.
-    columns = n_rules * x1.shape[1]
-    rcond = eps * max(n, columns)
-    c_hat = np.sqrt((wbar * wbar).T @ (z * z)).max()
-    z_max = np.sqrt((z * z).sum(axis=1)).max()
-    g, v_r = _span(wbar, lambda s: rcond * c_hat / z_max)
+    n = wbar.shape[0]
+    z, v_k = _span(np.hstack([x, np.ones((n, 1))]))
+    g, v_r = _span(wbar)
     psi = (g[:, :, None] * z[:, None, :]).reshape(n, -1)
     gram = psi.T @ psi
     gram.flat[::gram.shape[0] + 1] += RIDGE * n
     c = np.linalg.solve(gram, psi.T @ y)
     model.consequents = v_r.T @ c.reshape(len(v_r), len(v_k)) @ v_k
     model.lse_rank = psi.shape[1]
-    model.lse_degenerate = psi.shape[1] < columns
     return model
 
 
@@ -380,8 +362,9 @@ def _premise_gradients(model: AnfisModel, x: np.ndarray, t: np.ndarray, state=No
     glw = (2.0 / n) * err[:, None] * (f - y[:, None]) / total[:, None] * w
     grad_c = np.zeros_like(model.centers)
     grad_s = np.zeros_like(model.sigmas)
+    onehot = np.eye(model.centers.shape[1])   # row j: the indicator of MF j
     for i in range(d):
-        acc = glw @ _onehot(model, i)                       # n x m
+        acc = glw @ onehot[model.rules[:, i]]               # n x m
         diff = x[:, i:i + 1] - model.centers[i][None, :]    # n x m
         sig = model.sigmas[i][None, :]
         grad_c[i] = (acc * diff / sig**2).sum(axis=0)
@@ -571,10 +554,7 @@ def _perturbed_outputs(model: AnfisModel, raw: np.ndarray, steps):
         for moved in (raw[:, i] + h, raw[:, i] - h):
             xi = normalize(moved[:, None], model.feature_constants[i:i + 1], model.norm_mode)[:, 0]
             mu_i = _gaussians(xi, model.centers[i], model.sigmas[i])
-            total = (mu_i * s).sum(axis=1)
-            if np.any(total < FIRING_FLOOR):
-                row = int(np.argmax(total < FIRING_FLOOR))
-                raise AllRulesZero(f"total firing strength underflowed at row {row}")
+            total = _checked_total((mu_i * s).sum(axis=1))
             y = (mu_i * (p + (xi - x[:, i])[:, None] * q)).sum(axis=1) / total
             outputs.append(raw_target(model, y))
         yield outputs

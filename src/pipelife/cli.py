@@ -242,7 +242,6 @@ def cmd_train_anfis(args) -> int:
         [args.infile], [model_path, rmse_path, rank_path, grid_path], started,
         cleaning=cleaning.to_dict(),
         training={"best_epoch": history.best_epoch,
-                  "lse_degenerate": trained.lse_degenerate,
                   "lse_rank": history.lse_rank[history.best_epoch],
                   "lse_columns": trained.n_rules * (trained.n_inputs + 1),
                   "ridge": anfis.RIDGE},

@@ -494,6 +494,14 @@ def raw_target(model, y: np.ndarray) -> np.ndarray:
     return y
 
 
+def whole_number(key: str, value) -> int:
+    """The document value of key as an int; a bool or a float with a
+    fractional part raises InvalidConfig."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidConfig(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def check_shapes(model, n_inputs: int, **expected) -> None:
     """Check a loaded model: InvalidConfig for an unknown norm_mode, and
     DimensionMismatch unless each named array has its expected shape, with

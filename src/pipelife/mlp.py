@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import SPLITS, Dataset, FeatureMatrix, Split, build_features, split_dataset
-from .data import TARGET_COLUMN, check_shapes, raw_target, scaled_inputs
+from .data import TARGET_COLUMN, check_shapes, raw_target, scaled_inputs, whole_number
 from .errors import (
     ConstantSeries,
     DimensionMismatch,
@@ -113,23 +113,15 @@ class MlpConfig:
         batch_size = payload.get("batch_size", 16)
         return cls(
             input_columns=tuple(payload["input_columns"]),
-            hidden_neurons=_whole("hidden_neurons", payload["hidden_neurons"]),
+            hidden_neurons=whole_number("hidden_neurons", payload["hidden_neurons"]),
             activation=payload.get("activation", "sigmoid"),
             learning_rate=float(payload.get("learning_rate", 0.2)),
-            epochs=_whole("epochs", payload.get("epochs", DEFAULT_EPOCHS)),
-            batch_size=None if batch_size is None else _whole("batch_size", batch_size),
-            restarts=_whole("restarts", payload.get("restarts", 1)),
-            seed=_whole("seed", payload.get("seed", 0)),
+            epochs=whole_number("epochs", payload.get("epochs", DEFAULT_EPOCHS)),
+            batch_size=None if batch_size is None else whole_number("batch_size", batch_size),
+            restarts=whole_number("restarts", payload.get("restarts", 1)),
+            seed=whole_number("seed", payload.get("seed", 0)),
             name=payload.get("name", ""),
         )
-
-
-def _whole(key: str, value) -> int:
-    """The document value of key as an int; a bool or a float with a
-    fractional part raises InvalidConfig."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise InvalidConfig(f"{key} must be a whole number, got {value!r}")
-    return int(value)
 
 
 # act(z) = scale * (offset + tanh(scale * z)): sigmoid is 0.5 (1 + tanh(z / 2)),

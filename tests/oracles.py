@@ -1,0 +1,23 @@
+"""Reference computations that the ANFIS consequent solve is checked against."""
+
+import numpy as np
+
+from pipelife import anfis
+
+
+def consequent_design(model, x):
+    """The full design Phi: row n holds the blocks wbar_nr * [x_n, 1] for
+    every rule r, R (d + 1) columns in all."""
+    _, wbar, _ = anfis._forward(model, x)
+    x1 = np.hstack([x, np.ones((x.shape[0], 1))])
+    blocks = wbar[:, :, None] * x1[:, None, :]
+    return blocks.reshape(x.shape[0], -1)
+
+
+def ridge_lstsq(phi, y):
+    """The oracle of the consequent solve: lstsq on the full design stacked
+    over sqrt(RIDGE n) I against [y, 0], which minimizes
+    mean((phi theta - y)^2) + RIDGE |theta|^2."""
+    n, columns = phi.shape
+    stacked = np.vstack([phi, np.sqrt(anfis.RIDGE * n) * np.eye(columns)])
+    return np.linalg.lstsq(stacked, np.concatenate([y, np.zeros(columns)]), rcond=None)[0]

@@ -19,6 +19,8 @@ from pipelife.data import (
 )
 from pipelife.metrics import evaluate
 
+from oracles import consequent_design
+
 DEFAULT_SEED = 0
 
 
@@ -182,7 +184,7 @@ def test_criterion_05_anfis_structural_invariants():
             )
             model = anfis.init_grid(("a", "b"), 2, fm)
             anfis.lse_consequents(model, x, y)
-            phi = anfis._consequent_design(model, x)
+            phi = consequent_design(model, x)
             theta = model.consequents.ravel()
             resid = phi @ theta - y
             assert np.abs(phi.T @ resid + anfis.RIDGE * len(y) * theta).max() < 1e-8

@@ -15,7 +15,6 @@ from pipelife.anfis import (
     init_grid,
     lse_consequents,
     sensitivity_ranking,
-    _consequent_design,
     _forward,
     _premise_gradients,
     _premise_step,
@@ -31,6 +30,8 @@ from pipelife.errors import (
     UntrainedModel,
 )
 from pipelife.mlp import MlpConfig, init as mlp_init, train as mlp_train
+
+from oracles import consequent_design, ridge_lstsq
 
 
 def matrix_from_columns(named_columns, split=None):
@@ -109,12 +110,11 @@ def test_gaussian_membership_properties():
     fm = toy_sine_matrix()
     model = init_grid(("x",), 3, fm)
     c = model.centers[0][1]
-    from pipelife.anfis import _memberships
-    at_center = _memberships(model, np.array([[c]]))[0, 0, 1]
+    at_center = anfis._gaussians(np.array([[c]]), model.centers, model.sigmas)[0, 0, 1]
     assert at_center == pytest.approx(1.0, abs=0)
     offsets = np.array([0.05, 0.1, 0.2, 0.4])
-    left = _memberships(model, (c - offsets)[:, None])[:, 0, 1]
-    right = _memberships(model, (c + offsets)[:, None])[:, 0, 1]
+    left = anfis._gaussians((c - offsets)[:, None], model.centers, model.sigmas)[:, 0, 1]
+    right = anfis._gaussians((c + offsets)[:, None], model.centers, model.sigmas)[:, 0, 1]
     assert left == pytest.approx(right, abs=1e-12)     # symmetry
     assert np.all(np.diff(left) < 0)                   # decreasing in |x - c|
     assert np.all((left > 0) & (left <= 1))
@@ -206,7 +206,7 @@ def test_forward_firing_equals_the_gathered_product():
     model = init_grid(("a", "b", "c"), 3, fm)
     model.centers += rng.normal(0, 0.05, model.centers.shape)
     model.sigmas *= rng.uniform(0.5, 1.5, model.sigmas.shape)
-    mu = anfis._memberships(model, x)
+    mu = anfis._gaussians(x, model.centers, model.sigmas)
     gathered = mu[:, np.arange(3)[:, None], model.rules.T].prod(axis=1)
     _, _, w = _forward(model, x)
     assert np.array_equal(w, gathered)
@@ -231,15 +231,6 @@ def test_infer_invariant_under_rule_permutation():
 
 # -- least squares -----------------------------------------------------------------
 
-def ridge_lstsq(phi, y):
-    """The oracle of the consequent solve: lstsq on the full design stacked
-    over sqrt(RIDGE n) I against [y, 0], which minimizes
-    mean((phi theta - y)^2) + RIDGE |theta|^2."""
-    n, columns = phi.shape
-    stacked = np.vstack([phi, np.sqrt(anfis.RIDGE * n) * np.eye(columns)])
-    return np.linalg.lstsq(stacked, np.concatenate([y, np.zeros(columns)]), rcond=None)[0]
-
-
 def test_lse_recovers_planted_consequents():
     rng = np.random.default_rng(7)
     x = rng.uniform(0, 1, (200, 2))
@@ -254,7 +245,7 @@ def test_lse_recovers_planted_consequents():
     lse_consequents(model, x, y)
     # the ridge shrinks the planted consequents by (Phi^T Phi + RIDGE n I)^-1
     # RIDGE n planted, up to 0.02 here; the oracle holds that shrinkage
-    oracle = ridge_lstsq(_consequent_design(model, x), y)
+    oracle = ridge_lstsq(consequent_design(model, x), y)
     assert model.consequents.ravel() == pytest.approx(oracle, abs=1e-8)
 
 
@@ -270,7 +261,7 @@ def test_lse_residual_orthogonality():
         lse_consequents(model, x, y)
         # the residual of the design stacked over sqrt(RIDGE n) I is orthogonal
         # to it: Phi^T r + RIDGE n theta = 0, the ridge's normal equations
-        phi = _consequent_design(model, x)
+        phi = consequent_design(model, x)
         theta = model.consequents.ravel()
         resid = phi @ theta - y
         assert np.abs(phi.T @ resid + anfis.RIDGE * len(y) * theta).max() < 1e-8
@@ -317,7 +308,7 @@ def test_lse_matches_lstsq_on_the_full_design(collinear):
     x, y = norm[:, :2], norm[:, 2]
     model = init_grid(("a", "b"), 3, fm)
     lse_consequents(model, x, y)
-    phi = _consequent_design(model, x)
+    phi = consequent_design(model, x)
     theta = ridge_lstsq(phi, y)
     assert model.consequents.ravel() == pytest.approx(theta, abs=1e-8)
     assert phi @ model.consequents.ravel() == pytest.approx(phi @ theta, abs=1e-10)
@@ -352,7 +343,7 @@ def test_lse_on_a_rank_deficient_firing_matrix_matches_the_full_design():
     _, wbar, _ = _forward(model, x)
     assert np.linalg.matrix_rank(wbar) == 7
     lse_consequents(model, x, y)
-    phi = _consequent_design(model, x)
+    phi = consequent_design(model, x)
     theta = ridge_lstsq(phi, y)
     assert phi @ model.consequents.ravel() == pytest.approx(phi @ theta, abs=1e-9)
     assert model.consequents.ravel() == pytest.approx(theta, abs=1e-8)
@@ -360,48 +351,51 @@ def test_lse_on_a_rank_deficient_firing_matrix_matches_the_full_design():
     assert model.lse_degenerate
 
 
-def test_lse_drops_a_firing_tail_below_the_full_design_cutoff(monkeypatch):
-    model, x, y = equal_width_collinear()
-    spans = []
-
-    def recording_span(a, tol):
-        kept, vt = span(a, tol)
-        spans.append((a, kept))
-        return kept, vt
-
-    span = anfis._span
-    monkeypatch.setattr(anfis, "_span", recording_span)
+def test_lse_matches_the_full_design_where_the_firing_spectrum_has_no_gap():
+    # the models_5k set-up at epoch 1 on 1000 rows: one premise step splits
+    # the columns that the collinear age and install year repeat in Wbar, so
+    # its singular values run past the rank cutoff without a gap
+    inputs = anfis.DEFAULT_INPUTS + ("diameter_in",)
+    dataset = synth.generate(synth.GeneratorConfig(n=1000, seed=11))
+    fm = build_features(split_dataset(dataset, (0.75, 0.1, 0.15), 11), inputs + ("rul_years",))
+    x, y, _, _ = fm.split_arrays(inputs)
+    model = init_grid(inputs, 4, fm)
     lse_consequents(model, x, y)
-    (_, z), (wbar, g) = spans
-    r = g.shape[1]
-    assert r == 7
-    phi = _consequent_design(model, x)
-    cutoff = np.finfo(float).eps * max(phi.shape) * np.linalg.norm(phi, 2)
-    tail = np.linalg.norm(np.linalg.svd(wbar, compute_uv=False)[r:])
-    assert tail * np.linalg.norm(z, axis=1).max() <= cutoff
-
-
-def thin_svd_rank(a, tol):
-    """(r, s) of _span by the thin SVD of a itself, without the QR step."""
-    s = np.linalg.svd(a, compute_uv=False)
-    tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
-    return int(np.count_nonzero(tail > tol(s))), s
+    _premise_step(model, x, y, 0.02)
+    _, wbar, _ = _forward(model, x)
+    s = np.linalg.svd(wbar, compute_uv=False)
+    r = np.linalg.matrix_rank(wbar)
+    assert r < model.n_rules and s[r - 1] < 10 * s[r]
+    lse_consequents(model, x, y)
+    assert model.lse_rank == r * 4    # [x, 1] keeps 4 of its 5 directions
+    phi = consequent_design(model, x)
+    theta = ridge_lstsq(phi, y)
+    assert model.consequents.ravel() == pytest.approx(theta, abs=1e-8)
+    assert phi @ model.consequents.ravel() == pytest.approx(phi @ theta, abs=1e-10)
 
 
 @pytest.mark.parametrize("which", ["collinear_firing", "random_full_rank"])
-def test_qr_first_span_keeps_the_thin_svd_directions(which):
+def test_qr_first_span_keeps_the_thin_svd_directions(which, monkeypatch):
     if which == "collinear_firing":
         model, x, _ = equal_width_collinear()
         _, a, _ = _forward(model, x)
     else:
         a = np.random.default_rng(21).normal(0, 1, (300, 20))
-    tol = lambda s: np.finfo(float).eps * max(a.shape) * s[0]
+    s_svd = np.linalg.svd(a, compute_uv=False)
     seen = []
-    g, vt = anfis._span(a, lambda s: seen.append(s) or tol(s))
-    r_svd, s_svd = thin_svd_rank(a, tol)
+    svd = np.linalg.svd
+
+    def recording_svd(*args, **kwargs):
+        result = svd(*args, **kwargs)
+        seen.append(result[1])
+        return result
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    g, vt = anfis._span(a)
+    monkeypatch.undo()
     (s,) = seen
     r = len(vt)
-    assert r == r_svd == (7 if which == "collinear_firing" else 20)
+    assert r == np.linalg.matrix_rank(a) == (7 if which == "collinear_firing" else 20)
     assert s[:r] == pytest.approx(s_svd[:r], rel=1e-12, abs=0)
     assert np.abs(s - s_svd).max() <= 1e-12 * s_svd[0]
     gram = g.T @ g
@@ -566,17 +560,35 @@ def test_anfis_json_round_trip():
     assert a == pytest.approx(b, abs=0)
 
 
-def test_anfis_json_round_trips_lse_degenerate():
-    fm = toy_sine_matrix(20)
-    model = init_grid(("x",), 2, fm)
-    for flag in (True, False):
-        model.lse_degenerate = flag
-        assert AnfisModel.from_json(model.to_json()).lse_degenerate is flag
-    # documents written before the flag was saved load as non-degenerate
-    model.lse_degenerate = True
-    payload = json.loads(model.to_json())
-    del payload["lse_degenerate"]
-    assert AnfisModel.from_json(json.dumps(payload)).lse_degenerate is False
+@pytest.mark.parametrize("flag", [True, False])
+def test_anfis_document_with_the_old_lse_degenerate_key_loads_the_same(flag):
+    # documents once saved the flag; it is now read from lse_rank, which a
+    # loaded model does not have, so the key is ignored
+    dataset = synth.generate(synth.GeneratorConfig(n=300, seed=5))
+    labeled = split_dataset(dataset, (0.75, 0.1, 0.15), 2)
+    inputs = ("age_years", "install_year")
+    fm = build_features(labeled, inputs + ("rul_years",))
+    trained, _ = hybrid_train(init_grid(inputs, 2, fm), fm, epochs=2)
+    assert trained.lse_degenerate
+    text = trained.to_json()
+    payload = json.loads(text)
+    assert "lse_degenerate" not in payload
+    payload["lse_degenerate"] = flag
+    old, new = AnfisModel.from_json(json.dumps(payload)), AnfisModel.from_json(text)
+    assert np.array_equal(old.predict_dataset(dataset), new.predict_dataset(dataset))
+    assert old.to_json() == new.to_json()
+    assert old.lse_degenerate is new.lse_degenerate is False
+
+
+@pytest.mark.parametrize("index", [0.5, 1.9, True], ids=["half", "one_point_nine", "true"])
+def test_anfis_document_refuses_a_rule_index_that_is_not_whole(index):
+    rng = np.random.default_rng(3)
+    fm = matrix_from_columns({"a": rng.uniform(0, 1, 20), "b": rng.uniform(0, 1, 20),
+                              "rul_years": rng.uniform(0, 1, 20)})
+    payload = json.loads(init_grid(("a", "b"), 2, fm).to_json())
+    payload["rules"][0][0] = index
+    with pytest.raises(InvalidConfig, match="rules must be a whole number"):
+        AnfisModel.from_json(json.dumps(payload))
 
 
 # -- sensitivity --------------------------------------------------------------------

@@ -227,9 +227,9 @@ def test_train_anfis_manifest_records_training(small_csv, tmp_path):
     val = [float(row.split(",")[2]) for row in rows]
     assert training["best_epoch"] == int(np.argmin(val))
     # install year = reference year - age: the consequent design is rank deficient
-    assert training["lse_degenerate"] is True
+    assert training["lse_rank"] < training["lse_columns"]
     model = json.loads((out_dir / "anfis_model.json").read_text())
-    assert model["lse_degenerate"] is True
+    assert "lse_degenerate" not in training and "lse_degenerate" not in model
 
 
 def test_train_anfis_manifest_records_the_solve_rank(small_csv, tmp_path):
@@ -243,7 +243,6 @@ def test_train_anfis_manifest_records_the_solve_rank(small_csv, tmp_path):
     assert training["lse_columns"] == 8 * 4  # 2^3 rules, d + 1 = 4
     # install year = reference year - age leaves [x, 1] three directions per rule
     assert 0 < training["lse_rank"] <= 8 * 3
-    assert training["lse_degenerate"] is (training["lse_rank"] < training["lse_columns"])
 
 
 def test_train_anfis_manifest_records_the_ridge(small_csv, tmp_path):
@@ -711,6 +710,19 @@ def test_predict_rejects_an_invalid_model_document(small_csv, tmp_path, capsys, 
     out = tmp_path / "o.csv"
     assert run(["predict", "--model", str(doc), "--in", str(small_csv), "--out", str(out)]) == 1
     assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("index", [0.5, 1.9, True], ids=["half", "one_point_nine", "true"])
+def test_predict_refuses_an_anfis_rule_index_that_is_not_whole(small_csv, anfis_doc, tmp_path,
+                                                                capsys, index):
+    payload = json.loads(anfis_doc)
+    payload["rules"][0][0] = index
+    doc = tmp_path / "model.json"
+    doc.write_text(json.dumps(payload))
+    out = tmp_path / "o.csv"
+    assert run(["predict", "--model", str(doc), "--in", str(small_csv), "--out", str(out)]) == 1
+    assert_one_error_line(capsys, "whole number")
     assert not out.exists()
 
 
