@@ -1,7 +1,8 @@
 """First-order Sugeno adaptive neuro-fuzzy inference system.
 
 Five layers over d inputs with m Gaussian membership functions each and a
-full grid partition of m^d rules:
+full grid partition of m^d rules, last input fastest (derived from m and d,
+never stored; a model document must hold exactly this grid):
 
     layer 1 (fuzzy):          mu_ij(x_i) = exp(-(x_i - c_ij)^2 / (2 sigma_ij^2))
     layer 2 (production):     w_r = prod_i mu_i,r(i)
@@ -46,10 +47,8 @@ The sensitivity ranking moves one input at a time.  For an ANFIS model it
 makes one pass per input of sums over the rules that both moves share (the
 other inputs' firing product, weighted by the rule outputs and by the
 moved input's consequent), instead of two full forward passes.  Rules
-with the same MFs on the other inputs share that firing product, so the
-sums are taken per group of such rules: m^(d-1) products on a grid rather
-than m^d.  The groups are read from the rules, so this holds for any rule
-set, permuted, partial or with repeats.
+with the same MFs on the other inputs, a line of the grid along the moved
+input, share that firing product: m^(d-1) products rather than m^d.
 
 A model works in normalized units; it keeps the scaling constants of its
 inputs and target, and `predict_batch` scales with `data.scaled_inputs` and
@@ -58,7 +57,6 @@ inputs and target, and `predict_batch` scales with `data.scaled_inputs` and
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -94,8 +92,7 @@ class AnfisModel:
     inputs: tuple                 # feature column names, length d
     centers: np.ndarray           # d x m Gaussian centers (normalized units)
     sigmas: np.ndarray            # d x m Gaussian widths, > 0
-    rules: np.ndarray             # R x d membership indices
-    consequents: np.ndarray       # R x (d + 1); last column is the constant
+    consequents: np.ndarray       # R x (d + 1), one row per rule; last column is the constant
     feature_constants: tuple = ()  # per input: (a, b) as in FeatureMatrix
     target_constants: tuple = (0.0, 1.0)
     norm_mode: str = "minmax"
@@ -108,7 +105,13 @@ class AnfisModel:
 
     @property
     def n_rules(self) -> int:
-        return self.rules.shape[0]
+        return self.centers.shape[1] ** self.n_inputs
+
+    @property
+    def rules(self) -> np.ndarray:
+        """R x d membership indices: the m^d grid, last input fastest."""
+        d = self.n_inputs
+        return np.indices((self.centers.shape[1],) * d).reshape(d, -1).T
 
     @property
     def input_columns(self) -> tuple:
@@ -122,7 +125,7 @@ class AnfisModel:
 
     def copy(self) -> "AnfisModel":
         return replace(self, centers=self.centers.copy(), sigmas=self.sigmas.copy(),
-                       rules=self.rules.copy(), consequents=self.consequents.copy())
+                       consequents=self.consequents.copy())
 
     # -- raw-unit prediction --------------------------------------------------
 
@@ -156,30 +159,28 @@ class AnfisModel:
 
     @classmethod
     def from_json(cls, text: str) -> "AnfisModel":
-        """Load a model document; wrong array shapes raise DimensionMismatch,
-        and a rule index that is a fraction or a bool raises InvalidConfig."""
+        """Load a model document: DimensionMismatch for a wrong array shape or
+        rules other than the m^d grid, InvalidConfig for a fractional or bool rule index."""
         payload = json.loads(text)
         if payload.get("format") != "pipelife-anfis-v1":
             raise ValueError(f"not an ANFIS model document: {payload.get('format')!r}")
         rules = np.array(payload["rules"], dtype=object)
+        indices = [whole_number("rules", v) for v in rules.flat]
         model = cls(
             inputs=tuple(payload["inputs"]),
             centers=np.array(payload["centers"], dtype=float),
             sigmas=np.array(payload["sigmas"], dtype=float),
-            rules=np.array([whole_number("rules", v) for v in rules.flat],
-                           dtype=int).reshape(rules.shape),
             consequents=np.array(payload["consequents"], dtype=float),
             feature_constants=tuple(tuple(c) for c in payload["feature_constants"]),
             target_constants=tuple(payload["target_constants"]),
             norm_mode=payload.get("norm_mode", "minmax"),
             trained=bool(payload.get("trained", False)),
         )
-        d, r = model.n_inputs, len(model.rules)
+        d = model.n_inputs
         m = model.centers.shape[1] if model.centers.ndim == 2 else -1
-        check_shapes(model, d, centers=(d, m), sigmas=(d, m), rules=(r, d),
-                     consequents=(r, d + 1))
-        if model.rules.min() < 0 or model.rules.max() >= m:
-            raise DimensionMismatch(f"rule membership indices must lie in [0, {m})")
+        check_shapes(model, d, centers=(d, m), sigmas=(d, m), consequents=(m**d, d + 1))
+        if rules.shape != (m**d, d) or indices != model.rules.ravel().tolist():
+            raise DimensionMismatch(f"rules are not the {m}^{d} grid, last input fastest")
         return model
 
 
@@ -233,30 +234,31 @@ def init_grid(
         centers[i] = np.linspace(lo, hi, m)
         spacing = (hi - lo) / (m - 1)
         sigmas[i] = spacing / np.sqrt(2.0)
-    rules = np.array(list(itertools.product(range(m), repeat=d)), dtype=int)
-    consequents = np.zeros((n_rules, d + 1))
     return AnfisModel(
         inputs=inputs,
         centers=centers,
         sigmas=sigmas,
-        rules=rules,
-        consequents=consequents,
+        consequents=np.zeros((n_rules, d + 1)),
         feature_constants=features.column_constants(inputs),
         target_constants=(0.0, 1.0),
         norm_mode=features.mode,
     )
 
 
-def _memberships_by_input(model: AnfisModel, x: np.ndarray) -> np.ndarray:
-    """Layer 1 for a batch laid out per input, (d, n, m): each input's n x m
-    block is contiguous, so a gather of its columns reads contiguous rows."""
-    return np.ascontiguousarray(_gaussians(x, model.centers, model.sigmas).transpose(1, 0, 2))
-
-
 def _gaussians(x: np.ndarray, centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """exp(-(x - c)^2 / (2 sigma^2)) with the centers on a new last axis."""
     diff = x[..., None] - centers
     return np.exp(-(diff * diff) / (2.0 * sigmas**2))
+
+
+def _grid_product(mu: Sequence[np.ndarray]) -> np.ndarray:
+    """prod_k mu[k][j_k, :] for every MF tuple (j_0, j_1, ...) of the
+    (m, n) blocks mu, last block fastest, multiplied in list order: an
+    (m^len(mu), n) array in C order."""
+    w = mu[0]
+    for mu_k in mu[1:]:
+        w = (w[:, None, :] * mu_k).reshape(-1, mu_k.shape[1])
+    return w
 
 
 def _checked_total(total: np.ndarray) -> np.ndarray:
@@ -273,10 +275,10 @@ def _forward(model: AnfisModel, x: np.ndarray):
 
     Returns (y, wbar, w) with shapes (n,), (n, R), (n, R).
     """
-    mu = _memberships_by_input(model, x)              # d x n x m
-    w = mu[0][:, model.rules[:, 0]]                   # n x R
-    for i in range(1, x.shape[1]):
-        w *= mu[i][:, model.rules[:, i]]
+    # w is the transpose of a C-order R x n product, so w.sum(axis=1) adds
+    # the rules one at a time, in rule order
+    mu = np.ascontiguousarray(_gaussians(x, model.centers, model.sigmas).transpose(1, 2, 0))
+    w = _grid_product(mu).T                           # n x R
     wbar = w / _checked_total(w.sum(axis=1))[:, None]
     return (wbar * _rule_outputs(model, x)).sum(axis=1), wbar, w
 
@@ -363,8 +365,9 @@ def _premise_gradients(model: AnfisModel, x: np.ndarray, t: np.ndarray, state=No
     grad_c = np.zeros_like(model.centers)
     grad_s = np.zeros_like(model.sigmas)
     onehot = np.eye(model.centers.shape[1])   # row j: the indicator of MF j
+    rules = model.rules
     for i in range(d):
-        acc = glw @ onehot[model.rules[:, i]]               # n x m
+        acc = glw @ onehot[rules[:, i]]                     # n x m
         diff = x[:, i:i + 1] - model.centers[i][None, :]    # n x m
         sig = model.sigmas[i][None, :]
         grad_c[i] = (acc * diff / sig**2).sum(axis=0)
@@ -525,29 +528,24 @@ def _perturbed_outputs(model: AnfisModel, raw: np.ndarray, steps):
     the output at x_i' is sum_j mu_ij(x_i') (P_j + (x_i' - x_i) Q_j) /
     sum_j mu_ij(x_i') S_j.  P, Q and S serve both signs.
 
-    Rules that take the same MFs on the other inputs share W, so the sums
-    are taken per group g of such rules: B_gj = sum of [theta_r, 1] over
-    the rules of g with MF j on input i, and one product W_g B gives
+    Rules that take the same MFs on the other inputs share W.  On the m^d
+    grid such a group g is a line along axis i, with one rule per MF j, so
+    B_gj = [theta_r, 1] of that rule, and one product W_g B gives
     [sum W theta, S] per MF, from which P = (sum W theta) [x, 1] and Q is
-    column i.  On an m^d grid there are m^(d-1) groups, not m^d rules.  The
-    grouping is read from the rules themselves, so it holds for any rule
-    set: permuted, partial or with repeats.
+    column i: m^(d-1) products, not m^d.
     """
     x = scaled_inputs(model, raw)
-    mu = _memberships_by_input(model, x)
+    mu = np.ascontiguousarray(_gaussians(x, model.centers, model.sigmas).transpose(1, 2, 0))
     x1 = np.hstack([x, np.ones((x.shape[0], 1))])
-    theta1 = np.hstack([model.consequents, np.ones((model.n_rules, 1))])
     n, d = x.shape
     m = model.centers.shape[1]
+    theta1 = np.hstack([model.consequents, np.ones((model.n_rules, 1))]).reshape((m,) * d + (-1,))
     for i, h in enumerate(steps):
-        group, first = _groups(model.rules, i, m)
-        w = np.ones((n, len(first)))
-        for k in range(d):
-            if k != i:
-                w *= mu[k][:, model.rules[first, k]]
-        sums = np.zeros((len(first), m, d + 2))
-        np.add.at(sums, (group, model.rules[:, i]), theta1)
-        totals = (w @ sums.reshape(len(first), -1)).reshape(n, m, d + 2)
+        others = [mu[k] for k in range(d) if k != i]
+        w = _grid_product(others) if others else np.ones((1, n))   # G x n
+        sums = np.moveaxis(theta1, i, -2).reshape(len(w), m * (d + 2))
+        totals = (w.T @ sums).reshape(n, m, d + 2)
+        del w   # so that the next input's product is not built beside this one
         p = np.einsum("njk,nk->nj", totals[:, :, :-1], x1)
         q, s = totals[:, :, i], totals[:, :, -1]
         outputs = []
@@ -558,20 +556,6 @@ def _perturbed_outputs(model: AnfisModel, raw: np.ndarray, steps):
             y = (mu_i * (p + (xi - x[:, i])[:, None] * q)).sum(axis=1) / total
             outputs.append(raw_target(model, y))
         yield outputs
-
-
-def _groups(rules: np.ndarray, i: int, m: int) -> tuple:
-    """Group the rules by their MF indices on every input but i.
-
-    Returns (group, first): each rule's group id in 0..G-1 and the first
-    rule of each group.  The key is built one input at a time and renumbered
-    by a 1-D unique after each, so it stays below R m for any d.
-    """
-    group = np.zeros(len(rules), dtype=np.intp)
-    for k in range(rules.shape[1]):
-        if k != i:
-            group = np.unique(group * m + rules[:, k], return_inverse=True)[1]
-    return group, np.unique(group, return_index=True)[1]
 
 
 def contour_grid(

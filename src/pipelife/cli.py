@@ -262,7 +262,7 @@ def _load_document(path, parse):
         raise FileUnreadable(f"cannot read {path} as UTF-8: {exc}") from exc
     except KeyError as exc:
         raise PipeLifeError(f"document {path} lacks the key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise PipeLifeError(f"malformed document {path}: {exc}") from exc
 
 

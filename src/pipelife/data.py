@@ -505,14 +505,15 @@ def whole_number(key: str, value) -> int:
 def check_shapes(model, n_inputs: int, **expected) -> None:
     """Check a loaded model: InvalidConfig for an unknown norm_mode, and
     DimensionMismatch unless each named array has its expected shape, with
-    one (a, b) scaling pair per input (or none) and one for the target."""
+    one (a, b) scaling pair per input (or none) and one for the target.  A
+    value that is not a float raises TypeError, ValueError or OverflowError."""
     if model.norm_mode not in NORM_MODES:
         raise InvalidConfig(f"unknown norm_mode: {model.norm_mode!r}")
     expected["target_constants"] = (2,)
     if len(model.feature_constants):
         expected["feature_constants"] = (n_inputs, 2)
     for name, shape in expected.items():
-        actual = np.shape(getattr(model, name))
+        actual = np.shape(np.asarray(getattr(model, name), dtype=float))
         if actual != shape:
             raise DimensionMismatch(f"{name} has shape {actual}, expected {shape}")
 

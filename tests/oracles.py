@@ -1,4 +1,5 @@
-"""Reference computations that the ANFIS consequent solve is checked against."""
+"""Reference computations that the ANFIS consequent solve is checked against,
+and the rule lists that an ANFIS model document must not load with."""
 
 import numpy as np
 
@@ -12,6 +13,15 @@ def consequent_design(model, x):
     x1 = np.hstack([x, np.ones((x.shape[0], 1))])
     blocks = wbar[:, :, None] * x1[:, None, :]
     return blocks.reshape(x.shape[0], -1)
+
+
+# edits of a 3 x 3 grid's rule list that are not the grid, each index in range
+NOT_THE_GRID = {
+    "permuted": lambda rules: rules[::-1],
+    "halved": lambda rules: rules[: len(rules) // 2],
+    "repeated_rule": lambda rules: rules + rules[-1:],
+    "in_range_index": lambda rules: [[2] + rules[0][1:]] + rules[1:],
+}
 
 
 def ridge_lstsq(phi, y):

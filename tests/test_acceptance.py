@@ -161,9 +161,6 @@ def test_criterion_05_anfis_structural_invariants():
                 inputs=tuple(f"f{i}" for i in range(d)),
                 centers=rng.uniform(0, 1, (d, m)),
                 sigmas=rng.uniform(0.05, 0.6, (d, m)),
-                rules=np.array(
-                    [[int(v) for v in np.unravel_index(k, (m,) * d)] for k in range(m**d)]
-                ),
                 consequents=rng.normal(0, 1, (m**d, d + 1)),
             )
             xs = rng.uniform(0, 1, (25, d))

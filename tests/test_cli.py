@@ -17,6 +17,8 @@ from pipelife.data import ingest_csv
 from pipelife.regression import builtin, predict_rul
 from pipelife.synth import DEFAULT_REFERENCE_YEAR
 
+from oracles import NOT_THE_GRID
+
 
 def run(argv):
     return main(argv)
@@ -723,6 +725,66 @@ def test_predict_refuses_an_anfis_rule_index_that_is_not_whole(small_csv, anfis_
     out = tmp_path / "o.csv"
     assert run(["predict", "--model", str(doc), "--in", str(small_csv), "--out", str(out)]) == 1
     assert_one_error_line(capsys, "whole number")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def anfis_doc_3mf(small_csv, tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("anfis_doc_3mf")
+    assert run([
+        "train-anfis", "--in", str(small_csv), "--seed", "4",
+        "--inputs", "age_years,wall_thickness_loss_pct",
+        "--mfs", "3", "--epochs", "0", "--out-dir", str(out_dir),
+    ]) == 0
+    return (out_dir / "anfis_model.json").read_text()
+
+
+@pytest.mark.parametrize("case", NOT_THE_GRID)
+def test_predict_refuses_anfis_rules_that_are_not_the_grid(small_csv, anfis_doc_3mf, tmp_path,
+                                                           capsys, case):
+    payload = json.loads(anfis_doc_3mf)
+    payload["rules"] = NOT_THE_GRID[case](payload["rules"])
+    doc = tmp_path / "model.json"
+    doc.write_text(json.dumps(payload))
+    out = tmp_path / "o.csv"
+    assert run(["predict", "--model", str(doc), "--in", str(small_csv), "--out", str(out)]) == 1
+    assert_one_error_line(capsys, "rules are not the 3^2 grid")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc_name, path, value", [
+    ("anfis_doc", ("rules", 0, 0), 1e300),
+    ("anfis_doc", ("rules", 0, 0), 10**30),
+    ("anfis_doc", ("centers", 0, 0), 10**400),
+    ("anfis_doc", ("target_constants", 0), 10**400),
+    ("anfis_doc", ("feature_constants", 0, 0), 10**400),
+    ("anfis_doc", ("target_constants", 0), "x"),
+    ("mlp_doc", ("b2",), 10**400),
+    ("mlp_doc", ("w2", 0), 10**400),
+    ("mlp_doc", ("target_constants", 1), 10**400),
+    ("registry", (0, "learning_rate"), 10**400),
+], ids=["anfis_rule_1e300", "anfis_rule_10_to_30", "anfis_center", "anfis_target_constant",
+        "anfis_feature_constant", "anfis_target_constant_text", "mlp_b2", "mlp_w2",
+        "mlp_target_constant", "registry_learning_rate"])
+def test_a_document_value_that_is_not_a_float_is_runtime_error(small_csv, tmp_path, capsys, request,
+                                                             doc_name, path, value):
+    if doc_name == "registry":
+        payload = [{"input_columns": ["age_years"], "hidden_neurons": 2, "epochs": 1}]
+    else:
+        payload = json.loads(request.getfixturevalue(doc_name))
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    if doc_name == "registry":
+        argv = ["train-ann", "--in", str(small_csv), "--registry", str(doc), "--out-dir", str(out)]
+    else:
+        argv = ["predict", "--model", str(doc), "--in", str(small_csv), "--out", str(out / "o.csv")]
+    assert run(argv) == 1
+    assert_one_error_line(capsys)
     assert not out.exists()
 
 
