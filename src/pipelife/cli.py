@@ -5,6 +5,13 @@ fit-regression.  Every run writes a manifest (flags, seeds, input digests,
 outputs, duration, the input CSV's cleaning report) beside its outputs;
 identical flags and files reproduce byte-identical numeric outputs.
 
+CSV text goes through the column-wise layer in `data`: inputs are read by
+`read_table` into header-width columns (a byte-order mark is dropped; a
+file csv.reader refuses is a runtime error), and every CSV output is one
+`write_columns` call, which writes what Python's csv writer would.
+`predict` echoes the kept rows' cells of every input column, then
+`predicted_rul`.
+
 argparse is the one parser.  `--config FILE`, given before the subcommand,
 reads each KEY=VALUE line as the flag --KEY=VALUE (`_` reads as `-`); the
 flags the subcommand takes go in front of the explicit ones, so an explicit
@@ -17,13 +24,14 @@ Exit codes: 0 success, 1 runtime or domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import anfis, mlp, regression, stats, synth
 from .data import (
@@ -36,6 +44,7 @@ from .data import (
     ingest_csv,
     read_table,
     split_dataset,
+    write_columns,
     write_csv,
 )
 from .errors import FileUnreadable, InvalidConfig, PipeLifeError
@@ -72,16 +81,9 @@ def _write_manifest(
     return path
 
 
-def _num(x) -> str:
-    # shortest repr that round-trips the double exactly
-    return repr(float(x))
-
-
-def _write_rows_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _nums(values) -> list:
+    # the shortest repr that round-trips each double exactly
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +149,11 @@ def cmd_train_ann(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     metrics_path = out_dir / "ann_metrics.csv"
-    _write_rows_csv(
+    names, phases, *values = zip(*result.table())
+    write_columns(
         metrics_path,
         ("model", "phase", "mae", "rrse", "mape", "rae", "r2"),
-        [(m, p, _num(a), _num(b), _num(c), _num(d), _num(e))
-         for m, p, a, b, c, d, e in result.table()],
+        [list(names), list(phases), *map(_nums, values)],
     )
     model_path = out_dir / "ann_best_model.json"
     model_path.write_text(result.best.model.to_json() + "\n", encoding="utf-8")
@@ -161,11 +163,7 @@ def cmd_train_ann(args) -> int:
     predicted = result.best.predicted[test_rows]
     slope, intercept, r2 = mlp.scatter_fit(predicted, actual)
     scatter_path = out_dir / "ann_scatter.csv"
-    _write_rows_csv(
-        scatter_path,
-        ("actual_rul", "predicted_rul"),
-        zip(map(_num, actual), map(_num, predicted)),
-    )
+    write_columns(scatter_path, ("actual_rul", "predicted_rul"), [_nums(actual), _nums(predicted)])
     fit_path = out_dir / "ann_scatter_fit.json"
     fit_path.write_text(
         json.dumps({"slope": slope, "intercept": intercept, "r2": r2}, indent=2) + "\n",
@@ -215,25 +213,20 @@ def cmd_train_anfis(args) -> int:
     model_path = out_dir / "anfis_model.json"
     model_path.write_text(trained.to_json() + "\n", encoding="utf-8")
     rmse_path = out_dir / "anfis_rmse.csv"
-    _write_rows_csv(
+    write_columns(
         rmse_path,
         ("epoch", "train_rmse", "validation_rmse"),
-        [(i, _num(tr), _num(vr))
-         for i, (tr, vr) in enumerate(zip(history.train_rmse, history.val_rmse))],
+        [list(map(str, range(len(history)))), _nums(history.train_rmse), _nums(history.val_rmse)],
     )
     ranking = anfis.sensitivity_ranking(trained, features)
     rank_path = out_dir / "anfis_sensitivity.csv"
-    _write_rows_csv(
-        rank_path, ("feature", "mean_abs_slope"),
-        [(name, _num(slope)) for name, slope in ranking],
-    )
+    names, slopes = zip(*ranking)
+    write_columns(rank_path, ("feature", "mean_abs_slope"), [list(names), _nums(slopes)])
     top_two = [name for name, _ in ranking[:2]]
     grid = anfis.contour_grid(trained, features, top_two[0], top_two[1])
     grid_path = out_dir / "anfis_contour.csv"
-    _write_rows_csv(
-        grid_path, (top_two[0], top_two[1], "predicted_rul"),
-        [(_num(a), _num(b), _num(c)) for a, b, c in grid],
-    )
+    write_columns(grid_path, (top_two[0], top_two[1], "predicted_rul"),
+                  [_nums(cells) for cells in zip(*grid)])
     manifest = _write_manifest(
         out_dir, "train-anfis",
         {"in": str(args.infile), "inputs": args.inputs, "mfs": args.mfs,
@@ -277,8 +270,8 @@ def _parse_model(text):
 
 def cmd_predict(args) -> int:
     started = time.perf_counter()
-    header, rows = read_table(args.infile)
-    dataset, cleaning = clean_table(header, rows, args.reference_year, args.infile)
+    header, columns = read_table(args.infile)
+    dataset, cleaning = clean_table(header, columns, args.reference_year, args.infile)
     if args.builtin:
         predicted, _ = regression.predict_rul(
             regression.builtin(args.builtin),
@@ -289,13 +282,10 @@ def cmd_predict(args) -> int:
         predicted = _load_document(args.model, _parse_model).predict_dataset(dataset)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    # the k-th record came from rows[cleaning.kept_rows[k]]; each is echoed
-    # padded or cut to the header's width
-    width = len(header)
-    _write_rows_csv(out, header + ["predicted_rul"], (
-        rows[i][:width] + [""] * (width - len(rows[i])) + [_num(value)]
-        for i, value in zip(cleaning.kept_rows, predicted)
-    ))
+    # the k-th record came from data row cleaning.kept_rows[k], echoed as
+    # read_table padded or cut it to the header's width
+    echoed = [list(map(column.__getitem__, cleaning.kept_rows)) for column in columns]
+    write_columns(out, header + ["predicted_rul"], echoed + [_nums(predicted)])
     manifest = _write_manifest(
         out.parent, "predict",
         {"in": str(args.infile), "model": args.model or f"builtin:{args.builtin}",

@@ -8,15 +8,25 @@ where it is absent) and one array of material codes, each an index into
 `MATERIALS = tuple(Material)`.  Materials are read as a numeric deterioration-impact score
 (the EA value) so that every downstream model sees a purely numeric table.
 
-`ingest_csv` is `read_table` (one csv.reader pass, blank rows skipped) then
-`clean_table`, which parses column by column: each numeric column with one
-float array conversion (a per-cell pass only for a column holding a cell
-that does not parse), each distinct material spelling encoded once.  A row
-that fails is counted under one column: its first empty required column,
-else its first column in CSV_COLUMNS order that does not parse (a non-finite
-number does not), else its first failing check.  `first_failing_column` is
-the one validator of those checks: `clean_table` runs it on the parsed
-columns, and `synth.generate` on what it generated.
+The CSV text layer is column-wise.  `read_table` makes one csv.reader pass
+and returns the header and one list of cells per header column: blank rows
+are skipped, a short row is padded with "" and a long row cut to the
+header's width, and the rows are transposed `_BLOCK` at a time.  A leading
+UTF-8 byte-order mark is dropped, and a file that is not UTF-8 or that
+csv.reader refuses (a field over `csv.field_size_limit()`, say) raises
+`FileUnreadable`.  `write_columns` writes columns of str as the text that
+Python's csv writer writes for them, `_BLOCK` lines at a time; `write_csv`
+is it on a Dataset's cells.
+
+`ingest_csv` is `read_table` then `clean_table`, which parses column by
+column: each numeric column with one float array conversion (a per-cell
+pass only for a column holding a cell that does not parse), each distinct
+material spelling encoded once.  A row that fails is counted under one
+column: its first empty required column, else its first column in
+CSV_COLUMNS order that does not parse (a non-finite number does not), else
+its first failing check.  `first_failing_column` is the one validator of
+those checks: `clean_table` runs it on the parsed columns, and
+`synth.generate` on what it generated.
 
 `split_dataset` labels each row Train, Validation or Test.  The labels are
 stored as materials are: `split` is one read-only int8 array of codes, each
@@ -81,6 +91,9 @@ DIAMETER_RANGE = (4.0, 24.0)
 WTL_RANGE = (0.0, 100.0)
 AGE_YEAR_TOLERANCE = 1  # fiscal vs calendar year slack
 
+# rows read_table transposes and write_columns joins at a time
+_BLOCK = 1024
+
 
 class Material(Enum):
     """Pipe material with its deterioration-impact (EA) score."""
@@ -108,6 +121,7 @@ _EA_VALUES = {
     Material.CAST_IRON: 8.35,
 }
 MATERIALS = tuple(Material)  # a material's code is its index here
+_MATERIAL_NAMES = tuple(m.value for m in MATERIALS)
 _EA_BY_CODE = np.array([m.ea_value for m in MATERIALS])
 
 # Accepted spellings, keyed on lowercase with spaces/underscores/dashes removed.
@@ -267,19 +281,35 @@ class Dataset:
 
 
 def read_table(path):
-    """(header, rows) of a CSV file: the first row's cells, then every data
-    row as a list of cells, blank rows skipped as csv.DictReader skips them."""
+    """(header, columns) of a CSV file: the first row's cells, then one list
+    of cells per header column.
+
+    Blank rows are skipped, as csv.DictReader skips them; a short row reads
+    as padded with "" and a long row as cut to the header's width.  The rows
+    are transposed _BLOCK at a time, so only one block's row lists are alive
+    beside the columns.  A leading byte-order mark is dropped; a file that is
+    not UTF-8 or that csv.reader refuses raises FileUnreadable.
+    """
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        fh = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise FileUnreadable(f"cannot open {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
-            return header, list(filter(None, reader))
+            columns = [[] for _ in header]
+            rows = filter(None, reader)
+            while block := list(islice(rows, _BLOCK)):
+                cells = islice(zip_longest(*block, fillvalue=""), len(header))
+                # the columns past every row of the block read as empty
+                for column, block_cells in zip_longest(columns, cells, fillvalue=[""] * len(block)):
+                    column.extend(block_cells)
         except UnicodeDecodeError as exc:
             raise FileUnreadable(f"cannot read {path} as UTF-8: {exc}") from exc
+        except csv.Error as exc:
+            raise FileUnreadable(f"cannot read {path} as CSV: {exc}") from exc
+    return header, columns
 
 
 def _empty(cells) -> np.ndarray:
@@ -317,29 +347,25 @@ def _material_codes(cells):
     return values, _empty(cells) if "" in codes else None
 
 
-def clean_table(header: Sequence[str], rows: Sequence[Sequence[str]], reference_year: int,
+def clean_table(header: Sequence[str], columns: Sequence[Sequence[str]], reference_year: int,
                 source):
-    """Parse and validate the rows of `read_table` column by column.
+    """Parse and validate the columns of `read_table`.
 
     Returns (Dataset, CleaningReport) as `ingest_csv` does; `source` names the
-    input in the error raised when no row survives.  The rows are not changed.
+    input in the error raised when no row survives.  The columns are not changed.
     """
     # a duplicated header name reads from its last copy, as in csv.DictReader
     position = {name: j for j, name in enumerate(header)}
     missing = [c for c in REQUIRED_COLUMNS if c not in position]
     if missing:
         raise SchemaMismatch(f"missing required column(s): {', '.join(missing)}")
-    wanted = {position[c] for c in CSV_COLUMNS if c in position}
-    # a short row's missing cells read as empty; cells past the header are ignored
-    transposed = islice(zip_longest(*rows, fillvalue=""), max(wanted) + 1)
-    cells_at = {j: cells for j, cells in enumerate(transposed) if j in wanted}
-    n = len(rows)
-    empty, unparsed, columns = {}, {}, {}
+    n = len(columns[0])
+    empty, unparsed, parsed = {}, {}, {}
     for name in CSV_COLUMNS:
         if name not in position:  # rul_years is optional
-            columns[name] = np.full(n, np.nan)
+            parsed[name] = np.full(n, np.nan)
             continue
-        cells = cells_at.get(position[name], ("",) * n)
+        cells = columns[position[name]]
         if name == "material":
             codes, empty[name] = _material_codes(cells)
             unparsed[name] = codes < 0
@@ -351,8 +377,8 @@ def clean_table(header: Sequence[str], rows: Sequence[Sequence[str]], reference_
         if bad.any():
             values[bad] = np.nan
             unparsed[name] = bad
-        columns[name] = np.trunc(values) + 0.0 if name in _INTEGER_COLUMNS else values
-    failing = first_failing_column(columns, reference_year)
+        parsed[name] = np.trunc(values) + 0.0 if name in _INTEGER_COLUMNS else values
+    failing = first_failing_column(parsed, reference_year)
     # an empty required cell outranks a cell that does not parse, which
     # outranks the validator; within each, the first column counts
     precedence = [(c, empty.get(c)) for c in REQUIRED_COLUMNS]
@@ -375,7 +401,7 @@ def clean_table(header: Sequence[str], rows: Sequence[Sequence[str]], reference_
         drops_by_column={str(labels[k]): int(counts[k]) for k in np.argsort(first)},
         kept_rows=kept_rows,
     )
-    numeric = {name: values[kept] for name, values in columns.items()}
+    numeric = {name: values[kept] for name, values in parsed.items()}
     return Dataset(numeric, codes[kept], reference_year), report
 
 
@@ -387,21 +413,54 @@ def ingest_csv(path, reference_year: int):
     imputed, and counted under their first failing column; surviving rows
     keep file order.  This is `read_table` followed by `clean_table`.
     """
-    header, rows = read_table(path)
-    return clean_table(header, rows, reference_year, path)
+    header, columns = read_table(path)
+    return clean_table(header, columns, reference_year, path)
 
 
 def write_csv(dataset: Dataset, path) -> None:
     """Write a dataset in the canonical CSV schema."""
-    cells = [
-        [MATERIALS[code].value for code in dataset.materials.tolist()] if name == "material"
+    columns = [
+        list(map(_MATERIAL_NAMES.__getitem__, dataset.materials.tolist())) if name == "material"
         else _cells(dataset.numeric[name])
         for name in CSV_COLUMNS
     ]
+    write_columns(path, CSV_COLUMNS, columns)
+
+
+def _needs_quotes(text: str) -> bool:
+    # four substring scans take ~1% of the time of one regex search for the four characters
+    return any(char in text for char in '",\r\n')
+
+
+def _quoted(cells: Sequence[str]) -> Sequence[str]:
+    """The cells as the csv writer's QUOTE_MINIMAL writes them: a cell
+    holding a quote, comma or line break is quoted and its quotes doubled.
+    The column is scanned once, joined, and cell by cell only if it holds one."""
+    if not _needs_quotes("".join(cells)):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in cells]
+
+
+def write_columns(path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
+    """Write one header cell and one equal-length column of str per CSV
+    column: the text Python's csv writer (excel dialect, QUOTE_MINIMAL,
+    \\r\\n line ends) writes for the header and the rows.  The lines are
+    joined _BLOCK rows at a time.  DimensionMismatch unless there is one
+    column per header cell and all columns have one length."""
+    if len(columns) != len(header):
+        raise DimensionMismatch(f"{len(columns)} columns beside {len(header)} header cells")
+    n = len(columns[0]) if columns else 0
+    if any(len(column) != n for column in columns):
+        raise DimensionMismatch(f"columns of lengths {sorted({len(c) for c in columns})}")
+    header, columns = _quoted(header), [_quoted(column) for column in columns]
+    if len(header) == 1:
+        # the csv writer quotes a row's lone empty cell, which would read back as a blank row
+        header, *columns = [['""' if c == "" else c for c in cells] for cells in (header, *columns)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(zip(*cells))
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n, _BLOCK):
+            rows = zip(*(column[start:start + _BLOCK] for column in columns))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def _cells(values: np.ndarray) -> list:

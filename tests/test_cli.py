@@ -673,6 +673,43 @@ def test_stats_on_a_file_that_is_not_utf8_is_runtime_error(latin1_csv, capsys):
     assert_one_error_line(capsys, str(latin1_csv), "UTF-8", "0xe9")
 
 
+@pytest.fixture
+def huge_field_csv(small_csv, tmp_path):
+    """small_csv's header and first row, then a row whose material cell is
+    one character longer than csv.field_size_limit()."""
+    with open(small_csv, newline="") as fh:
+        header, first, second = list(csv.reader(fh))[:3]
+    second[header.index("material")] = "x" * (csv.field_size_limit() + 1)
+    path = tmp_path / "huge.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in (header, first, second)))
+    return path
+
+
+def test_stats_on_a_field_over_the_csv_limit_is_runtime_error(huge_field_csv, capsys):
+    assert run(["stats", "--in", str(huge_field_csv)]) == 1
+    assert_one_error_line(capsys, str(huge_field_csv), "field larger than field limit")
+
+
+def test_predict_on_a_field_over_the_csv_limit_is_runtime_error(huge_field_csv, tmp_path, capsys):
+    out = tmp_path / "out" / "p.csv"
+    code = run(["predict", "--builtin", "CI", "--in", str(huge_field_csv), "--out", str(out)])
+    assert code == 1
+    assert_one_error_line(capsys, str(huge_field_csv), "field larger than field limit")
+    assert not out.parent.exists()
+
+
+def test_predict_reads_a_file_with_a_byte_order_mark_as_without(small_csv, tmp_path):
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + small_csv.read_bytes())
+    outputs = []
+    for source in (small_csv, marked):
+        out = tmp_path / source.stem / "predicted.csv"
+        assert run(["predict", "--builtin", "CI", "--in", str(source), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[1].startswith(b"age_years,")
+
+
 def test_predict_with_a_model_that_is_not_utf8_is_runtime_error(small_csv, anfis_doc, tmp_path, capsys):
     doc = tmp_path / "model.json"
     doc.write_bytes(anfis_doc.replace('"inputs"', '"inputs\xe9"', 1).encode("latin-1"))

@@ -4,13 +4,15 @@ from collections import Counter
 from dataclasses import replace
 from math import isfinite
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pipelife import data as data_module
 from pipelife.data import (
     CSV_COLUMNS,
     CleaningReport,
@@ -32,6 +34,7 @@ from pipelife.data import (
     normalize,
     read_table,
     split_dataset,
+    write_columns,
     write_csv,
 )
 from pipelife.errors import (
@@ -328,9 +331,9 @@ def test_write_csv_keeps_a_negative_zero(tmp_path):
     dataset = dataset_of([make_record(wtl=-0.0, rul=-0.0), make_record(wtl=0.0, rul=0.0)])
     path = tmp_path / "pipes.csv"
     write_csv(dataset, path)
-    header, rows = read_table(path)
+    header, columns = read_table(path)
     wtl, rul = header.index("wall_thickness_loss_pct"), header.index("rul_years")
-    assert [(r[wtl], r[rul]) for r in rows] == [("-0.0", "-0.0"), ("0", "0")]
+    assert list(zip(columns[wtl], columns[rul])) == [("-0.0", "-0.0"), ("0", "0")]
 
 
 # -- the per-row ingest, kept as the oracle of the column-wise one -------------------
@@ -519,8 +522,99 @@ def test_ingest_reads_the_last_copy_of_a_duplicated_column(tmp_path):
 def test_read_table_skips_blank_rows_and_keeps_short_ones(tmp_path):
     path = tmp_path / "pipes.csv"
     path.write_text("a,b,c\n1,2,3\n\n4\n,\n5,6,7,8\n", encoding="utf-8")
-    assert read_table(path) == (["a", "b", "c"], [["1", "2", "3"], ["4"], ["", ""],
-                                                  ["5", "6", "7", "8"]])
+    header, columns = read_table(path)
+    assert header == ["a", "b", "c"]
+    # the rows [1, 2, 3], [4], ["", ""] and [5, 6, 7, 8], padded or cut to the header's width
+    assert columns == [["1", "4", "", "5"], ["2", "", "", "6"], ["3", "", "", "7"]]
+    assert [list(row) for row in zip(*columns)][3] == ["5", "6", "7"]  # the long row's 8 is cut
+
+
+# cells with every character csv.writer quotes, spaces, empty cells and non-ASCII text
+CELLS = st.text(st.sampled_from(['"', ",", "\r", "\n", " ", "a", "7", ".", "\u00e9", "\u6c34"]),
+                max_size=5)
+
+
+def csv_writer_bytes(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return path.read_bytes()
+
+
+@st.composite
+def rectangular_tables(draw):
+    """A header and rows of its width."""
+    width = draw(st.integers(1, 4))
+    row = st.lists(CELLS, min_size=width, max_size=width)
+    return draw(row), draw(st.lists(row, max_size=12))
+
+
+@settings(deadline=None, max_examples=300)
+@given(table=rectangular_tables(), block=st.integers(1, 4))
+@example(table=(["a", 'b"'], [["", "x,y"], ["\r", "\n"], ['"', " \u00e9"], ["", ""], ["1", ""]]),
+         block=2).via("more rows than a block, every quoted character")
+def test_write_columns_writes_what_csv_writer_writes(table, block):
+    header, rows = table
+    columns = [[row[j] for row in rows] for j in range(len(header))]
+    with tempfile.TemporaryDirectory() as tmp, patch.object(data_module, "_BLOCK", block):
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_columns(got, header, columns)
+        assert got.read_bytes() == csv_writer_bytes(want, [header] + rows)
+
+
+def test_write_columns_refuses_columns_of_unequal_length(tmp_path):
+    with pytest.raises(DimensionMismatch):
+        write_columns(tmp_path / "x.csv", ["a", "b"], [["1", "2"], ["3"]])
+    with pytest.raises(DimensionMismatch):
+        write_columns(tmp_path / "x.csv", ["a", "b"], [["1", "2"]])
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and rows of any width, some of them blank."""
+    header = draw(st.lists(CELLS, min_size=1, max_size=4))
+    width = st.integers(0, len(header) + 2)
+    rows = draw(st.lists(width.flatmap(lambda k: st.lists(CELLS, min_size=k, max_size=k)),
+                         max_size=12))
+    return header, rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(table=csv_tables(), block=st.integers(1, 4))
+@example(table=(["a", "b", "c"], [["1", "2", "3"], ["4", "5", "6"], [], ["7"], ["8", ""],
+                                  ["9", "10", "11", "12"]]),
+         block=2).via("a block in which every row is shorter than the header")
+def test_read_table_transposes_the_csv_reader_rows(table, block):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as tmp, patch.object(data_module, "_BLOCK", block):
+        path = Path(tmp) / "t.csv"
+        csv_writer_bytes(path, [header] + rows)
+        with open(path, newline="", encoding="utf-8") as fh:
+            read = list(csv.reader(fh))
+        got = read_table(path)
+    kept = [row for row in read[1:] if row]  # blank rows are skipped
+    fitted = [(row + [""] * len(header))[:len(header)] for row in kept]
+    assert got == (read[0], [[row[j] for row in fitted] for j in range(len(header))])
+
+
+def test_read_table_drops_a_byte_order_mark(tmp_path):
+    dataset = make_dataset(15)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_csv(dataset, plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_table(marked) == read_table(plain)
+    back, report = ingest_csv(marked, REF_YEAR)
+    want, want_report = ingest_csv(plain, REF_YEAR)
+    assert report == want_report and report.kept_rows == want_report.kept_rows
+    assert np.array_equal(back.materials, want.materials)
+    for name in NUMERIC_COLUMNS:
+        assert np.array_equal(bits(back.numeric[name]), bits(want.numeric[name])), name
+
+
+def test_read_table_reports_a_field_over_the_csv_limit_as_unreadable(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b\n1," + "x" * (csv.field_size_limit() + 1) + "\n", encoding="utf-8")
+    with pytest.raises(FileUnreadable, match="as CSV: field larger than field limit"):
+        read_table(path)
 
 
 # -- splitting ------------------------------------------------------------------
