@@ -349,9 +349,10 @@ def _config_flags(path) -> dict:
 
     `_` in a key reads as `-`, so `out_dir` and `out-dir` are both
     `--out-dir`; a later line for the same flag replaces an earlier one.
+    A leading byte-order mark is read as no mark, as in a CSV file.
     """
     flags = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -465,11 +465,22 @@ def write_columns(path, header: Sequence[str], columns: Sequence[Sequence[str]])
 
 def _cells(values: np.ndarray) -> list:
     # repr keeps round-trips exact while writing integers compactly; NaN is
-    # an absent rul_years
-    cells = [repr(int(x)) if x.is_integer() else repr(x) if x == x else ""
-             for x in values.tolist()]
+    # an absent rul_years.  The whole numbers below 2**53, every cell of most
+    # columns, are written from one int64 conversion.
+    small = np.abs(values) < 2.0 ** 53
+    whole = small & (np.trunc(values) == values)
+    if whole.all():
+        cells = list(map(str, values.astype(np.int64).tolist()))
+    else:
+        cells = list(map(repr, values.tolist()))
+        ints = np.flatnonzero(whole)
+        for i, text in zip(ints.tolist(), map(str, values[ints].astype(np.int64).tolist())):
+            cells[i] = text
+        rest = np.flatnonzero(~small)   # NaN, infinities and whole numbers from 2**53 up
+        for i, x in zip(rest.tolist(), values[rest].tolist()):
+            cells[i] = repr(int(x)) if x.is_integer() else repr(x) if x == x else ""
     for i in np.flatnonzero(np.signbit(values) & (values == 0)).tolist():
-        cells[i] = "-0.0"  # repr(int(-0.0)) would drop the sign
+        cells[i] = "-0.0"  # str(0) would drop the sign
     return cells
 
 

@@ -16,13 +16,18 @@ member with the strictly lowest validation MSE wins.  Members sharing
 (batch_size, epochs) form one stack: K parameter vectors in one array,
 hidden units zero-padded to the largest h, inputs laid out on the union of
 the members' columns, and a per-parameter learning rate that is zero on the
-padding and on each member's absent inputs.  Every SGD step then runs a
-handful of numpy calls on (K, B, d) batches instead of K separate loops.
-Each member keeps its own Glorot initialization from rng(seed), its own
-batch order from rng(seed + 1), its learning rate, its activation and its
-best-epoch snapshot, so it ends where training it alone ends, up to the
+padding and on each member's absent inputs.  Each vector is laid out as
+[W1; b1] ((d + 1) x h) then [w2; b2] (h + 1), and the inputs and hidden
+activations carry a ones column, so the biases ride inside the matmuls: a
+forward pass is two matmuls and the activation, and a backward pass two
+matmuls for all four gradients.  One gradient kernel (`_kernel`) does this
+for (K, B, d + 1) batches, with its temporaries allocated once per batch
+size, so an SGD step is a fixed list of numpy calls instead of K separate
+loops.  Each member keeps its own Glorot initialization from rng(seed), its
+own batch order from rng(seed + 1), its learning rate, its activation and
+its best-epoch snapshot, so it ends where training it alone ends, up to the
 order of floating-point sums.  `train` is the one-config case, and
-`loss_and_gradient` is the K = 1 view of the same gradient kernel.
+`loss_and_gradient` is the K = 1 call of the same kernel.
 
 A model keeps the scaling constants of its inputs and target, and
 `predict_batch` scales with `data.scaled_inputs` and `data.raw_target`, as
@@ -130,12 +135,16 @@ _ACTIVATIONS = {"sigmoid": (0.5, 1.0), "tanh": (1.0, 0.0)}
 
 
 def _activation(kinds) -> tuple:
-    """(scale, offset, hi, lo) of K activations as K x 1 x 1 arrays.
+    """(scale, offset, hi, lo) of K activations as K x 1 x 1 arrays, or as
+    floats when all K are one kind (a scalar operand makes a cheaper ufunc call).
 
     The derivative through the activation value a is (hi - a) * (a + lo):
     a (1 - a) for the sigmoid, (1 - a) (1 + a) for tanh.
     """
-    scale, offset = np.array([_ACTIVATIONS[k] for k in kinds]).T.reshape(2, -1, 1, 1)
+    if len(set(kinds)) == 1:
+        scale, offset = _ACTIVATIONS[kinds[0]]
+    else:
+        scale, offset = np.array([_ACTIVATIONS[k] for k in kinds]).T.reshape(2, -1, 1, 1)
     return scale, offset, scale * (1.0 + offset), scale * (1.0 - offset)
 
 
@@ -238,51 +247,85 @@ def init(config: MlpConfig) -> MlpModel:
 # -- stacked networks ----------------------------------------------------------
 #
 # K networks with d inputs and h hidden units live in one K x P array, one
-# flat parameter vector per row: w1 (d*h), b1 (h), w2 (h), b2 (1).  Inputs
-# are (B, d) shared by every network, or (1, B, d) / (K, B, d) batches.
+# flat parameter vector per row: w1 (d*h), b1 (h), w2 (h), b2 (1).  Its first
+# (d + 1) h entries are [W1; b1] as a (d + 1) x h matrix and the last h + 1
+# are [w2; b2], so with a ones column after the inputs and after the hidden
+# activations each layer is one matmul, and each bias gradient comes out of
+# its layer's weight-gradient matmul.  Inputs carry that ones column: (B,
+# d + 1) shared by every network, or (1, B, d + 1) / (K, B, d + 1) batches.
 
-def _unpack(theta: np.ndarray, d: int, h: int) -> tuple:
-    """(w1, b1, w2, b2) views of a K x P parameter stack."""
-    k, dh = theta.shape[0], d * h
-    return (theta[:, :dh].reshape(k, d, h), theta[:, dh:dh + h],
-            theta[:, dh + h:dh + 2 * h], theta[:, dh + 2 * h])
-
-
-def _stack(model: MlpModel) -> tuple:
-    """One model as the K = 1 stack, viewing its arrays."""
-    return model.w1[None], model.b1[None], model.w2[None], np.atleast_1d(model.b2)
+def _layers(theta: np.ndarray, d: int, h: int) -> tuple:
+    """([W1; b1], [w2; b2]) views of a K x P stack: (K, d + 1, h) and (K, h + 1)."""
+    k, cut = theta.shape[0], (d + 1) * h
+    return theta[:, :cut].reshape(k, d + 1, h), theta[:, cut:]
 
 
-def _forward(params: tuple, x: np.ndarray, act: tuple) -> tuple:
-    """Hidden activations (K, B, h) and outputs (K, B) of stacked networks."""
-    w1, b1, w2, b2 = params
-    hidden = x @ w1
-    hidden += b1[:, None]
-    _act(hidden, act)
-    return hidden, (hidden @ w2[..., None])[..., 0] + b2[:, None]
+def _pack(model: MlpModel) -> np.ndarray:
+    """One model as the 1 x P stack."""
+    return np.concatenate((model.w1.ravel(), model.b1, model.w2, [model.b2]))[None]
 
 
-def _gradient(params: tuple, grads: tuple, x: np.ndarray, y: np.ndarray, act: tuple):
-    """Gradient of each network's batch MSE, written into the `grads` views.
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """x (..., d) with the bias input, a ones column, appended."""
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    out[..., :-1] = x
+    out[..., -1] = 1.0
+    return out
 
-    Returns the (K, B) residuals y_hat - y.
+
+def _buffers(k: int, b: int, h: int) -> tuple:
+    """(units, hidden, out) of a forward pass of K networks on b rows: the
+    activations (K, b, h), the same beside the bias input 1 (K, b, h + 1),
+    and the outputs (K, b, 1)."""
+    return np.empty((k, b, h)), np.ones((k, b, h + 1)), np.empty((k, b, 1))
+
+
+def _forward(layers: tuple, x: np.ndarray, act: tuple, buffers=None) -> np.ndarray:
+    """Outputs (K, B, 1) of stacked networks on inputs x with their ones
+    column, written into `buffers` (allocated when not given)."""
+    w1, w2 = layers
+    units, hidden, out = buffers or _buffers(w1.shape[0], x.shape[-2], w1.shape[2])
+    _act(np.matmul(x, w1, out=units), act)
+    hidden[..., :-1] = units     # the activation runs on contiguous memory
+    return np.matmul(hidden, w2[..., None], out=out)
+
+
+def _kernel(theta: np.ndarray, grad: np.ndarray, d: int, h: int, act: tuple, b: int):
+    """The gradient of each stacked network's MSE on batches of b rows.
+
+    Returns gradient(x, x_t, y) for inputs x with their ones column, x_t
+    their (0, 2, 1) transpose and (K or 1, b, 1) targets y.  It writes the
+    gradient into `grad` and returns the (K, b, 1) residuals y_hat - y.  Its
+    temporaries and views are built here, once per batch size.
     """
-    hidden, y_hat = _forward(params, x, act)
-    err = y_hat - y
-    g_w1, g_b1, g_w2, g_b2 = grads
-    g_out = (2.0 / err.shape[1]) * err                       # dL/dy_hat
-    np.matmul(hidden.transpose(0, 2, 1), g_out[..., None], out=g_w2[..., None])
-    g_out.sum(axis=1, out=g_b2)
+    k = theta.shape[0]
+    layers, (g1, g2) = _layers(theta, d, h), _layers(grad, d, h)
+    w2_units, g2 = layers[1][:, None, :h], g2[..., None]
+    buffers = units, hidden, err = _buffers(k, b, h)
+    hidden_t = hidden.transpose(0, 2, 1)
+    g_out, slope, g_hidden = np.empty((k, b, 1)), np.empty((k, b, h)), np.empty((k, b, h))
     hi, lo = act[2:]
-    g_hidden = g_out[..., None] * params[2][:, None] * ((hi - hidden) * (hidden + lo))
-    np.matmul(x.transpose(0, 2, 1), g_hidden, out=g_w1)
-    g_hidden.sum(axis=1, out=g_b1)
-    return err
+    two_over_b = 2.0 / b
+
+    def gradient(x, x_t, y):
+        np.subtract(_forward(layers, x, act, buffers), y, out=err)
+        np.multiply(err, two_over_b, out=g_out)             # dL/dy_hat
+        np.matmul(hidden_t, g_out, out=g2)
+        np.subtract(hi, units, out=slope)
+        np.add(units, lo, out=g_hidden)
+        np.multiply(slope, g_hidden, out=slope)
+        np.multiply(g_out, w2_units, out=g_hidden)
+        np.multiply(g_hidden, slope, out=g_hidden)
+        np.matmul(x_t, g_hidden, out=g1)
+        return err
+
+    return gradient
 
 
-def _mse(params: tuple, x: np.ndarray, y: np.ndarray, act: tuple) -> np.ndarray:
-    err = _forward(params, x, act)[1] - y
-    return np.einsum("kn,kn->k", err, err) / y.size
+def _mse(layers: tuple, x: np.ndarray, y: np.ndarray, act: tuple, buffers=None) -> np.ndarray:
+    err = _forward(layers, x, act, buffers)
+    err -= y
+    return np.einsum("kn,kn->k", err[..., 0], err[..., 0]) / y.size
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -290,18 +333,18 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     x2 = np.atleast_2d(x)
-    if x2.shape[1] != model.w1.shape[0]:
-        raise DimensionMismatch(
-            f"expected {model.w1.shape[0]} inputs, got {x2.shape[1]}"
-        )
-    y = _forward(_stack(model), x2, _activation([model.config.activation]))[1][0]
+    d, h = model.w1.shape
+    if x2.shape[1] != d:
+        raise DimensionMismatch(f"expected {d} inputs, got {x2.shape[1]}")
+    y = _forward(_layers(_pack(model), d, h), _with_ones(x2),
+                 _activation([model.config.activation]))[0, :, 0]
     return float(y[0]) if single else y
 
 
 def loss_and_gradient(model: MlpModel, x: np.ndarray, y: np.ndarray):
     """MSE over the batch and its exact gradients for every parameter.
 
-    This is the K = 1 case of the stacked gradient that training runs.
+    This is the K = 1 case of the stacked gradient kernel that training runs.
     Returns (loss, {"w1": ..., "b1": ..., "w2": ..., "b2": ...}).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -311,11 +354,13 @@ def loss_and_gradient(model: MlpModel, x: np.ndarray, y: np.ndarray):
     if x.shape[0] != y.size:
         raise DimensionMismatch(f"{x.shape[0]} rows vs {y.size} targets")
     d, h = model.w1.shape
-    grads = _unpack(np.empty((1, d * h + 2 * h + 1)), d, h)
-    err = _gradient(_stack(model), grads, x[None], y[None],
-                    _activation([model.config.activation]))[0]
-    g_w1, g_b1, g_w2, g_b2 = (g[0] for g in grads)
-    return float(err @ err) / y.size, {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": float(g_b2)}
+    theta = _pack(model)
+    grad = np.empty_like(theta)
+    x1 = _with_ones(x)[None]
+    gradient = _kernel(theta, grad, d, h, _activation([model.config.activation]), y.size)
+    err = gradient(x1, x1.transpose(0, 2, 1), y[None, :, None])[0, :, 0]
+    g1, g2 = (g[0] for g in _layers(grad, d, h))
+    return float(err @ err) / y.size, {"w1": g1[:d], "b1": g1[d], "w2": g2[:h], "b2": float(g2[h])}
 
 
 @dataclass
@@ -366,11 +411,33 @@ def train_registry(configs: Sequence[MlpConfig], features: FeatureMatrix) -> lis
     return [chosen[i] for i in range(len(configs))]
 
 
+def _init_stack(configs: Sequence[MlpConfig], columns: tuple) -> tuple:
+    """(theta, rate, places) of members laid out on the union `columns`.
+
+    Member i holds its d_i inputs on its rows of W1 and its h_i units on the
+    first of the largest h: `places[i]` is (rows, h_i).  theta holds each
+    member's Glorot initialization there and zeros elsewhere; rate holds its
+    learning rate on its own parameters and zero on the padding.
+    """
+    k, d, h = len(configs), len(columns), max(c.hidden_neurons for c in configs)
+    theta = np.zeros((k, (d + 2) * h + 1))
+    rate = np.zeros_like(theta)
+    (w1, w2), (r1, r2) = _layers(theta, d, h), _layers(rate, d, h)
+    places = []
+    for i, config in enumerate(configs):
+        rows, units = [columns.index(c) for c in config.input_columns], config.hidden_neurons
+        fresh = init(config)
+        w1[i, rows, :units] = fresh.w1
+        w2[i, :units] = fresh.w2
+        r1[i, rows + [d], :units] = r2[i, :units] = r2[i, h] = config.learning_rate
+        places.append((rows, units))
+    return theta, rate, places
+
+
 def _train_group(configs: Sequence[MlpConfig], features: FeatureMatrix) -> list:
     """SGD for members sharing batch size and epochs, as one K-network stack.
 
-    Each member has its d_k inputs on its rows of the union's d and its h_k
-    units on the first of h_max; the learning rate is zero on the rest, so
+    The learning rate is zero on each member's padding (`_init_stack`), so
     the padding stays zero and adds exact zeros to every sum.  Validation
     MSE is tracked each epoch and each member's best-epoch snapshot is kept;
     without a validation split the train loss is used instead.
@@ -378,58 +445,59 @@ def _train_group(configs: Sequence[MlpConfig], features: FeatureMatrix) -> list:
     wanted = {c for config in configs for c in config.input_columns}
     columns = tuple(c for c in features.column_names if c in wanted)
     x_train, y_train, x_val, y_val = features.split_arrays(columns)
-    k, d, h = len(configs), len(columns), max(c.hidden_neurons for c in configs)
-    theta = np.zeros((k, d * h + 2 * h + 1))
-    rate = np.zeros_like(theta)    # learning rate per parameter
+    theta, rate, places = _init_stack(configs, columns)
     grad = np.empty_like(theta)
-    params, rates, grads = (_unpack(a, d, h) for a in (theta, rate, grad))
-    places = []
-    for i, config in enumerate(configs):
-        rows, units = [columns.index(c) for c in config.input_columns], config.hidden_neurons
-        fresh = init(config)
-        params[0][i, rows, :units] = fresh.w1
-        params[2][i, :units] = fresh.w2
-        rates[0][i, rows, :units] = rates[1][i, :units] = rates[2][i, :units] = \
-            rates[3][i] = config.learning_rate
-        places.append((rows, units))
+    k, d, h = len(configs), len(columns), max(c.hidden_neurons for c in configs)
+    layers = _layers(theta, d, h)
     act = _activation([c.activation for c in configs])
     rngs = [np.random.default_rng(c.seed + 1) for c in configs]  # batch shuffling streams
     batch_size, epochs = configs[0].batch_size, configs[0].epochs
+    x_train, x_val = _with_ones(x_train), _with_ones(x_val)
+    y_train, y_val = y_train[:, None], y_val[:, None]
     n = y_train.size
     step = batch_size or n
+    if batch_size is None:
+        x_epoch, y_epoch = x_train[None], y_train[None]
+    else:
+        x_epoch, y_epoch = np.empty((k, n, d + 1)), np.empty((k, n, 1))
+    kernels = {b: _kernel(theta, grad, d, h, act, b) for b in {step, n % step} - {0}}
+    batches = []
+    for start in range(0, n, step):
+        x = x_epoch[:, start:start + step]
+        batches.append((kernels[x.shape[1]], x, x.transpose(0, 2, 1), y_epoch[:, start:start + step]))
 
+    train_buffers, val_buffers = _buffers(k, n, h), _buffers(k, y_val.size, h)
     best = theta.copy()
     best_score = np.full(k, np.inf)
     best_epoch = np.full(k, -1)
     train_mse, val_mse = np.empty((epochs, k)), np.empty((epochs, k))
     for epoch in range(epochs):
-        if batch_size is None:
-            x_epoch, y_epoch = x_train[None], y_train[None]
-        else:
+        if batch_size is not None:
             orders = np.array([rng.permutation(n) for rng in rngs])
-            x_epoch, y_epoch = x_train[orders], y_train[orders]
-        for start in range(0, n, step):
-            batch = slice(start, start + step)
-            _gradient(params, grads, x_epoch[:, batch], y_epoch[:, batch], act)
+            np.take(x_train, orders, axis=0, out=x_epoch)
+            np.take(y_train, orders, axis=0, out=y_epoch)
+        for gradient, x, x_t, y in batches:
+            gradient(x, x_t, y)
             grad *= rate
             theta -= grad
-        train_mse[epoch] = _mse(params, x_train, y_train, act)
-        val_mse[epoch] = _mse(params, x_val, y_val, act) if y_val.size else train_mse[epoch]
+        train_mse[epoch] = _mse(layers, x_train, y_train, act, train_buffers)
+        val_mse[epoch] = (_mse(layers, x_val, y_val, act, val_buffers) if y_val.size
+                          else train_mse[epoch])
         better = val_mse[epoch] < best_score
         best[better] = theta[better]
         best_score[better] = val_mse[epoch, better]
         best_epoch[better] = epoch
 
-    w1, b1, w2, b2 = _unpack(best, d, h)
+    w1, w2 = _layers(best, d, h)
     target_constants = features.column_constants((TARGET_COLUMN,))[0]
     out = []
     for i, (config, (rows, units)) in enumerate(zip(configs, places)):
         model = MlpModel(
             config=config,
             w1=w1[i, rows, :units],
-            b1=b1[i, :units].copy(),
+            b1=w1[i, d, :units].copy(),
             w2=w2[i, :units].copy(),
-            b2=float(b2[i]),
+            b2=float(w2[i, h]),
             feature_constants=features.column_constants(config.input_columns),
             target_constants=target_constants,
             norm_mode=features.mode,

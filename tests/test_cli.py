@@ -443,6 +443,14 @@ def test_config_file_provides_defaults(tmp_path, small_csv):
     assert run(["--config", str(config), "stats"]) == 0
 
 
+def test_config_file_with_a_byte_order_mark_reads_its_first_line(tmp_path, small_csv, capsys):
+    # Notepad and Excel save UTF-8 text with a leading mark
+    config = tmp_path / "pipelife.conf"
+    config.write_bytes(b"\xef\xbb\xbf" + f"in={small_csv}\njson=true\n".encode("utf-8"))
+    assert run(["--config", str(config), "stats"]) == 0
+    assert json.loads(capsys.readouterr().out)
+
+
 def test_cli_reproducibility(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"

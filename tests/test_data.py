@@ -336,6 +336,30 @@ def test_write_csv_keeps_a_negative_zero(tmp_path):
     assert list(zip(columns[wtl], columns[rul])) == [("-0.0", "-0.0"), ("0", "0")]
 
 
+def reference_cells(values):
+    """The per-cell formula that `data._cells` replaces, kept as its oracle."""
+    return ["-0.0" if x == 0 and np.signbit(x) else repr(int(x)) if x.is_integer()
+            else repr(x) if x == x else "" for x in values.tolist()]
+
+
+EDGE_FLOATS = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 0.5, -2.5,
+               2.0**53, -2.0**53, 2.0**53 - 1, -(2.0**53 - 1), 2.0**53 + 2, 2.0**53 + 1]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(
+    arrays(np.float64, st.integers(0, 40),
+           elements=st.one_of(st.floats(allow_nan=True), st.sampled_from(EDGE_FLOATS))),
+    # columns of whole numbers take the one-conversion path
+    arrays(np.float64, st.integers(1, 40),
+           elements=st.integers(-2**53 + 1, 2**53 - 1).map(float)),
+))
+@example(np.array(EDGE_FLOATS))
+@example(np.array([-0.0, 0.0, 3.0, -(2.0**53 - 1)]))
+def test_cells_match_the_per_cell_formula(values):
+    assert data_module._cells(values) == reference_cells(values)
+
+
 # -- the per-row ingest, kept as the oracle of the column-wise one -------------------
 
 def _finite(text: str) -> float:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pipelife import synth
+from pipelife import mlp, synth
 from pipelife.data import SPLITS, FeatureMatrix, Split, build_features, split_dataset
 from pipelife.errors import (
     ConstantSeries,
@@ -361,6 +361,35 @@ def test_lockstep_restarts_keep_the_first_best_member(registry_features):
               for r in range(config.restarts)]
     assert history.restart == scores.index(min(scores))
     assert min(history.val_mse) == min(scores)
+
+
+def test_stacked_gradient_matches_each_members_loss_and_gradient(registry_features):
+    # sigmoid and tanh, padded hidden units, absent inputs and a partial last batch
+    configs = [replace(c, restarts=1) for c in mixed_registry()]
+    columns = MlpConfig().input_columns
+    theta, rate, places = mlp._init_stack(configs, columns)
+    d, h = len(columns), max(c.hidden_neurons for c in configs)
+    rng = np.random.default_rng(5)
+    theta += rng.normal(0.0, 0.5, theta.shape) * (rate != 0)   # nonzero biases too
+    x_train, y_train, _, _ = registry_features.split_arrays(columns)
+    b = y_train.size % 16
+    assert b > 0
+    orders = np.array([rng.permutation(y_train.size)[-b:] for _ in configs])
+    x = mlp._with_ones(x_train)[orders]
+    grad = np.empty_like(theta)
+    act = mlp._activation([c.activation for c in configs])
+    mlp._kernel(theta, grad, d, h, act, b)(x, x.transpose(0, 2, 1), y_train[orders][..., None])
+    (w1, w2), (g1, g2) = mlp._layers(theta, d, h), mlp._layers(grad, d, h)
+    for i, (config, (rows, units)) in enumerate(zip(configs, places)):
+        model = MlpModel(config, w1[i, rows, :units], w1[i, d, :units].copy(),
+                         w2[i, :units].copy(), float(w2[i, h]))
+        _, alone = loss_and_gradient(model, x_train[orders[i]][:, rows], y_train[orders[i]])
+        for stacked, name in ((g1[i, rows, :units], "w1"), (g1[i, d, :units], "b1"),
+                              (g2[i, :units], "w2"), (g2[i, h], "b2")):
+            np.testing.assert_allclose(stacked, alone[name], rtol=0, atol=1e-12, err_msg=name)
+        assert np.count_nonzero(rate[i]) == (len(rows) + 2) * units + 1
+    padded = rate == 0
+    assert np.all(np.isfinite(grad)) and np.all((rate * grad)[padded] == 0)
 
 
 # -- experiment suite ----------------------------------------------------------------
