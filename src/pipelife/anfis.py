@@ -184,18 +184,6 @@ class AnfisModel:
         return model
 
 
-@dataclass(frozen=True)
-class LayerTrace:
-    """Intermediate values of one inference pass, for testing and inspection."""
-
-    memberships: np.ndarray      # d x m
-    firing: np.ndarray           # R
-    normalized: np.ndarray       # R
-    rule_outputs: np.ndarray     # R
-    weighted_outputs: np.ndarray  # R
-    output: float
-
-
 def init_grid(
     inputs: Sequence[str],
     mfs_per_input: int,
@@ -248,7 +236,9 @@ def init_grid(
 def _gaussians(x: np.ndarray, centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """exp(-(x - c)^2 / (2 sigma^2)) with the centers on a new last axis."""
     diff = x[..., None] - centers
-    return np.exp(-(diff * diff) / (2.0 * sigmas**2))
+    # a far-out x squares to inf, and exp(-inf) = 0 is its correct membership
+    with np.errstate(over="ignore"):
+        return np.exp(-(diff * diff) / (2.0 * sigmas**2))
 
 
 def _grid_product(mu: Sequence[np.ndarray]) -> np.ndarray:
@@ -286,28 +276,6 @@ def _forward(model: AnfisModel, x: np.ndarray):
 def _rule_outputs(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     """Layer-4 linear rule outputs theta_r . [x, 1]: (n, R)."""
     return x @ model.consequents[:, :-1].T + model.consequents[:, -1]
-
-
-def infer(model: AnfisModel, x) -> tuple:
-    """Evaluate one feature row through all five layers.
-
-    Returns (y_hat, LayerTrace); x is in the model's normalized units.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != model.n_inputs:
-        raise DimensionMismatch(f"expected {model.n_inputs} inputs, got {x.size}")
-    batch = x[None, :]
-    y, wbar, w = _forward(model, batch)
-    f = _rule_outputs(model, batch)[0]
-    y = float(y[0])
-    return y, LayerTrace(
-        memberships=_gaussians(x, model.centers, model.sigmas),
-        firing=w[0],
-        normalized=wbar[0],
-        rule_outputs=f,
-        weighted_outputs=wbar[0] * f,
-        output=y,
-    )
 
 
 def _span(a: np.ndarray) -> tuple:

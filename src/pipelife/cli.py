@@ -176,7 +176,8 @@ def cmd_train_ann(args) -> int:
         [args.infile], [metrics_path, model_path, scatter_path, fit_path], started,
         cleaning=cleaning.to_dict(),
         training=[{"name": row.name, "best_epoch": row.history.best_epoch,
-                   "epochs": len(row.history), "restart": row.history.restart}
+                   "epochs": len(row.history), "restart": row.history.restart,
+                   "stop": row.history.stop}
                   for row in result.rows],
     )
     best_test = result.best.phase(Split.TEST)

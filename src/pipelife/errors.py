@@ -49,10 +49,6 @@ class EmptySeries(PipeLifeError):
     """Series must be non-empty."""
 
 
-class ZeroStd(PipeLifeError):
-    """Standard deviation is zero; z-score undefined."""
-
-
 class LengthMismatch(PipeLifeError):
     """Paired series have different lengths."""
 

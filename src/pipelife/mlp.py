@@ -1,33 +1,33 @@
-"""Single-hidden-layer feedforward regressor trained by backpropagation.
+"""Single-hidden-layer feedforward regressor trained by Levenberg–Marquardt.
 
 The network is y = w2 . act(W1 x + b1) + b2 with a sigmoid (or tanh) hidden
-layer and a linear output, trained on mean squared error over normalized
-features and target.  Weights start Glorot-uniform from a seeded generator,
-biases at zero, so identical (config, data, seed) reproduce the same model
-bit for bit.
+layer and a linear output, fitted by least squares over normalized features
+and target.  Weights start Glorot-uniform from a seeded generator, biases at
+zero, so identical (config, data, seed) reproduce the same model bit for
+bit.
 
-Training keeps the parameter snapshot with the lowest validation MSE seen
-across the epoch budget; the experiment harness trains a registry of
-configurations on one shared split and ranks them by test error.
+A network's P = (d + 2) h + 1 parameters are one flat vector: [W1; b1] as a
+(d + 1) x h matrix, then [w2; b2].  The inputs and the hidden activations
+carry a ones row, so the biases ride inside the two matmuls of a forward
+pass (`_forward`).  `_jacobian` writes the n x P derivatives of the outputs
+in place: x1 (outer) w2 act'(z) for [W1; b1] and the hidden activations
+[a, 1] for [w2; b2].  `forward`, `loss_and_gradient` (e.e / n and
+2 J^T e / n) and training all call these two.
 
-The registry trains in lockstep (`train_registry`).  A config with
+Training (`train_registry`) fits each network alone by Levenberg–Marquardt
+(D. W. Marquardt, SIAM J. Appl. Math. 11(2), 1963; M. T. Hagan and
+M. B. Menhaj, IEEE Trans. Neural Networks 5(6), 1994, MATLAB's `trainlm`)
+on the whole train split.  An iteration forms J^T J and J^T e once and
+tries (J^T J + mu I) delta = -J^T e with trainlm's schedule: mu starts at
+MU_START, is multiplied by MU_INC after a trial that does not lower the
+training SSE and by MU_DEC after one that does, and the accepted trial's
+activations give the next Jacobian.  A network stops at
+the first of `epochs` iterations ("cap"), PATIENCE iterations without a
+strictly lower validation MSE ("patience"), or mu above MU_MAX, when no
+trial lowers the SSE ("damping"); `TrainingHistory.stop` names which.  The
+parameters with the lowest validation MSE are kept.  A config with
 restarts = k becomes k members seeded seed, seed + 1, ..., and the first
-member with the strictly lowest validation MSE wins.  Members sharing
-(batch_size, epochs) form one stack: K parameter vectors in one array,
-hidden units zero-padded to the largest h, inputs laid out on the union of
-the members' columns, and a per-parameter learning rate that is zero on the
-padding and on each member's absent inputs.  Each vector is laid out as
-[W1; b1] ((d + 1) x h) then [w2; b2] (h + 1), and the inputs and hidden
-activations carry a ones column, so the biases ride inside the matmuls: a
-forward pass is two matmuls and the activation, and a backward pass two
-matmuls for all four gradients.  One gradient kernel (`_kernel`) does this
-for (K, B, d + 1) batches, with its temporaries allocated once per batch
-size, so an SGD step is a fixed list of numpy calls instead of K separate
-loops.  Each member keeps its own Glorot initialization from rng(seed), its
-own batch order from rng(seed + 1), its learning rate, its activation and
-its best-epoch snapshot, so it ends where training it alone ends, up to the
-order of floating-point sums.  `train` is the one-config case, and
-`loss_and_gradient` is the K = 1 call of the same kernel.
+member with the strictly lowest validation MSE wins.
 
 A model keeps the scaling constants of its inputs and target, and
 `predict_batch` scales with `data.scaled_inputs` and `data.raw_target`, as
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,15 +63,17 @@ DEFAULT_INPUT_COLUMNS = (
 DEFAULT_SPLIT_RATIOS = (0.75, 0.10, 0.15)
 DEFAULT_EPOCHS = 500
 
+# trainlm's damping schedule
+MU_START, MU_DEC, MU_INC, MU_MAX = 1e-3, 0.1, 10.0, 1e10
+PATIENCE = 10       # iterations without a strictly lower validation MSE
+
 
 @dataclass(frozen=True)
 class MlpConfig:
     input_columns: tuple = DEFAULT_INPUT_COLUMNS
     hidden_neurons: int = 5
     activation: str = "sigmoid"      # sigmoid | tanh
-    learning_rate: float = 0.2
-    epochs: int = DEFAULT_EPOCHS
-    batch_size: Optional[int] = 16   # None = full batch
+    epochs: int = DEFAULT_EPOCHS     # the cap on Levenberg–Marquardt iterations
     restarts: int = 1                # independent initializations, best kept
     seed: int = 0
     name: str = ""
@@ -79,15 +81,10 @@ class MlpConfig:
     def validate(self) -> None:
         if self.hidden_neurons < 1:
             raise InvalidConfig(f"hidden_neurons must be >= 1, got {self.hidden_neurons}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise InvalidConfig(
-                f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 1:
             raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
-        if self.activation not in ("sigmoid", "tanh"):
+        if self.activation not in _ACTIVATIONS:
             raise InvalidConfig(f"unknown activation: {self.activation!r}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
         if self.restarts < 1:
             raise InvalidConfig(f"restarts must be >= 1, got {self.restarts}")
         if not self.input_columns:
@@ -102,9 +99,7 @@ class MlpConfig:
             "input_columns": list(self.input_columns),
             "hidden_neurons": self.hidden_neurons,
             "activation": self.activation,
-            "learning_rate": self.learning_rate,
             "epochs": self.epochs,
-            "batch_size": self.batch_size,
             "restarts": self.restarts,
             "seed": self.seed,
             "name": self.name,
@@ -114,15 +109,13 @@ class MlpConfig:
     def from_dict(cls, payload: dict) -> "MlpConfig":
         """A config from its to_dict document; an integer field that holds
         a fraction or a bool (2.5, true) raises InvalidConfig rather than
-        being truncated."""
-        batch_size = payload.get("batch_size", 16)
+        being truncated.  The SGD keys of older documents, `batch_size` and
+        `learning_rate`, are ignored."""
         return cls(
             input_columns=tuple(payload["input_columns"]),
             hidden_neurons=whole_number("hidden_neurons", payload["hidden_neurons"]),
             activation=payload.get("activation", "sigmoid"),
-            learning_rate=float(payload.get("learning_rate", 0.2)),
             epochs=whole_number("epochs", payload.get("epochs", DEFAULT_EPOCHS)),
-            batch_size=None if batch_size is None else whole_number("batch_size", batch_size),
             restarts=whole_number("restarts", payload.get("restarts", 1)),
             seed=whole_number("seed", payload.get("seed", 0)),
             name=payload.get("name", ""),
@@ -130,32 +123,11 @@ class MlpConfig:
 
 
 # act(z) = scale * (offset + tanh(scale * z)): sigmoid is 0.5 (1 + tanh(z / 2)),
-# tanh is scale 1, offset 0.  tanh saturates without overflow at any z.
+# tanh is scale 1, offset 0.  tanh saturates without overflow at any z.  The
+# derivative through the activation value a is (hi - a) (a + lo) with
+# hi = scale (1 + offset) and lo = scale (1 - offset): a (1 - a) for the
+# sigmoid, (1 - a) (1 + a) for tanh.
 _ACTIVATIONS = {"sigmoid": (0.5, 1.0), "tanh": (1.0, 0.0)}
-
-
-def _activation(kinds) -> tuple:
-    """(scale, offset, hi, lo) of K activations as K x 1 x 1 arrays, or as
-    floats when all K are one kind (a scalar operand makes a cheaper ufunc call).
-
-    The derivative through the activation value a is (hi - a) * (a + lo):
-    a (1 - a) for the sigmoid, (1 - a) (1 + a) for tanh.
-    """
-    if len(set(kinds)) == 1:
-        scale, offset = _ACTIVATIONS[kinds[0]]
-    else:
-        scale, offset = np.array([_ACTIVATIONS[k] for k in kinds]).T.reshape(2, -1, 1, 1)
-    return scale, offset, scale * (1.0 + offset), scale * (1.0 - offset)
-
-
-def _act(z: np.ndarray, act: tuple) -> np.ndarray:
-    """The activation of the pre-activations z, computed in place."""
-    scale, offset = act[:2]
-    z *= scale
-    np.tanh(z, out=z)
-    z += offset
-    z *= scale
-    return z
 
 
 @dataclass
@@ -244,88 +216,73 @@ def init(config: MlpConfig) -> MlpModel:
     )
 
 
-# -- stacked networks ----------------------------------------------------------
+# -- one network as a flat parameter vector -------------------------------------
 #
-# K networks with d inputs and h hidden units live in one K x P array, one
-# flat parameter vector per row: w1 (d*h), b1 (h), w2 (h), b2 (1).  Its first
-# (d + 1) h entries are [W1; b1] as a (d + 1) x h matrix and the last h + 1
-# are [w2; b2], so with a ones column after the inputs and after the hidden
-# activations each layer is one matmul, and each bias gradient comes out of
-# its layer's weight-gradient matmul.  Inputs carry that ones column: (B,
-# d + 1) shared by every network, or (1, B, d + 1) / (K, B, d + 1) batches.
-
-def _layers(theta: np.ndarray, d: int, h: int) -> tuple:
-    """([W1; b1], [w2; b2]) views of a K x P stack: (K, d + 1, h) and (K, h + 1)."""
-    k, cut = theta.shape[0], (d + 1) * h
-    return theta[:, :cut].reshape(k, d + 1, h), theta[:, cut:]
-
+# theta holds w1 (d*h), b1 (h), w2 (h), b2 (1): its first (d + 1) h entries
+# are [W1; b1] as a (d + 1) x h matrix and the last h + 1 are [w2; b2].
+# Rows run along the last axis: inputs x1 are (d + 1, n) with a ones row,
+# hidden activations (h + 1, n) with a ones row, and the Jacobian is stored
+# as J^T, (P, n), so every elementwise pass runs over n contiguous values.
 
 def _pack(model: MlpModel) -> np.ndarray:
-    """One model as the 1 x P stack."""
-    return np.concatenate((model.w1.ravel(), model.b1, model.w2, [model.b2]))[None]
+    return np.concatenate((model.w1.ravel(), model.b1, model.w2, [model.b2]))
+
+
+def _unpack(theta: np.ndarray, d: int, h: int) -> tuple:
+    """(w1, b1, w2, b2) of a parameter vector, as copies."""
+    w1 = theta[:(d + 1) * h].reshape(d + 1, h)
+    return w1[:d].copy(), w1[d].copy(), theta[(d + 1) * h:-1].copy(), float(theta[-1])
 
 
 def _with_ones(x: np.ndarray) -> np.ndarray:
-    """x (..., d) with the bias input, a ones column, appended."""
-    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
-    out[..., :-1] = x
-    out[..., -1] = 1.0
+    """x (n, d) transposed, with the bias input, a ones row, appended."""
+    out = np.empty((x.shape[1] + 1, x.shape[0]))
+    out[:-1] = x.T
+    out[-1] = 1.0
     return out
 
 
-def _buffers(k: int, b: int, h: int) -> tuple:
-    """(units, hidden, out) of a forward pass of K networks on b rows: the
-    activations (K, b, h), the same beside the bias input 1 (K, b, h + 1),
-    and the outputs (K, b, 1)."""
-    return np.empty((k, b, h)), np.ones((k, b, h + 1)), np.empty((k, b, 1))
+def _forward(theta: np.ndarray, x1: np.ndarray, activation: str) -> tuple:
+    """(hidden, y): the hidden activations above a ones row, (h + 1, n), and
+    the outputs (n,)."""
+    d1, n = x1.shape
+    h = (theta.size - 1) // (d1 + 1)
+    hidden = np.empty((h + 1, n))
+    units = np.matmul(theta[:d1 * h].reshape(d1, h).T, x1, out=hidden[:h])
+    scale, offset = _ACTIVATIONS[activation]
+    units *= scale
+    np.tanh(units, out=units)
+    units += offset
+    units *= scale
+    hidden[h] = 1.0
+    return hidden, theta[d1 * h:] @ hidden
 
 
-def _forward(layers: tuple, x: np.ndarray, act: tuple, buffers=None) -> np.ndarray:
-    """Outputs (K, B, 1) of stacked networks on inputs x with their ones
-    column, written into `buffers` (allocated when not given)."""
-    w1, w2 = layers
-    units, hidden, out = buffers or _buffers(w1.shape[0], x.shape[-2], w1.shape[2])
-    _act(np.matmul(x, w1, out=units), act)
-    hidden[..., :-1] = units     # the activation runs on contiguous memory
-    return np.matmul(hidden, w2[..., None], out=out)
+def _jacobian(theta: np.ndarray, x1: np.ndarray, hidden: np.ndarray, activation: str,
+              jac_t: np.ndarray) -> np.ndarray:
+    """Write the transposed Jacobian of the outputs, (P, n), into `jac_t`.
 
-
-def _kernel(theta: np.ndarray, grad: np.ndarray, d: int, h: int, act: tuple, b: int):
-    """The gradient of each stacked network's MSE on batches of b rows.
-
-    Returns gradient(x, x_t, y) for inputs x with their ones column, x_t
-    their (0, 2, 1) transpose and (K or 1, b, 1) targets y.  It writes the
-    gradient into `grad` and returns the (K, b, 1) residuals y_hat - y.  Its
-    temporaries and views are built here, once per batch size.
+    The rows of b1 are d y / d z, since the bias input is 1; those of w1
+    are the same times each input, and those of [w2; b2] are `hidden`.
     """
-    k = theta.shape[0]
-    layers, (g1, g2) = _layers(theta, d, h), _layers(grad, d, h)
-    w2_units, g2 = layers[1][:, None, :h], g2[..., None]
-    buffers = units, hidden, err = _buffers(k, b, h)
-    hidden_t = hidden.transpose(0, 2, 1)
-    g_out, slope, g_hidden = np.empty((k, b, 1)), np.empty((k, b, h)), np.empty((k, b, h))
-    hi, lo = act[2:]
-    two_over_b = 2.0 / b
-
-    def gradient(x, x_t, y):
-        np.subtract(_forward(layers, x, act, buffers), y, out=err)
-        np.multiply(err, two_over_b, out=g_out)             # dL/dy_hat
-        np.matmul(hidden_t, g_out, out=g2)
-        np.subtract(hi, units, out=slope)
-        np.add(units, lo, out=g_hidden)
-        np.multiply(slope, g_hidden, out=slope)
-        np.multiply(g_out, w2_units, out=g_hidden)
-        np.multiply(g_hidden, slope, out=g_hidden)
-        np.matmul(x_t, g_hidden, out=g1)
-        return err
-
-    return gradient
+    d1, n = x1.shape
+    h = hidden.shape[0] - 1
+    d = d1 - 1
+    scale, offset = _ACTIVATIONS[activation]
+    a, slope = hidden[:h], jac_t[d * h:d1 * h]
+    np.subtract(scale * (1.0 + offset), a, out=slope)
+    slope *= a + scale * (1.0 - offset)
+    slope *= theta[d1 * h:-1, None]
+    np.multiply(x1[:d, None], slope, out=jac_t[:d * h].reshape(d, h, n))
+    jac_t[d1 * h:] = hidden
+    return jac_t
 
 
-def _mse(layers: tuple, x: np.ndarray, y: np.ndarray, act: tuple, buffers=None) -> np.ndarray:
-    err = _forward(layers, x, act, buffers)
+def _sse(theta: np.ndarray, x1: np.ndarray, y: np.ndarray, activation: str) -> tuple:
+    """(hidden, residuals y_hat - y, their sum of squares)."""
+    hidden, err = _forward(theta, x1, activation)
     err -= y
-    return np.einsum("kn,kn->k", err[..., 0], err[..., 0]) / y.size
+    return hidden, err, float(err @ err)
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -333,18 +290,17 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     x2 = np.atleast_2d(x)
-    d, h = model.w1.shape
+    d = model.w1.shape[0]
     if x2.shape[1] != d:
         raise DimensionMismatch(f"expected {d} inputs, got {x2.shape[1]}")
-    y = _forward(_layers(_pack(model), d, h), _with_ones(x2),
-                 _activation([model.config.activation]))[0, :, 0]
+    y = _forward(_pack(model), _with_ones(x2), model.config.activation)[1]
     return float(y[0]) if single else y
 
 
 def loss_and_gradient(model: MlpModel, x: np.ndarray, y: np.ndarray):
     """MSE over the batch and its exact gradients for every parameter.
 
-    This is the K = 1 case of the stacked gradient kernel that training runs.
+    The gradient is 2 J^T e / n, with the Jacobian that training builds.
     Returns (loss, {"w1": ..., "b1": ..., "w2": ..., "b2": ...}).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -354,13 +310,11 @@ def loss_and_gradient(model: MlpModel, x: np.ndarray, y: np.ndarray):
     if x.shape[0] != y.size:
         raise DimensionMismatch(f"{x.shape[0]} rows vs {y.size} targets")
     d, h = model.w1.shape
-    theta = _pack(model)
-    grad = np.empty_like(theta)
-    x1 = _with_ones(x)[None]
-    gradient = _kernel(theta, grad, d, h, _activation([model.config.activation]), y.size)
-    err = gradient(x1, x1.transpose(0, 2, 1), y[None, :, None])[0, :, 0]
-    g1, g2 = (g[0] for g in _layers(grad, d, h))
-    return float(err @ err) / y.size, {"w1": g1[:d], "b1": g1[d], "w2": g2[:h], "b2": float(g2[h])}
+    theta, x1 = _pack(model), _with_ones(x)
+    hidden, err, sse = _sse(theta, x1, y, model.config.activation)
+    jac_t = _jacobian(theta, x1, hidden, model.config.activation, np.empty((theta.size, y.size)))
+    w1, b1, w2, b2 = _unpack(jac_t @ err * (2.0 / y.size), d, h)
+    return sse / y.size, {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
 
 
 @dataclass
@@ -369,13 +323,14 @@ class TrainingHistory:
     val_mse: list = field(default_factory=list)
     best_epoch: int = -1
     restart: int = 0             # index of the winning restart (seed + restart)
+    stop: str = "cap"            # cap | patience | damping
 
     def __len__(self) -> int:
         return len(self.train_mse)
 
 
 def train(config: MlpConfig, features: FeatureMatrix):
-    """Gradient-descent training on the matrix's train split.
+    """Levenberg–Marquardt training on the matrix's train split.
 
     The one-config case of `train_registry`.  Returns (model, TrainingHistory).
     """
@@ -383,130 +338,75 @@ def train(config: MlpConfig, features: FeatureMatrix):
 
 
 def train_registry(configs: Sequence[MlpConfig], features: FeatureMatrix) -> list:
-    """Train every config on the matrix's train split, in lockstep.
+    """Train every config on the matrix's train split, one network at a time.
 
     A config with restarts = k becomes k members seeded seed, seed + 1, ...;
-    the first member with the strictly lowest validation MSE wins.  Members
-    sharing (batch_size, epochs) train as one stacked program.  Returns
+    the first member with the strictly lowest validation MSE wins.  Returns
     [(model, TrainingHistory)] in config order.
     """
-    members = []                   # (config index, restart, member config)
-    for i, config in enumerate(configs):
+    for config in configs:
         config.validate()
-        for r in range(config.restarts):
-            members.append((i, r, replace(config, restarts=1, seed=config.seed + r)))
-    groups = {}
-    for pos, (_, _, member) in enumerate(members):
-        groups.setdefault((member.batch_size, member.epochs), []).append(pos)
-    trained = [None] * len(members)
-    for positions in groups.values():
-        group = _train_group([members[pos][2] for pos in positions], features)
-        for pos, result in zip(positions, group):
-            trained[pos] = result
-    chosen = {}
-    for (i, r, _), (model, history) in zip(members, trained):
-        history.restart = r
-        if i not in chosen or min(history.val_mse) < min(chosen[i][1].val_mse):
-            chosen[i] = (model, history)
-    return [chosen[i] for i in range(len(configs))]
-
-
-def _init_stack(configs: Sequence[MlpConfig], columns: tuple) -> tuple:
-    """(theta, rate, places) of members laid out on the union `columns`.
-
-    Member i holds its d_i inputs on its rows of W1 and its h_i units on the
-    first of the largest h: `places[i]` is (rows, h_i).  theta holds each
-    member's Glorot initialization there and zeros elsewhere; rate holds its
-    learning rate on its own parameters and zero on the padding.
-    """
-    k, d, h = len(configs), len(columns), max(c.hidden_neurons for c in configs)
-    theta = np.zeros((k, (d + 2) * h + 1))
-    rate = np.zeros_like(theta)
-    (w1, w2), (r1, r2) = _layers(theta, d, h), _layers(rate, d, h)
-    places = []
-    for i, config in enumerate(configs):
-        rows, units = [columns.index(c) for c in config.input_columns], config.hidden_neurons
-        fresh = init(config)
-        w1[i, rows, :units] = fresh.w1
-        w2[i, :units] = fresh.w2
-        r1[i, rows + [d], :units] = r2[i, :units] = r2[i, h] = config.learning_rate
-        places.append((rows, units))
-    return theta, rate, places
-
-
-def _train_group(configs: Sequence[MlpConfig], features: FeatureMatrix) -> list:
-    """SGD for members sharing batch size and epochs, as one K-network stack.
-
-    The learning rate is zero on each member's padding (`_init_stack`), so
-    the padding stays zero and adds exact zeros to every sum.  Validation
-    MSE is tracked each epoch and each member's best-epoch snapshot is kept;
-    without a validation split the train loss is used instead.
-    """
-    wanted = {c for config in configs for c in config.input_columns}
-    columns = tuple(c for c in features.column_names if c in wanted)
-    x_train, y_train, x_val, y_val = features.split_arrays(columns)
-    theta, rate, places = _init_stack(configs, columns)
-    grad = np.empty_like(theta)
-    k, d, h = len(configs), len(columns), max(c.hidden_neurons for c in configs)
-    layers = _layers(theta, d, h)
-    act = _activation([c.activation for c in configs])
-    rngs = [np.random.default_rng(c.seed + 1) for c in configs]  # batch shuffling streams
-    batch_size, epochs = configs[0].batch_size, configs[0].epochs
-    x_train, x_val = _with_ones(x_train), _with_ones(x_val)
-    y_train, y_val = y_train[:, None], y_val[:, None]
-    n = y_train.size
-    step = batch_size or n
-    if batch_size is None:
-        x_epoch, y_epoch = x_train[None], y_train[None]
-    else:
-        x_epoch, y_epoch = np.empty((k, n, d + 1)), np.empty((k, n, 1))
-    kernels = {b: _kernel(theta, grad, d, h, act, b) for b in {step, n % step} - {0}}
-    batches = []
-    for start in range(0, n, step):
-        x = x_epoch[:, start:start + step]
-        batches.append((kernels[x.shape[1]], x, x.transpose(0, 2, 1), y_epoch[:, start:start + step]))
-
-    train_buffers, val_buffers = _buffers(k, n, h), _buffers(k, y_val.size, h)
-    best = theta.copy()
-    best_score = np.full(k, np.inf)
-    best_epoch = np.full(k, -1)
-    train_mse, val_mse = np.empty((epochs, k)), np.empty((epochs, k))
-    for epoch in range(epochs):
-        if batch_size is not None:
-            orders = np.array([rng.permutation(n) for rng in rngs])
-            np.take(x_train, orders, axis=0, out=x_epoch)
-            np.take(y_train, orders, axis=0, out=y_epoch)
-        for gradient, x, x_t, y in batches:
-            gradient(x, x_t, y)
-            grad *= rate
-            theta -= grad
-        train_mse[epoch] = _mse(layers, x_train, y_train, act, train_buffers)
-        val_mse[epoch] = (_mse(layers, x_val, y_val, act, val_buffers) if y_val.size
-                          else train_mse[epoch])
-        better = val_mse[epoch] < best_score
-        best[better] = theta[better]
-        best_score[better] = val_mse[epoch, better]
-        best_epoch[better] = epoch
-
-    w1, w2 = _layers(best, d, h)
-    target_constants = features.column_constants((TARGET_COLUMN,))[0]
     out = []
-    for i, (config, (rows, units)) in enumerate(zip(configs, places)):
-        model = MlpModel(
-            config=config,
-            w1=w1[i, rows, :units],
-            b1=w1[i, d, :units].copy(),
-            w2=w2[i, :units].copy(),
-            b2=float(w2[i, h]),
-            feature_constants=features.column_constants(config.input_columns),
-            target_constants=target_constants,
-            norm_mode=features.mode,
-        )
-        history = TrainingHistory(
-            train_mse[:, i].tolist(), val_mse[:, i].tolist(), int(best_epoch[i])
-        )
-        out.append((model, history))
+    for config in configs:
+        arrays = features.split_arrays(config.input_columns)
+        chosen = None
+        for r in range(config.restarts):
+            member = replace(config, restarts=1, seed=config.seed + r)
+            model, history = _train_member(member, arrays)
+            history.restart = r
+            if chosen is None or min(history.val_mse) < min(chosen[1].val_mse):
+                chosen = (model, history)
+        model = chosen[0]
+        model.feature_constants = features.column_constants(config.input_columns)
+        model.target_constants = features.column_constants((TARGET_COLUMN,))[0]
+        model.norm_mode = features.mode
+        out.append(chosen)
     return out
+
+
+def _train_member(config: MlpConfig, arrays: tuple) -> tuple:
+    """Levenberg–Marquardt for one network on (x_train, y_train, x_val, y_val).
+
+    Validation MSE is tracked each iteration and the best snapshot kept;
+    without a validation split the train MSE is used instead.  An iteration
+    in which no trial lowers the SSE leaves the parameters as they were.
+    """
+    x_train, y_train, x_val, y_val = arrays
+    x_train, x_val = _with_ones(x_train), _with_ones(x_val)
+    activation, n = config.activation, y_train.size
+    theta = best = _pack(init(config))
+    p = theta.size
+    jac_t = np.empty((p, n))
+    hidden, err, sse = _sse(theta, x_train, y_train, activation)
+    history = TrainingHistory()
+    best_score, mu = np.inf, MU_START
+    for epoch in range(config.epochs):
+        _jacobian(theta, x_train, hidden, activation, jac_t)
+        jtj, jte = jac_t @ jac_t.T, jac_t @ err
+        diagonal = jtj.diagonal().copy()
+        while mu <= MU_MAX:
+            jtj.flat[::p + 1] = diagonal + mu
+            trial = theta - np.linalg.solve(jtj, jte)
+            trial_hidden, trial_err, trial_sse = _sse(trial, x_train, y_train, activation)
+            if trial_sse < sse:
+                theta, hidden, err, sse = trial, trial_hidden, trial_err, trial_sse
+                mu *= MU_DEC
+                break
+            mu *= MU_INC
+        history.train_mse.append(sse / n)
+        score = _sse(theta, x_val, y_val, activation)[2] / y_val.size if y_val.size else sse / n
+        history.val_mse.append(score)
+        if score < best_score:
+            best, best_score, history.best_epoch = theta, score, epoch
+        if mu > MU_MAX:
+            history.stop = "damping"
+            break
+        if epoch - history.best_epoch == PATIENCE:
+            history.stop = "patience"
+            break
+    d = len(config.input_columns)
+    w1, b1, w2, b2 = _unpack(best, d, config.hidden_neurons)
+    return MlpModel(config, w1, b1, w2, b2), history
 
 
 # ---------------------------------------------------------------------------

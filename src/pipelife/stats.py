@@ -1,8 +1,8 @@
 """Descriptive statistics and significance screening for pipe inventories.
 
-Covers column summaries (min/max/mean/std/mode), standard scores, Pearson
-correlation, one-way ANOVA and the two-sample t-test, plus a per-feature
-significance report against the RUL target.  A feature counts as significant
+Covers column summaries (min/max/mean/std/mode), Pearson correlation,
+one-way ANOVA and the two-sample t-test, plus a per-feature significance
+report against the RUL target.  A feature counts as significant
 when its ANOVA p-value is below 0.05.
 
 Tail probabilities come from the regularized incomplete beta function,
@@ -27,7 +27,6 @@ from .errors import (
     LengthMismatch,
     TooFewGroups,
     TooShort,
-    ZeroStd,
 )
 
 # ---------------------------------------------------------------------------
@@ -169,13 +168,6 @@ def summarize_columns(dataset: Dataset) -> list:
         for name in CSV_COLUMNS
         if name != TARGET_COLUMN or dataset.has_rul()
     ]
-
-
-def z_score(x: float, mean: float, std: float) -> float:
-    """Standard score (x - mean) / std."""
-    if std <= 0:
-        raise ZeroStd(f"std must be positive, got {std}")
-    return (x - mean) / std
 
 
 def pearson(x, y) -> float:

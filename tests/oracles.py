@@ -1,9 +1,45 @@
 """Reference computations that the ANFIS consequent solve is checked against,
-and the rule lists that an ANFIS model document must not load with."""
+the five layers of one ANFIS inference pass, and the rule lists that an ANFIS
+model document must not load with."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from pipelife import anfis
+from pipelife.errors import DimensionMismatch
+
+
+@dataclass(frozen=True)
+class LayerTrace:
+    """Intermediate values of one inference pass."""
+
+    memberships: np.ndarray      # d x m
+    firing: np.ndarray           # R
+    normalized: np.ndarray       # R
+    rule_outputs: np.ndarray     # R
+    weighted_outputs: np.ndarray  # R
+    output: float
+
+
+def infer(model, x) -> tuple:
+    """Evaluate one normalized feature row through all five layers with the
+    batch forward pass: (y_hat, LayerTrace)."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != model.n_inputs:
+        raise DimensionMismatch(f"expected {model.n_inputs} inputs, got {x.size}")
+    batch = x[None, :]
+    y, wbar, w = anfis._forward(model, batch)
+    f = anfis._rule_outputs(model, batch)[0]
+    y = float(y[0])
+    return y, LayerTrace(
+        memberships=anfis._gaussians(x, model.centers, model.sigmas),
+        firing=w[0],
+        normalized=wbar[0],
+        rule_outputs=f,
+        weighted_outputs=wbar[0] * f,
+        output=y,
+    )
 
 
 def consequent_design(model, x):

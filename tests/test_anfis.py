@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from pipelife.anfis import (
     AnfisModel,
     contour_grid,
     hybrid_train,
-    infer,
     init_grid,
     lse_consequents,
     sensitivity_ranking,
@@ -32,7 +32,7 @@ from pipelife.errors import (
 )
 from pipelife.mlp import MlpConfig, init as mlp_init, train as mlp_train
 
-from oracles import NOT_THE_GRID, consequent_design, ridge_lstsq
+from oracles import NOT_THE_GRID, consequent_design, infer, ridge_lstsq
 
 
 def matrix_from_columns(named_columns, split=None):
@@ -118,6 +118,14 @@ def test_gaussian_membership_properties():
     assert left == pytest.approx(right, abs=1e-12)     # symmetry
     assert np.all(np.diff(left) < 0)                   # decreasing in |x - c|
     assert np.all((left > 0) & (left <= 1))
+
+
+def test_far_out_input_has_membership_zero_without_a_warning():
+    model = single_rule_model(center=0.5, sigma=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu = anfis._gaussians(np.array([[1e200], [-1e200], [0.5]]), model.centers, model.sigmas)
+    assert mu[:, 0, 0].tolist() == [0.0, 0.0, 1.0]
 
 
 # -- inference ---------------------------------------------------------------------

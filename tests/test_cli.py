@@ -142,8 +142,7 @@ def test_train_ann_registry_of_one(small_csv, tmp_path):
 def test_train_ann_manifest_records_training(small_csv, tmp_path):
     registry = [
         mlp.MlpConfig(hidden_neurons=3, epochs=4, seed=1, name="plain"),
-        mlp.MlpConfig(hidden_neurons=2, epochs=6, seed=3, restarts=3, batch_size=None,
-                      name="restarted"),
+        mlp.MlpConfig(hidden_neurons=2, epochs=6, seed=3, restarts=3, name="restarted"),
     ]
     registry_path = tmp_path / "registry.json"
     registry_path.write_text(json.dumps([c.to_dict() for c in registry]))
@@ -156,12 +155,44 @@ def test_train_ann_manifest_records_training(small_csv, tmp_path):
     # no timings: the block is the same on every run
     assert training == [
         {"name": row.name, "best_epoch": row.history.best_epoch,
-         "epochs": row.config.epochs, "restart": row.history.restart}
+         "epochs": len(row.history), "restart": row.history.restart,
+         "stop": row.history.stop}
         for row in result.rows
     ]
-    assert [t["epochs"] for t in training] == [4, 6]
+    assert [(t["epochs"], t["stop"]) for t in training] == [(4, "cap"), (6, "cap")]
     assert all(0 <= t["best_epoch"] < t["epochs"] for t in training)
     assert training[1]["restart"] in range(3)
+
+
+def test_sgd_keys_of_older_documents_are_ignored(small_csv, tmp_path):
+    # registries and model documents written before Levenberg–Marquardt
+    # training carry batch_size and learning_rate
+    old_keys = {"batch_size": 16, "learning_rate": 0.2}
+    entry = mlp.MlpConfig(hidden_neurons=3, epochs=4, seed=1, name="m").to_dict()
+    outputs = ("ann_metrics.csv", "ann_best_model.json", "ann_scatter.csv",
+               "ann_scatter_fit.json")
+    written = []
+    for label, document in (("new", entry), ("old", dict(entry, **old_keys))):
+        registry = tmp_path / f"{label}.json"
+        registry.write_text(json.dumps([document]))
+        out_dir = tmp_path / label
+        assert run(["train-ann", "--in", str(small_csv), "--seed", "2",
+                    "--registry", str(registry), "--out-dir", str(out_dir)]) == 0
+        written.append([(out_dir / name).read_bytes() for name in outputs])
+    assert written[0] == written[1]
+
+    model = json.loads(written[0][1])
+    assert not set(old_keys) & set(model["config"])
+    model["config"].update(old_keys)
+    old_model = tmp_path / "old_model.json"
+    old_model.write_text(json.dumps(model))
+    predicted = []
+    for doc in (tmp_path / "new" / "ann_best_model.json", old_model):
+        out = tmp_path / f"{doc.stem}.csv"
+        assert run(["predict", "--model", str(doc), "--in", str(small_csv),
+                    "--out", str(out)]) == 0
+        predicted.append(out.read_bytes())
+    assert predicted[0] == predicted[1]
 
 
 def test_train_ann_requires_rul(tmp_path):
@@ -607,13 +638,8 @@ def test_train_anfis_refuses_a_learning_rate_that_is_negative_or_not_finite(
 
 @pytest.mark.parametrize("entry, message", [
     ({"input_columns": ["age_years", "rul_years"]}, "rul_years cannot be an input"),
-    ({"input_columns": ["age_years"], "batch_size": "x"}, "malformed document"),
-    ({"input_columns": ["age_years"], "learning_rate": float("nan")},
-     "learning_rate must be finite and positive"),
-    ({"input_columns": ["age_years"], "learning_rate": float("inf")},
-     "learning_rate must be finite and positive"),
-], ids=["target_as_input", "batch_size_not_a_number", "learning_rate_nan",
-        "learning_rate_infinity"])
+    ({"input_columns": ["age_years"], "restarts": "x"}, "malformed document"),
+], ids=["target_as_input", "restarts_not_a_number"])
 def test_train_ann_refuses_a_bad_registry_entry(small_csv, tmp_path, capsys, entry, message):
     registry = tmp_path / "registry.json"
     registry.write_text(json.dumps([dict(entry, hidden_neurons=2, epochs=1)]))
@@ -626,8 +652,7 @@ def test_train_ann_refuses_a_bad_registry_entry(small_csv, tmp_path, capsys, ent
 
 
 @pytest.mark.parametrize("field, value", [
-    ("hidden_neurons", 2.7), ("epochs", 2.5), ("batch_size", 16.9),
-    ("restarts", 1.5), ("seed", True),
+    ("hidden_neurons", 2.7), ("epochs", 2.5), ("restarts", 1.5), ("seed", True),
 ])
 def test_train_ann_refuses_a_registry_count_that_is_not_whole(
         small_csv, tmp_path, capsys, field, value):
@@ -807,16 +832,12 @@ def test_predict_refuses_anfis_rules_that_are_not_the_grid(small_csv, anfis_doc_
     ("mlp_doc", ("b2",), 10**400),
     ("mlp_doc", ("w2", 0), 10**400),
     ("mlp_doc", ("target_constants", 1), 10**400),
-    ("registry", (0, "learning_rate"), 10**400),
 ], ids=["anfis_rule_1e300", "anfis_rule_10_to_30", "anfis_center", "anfis_target_constant",
         "anfis_feature_constant", "anfis_target_constant_text", "mlp_b2", "mlp_w2",
-        "mlp_target_constant", "registry_learning_rate"])
+        "mlp_target_constant"])
 def test_a_document_value_that_is_not_a_float_is_runtime_error(small_csv, tmp_path, capsys, request,
                                                              doc_name, path, value):
-    if doc_name == "registry":
-        payload = [{"input_columns": ["age_years"], "hidden_neurons": 2, "epochs": 1}]
-    else:
-        payload = json.loads(request.getfixturevalue(doc_name))
+    payload = json.loads(request.getfixturevalue(doc_name))
     target = payload
     for key in path[:-1]:
         target = target[key]
@@ -824,10 +845,7 @@ def test_a_document_value_that_is_not_a_float_is_runtime_error(small_csv, tmp_pa
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps(payload))
     out = tmp_path / "out"
-    if doc_name == "registry":
-        argv = ["train-ann", "--in", str(small_csv), "--registry", str(doc), "--out-dir", str(out)]
-    else:
-        argv = ["predict", "--model", str(doc), "--in", str(small_csv), "--out", str(out / "o.csv")]
+    argv = ["predict", "--model", str(doc), "--in", str(small_csv), "--out", str(out / "o.csv")]
     assert run(argv) == 1
     assert_one_error_line(capsys)
     assert not out.exists()

@@ -30,9 +30,7 @@ def toy_config(**kwargs):
     defaults = dict(
         input_columns=("x",),
         hidden_neurons=4,
-        learning_rate=0.1,
         epochs=10,
-        batch_size=None,
         seed=0,
     )
     defaults.update(kwargs)
@@ -76,25 +74,20 @@ def test_init_invalid_config():
     with pytest.raises(InvalidConfig):
         init(toy_config(hidden_neurons=0))
     with pytest.raises(InvalidConfig):
-        init(toy_config(learning_rate=0.0))
-    with pytest.raises(InvalidConfig):
         init(toy_config(activation="relu"))
 
 
 def test_config_with_a_repeated_input_column_is_invalid():
-    # each input column has one row of w1 in the stacked layout
+    # each input column has one row of w1
     with pytest.raises(InvalidConfig):
         init(toy_config(input_columns=("x", "x")))
 
 
 def test_config_from_dict_loads_whole_floats_as_ints():
     config = MlpConfig.from_dict({"input_columns": ["x"], "hidden_neurons": 3.0,
-                                  "epochs": 2.0, "batch_size": 16.0, "restarts": 2,
-                                  "seed": 7.0})
-    assert (config.hidden_neurons, config.epochs, config.batch_size,
-            config.restarts, config.seed) == (3, 2, 16, 2, 7)
-    assert all(type(v) is int for v in (config.hidden_neurons, config.epochs,
-                                        config.batch_size, config.seed))
+                                  "epochs": 2.0, "restarts": 2, "seed": 7.0})
+    assert (config.hidden_neurons, config.epochs, config.restarts, config.seed) == (3, 2, 2, 7)
+    assert all(type(v) is int for v in (config.hidden_neurons, config.epochs, config.seed))
 
 
 # -- forward ------------------------------------------------------------------------
@@ -235,7 +228,7 @@ def test_single_step_decreases_loss():
 
 def test_train_learns_linear_function():
     fm = toy_matrix(lambda x: 0.5 * x, n=60)
-    cfg = toy_config(hidden_neurons=4, learning_rate=0.1, epochs=200, batch_size=16)
+    cfg = toy_config(hidden_neurons=4, epochs=200)
     model, history = train(cfg, fm)
     assert history.train_mse[-1] < 1e-3
 
@@ -250,7 +243,7 @@ def test_train_history_length_matches_epochs():
 
 def test_train_constant_target():
     fm = toy_matrix(lambda x: np.full_like(x, 0.0) + 5.0, n=40)
-    cfg = toy_config(hidden_neurons=2, learning_rate=0.2, epochs=300, batch_size=8)
+    cfg = toy_config(hidden_neurons=2, epochs=300)
     model, history = train(cfg, fm)
     assert min(history.val_mse) < 1e-6
 
@@ -263,9 +256,10 @@ def test_train_deterministic():
     m1, h1 = train(cfg, fm)
     m2, h2 = train(cfg, fm)
     assert np.array_equal(m1.w1, m2.w1)
+    assert np.array_equal(m1.b1, m2.b1)
     assert np.array_equal(m1.w2, m2.w2)
     assert m1.b2 == m2.b2
-    assert h1.train_mse == h2.train_mse
+    assert h1 == h2
 
 
 def test_train_empty_split():
@@ -290,23 +284,21 @@ def test_model_json_round_trip_and_prediction_consistency():
     assert a == pytest.approx(b, abs=0)
 
 
-# -- lockstep training ------------------------------------------------------------------
+# -- registry training -----------------------------------------------------------------
 
 NO_WTL = tuple(c for c in MlpConfig().input_columns if c != "wall_thickness_loss_pct")
 
 
 def mixed_registry():
-    """Batch 16 and full batch, 5 and 8 epochs, sigmoid and tanh, restarts,
-    and members without wall thickness loss (one listing its inputs in
-    reverse), in three (batch, epochs) groups."""
+    """5 and 8 iterations, sigmoid and tanh, restarts, and members without
+    wall thickness loss (one listing its inputs in reverse)."""
     return [
         MlpConfig(hidden_neurons=3, epochs=5, seed=1, name="a"),
-        MlpConfig(hidden_neurons=6, epochs=5, seed=2, activation="tanh",
-                  learning_rate=0.1, name="b"),
+        MlpConfig(hidden_neurons=6, epochs=5, seed=2, activation="tanh", name="b"),
         MlpConfig(hidden_neurons=4, epochs=5, seed=3, restarts=3, name="c"),
         MlpConfig(hidden_neurons=5, epochs=5, seed=4, input_columns=NO_WTL[::-1], name="d"),
-        MlpConfig(hidden_neurons=4, epochs=8, seed=5, batch_size=None, name="e"),
-        MlpConfig(hidden_neurons=3, epochs=8, seed=6, batch_size=None, activation="tanh",
+        MlpConfig(hidden_neurons=4, epochs=8, seed=5, name="e"),
+        MlpConfig(hidden_neurons=3, epochs=8, seed=6, activation="tanh",
                   input_columns=NO_WTL, name="f"),
         MlpConfig(hidden_neurons=2, epochs=8, seed=7, name="g"),
     ]
@@ -363,33 +355,64 @@ def test_lockstep_restarts_keep_the_first_best_member(registry_features):
     assert min(history.val_mse) == min(scores)
 
 
-def test_stacked_gradient_matches_each_members_loss_and_gradient(registry_features):
-    # sigmoid and tanh, padded hidden units, absent inputs and a partial last batch
-    configs = [replace(c, restarts=1) for c in mixed_registry()]
-    columns = MlpConfig().input_columns
-    theta, rate, places = mlp._init_stack(configs, columns)
-    d, h = len(columns), max(c.hidden_neurons for c in configs)
-    rng = np.random.default_rng(5)
-    theta += rng.normal(0.0, 0.5, theta.shape) * (rate != 0)   # nonzero biases too
-    x_train, y_train, _, _ = registry_features.split_arrays(columns)
-    b = y_train.size % 16
-    assert b > 0
-    orders = np.array([rng.permutation(y_train.size)[-b:] for _ in configs])
-    x = mlp._with_ones(x_train)[orders]
-    grad = np.empty_like(theta)
-    act = mlp._activation([c.activation for c in configs])
-    mlp._kernel(theta, grad, d, h, act, b)(x, x.transpose(0, 2, 1), y_train[orders][..., None])
-    (w1, w2), (g1, g2) = mlp._layers(theta, d, h), mlp._layers(grad, d, h)
-    for i, (config, (rows, units)) in enumerate(zip(configs, places)):
-        model = MlpModel(config, w1[i, rows, :units], w1[i, d, :units].copy(),
-                         w2[i, :units].copy(), float(w2[i, h]))
-        _, alone = loss_and_gradient(model, x_train[orders[i]][:, rows], y_train[orders[i]])
-        for stacked, name in ((g1[i, rows, :units], "w1"), (g1[i, d, :units], "b1"),
-                              (g2[i, :units], "w2"), (g2[i, h], "b2")):
-            np.testing.assert_allclose(stacked, alone[name], rtol=0, atol=1e-12, err_msg=name)
-        assert np.count_nonzero(rate[i]) == (len(rows) + 2) * units + 1
-    padded = rate == 0
-    assert np.all(np.isfinite(grad)) and np.all((rate * grad)[padded] == 0)
+@pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
+def test_jacobian_matches_central_differences_of_forward(activation):
+    step = 1e-6
+    for seed in range(5):
+        model = init(MlpConfig(input_columns=("a", "b", "c"), hidden_neurons=4,
+                               activation=activation, seed=seed))
+        rng = np.random.default_rng(200 + seed)
+        model.b1[:] = rng.normal(0.0, 0.5, 4)
+        model.b2 = float(rng.normal())
+        x = rng.uniform(0, 1, size=(15, 3))
+        theta, x1 = mlp._pack(model), mlp._with_ones(x)
+        hidden, _ = mlp._forward(theta, x1, activation)
+        jac_t = mlp._jacobian(theta, x1, hidden, activation, np.empty((theta.size, 15)))
+        for j in range(theta.size):
+            moved = []
+            for sign in (1.0, -1.0):
+                shifted = theta.copy()
+                shifted[j] += sign * step
+                w1, b1, w2, b2 = mlp._unpack(shifted, 3, 4)
+                moved.append(forward(replace(model, w1=w1, b1=b1, w2=w2, b2=b2), x))
+            numeric = (moved[0] - moved[1]) / (2 * step)
+            np.testing.assert_allclose(jac_t[j], numeric, rtol=1e-6, atol=1e-9,
+                                       err_msg=f"seed {seed}, column {j}")
+
+
+def test_train_mse_never_increases(registry_features):
+    for config, (_, history) in zip(mixed_registry(), train_registry(
+            [replace(c, epochs=40) for c in mixed_registry()], registry_features)):
+        assert all(b <= a for a, b in zip(history.train_mse, history.train_mse[1:])), config.name
+
+
+def stop_matrix(n=60):
+    """Inputs x and z; the target is a one-unit sigmoid network of x, so a
+    network of x alone fits it to rounding, and z is noise."""
+    rng = np.random.default_rng(3)
+    x, z = rng.uniform(0, 1, size=(2, n))
+    y = 0.2 + 0.5 / (1.0 + np.exp(2.0 - 4.0 * x))
+    split = np.full(n, SPLITS.index(Split.TRAIN))
+    split[::5] = SPLITS.index(Split.VALIDATION)
+    constants = tuple((float(c.min()), float(c.max())) for c in (x, z, y))
+    return FeatureMatrix(np.column_stack([x, z, y]), ("x", "z", "rul_years"), "minmax",
+                         constants, split)
+
+
+def test_each_stop_reason():
+    registry = [
+        MlpConfig(input_columns=("x",), hidden_neurons=2, epochs=3, name="cap"),
+        MlpConfig(input_columns=("z",), hidden_neurons=3, epochs=300, name="patience"),
+        MlpConfig(input_columns=("x",), hidden_neurons=1, epochs=300, name="damping"),
+    ]
+    histories = [history for _, history in train_registry(registry, stop_matrix())]
+    assert [h.stop for h in histories] == ["cap", "patience", "damping"]
+    cap, patience, damping = histories
+    assert len(cap) == 3
+    assert len(patience) == patience.best_epoch + mlp.PATIENCE + 1
+    # no trial lowered the SSE, so the last iteration left it as it was
+    assert len(damping) < 300 and damping.train_mse[-1] == damping.train_mse[-2]
+    assert damping.train_mse[-1] < 1e-25
 
 
 # -- experiment suite ----------------------------------------------------------------

@@ -11,7 +11,6 @@ from pipelife.errors import (
     LengthMismatch,
     TooFewGroups,
     TooShort,
-    ZeroStd,
 )
 from pipelife.stats import (
     anova_one_way,
@@ -22,7 +21,6 @@ from pipelife.stats import (
     summarize,
     t_sf_two_sided,
     t_test_two_sample,
-    z_score,
 )
 
 # ---------------------------------------------------------------------------
@@ -71,24 +69,6 @@ def test_summary_invariants_on_synthetic_columns():
         assert s.min <= s.mean <= s.max
         assert s.min <= s.mode <= s.max
         assert s.std >= 0
-
-
-# ---------------------------------------------------------------------------
-# z-score
-# ---------------------------------------------------------------------------
-
-def test_z_score_zero_at_mean():
-    assert z_score(49.78, 49.78, 30.31) == 0.0
-
-
-def test_z_score_one_sd():
-    # (80.09 - 49.78) / 30.31 is exactly one standard deviation
-    assert z_score(80.09, 49.78, 30.31) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_z_score_zero_std():
-    with pytest.raises(ZeroStd):
-        z_score(1.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
