@@ -63,8 +63,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import TARGET_COLUMN, FeatureMatrix, check_shapes, normalize, raw_target, scaled_inputs
-from .data import whole_number
+from .data import TARGET_COLUMN, FeatureMatrix, check_inputs, check_shapes, normalize, raw_target
+from .data import scaled_inputs, whole_number
 from .errors import (
     AllRulesZero,
     DimensionMismatch,
@@ -93,9 +93,8 @@ class AnfisModel:
     centers: np.ndarray           # d x m Gaussian centers (normalized units)
     sigmas: np.ndarray            # d x m Gaussian widths, > 0
     consequents: np.ndarray       # R x (d + 1), one row per rule; last column is the constant
-    feature_constants: tuple = ()  # per input: (a, b) as in FeatureMatrix
+    feature_constants: tuple = ()  # per input: (min, max) as in FeatureMatrix
     target_constants: tuple = (0.0, 1.0)
-    norm_mode: str = "minmax"
     trained: bool = False
     lse_rank: int = -1             # rank of the last solve (not saved); -1 before any
 
@@ -131,7 +130,7 @@ class AnfisModel:
 
     def predict_batch(self, raw: np.ndarray) -> np.ndarray:
         """RUL years for an n x d matrix of raw-unit inputs, clamped to the
-        trained target range under min-max normalization."""
+        trained target range."""
         y, _, _ = _forward(self, scaled_inputs(self, raw))
         return raw_target(self, y)
 
@@ -151,7 +150,7 @@ class AnfisModel:
                 "consequents": self.consequents.tolist(),
                 "feature_constants": [list(c) for c in self.feature_constants],
                 "target_constants": list(self.target_constants),
-                "norm_mode": self.norm_mode,
+                "norm_mode": "minmax",
                 "trained": self.trained,
             },
             indent=2,
@@ -160,12 +159,15 @@ class AnfisModel:
     @classmethod
     def from_json(cls, text: str) -> "AnfisModel":
         """Load a model document: DimensionMismatch for a wrong array shape or
-        rules other than the m^d grid, InvalidConfig for a fractional or bool rule index."""
+        rules other than the m^d grid; InvalidConfig for a fractional or bool
+        rule index, inputs that `check_inputs` refuses, a norm_mode other
+        than "minmax", a number that is not finite or a width that is not > 0."""
         payload = json.loads(text)
         if payload.get("format") != "pipelife-anfis-v1":
             raise ValueError(f"not an ANFIS model document: {payload.get('format')!r}")
         rules = np.array(payload["rules"], dtype=object)
         indices = [whole_number("rules", v) for v in rules.flat]
+        check_inputs(payload["inputs"], "inputs")
         model = cls(
             inputs=tuple(payload["inputs"]),
             centers=np.array(payload["centers"], dtype=float),
@@ -173,12 +175,13 @@ class AnfisModel:
             consequents=np.array(payload["consequents"], dtype=float),
             feature_constants=tuple(tuple(c) for c in payload["feature_constants"]),
             target_constants=tuple(payload["target_constants"]),
-            norm_mode=payload.get("norm_mode", "minmax"),
             trained=bool(payload.get("trained", False)),
         )
         d = model.n_inputs
         m = model.centers.shape[1] if model.centers.ndim == 2 else -1
-        check_shapes(model, d, centers=(d, m), sigmas=(d, m), consequents=(m**d, d + 1))
+        check_shapes(model, payload, centers=(d, m), sigmas=(d, m), consequents=(m**d, d + 1))
+        if not (model.sigmas > 0).all():
+            raise InvalidConfig("sigmas must all be > 0")
         if rules.shape != (m**d, d) or indices != model.rules.ravel().tolist():
             raise DimensionMismatch(f"rules are not the {m}^{d} grid, last input fastest")
         return model
@@ -192,15 +195,14 @@ def init_grid(
 ) -> AnfisModel:
     """Grid-partition model over the observed range of each input.
 
-    Centers are equally spaced across each normalized column's [min, max];
-    every width starts at spacing / sqrt(2).  Consequents start at zero.
-    An input named twice, or the target as an input, raises InvalidConfig.
+    Centers are equally spaced across [0, 1], the range of every
+    normalized column (a constant column, all 0, gets the same grid); every
+    width starts at spacing / sqrt(2).  Consequents start at zero.
+    Inputs that `data.check_inputs` refuses (none, one named twice, or the
+    target) raise InvalidConfig.
     """
     inputs = tuple(inputs)
-    if len(set(inputs)) != len(inputs):
-        raise InvalidConfig(f"inputs repeat a column: {inputs}")
-    if TARGET_COLUMN in inputs:
-        raise InvalidConfig(f"the target {TARGET_COLUMN} cannot be an input")
+    check_inputs(inputs, "inputs")
     d = len(inputs)
     m = int(mfs_per_input)
     if m < 2:
@@ -211,25 +213,13 @@ def init_grid(
             f"{m}^{d} = {n_rules} rules exceeds the cap of {rule_cap}; "
             "reduce inputs or membership functions"
         )
-    norm = features.normalized()
-    centers = np.empty((d, m))
-    sigmas = np.empty((d, m))
-    for i, name in enumerate(inputs):
-        col = norm[:, features.column_index(name)]
-        lo, hi = float(col.min()), float(col.max())
-        if hi == lo:
-            hi = lo + 1.0
-        centers[i] = np.linspace(lo, hi, m)
-        spacing = (hi - lo) / (m - 1)
-        sigmas[i] = spacing / np.sqrt(2.0)
     return AnfisModel(
         inputs=inputs,
-        centers=centers,
-        sigmas=sigmas,
+        centers=np.tile(np.linspace(0.0, 1.0, m), (d, 1)),
+        sigmas=np.full((d, m), 1.0 / (m - 1) / np.sqrt(2.0)),
         consequents=np.zeros((n_rules, d + 1)),
         feature_constants=features.column_constants(inputs),
         target_constants=(0.0, 1.0),
-        norm_mode=features.mode,
     )
 
 
@@ -518,7 +508,7 @@ def _perturbed_outputs(model: AnfisModel, raw: np.ndarray, steps):
         q, s = totals[:, :, i], totals[:, :, -1]
         outputs = []
         for moved in (raw[:, i] + h, raw[:, i] - h):
-            xi = normalize(moved[:, None], model.feature_constants[i:i + 1], model.norm_mode)[:, 0]
+            xi = normalize(moved[:, None], model.feature_constants[i:i + 1])[:, 0]
             mu_i = _gaussians(xi, model.centers[i], model.sigmas[i])
             total = _checked_total((mu_i * s).sum(axis=1))
             y = (mu_i * (p + (xi - x[:, i])[:, None] * q)).sum(axis=1) / total

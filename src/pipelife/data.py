@@ -33,9 +33,11 @@ stored as materials are: `split` is one read-only int8 array of codes, each
 an index into `SPLITS = tuple(Split)`, and `rows_for(label)` gives the
 ascending row indices of one label.
 
-Feature scaling (min-max or z-score) is `normalize`/`denormalize`; the MLP
-and ANFIS models keep their constants, and both scale a prediction's inputs
-with `scaled_inputs` and its output with `raw_target`.
+Features are scaled min-max by `normalize`/`denormalize`, each column from
+its (min, max) pair; the MLP and ANFIS models keep these constants, and both
+scale a prediction's inputs with `scaled_inputs` and its output with
+`raw_target`.  `check_inputs` and `check_shapes` are the checks that model
+configs and documents share.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateColumn,
     DimensionMismatch,
     EmptyAfterCleaning,
     EmptySplit,
@@ -75,7 +76,6 @@ CSV_COLUMNS = (
 REQUIRED_COLUMNS = CSV_COLUMNS[:-1]
 # the float columns of a Dataset: every CSV column but material
 NUMERIC_COLUMNS = tuple(c for c in CSV_COLUMNS if c != "material")
-NORM_MODES = ("minmax", "zscore")
 # numeric columns read as whole numbers, truncated toward zero
 _INTEGER_COLUMNS = ("age_years", "breaks", "install_year")
 
@@ -90,6 +90,9 @@ COLUMN_MODE_PRECISION = {"material": 2}
 DIAMETER_RANGE = (4.0, 24.0)
 WTL_RANGE = (0.0, 100.0)
 AGE_YEAR_TOLERANCE = 1  # fiscal vs calendar year slack
+# no inventory number reaches it: below it whole numbers are exact, and the
+# squares and cubes that stats and regression form stay finite
+MAGNITUDE_LIMIT = 2.0 ** 53
 
 # rows read_table transposes and write_columns joins at a time
 _BLOCK = 1024
@@ -174,20 +177,27 @@ def _split_codes(split, n: int) -> Optional[np.ndarray]:
 def first_failing_column(numeric: Mapping[str, np.ndarray], reference_year: int) -> np.ndarray:
     """Each row's first failing column, '' when the row is valid.
 
-    The checks run in this order: age >= 0, diameter in range, length > 0,
-    breaks >= 0, wall loss in range, then age within AGE_YEAR_TOLERANCE of
-    reference_year - install_year.  NaN fails every check.
+    The checks run in this order: age >= 0, diameter in range, 0 < length <
+    MAGNITUDE_LIMIT, 0 <= breaks < MAGNITUDE_LIMIT, wall loss in range, age
+    within AGE_YEAR_TOLERANCE of reference_year - install_year, then
+    |rul_years| < MAGNITUDE_LIMIT.  NaN fails every check but the last, as
+    it is an absent target.  The install-year check is exact for whole
+    numbers below MAGNITUDE_LIMIT, so an age or install year from it up
+    fails that check: 2011 - (-1e308) - 1e308 would be 0.
     """
-    age = numeric["age_years"]
+    age, install = numeric["age_years"], numeric["install_year"]
     diameter, wtl = numeric["diameter_in"], numeric["wall_thickness_loss_pct"]
+    exact = (np.abs(age) < MAGNITUDE_LIMIT) & (np.abs(install) < MAGNITUDE_LIMIT)
+    # NaN stands in for the other rows' gap, which fails and cannot overflow
+    gap = reference_year - np.where(exact, install, np.nan) - age
     passes = {
         "age_years": age >= 0,
         "diameter_in": (DIAMETER_RANGE[0] <= diameter) & (diameter <= DIAMETER_RANGE[1]),
-        "length_ft": numeric["length_ft"] > 0,
-        "breaks": numeric["breaks"] >= 0,
+        "length_ft": (0 < numeric["length_ft"]) & (numeric["length_ft"] < MAGNITUDE_LIMIT),
+        "breaks": (0 <= numeric["breaks"]) & (numeric["breaks"] < MAGNITUDE_LIMIT),
         "wall_thickness_loss_pct": (WTL_RANGE[0] <= wtl) & (wtl <= WTL_RANGE[1]),
-        "install_year": np.abs(reference_year - numeric["install_year"] - age)
-        <= AGE_YEAR_TOLERANCE,
+        "install_year": np.abs(gap) <= AGE_YEAR_TOLERANCE,
+        TARGET_COLUMN: ~(np.abs(numeric[TARGET_COLUMN]) >= MAGNITUDE_LIMIT),
     }
     fails = ~np.column_stack(list(passes.values()))
     first = np.where(fails.any(axis=1), fails.argmax(axis=1), len(passes))
@@ -514,18 +524,17 @@ def _constant_pairs(constants, n_columns: int):
     return pairs[:, 0], pairs[:, 1]
 
 
-def normalize(values, constants, mode: str) -> np.ndarray:
-    """Scale each column of an n x d matrix by its (a, b) constants.
-
-    min-max maps [a, b] onto [0, 1] and z-score computes (x - a) / b; a
-    column with a zero scale (a constant min-max column) maps to 0.0.  Empty
-    constants leave the values as they are (a model never fitted to data).
+def normalize(values, constants) -> np.ndarray:
+    """Map each column of an n x d matrix from [a, b] onto [0, 1] by its
+    (min, max) constants (a, b); a constant column (a == b) maps to 0.0.
+    Empty constants leave the values as they are (a model never fitted to
+    data).
     """
     values = np.asarray(values, dtype=float)
     if not len(constants):
         return values
     a, b = _constant_pairs(constants, values.shape[-1])
-    scale = b - a if mode == "minmax" else b
+    scale = b - a
     out = np.zeros_like(values)
     # column by column: numpy broadcasts slowly over a short last axis
     for j in np.flatnonzero(scale):
@@ -533,13 +542,11 @@ def normalize(values, constants, mode: str) -> np.ndarray:
     return out
 
 
-def denormalize(values, constants, mode: str) -> np.ndarray:
-    """Inverse of `normalize`; a constant min-max column comes back as a."""
+def denormalize(values, constants) -> np.ndarray:
+    """Inverse of `normalize`; a constant column comes back as a."""
     values = np.asarray(values, dtype=float)
     a, b = _constant_pairs(constants, values.shape[-1])
-    if mode == "minmax":
-        return values * (b - a) + a
-    return values * b + a
+    return values * (b - a) + a
 
 
 def scaled_inputs(model, raw) -> np.ndarray:
@@ -549,19 +556,17 @@ def scaled_inputs(model, raw) -> np.ndarray:
     d = len(model.input_columns)
     if raw.shape[1] != d:
         raise DimensionMismatch(f"expected {d} inputs, got {raw.shape[1]}")
-    return normalize(raw, model.feature_constants, model.norm_mode)
+    return normalize(raw, model.feature_constants)
 
 
 def raw_target(model, y: np.ndarray) -> np.ndarray:
     """RUL years of a model's normalized outputs y.
 
-    The min-max target was scaled from [a, b]; an output outside that range
-    is an extrapolation, so it is pinned to the trained bounds.
+    The target was scaled from [a, b]; an output outside that range is an
+    extrapolation, so it is pinned to the trained bounds.
     """
-    y = denormalize(y[:, None], (model.target_constants,), model.norm_mode)[:, 0]
-    if model.norm_mode == "minmax":
-        return np.clip(y, *model.target_constants)
-    return y
+    y = denormalize(y[:, None], (model.target_constants,))[:, 0]
+    return np.clip(y, *model.target_constants)
 
 
 def whole_number(key: str, value) -> int:
@@ -572,40 +577,64 @@ def whole_number(key: str, value) -> int:
     return int(value)
 
 
-def check_shapes(model, n_inputs: int, **expected) -> None:
-    """Check a loaded model: InvalidConfig for an unknown norm_mode, and
-    DimensionMismatch unless each named array has its expected shape, with
-    one (a, b) scaling pair per input (or none) and one for the target.  A
-    value that is not a float raises TypeError, ValueError or OverflowError."""
-    if model.norm_mode not in NORM_MODES:
-        raise InvalidConfig(f"unknown norm_mode: {model.norm_mode!r}")
+def check_inputs(columns, key: str) -> None:
+    """InvalidConfig unless the input columns, named `key` in the message,
+    are one or more distinct column names, none of them the target."""
+    if not columns:
+        raise InvalidConfig(f"{key} must be non-empty")
+    if not all(isinstance(name, str) for name in columns):
+        raise InvalidConfig(f"{key} must be column names, got {list(columns)!r}")
+    if len(set(columns)) != len(columns):
+        raise InvalidConfig(f"{key} repeat a column: {tuple(columns)}")
+    if TARGET_COLUMN in columns:
+        raise InvalidConfig(f"the target {TARGET_COLUMN} cannot be an input")
+
+
+def check_shapes(model, payload: dict, **expected) -> None:
+    """Check a model loaded from the document `payload`: InvalidConfig
+    unless its norm_mode is "minmax" (or absent), every number is finite and
+    every scaling pair is a (min, max) below MAGNITUDE_LIMIT, whose range
+    max - min cannot overflow; DimensionMismatch unless each named array has
+    its expected shape, with one pair per input (or none) and one for the
+    target.  A value that is not a float raises TypeError, ValueError or
+    OverflowError."""
+    norm_mode = payload.get("norm_mode", "minmax")
+    if norm_mode != "minmax":
+        raise InvalidConfig(f"unknown norm_mode: {norm_mode!r}")
     expected["target_constants"] = (2,)
     if len(model.feature_constants):
-        expected["feature_constants"] = (n_inputs, 2)
+        expected["feature_constants"] = (len(model.input_columns), 2)
     for name, shape in expected.items():
-        actual = np.shape(np.asarray(getattr(model, name), dtype=float))
-        if actual != shape:
-            raise DimensionMismatch(f"{name} has shape {actual}, expected {shape}")
+        values = np.asarray(getattr(model, name), dtype=float)
+        if values.shape != shape:
+            raise DimensionMismatch(f"{name} has shape {values.shape}, expected {shape}")
+        if not np.isfinite(values).all():
+            raise InvalidConfig(f"{name} holds a number that is not finite")
+    for name in ("feature_constants", "target_constants"):
+        pairs = np.asarray(getattr(model, name), dtype=float).reshape(-1, 2)
+        if not ((np.abs(pairs) < MAGNITUDE_LIMIT).all() and (pairs[:, 0] <= pairs[:, 1]).all()):
+            raise InvalidConfig(f"{name} must be (min, max) pairs below {MAGNITUDE_LIMIT:.0f}")
 
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Numeric design matrix with recorded normalization constants.
+    """Numeric design matrix and its min-max scaling constants.
 
-    Raw values are stored; `normalized()` applies the per-column transform.
-    min-max mode maps each column onto [0, 1]; a constant column maps to 0.0
-    with min == max recorded.  z-score mode uses the sample (n-1) std.
+    Raw values are stored; `constants`, each column's (min, max), are
+    derived from them on construction, and `normalized()` maps each column
+    onto [0, 1].  A constant column maps to 0.0 with min == max recorded.
     """
 
     values: np.ndarray            # n x d raw values
     column_names: tuple
-    mode: str                     # "minmax" | "zscore"
-    constants: tuple              # per column: (min, max) or (mean, std)
     split: Optional[np.ndarray] = None  # per-row codes into SPLITS, as in Dataset
+    constants: tuple = field(init=False)   # per column: (min, max)
 
     def __post_init__(self):
         self.values.setflags(write=False)
         object.__setattr__(self, "split", _split_codes(self.split, self.n))
+        bounds = zip(self.values.min(axis=0).tolist(), self.values.max(axis=0).tolist())
+        object.__setattr__(self, "constants", tuple(bounds))
 
     @property
     def n(self) -> int:
@@ -632,7 +661,7 @@ class FeatureMatrix:
         return tuple(self.constants[j] for j in self._indices(names))
 
     def normalized(self) -> np.ndarray:
-        return normalize(self.values, self.constants, self.mode)
+        return normalize(self.values, self.constants)
 
     rows_for = Dataset.rows_for
 
@@ -654,7 +683,7 @@ class FeatureMatrix:
         return x[train_rows], y[train_rows], x[val_rows], y[val_rows]
 
 
-def build_features(dataset: Dataset, columns: Iterable[str], mode: str = "minmax") -> FeatureMatrix:
+def build_features(dataset: Dataset, columns: Iterable[str]) -> FeatureMatrix:
     """Assemble the requested columns into a FeatureMatrix.
 
     Column order matches the request.  Material is encoded as EA values.
@@ -662,17 +691,4 @@ def build_features(dataset: Dataset, columns: Iterable[str], mode: str = "minmax
     columns = tuple(columns)
     if len(dataset) == 0:
         raise EmptyAfterCleaning("dataset is empty")
-    if mode not in NORM_MODES:
-        raise ValueError(f"unknown normalization mode: {mode!r}")
-    values = dataset.matrix(columns)  # raises UnknownColumn
-    constants = []
-    for j, name in enumerate(columns):
-        col = values[:, j]
-        if mode == "minmax":
-            constants.append((float(col.min()), float(col.max())))
-        else:
-            std = float(col.std(ddof=1)) if len(col) > 1 else 0.0
-            if std == 0.0:
-                raise DegenerateColumn(f"column {name!r} has zero variance")
-            constants.append((float(col.mean()), std))
-    return FeatureMatrix(values, columns, mode, tuple(constants), dataset.split)
+    return FeatureMatrix(dataset.matrix(columns), columns, dataset.split)  # raises UnknownColumn

@@ -35,10 +35,6 @@ class UnknownColumn(PipeLifeError):
     """Requested feature column does not exist."""
 
 
-class DegenerateColumn(PipeLifeError):
-    """Column has zero variance under z-score normalization."""
-
-
 class EmptyDataset(PipeLifeError):
     """Operation requires a non-empty dataset."""
 

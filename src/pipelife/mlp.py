@@ -43,7 +43,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import SPLITS, Dataset, FeatureMatrix, Split, build_features, split_dataset
-from .data import TARGET_COLUMN, check_shapes, raw_target, scaled_inputs, whole_number
+from .data import TARGET_COLUMN, check_inputs, check_shapes, raw_target, scaled_inputs
+from .data import whole_number
 from .errors import (
     ConstantSeries,
     DimensionMismatch,
@@ -87,12 +88,7 @@ class MlpConfig:
             raise InvalidConfig(f"unknown activation: {self.activation!r}")
         if self.restarts < 1:
             raise InvalidConfig(f"restarts must be >= 1, got {self.restarts}")
-        if not self.input_columns:
-            raise InvalidConfig("input_columns must be non-empty")
-        if len(set(self.input_columns)) != len(self.input_columns):
-            raise InvalidConfig(f"input_columns repeat a column: {self.input_columns}")
-        if TARGET_COLUMN in self.input_columns:
-            raise InvalidConfig(f"the target {TARGET_COLUMN} cannot be an input")
+        check_inputs(self.input_columns, "input_columns")
 
     def to_dict(self) -> dict:
         return {
@@ -139,9 +135,8 @@ class MlpModel:
     b1: np.ndarray               # h
     w2: np.ndarray               # h
     b2: float
-    feature_constants: tuple = ()   # per input column: (a, b) as in FeatureMatrix
-    target_constants: tuple = ()    # (a, b) for rul_years
-    norm_mode: str = "minmax"
+    feature_constants: tuple = ()   # per input column: (min, max) as in FeatureMatrix
+    target_constants: tuple = ()    # (min, max) of rul_years
 
     @property
     def input_columns(self) -> tuple:
@@ -151,7 +146,7 @@ class MlpModel:
 
     def predict_batch(self, raw: np.ndarray) -> np.ndarray:
         """RUL years for an n x d matrix of raw-unit inputs, clamped to the
-        trained target range under min-max normalization."""
+        trained target range."""
         return raw_target(self, forward(self, scaled_inputs(self, raw)))
 
     def predict_dataset(self, dataset: Dataset) -> np.ndarray:
@@ -170,15 +165,16 @@ class MlpModel:
                 "b2": self.b2,
                 "feature_constants": [list(c) for c in self.feature_constants],
                 "target_constants": list(self.target_constants),
-                "norm_mode": self.norm_mode,
+                "norm_mode": "minmax",
             },
             indent=2,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "MlpModel":
-        """Load a model document; an invalid config or norm_mode raises
-        InvalidConfig and wrong array shapes raise DimensionMismatch."""
+        """Load a model document; an invalid config, a norm_mode other than
+        "minmax" or a number that is not finite raises InvalidConfig and
+        wrong array shapes raise DimensionMismatch."""
         payload = json.loads(text)
         if payload.get("format") != "pipelife-mlp-v1":
             raise InvalidConfig(f"not an MLP model document: {payload.get('format')!r}")
@@ -192,10 +188,9 @@ class MlpModel:
             b2=float(payload["b2"]),
             feature_constants=tuple(tuple(c) for c in payload["feature_constants"]),
             target_constants=tuple(payload["target_constants"]),
-            norm_mode=payload.get("norm_mode", "minmax"),
         )
         d, h = len(model.input_columns), len(model.b1)
-        check_shapes(model, d, w1=(d, h), b1=(h,), w2=(h,))
+        check_shapes(model, payload, w1=(d, h), b1=(h,), w2=(h,), b2=())
         return model
 
 
@@ -359,7 +354,6 @@ def train_registry(configs: Sequence[MlpConfig], features: FeatureMatrix) -> lis
         model = chosen[0]
         model.feature_constants = features.column_constants(config.input_columns)
         model.target_constants = features.column_constants((TARGET_COLUMN,))[0]
-        model.norm_mode = features.mode
         out.append(chosen)
     return out
 

@@ -174,11 +174,7 @@ def test_criterion_05_anfis_structural_invariants():
             x = rng.uniform(0, 1, (80, 2))
             y = rng.normal(0, 1, 80)
             values = np.column_stack([x, y])
-            fm = FeatureMatrix(
-                values, ("a", "b", "rul_years"), "minmax",
-                tuple((float(values[:, j].min()), float(values[:, j].max()))
-                      for j in range(3)),
-            )
+            fm = FeatureMatrix(values, ("a", "b", "rul_years"))
             model = anfis.init_grid(("a", "b"), 2, fm)
             anfis.lse_consequents(model, x, y)
             phi = consequent_design(model, x)
@@ -190,10 +186,7 @@ def test_criterion_05_anfis_structural_invariants():
         y = 0.5 + 0.4 * np.sin(2 * np.pi * x)
         labels = np.full(60, SPLITS.index(Split.TRAIN))
         labels[::5] = SPLITS.index(Split.VALIDATION)
-        fm = FeatureMatrix(
-            np.column_stack([x, y]), ("x", "rul_years"), "minmax",
-            ((0.0, 1.0), (float(y.min()), float(y.max()))), labels,
-        )
+        fm = FeatureMatrix(np.column_stack([x, y]), ("x", "rul_years"), labels)
         model = anfis.init_grid(("x",), 4, fm)
         _, history = anfis.hybrid_train(model, fm, epochs=10, learning_rate=0.0)
         assert np.all(np.diff(history.train_rmse) <= 1e-10)
@@ -205,10 +198,7 @@ def test_criterion_06_anfis_learning():
         y = 0.5 + 0.4 * np.sin(2 * np.pi * x)
         labels = np.full(50, SPLITS.index(Split.TRAIN))
         labels[::5] = SPLITS.index(Split.VALIDATION)
-        fm = FeatureMatrix(
-            np.column_stack([x, y]), ("x", "rul_years"), "minmax",
-            ((0.0, 1.0), (float(y.min()), float(y.max()))), labels,
-        )
+        fm = FeatureMatrix(np.column_stack([x, y]), ("x", "rul_years"), labels)
         model = anfis.init_grid(("x",), 4, fm)
         trained, history = anfis.hybrid_train(model, fm, epochs=100, learning_rate=0.05)
         assert min(history.train_rmse) < 0.05

@@ -3,6 +3,7 @@ import io
 import json
 import string
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from pipelife import anfis, mlp
 from pipelife.cli import main
-from pipelife.data import ingest_csv
+from pipelife.data import CSV_COLUMNS, ingest_csv
 from pipelife.regression import builtin, predict_rul
 from pipelife.synth import DEFAULT_REFERENCE_YEAR
 
@@ -768,20 +769,53 @@ def mlp_doc():
     return model.to_json()
 
 
-@pytest.mark.parametrize("doc_name, edit", [
-    ("mlp_doc", lambda payload: payload["config"].update(activation="relu")),
-    ("mlp_doc", lambda payload: payload.update(norm_mode="bogus")),
-    ("anfis_doc", lambda payload: payload.update(norm_mode="bogus")),
-], ids=["mlp_activation", "mlp_norm_mode", "anfis_norm_mode"])
+def _set(*path_and_value):
+    """An edit that sets payload[path[0]][path[1]]... to the value."""
+    *path, value = path_and_value
+
+    def edit(payload):
+        for key in path[:-1]:
+            payload = payload[key]
+        payload[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("doc_name, edit, fragment", [
+    ("mlp_doc", _set("config", "activation", "relu"), "activation"),
+    ("mlp_doc", _set("norm_mode", "bogus"), "norm_mode"),
+    ("anfis_doc", _set("norm_mode", "bogus"), "norm_mode"),
+    ("mlp_doc", _set("norm_mode", "zscore"), "norm_mode"),
+    ("anfis_doc", _set("norm_mode", "zscore"), "norm_mode"),
+    ("anfis_doc", _set("inputs", 0, []), "column names"),
+    ("anfis_doc", _set("inputs", 0, "rul_years"), "cannot be an input"),
+    ("anfis_doc", _set("inputs", 1, "age_years"), "repeat a column"),
+    ("mlp_doc", _set("w1", 0, 0, float("nan")), "w1"),
+    ("mlp_doc", _set("b2", float("inf")), "b2"),
+    ("mlp_doc", _set("target_constants", 0, float("nan")), "target_constants"),
+    ("mlp_doc", _set("feature_constants", 0, 1, float("-inf")), "feature_constants"),
+    ("mlp_doc", _set("feature_constants", 1, [-1e308, 1e308]), "feature_constants"),
+    ("anfis_doc", _set("target_constants", [50.0, 10.0]), "target_constants"),
+    ("anfis_doc", _set("consequents", 0, 0, float("nan")), "consequents"),
+    ("anfis_doc", _set("centers", 0, 0, float("inf")), "centers"),
+    ("anfis_doc", _set("sigmas", 0, 0, 0.0), "sigmas"),
+    ("anfis_doc", _set("sigmas", 1, 1, -0.5), "sigmas"),
+], ids=["mlp_activation", "mlp_norm_mode", "anfis_norm_mode", "mlp_zscore", "anfis_zscore",
+        "anfis_input_not_a_name", "anfis_target_as_input", "anfis_input_twice", "mlp_w1_nan",
+        "mlp_b2_inf", "mlp_target_constant_nan", "mlp_feature_constant_inf",
+        "mlp_feature_range_overflows", "anfis_target_min_above_max",
+        "anfis_consequent_nan", "anfis_center_inf", "anfis_sigma_zero", "anfis_sigma_negative"])
 def test_predict_rejects_an_invalid_model_document(small_csv, tmp_path, capsys, request,
-                                                   doc_name, edit):
+                                                   doc_name, edit, fragment):
     payload = json.loads(request.getfixturevalue(doc_name))
     edit(payload)
     doc = tmp_path / "model.json"
     doc.write_text(json.dumps(payload))
     out = tmp_path / "o.csv"
-    assert run(["predict", "--model", str(doc), "--in", str(small_csv), "--out", str(out)]) == 1
-    assert_one_error_line(capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["predict", "--model", str(doc), "--in", str(small_csv), "--out", str(out)])
+    assert code == 1
+    assert_one_error_line(capsys, fragment)
     assert not out.exists()
 
 
@@ -931,3 +965,52 @@ def test_a_config_line_behaves_like_its_flag(tiny_csv, command, key, value, env_
         via_flags.mkdir()
         assert (_outcome(["--config", str(config), command], via_config)
                 == _outcome([command] + explicit, via_flags))
+
+
+# valid inventory rows at the default reference year, in CSV_COLUMNS order
+VALID_ROWS = (
+    ("30", "6", "100", "CI", "1", str(DEFAULT_REFERENCE_YEAR - 30), "20", "30"),
+    ("55", "12", "2500", "DuctileIron", "4", str(DEFAULT_REFERENCE_YEAR - 55), "45.5", "12"),
+    ("3", "24", "80", "Steel", "0", str(DEFAULT_REFERENCE_YEAR - 3), "1", "70"),
+)
+ODD_CELLS = st.sampled_from(["", "nan", "inf", "9e15", "1e308", "-1e308", "1e400", "-0", "CI", "x",
+                             '"', "\0"])
+
+
+def inventory_bytes(*rows):
+    """A CSV file of the real header and the given lines."""
+    return "".join(line + "\n" for line in (",".join(CSV_COLUMNS),) + rows).encode()
+
+
+@st.composite
+def inventory_texts(draw):
+    """Valid rows with up to two cells each replaced by an odd one."""
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        cells = list(draw(st.sampled_from(VALID_ROWS)))
+        for j in draw(st.lists(st.integers(0, len(cells) - 1), max_size=2)):
+            cells[j] = draw(ODD_CELLS)
+        rows.append(",".join(cells))
+    return inventory_bytes(*rows)
+
+
+@settings(deadline=None, max_examples=150)
+@given(command=st.sampled_from([["stats"], ["stats", "--json"],
+                                ["predict", "--builtin", "CI", "--out", "pred.csv"],
+                                ["fit-regression", "--out-dir", "reg"]]),
+       content=st.one_of(st.binary(max_size=300), inventory_texts()))
+@example(command=["predict", "--builtin", "CI", "--out", "pred.csv"],
+         content=inventory_bytes("30,6,100,CI,1,1981,20,30", "1e308,6,100,CI,1,-1e308,20,30"))
+@example(command=["stats"], content=inventory_bytes("1e308,6,100,CI,1,1e308,20,30"))
+@example(command=["stats"],
+         content=inventory_bytes("30,6,100,CI,1,1981,20,30", "30,6,1e308,CI,1,1981,20,30"))
+def test_a_command_on_any_input_file_exits_cleanly(command, content):
+    """Exit 0, or exit 1 or 2 with one error line; a numpy RuntimeWarning,
+    which would reach the user's stderr, fails the test."""
+    with tempfile.TemporaryDirectory() as root, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (Path(root) / "in.csv").write_bytes(content)
+        code, _, err, _ = _outcome(command[:1] + ["--in", "in.csv"] + command[1:], root)
+    if code:
+        assert code in (1, 2)
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err

@@ -1,5 +1,6 @@
 import csv
 import tempfile
+import warnings
 from collections import Counter
 from dataclasses import replace
 from math import isfinite
@@ -17,6 +18,7 @@ from pipelife.data import (
     CSV_COLUMNS,
     CleaningReport,
     DIAMETER_RANGE,
+    MAGNITUDE_LIMIT,
     MATERIALS,
     NUMERIC_COLUMNS,
     REQUIRED_COLUMNS,
@@ -38,7 +40,6 @@ from pipelife.data import (
     write_csv,
 )
 from pipelife.errors import (
-    DegenerateColumn,
     DimensionMismatch,
     EmptyAfterCleaning,
     FileUnreadable,
@@ -136,6 +137,37 @@ def test_record_age_install_year_consistency():
     bad = make_record(30, 8.0, 100.0, Material.STEEL, 0, install_year=REF_YEAR - 35, wtl=10.0)
     failing = first_failing_column(dataset_of([good, bad]).numeric, REF_YEAR)
     assert failing.tolist() == ["", "install_year"]  # one year of slack allowed
+
+
+def test_an_age_or_install_year_from_2_to_the_53_fails_the_install_year_check(tmp_path):
+    # 2011 - (-1e308) - 1e308 is 0 in floats, and 2011 - 1e308 - 1e308
+    # overflows; whole numbers below 2**53 still subtract exactly
+    below = 2**53 - 1
+    rows = [
+        "30,6,100,CI,1,1981,20,30",
+        "1e308,6,100,CI,1,-1e308,20,30",
+        "1e308,6,100,CI,1,1e308,20,30",
+        f"{REF_YEAR},6,100,CI,1,1e308,20,30",
+        f"{2**53},6,100,CI,1,{REF_YEAR - 2**53},20,30",
+        f"{below},6,100,CI,1,{REF_YEAR - below},20,30",
+    ]
+    path = tmp_path / "huge.csv"
+    write_lines(path, [HEADER] + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dataset, report = ingest_csv(path, REF_YEAR)
+    assert report.kept_rows == (0, 5)
+    assert report.drops_by_column == {"install_year": 4}
+    assert dataset.column("age_years").tolist() == [30.0, float(below)]
+
+
+def test_a_length_breaks_or_rul_from_2_to_the_53_fails_its_column():
+    # a 1e308 length overflowed the std that `stats` prints
+    records = [make_record(length=1e308), make_record(breaks=2**53), make_record(rul=-1e308),
+               make_record(length=2**53 - 1, breaks=2**53 - 1, rul=1 - 2**53),
+               make_record(rul=np.nan)]
+    failing = first_failing_column(dataset_of(records).numeric, REF_YEAR)
+    assert failing.tolist() == ["length_ft", "breaks", "rul_years", "", ""]
 
 
 def test_validation_reports_the_first_failing_check():
@@ -300,11 +332,13 @@ def inventories(draw):
         records.append(make_record(
             age=age,
             diameter=draw(finite(*DIAMETER_RANGE)),
-            length=draw(finite(0.0, exclude_min=True)),
+            length=draw(finite(0.0, MAGNITUDE_LIMIT, exclude_min=True, exclude_max=True)),
             material=draw(st.sampled_from(MATERIALS)),
             breaks=draw(st.integers(0, 10**6)),
             wtl=draw(st.one_of(st.just(-0.0), finite(*WTL_RANGE))),
-            rul=draw(st.one_of(st.just(np.nan), st.just(-0.0), finite())),
+            rul=draw(st.one_of(st.just(np.nan), st.just(-0.0),
+                               finite(-MAGNITUDE_LIMIT, MAGNITUDE_LIMIT,
+                                      exclude_min=True, exclude_max=True))),
             install_year=REF_YEAR - age + draw(st.integers(-1, 1)),
         ))
     return dataset_of(records)
@@ -718,8 +752,7 @@ def test_a_split_of_the_wrong_length_is_refused():
     with pytest.raises(DimensionMismatch):
         replace(features, split=np.zeros(10, dtype=np.int8))
     with pytest.raises(DimensionMismatch):
-        FeatureMatrix(features.values, features.column_names, "minmax",
-                      features.constants, np.zeros(51, dtype=np.int8))
+        FeatureMatrix(features.values, features.column_names, np.zeros(51, dtype=np.int8))
 
 
 # -- feature building ---------------------------------------------------------------
@@ -740,25 +773,15 @@ def test_build_features_material_is_ea():
     assert fm.values[:, 0] == pytest.approx(expected)
 
 
-def test_build_features_zscore_moments():
-    dataset = make_dataset(50)
-    fm = build_features(dataset, ("age_years", "length_ft"), mode="zscore")
-    norm = fm.normalized()
-    for j in range(norm.shape[1]):
-        assert abs(norm[:, j].mean()) < 1e-9
-        assert abs(norm[:, j].std(ddof=1) - 1.0) < 1e-9
-
-
 def test_build_features_round_trip():
     dataset = make_dataset(25)
-    for mode in ("minmax", "zscore"):
-        fm = build_features(dataset, ("age_years", "length_ft"), mode=mode)
-        for name in fm.column_names:
-            raw = fm.raw_column(name)
-            constants = fm.column_constants((name,))
-            scaled = normalize(raw[:, None], constants, mode)
-            back = denormalize(scaled, constants, mode)[:, 0]
-            assert back == pytest.approx(raw, abs=1e-9)
+    fm = build_features(dataset, ("age_years", "length_ft"))
+    for name in fm.column_names:
+        raw = fm.raw_column(name)
+        constants = fm.column_constants((name,))
+        scaled = normalize(raw[:, None], constants)
+        back = denormalize(scaled, constants)[:, 0]
+        assert back == pytest.approx(raw, abs=1e-9)
 
 
 def test_build_features_constant_column_minmax():
@@ -768,14 +791,8 @@ def test_build_features_constant_column_minmax():
     a, b = fm.constants[0]
     assert a == b == 30.0
     # round trip of a constant column reproduces the constant
-    back = denormalize(np.zeros((5, 1)), fm.column_constants(("age_years",)), fm.mode)
+    back = denormalize(np.zeros((5, 1)), fm.column_constants(("age_years",)))
     assert back[:, 0] == pytest.approx([30.0] * 5)
-
-
-def test_build_features_constant_column_zscore_degenerate():
-    dataset = dataset_of([make_record(age=30)] * 5)
-    with pytest.raises(DegenerateColumn):
-        build_features(dataset, ("age_years",), mode="zscore")
 
 
 def test_build_features_unknown_column():
@@ -790,10 +807,18 @@ def test_build_features_column_order_matches_request():
     assert fm.values[:, 1] == pytest.approx(dataset.column("age_years"))
 
 
+def test_feature_matrix_derives_each_columns_min_and_max():
+    values = np.array([[3.0, -1.0], [1.0, -1.0], [2.0, -1.0]])
+    fm = FeatureMatrix(values, ("a", "b"))
+    assert fm.constants == ((1.0, 3.0), (-1.0, -1.0))
+    assert replace(fm, split=np.zeros(3, dtype=np.int8)).constants == fm.constants
+    assert fm.normalized().tolist() == [[1.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+
+
 @st.composite
 def scaled_matrices(draw):
-    """(values, constants, mode): constants fitted to the columns the way
-    build_features fits them; some columns are constant."""
+    """(values, constants): each column's (min, max), as FeatureMatrix
+    derives them; some columns are constant."""
     n = draw(st.integers(2, 12))
     d = draw(st.integers(1, 4))
     finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
@@ -801,24 +826,16 @@ def scaled_matrices(draw):
     for j in range(d):
         if draw(st.booleans()):
             values[:, j] = values[0, j]
-    mode = draw(st.sampled_from(("minmax", "zscore")))
-    if mode == "minmax":
-        constants = tuple((float(c.min()), float(c.max())) for c in values.T)
-    else:
-        # a constant column has no z-score; give it an arbitrary positive scale
-        constants = tuple(
-            (float(c.mean()), float(c.std(ddof=1)) or 1.0) for c in values.T
-        )
-    return values, constants, mode
+    constants = tuple((float(c.min()), float(c.max())) for c in values.T)
+    return values, constants
 
 
 @given(scaled_matrices())
 def test_normalize_then_denormalize_returns_the_input(case):
-    values, constants, mode = case
-    scaled = normalize(values, constants, mode)
-    if mode == "minmax":
-        constant = np.array([a == b for a, b in constants])
-        assert np.all(scaled[:, constant] == 0.0)
-    back = denormalize(scaled, constants, mode)
+    values, constants = case
+    scaled = normalize(values, constants)
+    constant = np.array([a == b for a, b in constants])
+    assert np.all(scaled[:, constant] == 0.0)
+    back = denormalize(scaled, constants)
     scale = 1.0 + np.abs(values).max() + np.abs(np.asarray(constants)).max()
     np.testing.assert_allclose(back, values, rtol=0, atol=1e-12 * scale)

@@ -46,11 +46,7 @@ def toy_matrix(fn, n=50, seed=0, as_split=True):
     if as_split:
         split = np.full(n, SPLITS.index(Split.TRAIN))
         split[::5] = SPLITS.index(Split.VALIDATION)
-    return FeatureMatrix(
-        values, ("x", "rul_years"), "minmax",
-        ((float(x.min()), float(x.max())), (float(y.min()), float(y.max()))),
-        split,
-    )
+    return FeatureMatrix(values, ("x", "rul_years"), split)
 
 
 # -- init ------------------------------------------------------------------------
@@ -264,10 +260,7 @@ def test_train_deterministic():
 
 def test_train_empty_split():
     values = np.column_stack([np.linspace(0, 1, 10), np.linspace(0, 1, 10)])
-    fm = FeatureMatrix(
-        values, ("x", "rul_years"), "minmax",
-        ((0.0, 1.0), (0.0, 1.0)), np.full(10, SPLITS.index(Split.TEST)),
-    )
+    fm = FeatureMatrix(values, ("x", "rul_years"), np.full(10, SPLITS.index(Split.TEST)))
     with pytest.raises(EmptySplit):
         train(toy_config(), fm)
 
@@ -394,9 +387,7 @@ def stop_matrix(n=60):
     y = 0.2 + 0.5 / (1.0 + np.exp(2.0 - 4.0 * x))
     split = np.full(n, SPLITS.index(Split.TRAIN))
     split[::5] = SPLITS.index(Split.VALIDATION)
-    constants = tuple((float(c.min()), float(c.max())) for c in (x, z, y))
-    return FeatureMatrix(np.column_stack([x, z, y]), ("x", "z", "rul_years"), "minmax",
-                         constants, split)
+    return FeatureMatrix(np.column_stack([x, z, y]), ("x", "z", "rul_years"), split)
 
 
 def test_each_stop_reason():
