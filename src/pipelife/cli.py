@@ -305,8 +305,8 @@ def cmd_fit_regression(args) -> int:
     age = dataset.column("age_years")
     wtl = dataset.column("wall_thickness_loss_pct")
     rul = dataset.column("rul_years")
-    selection = "greedy" if args.greedy else "full"
     outputs = []
+    selection = {}
     lines = [f"{'material':<10}{'model':<72}{'R2':>8}"]
     lines.append("-" * len(lines[0]))
     for tag in regression.BUILTIN_MATERIALS:
@@ -317,7 +317,8 @@ def cmd_fit_regression(args) -> int:
         try:
             model = regression.fit_polynomial(
                 age[mask], wtl[mask], rul[mask],
-                degree=args.degree, term_selection=selection, material=tag,
+                degree=args.degree, term_selection="greedy" if args.greedy else "full",
+                material=tag,
             )
         except PipeLifeError as exc:
             print(f"{tag}: {exc}", file=sys.stderr)
@@ -325,6 +326,8 @@ def cmd_fit_regression(args) -> int:
         path = out_dir / f"deterioration_{tag}.json"
         path.write_text(model.to_json() + "\n", encoding="utf-8")
         outputs.append(path)
+        selection[tag] = [{"term": regression.monomial(a_pow, w_pow) or "1", "r2": r2}
+                          for a_pow, w_pow, r2 in model.selection]
         lines.append(f"{tag:<10}{model.formula():<72}{model.r2_fit:>8.3f}")
     table = "\n".join(lines) + "\n"
     table_path = out_dir / "deterioration_models.txt"
@@ -334,7 +337,7 @@ def cmd_fit_regression(args) -> int:
         out_dir, "fit-regression",
         {"in": str(args.infile), "degree": args.degree, "greedy": args.greedy,
          "out_dir": str(out_dir)},
-        [args.infile], outputs, started, cleaning=cleaning.to_dict(),
+        [args.infile], outputs, started, cleaning=cleaning.to_dict(), selection=selection,
     )
     print(table, end="")
     print(f"outputs in {out_dir} (manifest: {manifest.name})")

@@ -10,19 +10,26 @@ need a physically sensible floor.
 
 fit_polynomial reproduces the construction procedure on data: least squares
 over the monomial basis (degrees 1-3), optionally with greedy term selection
-that keeps adding the best term while R² improves by at least 0.005.
+that keeps adding the best term while R² improves by at least 0.005.  The
+greedy search is forward selection by orthogonal reduction: the full basis is
+QR-factored once and every candidate is scored by its drop in residual sum of
+squares from that one factorization.  A candidate whose drop is within
+1e-12·SST of the best one loses to the term that comes earlier in basis
+order (intercept, A, W, A^2, A*W, W^2, A^3, ...).  The chosen terms are then
+solved by least squares, as the full basis is.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonpositiveBaseline, OutOfDomain, Underdetermined, UnsupportedMaterial
 
 GREEDY_R2_GAIN = 0.005
+GREEDY_TIE = 1e-12  # drops within this share of SST tie; the earlier term wins
 MAX_DEGREE = 3
 
 
@@ -34,6 +41,9 @@ class DeteriorationModel:
     terms: tuple
     r2_fit: float
     degenerate: bool = False  # rank-deficient fit, minimum-norm coefficients
+    # (age_power, wtl_power, R² after it) in the order the fit added the
+    # terms; a diagnostic of fit_polynomial, not part of the document
+    selection: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if not self.terms:
@@ -65,13 +75,19 @@ class DeteriorationModel:
     def formula(self) -> str:
         parts = []
         for coef, a_pow, w_pow in self.terms:
-            mono = ""
-            if a_pow:
-                mono += "A" + (f"^{a_pow}" if a_pow > 1 else "")
-            if w_pow:
-                mono += ("*" if mono else "") + "W" + (f"^{w_pow}" if w_pow > 1 else "")
+            mono = monomial(a_pow, w_pow)
             parts.append(f"{coef:+g}" + (f"*{mono}" if mono else ""))
         return "Y = " + " ".join(parts)
+
+
+def monomial(a_pow: int, w_pow: int) -> str:
+    """A^a*W^w with unit powers and zero-power factors left out; "" for 1."""
+    mono = ""
+    if a_pow:
+        mono += "A" + (f"^{a_pow}" if a_pow > 1 else "")
+    if w_pow:
+        mono += ("*" if mono else "") + "W" + (f"^{w_pow}" if w_pow > 1 else "")
+    return mono
 
 
 _BUILTIN = {
@@ -136,7 +152,60 @@ def _design(age: np.ndarray, wtl: np.ndarray, exponents, a_scale: float, w_scale
 
 def _solve(phi: np.ndarray, y: np.ndarray):
     theta, _, rank, _ = np.linalg.lstsq(phi, y, rcond=None)
-    return theta, rank < phi.shape[1]
+    return theta, bool(rank < phi.shape[1])
+
+
+def _forward_path(phi_full: np.ndarray, y: np.ndarray, greedy: bool) -> list:
+    """The columns a fit adds, in order, each with the R² after it.
+
+    Full selection adds every column in basis order.  Greedy selection starts
+    from the intercept and adds the column with the largest drop in residual
+    sum of squares, while that drop is at least GREEDY_R2_GAIN·SST and fewer
+    terms than rows are chosen.  A drop within GREEDY_TIE·SST of the best
+    loses to the column that comes earlier in basis order.
+
+    Both run on one QR factorization of the full basis with y beside it:
+    [phi, y] = Q [R, z].  Every column of R and z have the chosen columns
+    projected off, and a column u then drops the residual sum of squares by
+    (uᵀz)²/(uᵀu).  A column left with less than √ε of its own length lies,
+    as far as rounding can tell, in the span of the chosen ones and drops
+    nothing.  A constant target has R² = 1 throughout, and greedy selection
+    keeps the intercept alone.
+    """
+    dev = y - y.mean()
+    sst = float(dev @ dev)
+    if sst == 0.0:
+        return [(idx, 1.0) for idx in range(1 if greedy else phi_full.shape[1])]
+    factor = np.linalg.qr(np.column_stack([phi_full, y]), mode="r")
+    cols, resid = factor[:, :-1], factor[:, -1]
+    floors = np.sqrt(np.finfo(float).eps) * np.linalg.norm(cols, axis=0)
+    left = np.ones(cols.shape[1], dtype=bool)
+    path, r2, idx = [], 0.0, 0  # the intercept explains no variance
+    while True:
+        norm = np.linalg.norm(cols[:, idx])
+        if norm > floors[idx]:
+            u = cols[:, idx] / norm
+            along = float(u @ resid)
+            resid -= along * u
+            cols -= np.outer(u, u @ cols)
+            if path:
+                r2 += along * along / sst
+        path.append((idx, r2))
+        left[idx] = False
+        if not left.any():
+            return path
+        if not greedy:
+            idx += 1
+            continue
+        if len(path) >= y.size:
+            return path
+        norms = np.linalg.norm(cols, axis=0)
+        drops = np.zeros_like(norms)
+        np.divide((cols.T @ resid) ** 2, norms * norms, out=drops, where=left & (norms > floors))
+        best = drops.max()
+        if best < GREEDY_R2_GAIN * sst:
+            return path
+        idx = int(np.flatnonzero(drops >= best - GREEDY_TIE * sst)[0])
 
 
 def _r2(y: np.ndarray, fitted: np.ndarray):
@@ -157,13 +226,18 @@ def fit_polynomial(
     Ages and losses are rescaled by their ranges before solving so the
     degree-3 basis stays well conditioned; reported coefficients are in raw
     units.  `term_selection` is "full" for the complete basis or "greedy" to
-    add terms one at a time while R² improves by at least 0.005.
+    add terms one at a time while R² improves by at least 0.005; a term
+    whose gain ties the best one within 1e-12 of SST loses to the term that
+    comes earlier in basis order.  The model's `selection` lists the terms
+    in the order they were added with the R² after each.
     """
     age = np.asarray(age, dtype=float)
     wtl = np.asarray(wtl, dtype=float)
     y = np.asarray(rul, dtype=float)
     if not (age.size == wtl.size == y.size):
         raise ValueError("age, wtl and rul must have equal lengths")
+    if not (np.isfinite(age).all() and np.isfinite(wtl).all() and np.isfinite(y).all()):
+        raise ValueError("age, wtl and rul must be finite")
     if degree not in (1, 2, 3):
         raise ValueError(f"degree must be 1, 2 or 3, got {degree}")
     if term_selection not in ("full", "greedy"):
@@ -177,27 +251,8 @@ def fit_polynomial(
     w_scale = float(np.abs(wtl).max()) or 1.0
     phi_full = _design(age, wtl, exponents, a_scale, w_scale)
 
-    if term_selection == "full":
-        chosen = list(range(len(exponents)))
-    else:
-        chosen = [0]  # intercept
-        remaining = list(range(1, len(exponents)))
-        theta, _ = _solve(phi_full[:, chosen], y)
-        best_r2, _ = _r2(y, phi_full[:, chosen] @ theta)
-        while remaining and len(chosen) < y.size:
-            scores = []
-            for idx in remaining:
-                cand = chosen + [idx]
-                theta, _ = _solve(phi_full[:, cand], y)
-                r2, _ = _r2(y, phi_full[:, cand] @ theta)
-                scores.append((r2, idx))
-            r2, idx = max(scores)
-            if r2 - best_r2 < GREEDY_R2_GAIN:
-                break
-            chosen.append(idx)
-            remaining.remove(idx)
-            best_r2 = r2
-
+    path = _forward_path(phi_full, y, greedy=term_selection == "greedy")
+    chosen = [idx for idx, _ in path]
     phi = phi_full[:, chosen]
     theta, degenerate = _solve(phi, y)
     r2_fit, constant_target = _r2(y, phi @ theta)
@@ -210,6 +265,7 @@ def fit_polynomial(
         terms=tuple(terms),
         r2_fit=float(r2_fit),
         degenerate=degenerate or constant_target,
+        selection=tuple((*exponents[idx], r2) for idx, r2 in path),
     )
 
 

@@ -1,12 +1,13 @@
 """Reference computations that the ANFIS consequent solve is checked against,
-the five layers of one ANFIS inference pass, and the rule lists that an ANFIS
-model document must not load with."""
+the five layers of one ANFIS inference pass, the rule lists that an ANFIS
+model document must not load with, and greedy term selection by one
+least-squares refit per candidate."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from pipelife import anfis
+from pipelife import anfis, regression
 from pipelife.errors import DimensionMismatch
 
 
@@ -67,3 +68,50 @@ def ridge_lstsq(phi, y):
     n, columns = phi.shape
     stacked = np.vstack([phi, np.sqrt(anfis.RIDGE * n) * np.eye(columns)])
     return np.linalg.lstsq(stacked, np.concatenate([y, np.zeros(columns)]), rcond=None)[0]
+
+
+def greedy_terms_by_refit(phi_full, y):
+    """The oracle of greedy term selection: from the intercept, refit the
+    chosen columns plus each remaining one by lstsq and add the best while
+    R² rises by at least GREEDY_R2_GAIN and fewer terms than rows are
+    chosen.  Equal R² goes to the later column."""
+    chosen = [0]
+    remaining = list(range(1, phi_full.shape[1]))
+    theta, _ = regression._solve(phi_full[:, chosen], y)
+    best_r2, _ = regression._r2(y, phi_full[:, chosen] @ theta)
+    while remaining and len(chosen) < y.size:
+        scores = []
+        for idx in remaining:
+            cand = chosen + [idx]
+            theta, _ = regression._solve(phi_full[:, cand], y)
+            r2, _ = regression._r2(y, phi_full[:, cand] @ theta)
+            scores.append((r2, idx))
+        r2, idx = max(scores)
+        if r2 - best_r2 < regression.GREEDY_R2_GAIN:
+            break
+        chosen.append(idx)
+        remaining.remove(idx)
+        best_r2 = r2
+    return chosen
+
+
+def fit_greedy_by_refit(age, wtl, rul, degree, material="Custom"):
+    """fit_polynomial(..., "greedy") with the terms chosen by
+    greedy_terms_by_refit."""
+    age, wtl, y = (np.asarray(v, dtype=float) for v in (age, wtl, rul))
+    exponents = regression._basis_exponents(degree)
+    a_scale = float(np.abs(age).max()) or 1.0
+    w_scale = float(np.abs(wtl).max()) or 1.0
+    phi_full = regression._design(age, wtl, exponents, a_scale, w_scale)
+    chosen = greedy_terms_by_refit(phi_full, y)
+    phi = phi_full[:, chosen]
+    theta, degenerate = regression._solve(phi, y)
+    r2_fit, constant_target = regression._r2(y, phi @ theta)
+    terms = []
+    for coef, idx in zip(theta, chosen):
+        a_pow, w_pow = exponents[idx]
+        terms.append((float(coef / (a_scale**a_pow * w_scale**w_pow)), a_pow, w_pow))
+    return regression.DeteriorationModel(
+        material=material, terms=tuple(terms), r2_fit=float(r2_fit),
+        degenerate=degenerate or constant_target,
+    )

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pipelife import anfis, mlp
+from pipelife import anfis, mlp, regression
 from pipelife.cli import main
 from pipelife.data import CSV_COLUMNS, ingest_csv
 from pipelife.regression import builtin, predict_rul
@@ -461,6 +461,55 @@ def test_fit_regression_outputs(small_csv, tmp_path):
         assert tag in table
         model = json.loads((out_dir / f"deterioration_{tag}.json").read_text())
         assert model["r2_fit"] >= 0.7
+
+
+@pytest.mark.parametrize("greedy", [False, True])
+def test_fit_regression_manifest_lists_the_selection(small_csv, tmp_path, greedy):
+    out_dir = tmp_path / "reg"
+    assert run(["fit-regression", "--in", str(small_csv), "--degree", "3", "--greedy",
+                str(greedy).lower(), "--out-dir", str(out_dir)]) == 0
+    selection = json.loads((out_dir / "fit_regression_manifest.json").read_text())["selection"]
+    assert list(selection) == ["CI", "DI", "AC", "Steel"]
+    for tag, steps in selection.items():
+        model = json.loads((out_dir / f"deterioration_{tag}.json").read_text())
+        assert [step["term"] for step in steps] == [
+            regression.monomial(a, w) or "1" for _, a, w in model["terms"]]
+        r2s = [step["r2"] for step in steps]
+        assert r2s[0] == 0.0 and r2s == sorted(r2s)
+        assert r2s[-1] == pytest.approx(model["r2_fit"], abs=1e-9)
+    if not greedy:
+        assert all(len(steps) == 10 for steps in selection.values())
+
+
+def _write_ci_rows(path, rows):
+    """A CSV file of CI records, each row (age, wall loss, rul)."""
+    lines = [f"{age},6,100,CI,1,{DEFAULT_REFERENCE_YEAR - age},{wtl},{rul}"
+             for age, wtl, rul in rows]
+    path.write_bytes(inventory_bytes(*lines))
+
+
+@pytest.mark.parametrize("degree", ["2", "3"])
+def test_fit_regression_on_a_constant_wall_loss_flags_a_degenerate_fit(tmp_path, degree):
+    # W is the intercept times 20, so the full basis is rank-deficient
+    path = tmp_path / "pipes.csv"
+    _write_ci_rows(path, [(5 + 3 * i, 20, 60 - i) for i in range(30)])
+    out_dir = tmp_path / "reg"
+    assert run(["fit-regression", "--in", str(path), "--degree", degree,
+                "--out-dir", str(out_dir)]) == 0
+    assert '"degenerate": true' in (out_dir / "deterioration_CI.json").read_text()
+
+
+def test_fit_regression_greedy_tie_goes_to_the_earlier_term(tmp_path):
+    # on two records every candidate term reaches R² = 1; A is first in basis order
+    path = tmp_path / "pipes.csv"
+    _write_ci_rows(path, [(30, 20, 30), (55, 45.5, 12)])
+    out_dir = tmp_path / "reg"
+    assert run(["fit-regression", "--in", str(path), "--degree", "2", "--greedy",
+                "--out-dir", str(out_dir)]) == 0
+    model = json.loads((out_dir / "deterioration_CI.json").read_text())
+    assert [(a, w) for _, a, w in model["terms"]] == [(0, 0), (1, 0)]
+    selection = json.loads((out_dir / "fit_regression_manifest.json").read_text())["selection"]
+    assert [step["term"] for step in selection["CI"]] == ["1", "A"]
 
 
 def test_fit_regression_degree_4_usage_error():
@@ -1002,6 +1051,8 @@ def inventory_texts(draw):
 @example(command=["predict", "--builtin", "CI", "--out", "pred.csv"],
          content=inventory_bytes("30,6,100,CI,1,1981,20,30", "1e308,6,100,CI,1,-1e308,20,30"))
 @example(command=["stats"], content=inventory_bytes("1e308,6,100,CI,1,1e308,20,30"))
+@example(command=["fit-regression", "--out-dir", "reg"],
+         content=inventory_bytes(*["30,6,100,CI,1,1981,20,30"] * 6))
 @example(command=["stats"],
          content=inventory_bytes("30,6,100,CI,1,1981,20,30", "30,6,1e308,CI,1,1981,20,30"))
 def test_a_command_on_any_input_file_exits_cleanly(command, content):

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pipelife import regression, synth
+from pipelife.data import MATERIALS, encode_material
 from pipelife.errors import (
     NonpositiveBaseline,
     OutOfDomain,
@@ -19,6 +21,8 @@ from pipelife.regression import (
     halflife_check,
     predict_rul,
 )
+
+from oracles import fit_greedy_by_refit
 
 # Hand-evaluated grid points for the four published models, exact to 1e-9.
 # CI:    Y = -0.342 A^2 + 0.0548 W + 48.163
@@ -144,6 +148,7 @@ def test_fit_constant_target_convention():
     wtl = np.array([5.0, 6.0, 7.0, 8.0])
     y = np.full(4, 9.0)
     model = fit_polynomial(age, wtl, y, degree=1)
+    assert [(a, w) for _, a, w in model.terms] == [(0, 0), (1, 0), (0, 1)]
     assert model.r2_fit == 1.0
     assert model.degenerate
     assert eval_terms(model.terms, 2.5, 6.5) == pytest.approx(9.0, abs=1e-8)
@@ -175,6 +180,104 @@ def test_fit_degenerate_design_flagged():
     assert model.degenerate
     fitted = [eval_terms(model.terms, a, w) for a, w in zip(age, wtl)]
     assert fitted == pytest.approx(list(y), abs=1e-8)
+    payload = json.loads(model.to_json())
+    assert payload["degenerate"] is True
+    assert DeteriorationModel.from_dict(payload) == model
+
+
+# -- greedy term selection -----------------------------------------------------------
+
+def test_fit_records_the_selection_path():
+    rng = np.random.default_rng(5)
+    age = rng.uniform(1, 100, size=200)
+    wtl = rng.uniform(1, 59, size=200)
+    y = 50.0 - 0.5 * age - 1.5 * wtl + rng.normal(0, 0.5, size=200)
+    greedy = fit_polynomial(age, wtl, y, degree=3, term_selection="greedy")
+    assert [(a, w) for a, w, _ in greedy.selection] == [(a, w) for _, a, w in greedy.terms]
+    r2s = [r2 for _, _, r2 in greedy.selection]
+    assert r2s[0] == 0.0
+    assert all(later - earlier >= regression.GREEDY_R2_GAIN
+               for earlier, later in zip(r2s, r2s[1:]))
+    assert r2s[-1] == pytest.approx(greedy.r2_fit, abs=1e-12)
+    full = fit_polynomial(age, wtl, y, degree=2)
+    assert [(a, w) for a, w, _ in full.selection] == [(a, w) for _, a, w in full.terms]
+    assert full.selection[-1][2] == pytest.approx(full.r2_fit, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=25)
+@given(n=st.integers(200, 5000), seed=st.integers(0, 2**32 - 1),
+       degree=st.sampled_from([1, 2, 3]))
+def test_greedy_fit_equals_the_refit_oracle(n, seed, degree):
+    """On generated inventories, every material's greedy model document is
+    the one that refitting each candidate by lstsq gives, byte for byte.  A
+    material with no more rows than the cubic basis has terms is left out:
+    its fit can be exact, and then every candidate ties."""
+    dataset = synth.generate(synth.GeneratorConfig(n=n, seed=seed))
+    age, wtl, rul = (dataset.column(c)
+                     for c in ("age_years", "wall_thickness_loss_pct", "rul_years"))
+    for tag in BUILTIN_MATERIALS:
+        mask = dataset.materials == MATERIALS.index(encode_material(tag))
+        if mask.sum() <= len(regression._basis_exponents(3)):
+            continue
+        ours = fit_polynomial(age[mask], wtl[mask], rul[mask], degree, "greedy", tag)
+        oracle = fit_greedy_by_refit(age[mask], wtl[mask], rul[mask], degree, tag)
+        assert ours.to_json() == oracle.to_json(), (tag, ours.selection)
+
+
+@pytest.mark.parametrize("age, wtl, rul, degree", [
+    ([30.0, 55.0], [20.0, 45.5], [30.0, 12.0], 2),
+    ([5.0, 55.0], [45.5, 45.5], [3.0, 50.0], 3),  # rounding puts A^3 a hair ahead of A
+])
+def test_greedy_tie_goes_to_the_earlier_term_for_two_rows(age, wtl, rul, degree):
+    # on two points every term that varies reaches R² = 1; A is first in basis order
+    model = fit_polynomial(age, wtl, rul, degree=degree, term_selection="greedy")
+    assert [(a, w) for _, a, w in model.terms] == [(0, 0), (1, 0)]
+    assert model.r2_fit == pytest.approx(1.0, abs=1e-12)
+
+
+def test_greedy_tie_goes_to_the_earlier_term_for_equal_columns():
+    # wall loss in {0, 1} makes W, W^2 and W^3 the same column
+    rng = np.random.default_rng(3)
+    age = rng.uniform(1, 100, size=50)
+    wtl = rng.integers(0, 2, size=50).astype(float)
+    model = fit_polynomial(age, wtl, 10.0 - 5.0 * wtl, degree=3, term_selection="greedy")
+    assert [(a, w) for _, a, w in model.terms] == [(0, 0), (0, 1)]
+    assert eval_terms(model.terms, 7.0, 1.0) == pytest.approx(5.0, abs=1e-9)
+
+
+def _refit_r2(age, wtl, y, powers):
+    a_scale = float(np.abs(age).max()) or 1.0
+    w_scale = float(np.abs(wtl).max()) or 1.0
+    phi = regression._design(age, wtl, powers, a_scale, w_scale)
+    theta, _ = regression._solve(phi, y)
+    return regression._r2(y, phi @ theta)[0]
+
+
+@settings(deadline=None, max_examples=200)
+@given(rows=st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.0, 5.0, 40.0]),
+                               st.sampled_from([0.0, 0.5, 1.0, 20.0]),
+                               st.sampled_from([0.0, 3.0, 10.0, 11.0])),
+                     min_size=1, max_size=11),
+       degree=st.sampled_from([1, 2, 3]))
+def test_greedy_steps_are_best_up_to_ties_on_tiny_designs(rows, degree):
+    """Repeated values make ties and rank-deficient designs.  Each added term
+    gains the most R² by an lstsq refit, up to rounding, and at least
+    GREEDY_R2_GAIN; the search stops only when no term gains that much,
+    every term is in, or there are as many terms as rows."""
+    age, wtl, y = (np.array(column) for column in zip(*rows))
+    model = fit_polynomial(age, wtl, y, degree=degree, term_selection="greedy")
+    powers = [(a, w) for _, a, w in model.terms]
+    assert powers[0] == (0, 0)
+    for k in range(1, len(powers) + 1):
+        r2 = _refit_r2(age, wtl, y, powers[:k])
+        gains = [_refit_r2(age, wtl, y, powers[:k] + [cand]) - r2
+                 for cand in regression._basis_exponents(degree) if cand not in powers[:k]]
+        if k < len(powers):
+            gain = _refit_r2(age, wtl, y, powers[:k + 1]) - r2
+            assert gain >= max(gains) - 1e-9
+            assert gain >= regression.GREEDY_R2_GAIN - 1e-9
+        elif gains and k < len(rows):
+            assert max(gains) < regression.GREEDY_R2_GAIN + 1e-9
 
 
 def test_fit_rejects_bad_args():
@@ -182,6 +285,11 @@ def test_fit_rejects_bad_args():
         fit_polynomial([1.0], [1.0], [1.0], degree=4)
     with pytest.raises(ValueError):
         fit_polynomial([1.0, 2.0], [1.0], [1.0, 2.0], degree=1)
+    for selection in ("full", "greedy"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                fit_polynomial([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 5.0], [1.0, bad, 3.0, 4.0],
+                               degree=1, term_selection=selection)
 
 
 # -- half-life check ------------------------------------------------------------
