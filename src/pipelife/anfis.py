@@ -378,15 +378,15 @@ def hybrid_train(
 
     RMSE (normalized target units) is logged per epoch on the train and
     validation splits right after the consequent solve, and the snapshot
-    with the best validation RMSE is returned.  With epochs=0 the model gets
-    exactly one consequent solve.  Widths are clamped at 1e-4.  The rank of
+    with the best validation RMSE is returned (the first epoch's, unless a
+    later one is strictly lower).  Widths are clamped at 1e-4.  The rank of
     every solve is logged; history.lse_rank[history.best_epoch] is the
-    returned model's (best_epoch is -1 when no epoch was kept).  Negative
-    epochs, and a learning rate that is negative or not finite, raise
-    InvalidConfig; a rate of 0 trains the consequents only.
+    returned model's.  Epochs below 1, and a learning rate that is negative
+    or not finite, raise InvalidConfig; a rate of 0 trains the consequents
+    only.
     """
-    if epochs < 0:
-        raise InvalidConfig(f"epochs must be >= 0, got {epochs}")
+    if epochs < 1:
+        raise InvalidConfig(f"epochs must be >= 1, got {epochs}")
     if not (np.isfinite(learning_rate) and learning_rate >= 0.0):
         raise InvalidConfig(f"learning_rate must be finite and >= 0, got {learning_rate}")
     x_train, t_train, x_val, t_val = features.split_arrays(model.inputs)
@@ -394,15 +394,7 @@ def hybrid_train(
     model = model.copy()
     model.target_constants = features.column_constants((TARGET_COLUMN,))[0]
     history = AnfisHistory()
-
-    if epochs == 0:
-        lse_consequents(model, x_train, t_train)
-        history.lse_rank.append(model.lse_rank)
-        model.trained = True
-        return model, history
-
-    best = None
-    best_score = np.inf
+    best, best_score = None, np.inf
     for epoch in range(epochs):
         # the premises are fixed until the step at the end of the epoch, so
         # one forward pass serves every train-split quantity of the epoch
@@ -416,14 +408,13 @@ def hybrid_train(
         val_rmse = _rmse(model, x_val, t_val) if t_val.size else train_rmse
         history.train_rmse.append(train_rmse)
         history.val_rmse.append(val_rmse)
-        if val_rmse < best_score:
+        if best is None or val_rmse < best_score:
             best_score = val_rmse
             best = model.copy()
             history.best_epoch = epoch
-        # the step after the last epoch only matters when no epoch was kept
-        if learning_rate > 0.0 and (epoch + 1 < epochs or best is None):
+        # the step after the last epoch would change nothing that is returned
+        if learning_rate > 0.0 and epoch + 1 < epochs:
             _premise_step(model, x_train, t_train, learning_rate, (y, wbar, w))
-    best = best if best is not None else model
     best.trained = True
     return best, history
 

@@ -139,11 +139,10 @@ def cmd_stats(args) -> int:
 def cmd_train_ann(args) -> int:
     started = time.perf_counter()
     dataset, cleaning = ingest_csv(args.infile, args.reference_year)
+    registry = None
     if args.registry:
         registry = _load_document(args.registry, lambda text: tuple(
             mlp.MlpConfig.from_dict(entry) for entry in json.loads(text)))
-    else:
-        registry = mlp.default_registry(args.seed)
     result = mlp.run_experiment_suite(dataset, registry, split_seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -307,8 +306,7 @@ def cmd_fit_regression(args) -> int:
     rul = dataset.column("rul_years")
     outputs = []
     selection = {}
-    lines = [f"{'material':<10}{'model':<72}{'R2':>8}"]
-    lines.append("-" * len(lines[0]))
+    fitted = []
     for tag in regression.BUILTIN_MATERIALS:
         mask = dataset.materials == MATERIALS.index(encode_material(tag))
         if not mask.any():
@@ -328,7 +326,12 @@ def cmd_fit_regression(args) -> int:
         outputs.append(path)
         selection[tag] = [{"term": regression.monomial(a_pow, w_pow) or "1", "r2": r2}
                           for a_pow, w_pow, r2 in model.selection]
-        lines.append(f"{tag:<10}{model.formula():<72}{model.r2_fit:>8.3f}")
+        fitted.append((tag, model.formula(), model.r2_fit))
+    # the formula column is as wide as the longest formula, so the R2 values line up
+    width = max([72] + [len(formula) for _, formula, _ in fitted])
+    lines = [f"{'material':<10}{'model':<{width}}{'R2':>8}"]
+    lines.append("-" * len(lines[0]))
+    lines += [f"{tag:<10}{formula:<{width}}{r2:>8.3f}" for tag, formula, r2 in fitted]
     table = "\n".join(lines) + "\n"
     table_path = out_dir / "deterioration_models.txt"
     table_path.write_text(table, encoding="utf-8")

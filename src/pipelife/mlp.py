@@ -14,14 +14,14 @@ in place: x1 (outer) w2 act'(z) for [W1; b1] and the hidden activations
 [a, 1] for [w2; b2].  `forward`, `loss_and_gradient` (e.e / n and
 2 J^T e / n) and training all call these two.
 
-Training (`train_registry`) fits each network alone by Levenberg–Marquardt
-(D. W. Marquardt, SIAM J. Appl. Math. 11(2), 1963; M. T. Hagan and
-M. B. Menhaj, IEEE Trans. Neural Networks 5(6), 1994, MATLAB's `trainlm`)
-on the whole train split.  An iteration forms J^T J and J^T e once and
-tries (J^T J + mu I) delta = -J^T e with trainlm's schedule: mu starts at
-MU_START, is multiplied by MU_INC after a trial that does not lower the
-training SSE and by MU_DEC after one that does, and the accepted trial's
-activations give the next Jacobian.  A network stops at
+Training (`train`, one config at a time) fits a network by
+Levenberg–Marquardt (D. W. Marquardt, SIAM J. Appl. Math. 11(2), 1963;
+M. T. Hagan and M. B. Menhaj, IEEE Trans. Neural Networks 5(6), 1994,
+MATLAB's `trainlm`) on the whole train split.  An iteration forms J^T J
+and J^T e once and tries (J^T J + mu I) delta = -J^T e with trainlm's
+schedule: mu starts at MU_START, is multiplied by MU_INC after a trial that
+does not lower the training SSE and by MU_DEC after one that does, and the
+accepted trial's activations give the next Jacobian.  A network stops at
 the first of `epochs` iterations ("cap"), PATIENCE iterations without a
 strictly lower validation MSE ("patience"), or mu above MU_MAX, when no
 trial lowers the SSE ("damping"); `TrainingHistory.stop` names which.  The
@@ -327,35 +327,22 @@ class TrainingHistory:
 def train(config: MlpConfig, features: FeatureMatrix):
     """Levenberg–Marquardt training on the matrix's train split.
 
-    The one-config case of `train_registry`.  Returns (model, TrainingHistory).
-    """
-    return train_registry((config,), features)[0]
-
-
-def train_registry(configs: Sequence[MlpConfig], features: FeatureMatrix) -> list:
-    """Train every config on the matrix's train split, one network at a time.
-
-    A config with restarts = k becomes k members seeded seed, seed + 1, ...;
+    A config with restarts = k trains k members seeded seed, seed + 1, ...;
     the first member with the strictly lowest validation MSE wins.  Returns
-    [(model, TrainingHistory)] in config order.
+    (model, TrainingHistory).
     """
-    for config in configs:
-        config.validate()
-    out = []
-    for config in configs:
-        arrays = features.split_arrays(config.input_columns)
-        chosen = None
-        for r in range(config.restarts):
-            member = replace(config, restarts=1, seed=config.seed + r)
-            model, history = _train_member(member, arrays)
-            history.restart = r
-            if chosen is None or min(history.val_mse) < min(chosen[1].val_mse):
-                chosen = (model, history)
-        model = chosen[0]
-        model.feature_constants = features.column_constants(config.input_columns)
-        model.target_constants = features.column_constants((TARGET_COLUMN,))[0]
-        out.append(chosen)
-    return out
+    config.validate()
+    arrays = features.split_arrays(config.input_columns)
+    chosen = None
+    for r in range(config.restarts):
+        model, history = _train_member(replace(config, restarts=1, seed=config.seed + r), arrays)
+        history.restart = r
+        if chosen is None or min(history.val_mse) < min(chosen[1].val_mse):
+            chosen = (model, history)
+    model = chosen[0]
+    model.feature_constants = features.column_constants(config.input_columns)
+    model.target_constants = features.column_constants((TARGET_COLUMN,))[0]
+    return chosen
 
 
 def _train_member(config: MlpConfig, arrays: tuple) -> tuple:
@@ -461,25 +448,33 @@ class ExperimentResult:
 
 def run_experiment_suite(
     dataset: Dataset,
-    registry: Sequence[MlpConfig] = (),
+    registry: Sequence[MlpConfig] | None = None,
     split_seed: int = 0,
 ) -> ExperimentResult:
     """Train every registry entry on one shared split and rank the models.
 
-    One FeatureMatrix covers the union of the registry's inputs; min-max
-    constants are per column, so each model scales as if built alone.  The
-    best model minimizes test MAPE, with test MAE as the tie-break.
+    `registry=None` is `default_registry(split_seed)`; an empty registry,
+    or any invalid config in it, raises InvalidConfig before a model is
+    trained.  One FeatureMatrix covers the union of the registry's inputs;
+    min-max constants are per column, so each model scales as if built
+    alone.  The best model minimizes test MAPE, with test MAE as the
+    tie-break.
     """
     if not dataset.has_rul():
         raise EmptySplit("experiment suite requires rul targets")
-    registry = tuple(registry) or default_registry(split_seed)
+    registry = default_registry(split_seed) if registry is None else tuple(registry)
+    if not registry:
+        raise InvalidConfig("the registry holds no model configs")
+    for config in registry:
+        config.validate()
     labeled = split_dataset(dataset, DEFAULT_SPLIT_RATIOS, split_seed)
     inputs = tuple(dict.fromkeys(c for config in registry for c in config.input_columns))
     features = build_features(labeled, inputs + (TARGET_COLUMN,))
     actual = features.raw_column(TARGET_COLUMN)
     phases = [(label, features.rows_for(label)) for label in SPLITS]
     rows = []
-    for config, (model, history) in zip(registry, train_registry(registry, features)):
+    for config in registry:
+        model, history = train(config, features)
         predicted = model.predict_batch(features.raw_matrix(config.input_columns))
         reports = {label.value: evaluate(predicted[idx], actual[idx]) for label, idx in phases}
         name = config.name or f"h{config.hidden_neurons}"

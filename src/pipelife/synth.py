@@ -74,6 +74,12 @@ LENGTH_CLIP = (20.5, 36161.4)
 
 RUL_CLIP = (3.0, 90.0)
 
+# the largest inventory generated: a city's main inventory holds 10^4-10^6
+# pipes, and the generator peaks near 280 bytes a record (tracemalloc, 100k
+# records), so 10^7 records stay under ~3 GB; a larger n would end in
+# MemoryError or numpy's "Maximum allowed dimension exceeded"
+MAX_RECORDS = 10**7
+
 MATERIAL_MIX = {
     Material.CAST_IRON: 0.46,
     Material.ASBESTOS: 0.30,
@@ -114,6 +120,8 @@ class GeneratorConfig:
     def validate(self) -> None:
         if self.n < 1:
             raise InvalidConfig(f"n must be >= 1, got {self.n}")
+        if self.n > MAX_RECORDS:
+            raise InvalidConfig(f"n must be <= {MAX_RECORDS}, got {self.n}")
 
 
 def _sample_ages(rng, n) -> np.ndarray:

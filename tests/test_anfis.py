@@ -441,11 +441,11 @@ def test_hybrid_learns_smooth_function():
     assert trained.trained
 
 
-def test_hybrid_epochs_zero_is_single_lse_pass():
+def test_hybrid_one_epoch_is_single_lse_pass():
     fm = toy_sine_matrix(40, with_split=True)
     model = init_grid(("x",), 3, fm)
-    trained, history = hybrid_train(model, fm, epochs=0, learning_rate=0.05)
-    assert len(history) == 0
+    trained, history = hybrid_train(model, fm, epochs=1, learning_rate=0.05)
+    assert len(history) == 1
     assert np.array_equal(trained.centers, model.centers)
     assert np.array_equal(trained.sigmas, model.sigmas)
     # consequents equal one direct least-squares solve
@@ -458,8 +458,9 @@ def test_hybrid_epochs_zero_is_single_lse_pass():
 
 def test_hybrid_negative_epochs_is_invalid():
     fm = toy_sine_matrix(40, with_split=True)
-    with pytest.raises(InvalidConfig):
-        hybrid_train(init_grid(("x",), 3, fm), fm, epochs=-1)
+    for epochs in (-1, 0):
+        with pytest.raises(InvalidConfig):
+            hybrid_train(init_grid(("x",), 3, fm), fm, epochs=epochs)
 
 
 def test_hybrid_lse_only_rmse_monotone():
@@ -540,7 +541,7 @@ def test_hybrid_logs_the_rank_of_every_solve():
     assert history.lse_rank[history.best_epoch] == trained.lse_rank
     # b = 1 - a leaves [x, 1] two independent directions per rule
     assert all(0 < rank <= 4 * 2 for rank in history.lse_rank)
-    once, single = hybrid_train(model, fm, epochs=0)
+    once, single = hybrid_train(model, fm, epochs=1)
     assert single.lse_rank == [once.lse_rank]
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pipelife import anfis, mlp, regression
+from pipelife import anfis, mlp, regression, synth
 from pipelife.cli import main
 from pipelife.data import CSV_COLUMNS, ingest_csv
 from pipelife.regression import builtin, predict_rul
@@ -50,9 +50,13 @@ def test_generate_missing_out_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_generate_invalid_n_is_runtime_error(tmp_path):
-    code = run(["generate", "--n", "0", "--out", str(tmp_path / "x.csv")])
-    assert code == 1
+def test_generate_invalid_n_is_runtime_error(tmp_path, capsys):
+    # a count above the cap is refused before any array is allocated
+    out = tmp_path / "gen" / "x.csv"
+    for n in ("0", "99999999999999999999", str(synth.MAX_RECORDS + 1)):
+        assert run(["generate", "--n", n, "--out", str(out)]) == 1
+        assert_one_error_line(capsys, f"got {n}")
+        assert not out.parent.exists()
 
 
 def test_generated_csv_round_trips(small_csv):
@@ -481,6 +485,23 @@ def test_fit_regression_manifest_lists_the_selection(small_csv, tmp_path, greedy
         assert all(len(steps) == 10 for steps in selection.values())
 
 
+def test_fit_regression_table_lines_up_every_r2_under_the_header(small_csv, tmp_path, capsys):
+    out_dir = tmp_path / "reg"
+    assert run(["fit-regression", "--in", str(small_csv), "--degree", "3",
+                "--out-dir", str(out_dir)]) == 0
+    table = (out_dir / "deterioration_models.txt").read_text()
+    assert capsys.readouterr().out.startswith(table)
+    header, rule, *rows = table.splitlines()
+    assert rule == "-" * len(header) and header.endswith("R2")
+    assert len(rows) == 4
+    # a degree-3 fit of the full basis writes formulas longer than 72 characters
+    assert max(len(row) for row in rows) > 10 + 72 + 8
+    for row in rows:
+        tag = row.split()[0]
+        r2 = json.loads((out_dir / f"deterioration_{tag}.json").read_text())["r2_fit"]
+        assert len(row) == len(header) and row.endswith(f"{r2:.3f}"), row
+
+
 def _write_ci_rows(path, rows):
     """A CSV file of CI records, each row (age, wall loss, rul)."""
     lines = [f"{age},6,100,CI,1,{DEFAULT_REFERENCE_YEAR - age},{wtl},{rul}"
@@ -621,16 +642,21 @@ def test_manifests_carry_the_cleaning_report(dirty_csv, tmp_path, capsys):
 
 
 def test_train_anfis_negative_epochs_is_runtime_error(small_csv, tmp_path, capsys):
-    code = run(["train-anfis", "--in", str(small_csv), "--epochs", "-1",
-                "--out-dir", str(tmp_path / "anfis")])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
+    out_dir = tmp_path / "anfis"
+    for epochs in ("-1", "0"):
+        code = run(["train-anfis", "--in", str(small_csv), "--epochs", epochs,
+                    "--out-dir", str(out_dir)])
+        assert code == 1
+        assert_one_error_line(capsys, "epochs must be >= 1")
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("document", [
     '[{"input_columns": ["age_years"], "hidden_neu',
     '[{"input_columns": ["age_years"], "epochs": 2}]',
-], ids=["truncated", "no_hidden_neurons"])
+    # an empty list names no configs; it is not the default registry
+    '[]',
+], ids=["truncated", "no_hidden_neurons", "empty"])
 def test_train_ann_malformed_registry_is_runtime_error(small_csv, tmp_path, capsys, document):
     registry = tmp_path / "registry.json"
     registry.write_text(document)
@@ -639,6 +665,7 @@ def test_train_ann_malformed_registry_is_runtime_error(small_csv, tmp_path, caps
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "ann").exists()
 
 
 @pytest.mark.parametrize("inputs", ["age_years", ""])
@@ -887,7 +914,7 @@ def anfis_doc_3mf(small_csv, tmp_path_factory):
     assert run([
         "train-anfis", "--in", str(small_csv), "--seed", "4",
         "--inputs", "age_years,wall_thickness_loss_pct",
-        "--mfs", "3", "--epochs", "0", "--out-dir", str(out_dir),
+        "--mfs", "3", "--epochs", "1", "--out-dir", str(out_dir),
     ]) == 0
     return (out_dir / "anfis_model.json").read_text()
 

@@ -22,7 +22,6 @@ from pipelife.mlp import (
     run_experiment_suite,
     scatter_fit,
     train,
-    train_registry,
 )
 
 
@@ -304,43 +303,32 @@ def registry_features():
     return build_features(labeled, MlpConfig().input_columns + ("rul_years",))
 
 
-def test_lockstep_members_match_training_alone(registry_features):
+def test_lockstep_results_do_not_depend_on_registry_order():
+    # the union feature matrix orders its columns by first use, so each run
+    # below lays the inputs out differently
+    dataset = synth.generate(synth.GeneratorConfig(n=400, seed=12))
     registry = mixed_registry()
-    for config, (model, history) in zip(registry, train_registry(registry, registry_features)):
-        alone, alone_history = train(config, registry_features)
-        assert model.config == alone.config
-        for name in ("w1", "b1", "w2"):
-            assert getattr(model, name).shape == getattr(alone, name).shape
-            np.testing.assert_allclose(getattr(model, name), getattr(alone, name),
-                                       rtol=0, atol=1e-10)
-        assert model.b2 == pytest.approx(alone.b2, abs=1e-10)
-        assert model.feature_constants == alone.feature_constants
-        assert len(history) == config.epochs
-        np.testing.assert_allclose(history.val_mse, alone_history.val_mse, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(history.train_mse, alone_history.train_mse,
-                                   rtol=0, atol=1e-10)
-        assert (history.best_epoch, history.restart) == (
-            alone_history.best_epoch, alone_history.restart)
-        assert model.config.seed == config.seed + history.restart
-
-
-def test_lockstep_results_do_not_depend_on_registry_order(registry_features):
-    registry = mixed_registry()
-    reference = dict(zip(
-        (c.name for c in registry), train_registry(registry, registry_features)
-    ))
-    permuted = registry[::-1]
-    for config, (model, history) in zip(permuted, train_registry(permuted, registry_features)):
-        ref_model, ref_history = reference[config.name]
-        for name in ("w1", "b1", "w2"):
-            assert np.array_equal(getattr(model, name), getattr(ref_model, name))
-        assert model.b2 == ref_model.b2
-        assert history == ref_history
+    runs = [run_experiment_suite(dataset, [config], split_seed=4) for config in registry]
+    runs += [run_experiment_suite(dataset, registry, split_seed=4),
+             run_experiment_suite(dataset, registry[::-1], split_seed=4)]
+    reference = {row.name: row for result in runs[:len(registry)] for row in result.rows}
+    for result in runs[len(registry):]:
+        assert sorted(row.name for row in result.rows) == sorted(reference)
+        for row in result.rows:
+            ref = reference[row.name]
+            for name in ("w1", "b1", "w2"):
+                assert np.array_equal(getattr(row.model, name), getattr(ref.model, name))
+            assert row.model.b2 == ref.model.b2
+            assert row.model.feature_constants == ref.model.feature_constants
+            assert row.model.target_constants == ref.model.target_constants
+            assert row.history == ref.history
+            assert np.array_equal(row.predicted, ref.predicted)
 
 
 def test_lockstep_restarts_keep_the_first_best_member(registry_features):
     config = mixed_registry()[2]
-    _, history = train(config, registry_features)
+    model, history = train(config, registry_features)
+    assert model.config.seed == config.seed + history.restart
     scores = [min(train(replace(config, restarts=1, seed=config.seed + r),
                         registry_features)[1].val_mse)
               for r in range(config.restarts)]
@@ -374,8 +362,8 @@ def test_jacobian_matches_central_differences_of_forward(activation):
 
 
 def test_train_mse_never_increases(registry_features):
-    for config, (_, history) in zip(mixed_registry(), train_registry(
-            [replace(c, epochs=40) for c in mixed_registry()], registry_features)):
+    for config in mixed_registry():
+        _, history = train(replace(config, epochs=40), registry_features)
         assert all(b <= a for a, b in zip(history.train_mse, history.train_mse[1:])), config.name
 
 
@@ -396,7 +384,7 @@ def test_each_stop_reason():
         MlpConfig(input_columns=("z",), hidden_neurons=3, epochs=300, name="patience"),
         MlpConfig(input_columns=("x",), hidden_neurons=1, epochs=300, name="damping"),
     ]
-    histories = [history for _, history in train_registry(registry, stop_matrix())]
+    histories = [train(config, stop_matrix())[1] for config in registry]
     assert [h.stop for h in histories] == ["cap", "patience", "damping"]
     cap, patience, damping = histories
     assert len(cap) == 3
@@ -415,6 +403,37 @@ def test_default_registry_shape():
     assert sizes == [3, 4, 5, 6, 7, 10, 5, 7]
     without = [c for c in registry if "wall_thickness_loss_pct" not in c.input_columns]
     assert len(without) == 2
+
+
+def test_suite_refuses_an_empty_registry():
+    dataset = synth.generate(synth.GeneratorConfig(n=100, seed=1))
+    for registry in ([], ()):
+        with pytest.raises(InvalidConfig):
+            run_experiment_suite(dataset, registry)
+
+
+def test_suite_without_a_registry_trains_the_default_one(monkeypatch):
+    dataset = synth.generate(synth.GeneratorConfig(n=200, seed=1))
+    trained = []
+
+    def record(config, features):
+        trained.append(config)
+        return train(replace(config, epochs=1), features)
+
+    monkeypatch.setattr(mlp, "train", record)
+    result = run_experiment_suite(dataset, split_seed=3)
+    assert trained == list(default_registry(3))
+    assert [row.name for row in result.rows] == [c.name for c in default_registry(3)]
+
+
+def test_suite_validates_every_config_before_training_any(monkeypatch):
+    dataset = synth.generate(synth.GeneratorConfig(n=100, seed=1))
+    trained = []
+    monkeypatch.setattr(mlp, "train", lambda config, features: trained.append(config))
+    registry = [MlpConfig(hidden_neurons=3, epochs=2), MlpConfig(hidden_neurons=0, epochs=2)]
+    with pytest.raises(InvalidConfig):
+        run_experiment_suite(dataset, registry)
+    assert trained == []
 
 
 def test_suite_single_config():

@@ -5,6 +5,7 @@ from pipelife.data import MATERIALS, NUMERIC_COLUMNS, Dataset, Material, first_f
 from pipelife.errors import EmptyDataset, InvalidConfig
 from pipelife.stats import pearson
 from pipelife.synth import (
+    MAX_RECORDS,
     GeneratorConfig,
     INVENTORY_TARGETS,
     generate,
@@ -30,8 +31,9 @@ def decile_means(x, y):
 
 
 def test_config_validation():
-    with pytest.raises(InvalidConfig):
-        GeneratorConfig(n=0).validate()
+    for n in (0, 99999999999999999999, MAX_RECORDS + 1):
+        with pytest.raises(InvalidConfig):
+            GeneratorConfig(n=n).validate()
 
 
 def test_determinism():
