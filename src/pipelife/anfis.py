@@ -43,6 +43,19 @@ kept, and it is degenerate (lse_degenerate) when r k < R (d + 1).  One
 forward pass per epoch feeds the logged train MSE before and after the
 solve, the solve and the premise gradient.
 
+Training memory is counted in n x R arrays (7.7 MB at 3,750 rows and 256
+rules).  An epoch keeps one, the normalized firing Wbar, with the outputs y:
+the unnormalized firing is dropped as the forward pass returns, and both
+are released before the next epoch's pass.  Layer 5, the post-solve train
+output and the premise gradient each work in one more n x R array, the rule
+outputs, which the gradient turns in place into dL/dw_r w_r =
+(2/n) e (f_r - y) wbar_r and reduces with one product against every input's
+MF indicators.  Psi is never formed whole: its r k columns, up to R (d + 1),
+make it 2.3 n x R arrays at the 600 columns of a 256-rule, 4-input solve, so
+Psi^T Psi and Psi^T y are summed over blocks of LSE_BLOCK_ROWS rows.  The QR
+in `_span` copies Wbar once more.  hybrid_train peaks near 3.1 n x R
+(tracemalloc); holding the unnormalized firing and the whole Psi took 6.1.
+
 The sensitivity ranking moves one input at a time.  For an ANFIS model it
 makes one pass per input of sums over the rules that both moves share (the
 other inputs' firing product, weighted by the rule outputs and by the
@@ -83,6 +96,12 @@ FIRING_FLOOR = 1e-300
 SENSITIVITY_STEP = 0.01  # central-difference step, as a fraction of the input's range
 CONTOUR_GRID_SIZE = 25    # contour points along each of its two inputs
 RIDGE = 1e-8  # ridge lambda of hybrid training's consequent solve; see the module docstring
+# rows of the solve's design Psi formed at a time.  A block holds at most
+# 512 R (d + 1) numbers (2.4 MB at the 600 columns of a 256-rule, 4-input
+# solve), small beside the n x R firing matrix, and is still tall enough
+# that each Psi_b^T Psi_b is one efficient BLAS product: 256 rows ran
+# hybrid_train 5-7% slower, 1024 rows no faster (5k and 50k rows)
+LSE_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -260,12 +279,23 @@ def _forward(model: AnfisModel, x: np.ndarray):
     mu = np.ascontiguousarray(_gaussians(x, model.centers, model.sigmas).transpose(1, 2, 0))
     w = _grid_product(mu).T                           # n x R
     wbar = w / _checked_total(w.sum(axis=1))[:, None]
-    return (wbar * _rule_outputs(model, x)).sum(axis=1), wbar, w
+    return _output(model, x, wbar), wbar, w
 
 
 def _rule_outputs(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     """Layer-4 linear rule outputs theta_r . [x, 1]: (n, R)."""
-    return x @ model.consequents[:, :-1].T + model.consequents[:, -1]
+    f = x @ model.consequents[:, :-1].T
+    f += model.consequents[:, -1]
+    return f
+
+
+def _output(model: AnfisModel, x: np.ndarray, wbar: np.ndarray) -> np.ndarray:
+    """Layer 5, sum_r wbar_r f_r, with the rule outputs as its one n x R
+    temporary.  Each row is summed on its own, so a row's output does not
+    depend on the batch it is in."""
+    f = _rule_outputs(model, x)
+    f *= wbar
+    return f.sum(axis=1)
 
 
 def _span(a: np.ndarray) -> tuple:
@@ -299,37 +329,39 @@ def lse_consequents(
     n = wbar.shape[0]
     z, v_k = _span(np.hstack([x, np.ones((n, 1))]))
     g, v_r = _span(wbar)
-    psi = (g[:, :, None] * z[:, None, :]).reshape(n, -1)
-    gram = psi.T @ psi
-    gram.flat[::gram.shape[0] + 1] += RIDGE * n
-    c = np.linalg.solve(gram, psi.T @ y)
+    cols = g.shape[1] * z.shape[1]
+    gram, rhs = np.zeros((cols, cols)), np.zeros(cols)
+    for start in range(0, n, LSE_BLOCK_ROWS):
+        rows = slice(start, start + LSE_BLOCK_ROWS)
+        psi = (g[rows, :, None] * z[rows, None, :]).reshape(-1, cols)
+        gram += psi.T @ psi
+        rhs += psi.T @ y[rows]
+    gram.flat[::cols + 1] += RIDGE * n
+    c = np.linalg.solve(gram, rhs)
     model.consequents = v_r.T @ c.reshape(len(v_r), len(v_k)) @ v_k
-    model.lse_rank = psi.shape[1]
+    model.lse_rank = cols
     return model
 
 
 def _premise_gradients(model: AnfisModel, x: np.ndarray, t: np.ndarray, state=None):
     """Analytic d(MSE)/d(center), d(MSE)/d(sigma) through all five layers.
 
-    state is _forward(model, x) when the caller already has it.
+    state is (y, wbar) of _forward(model, x) when the caller already has it.
     """
     n, d = x.shape
-    y, wbar, w = _forward(model, x) if state is None else state
-    total = w.sum(axis=1)
-    f = _rule_outputs(model, x)
-    err = y - t
-    # dL/dw_r = (2/n) e (f_r - y) / S; chain onto w_r itself for log-derivative form
-    glw = (2.0 / n) * err[:, None] * (f - y[:, None]) / total[:, None] * w
-    grad_c = np.zeros_like(model.centers)
-    grad_s = np.zeros_like(model.sigmas)
-    onehot = np.eye(model.centers.shape[1])   # row j: the indicator of MF j
-    rules = model.rules
-    for i in range(d):
-        acc = glw @ onehot[rules[:, i]]                     # n x m
-        diff = x[:, i:i + 1] - model.centers[i][None, :]    # n x m
-        sig = model.sigmas[i][None, :]
-        grad_c[i] = (acc * diff / sig**2).sum(axis=0)
-        grad_s[i] = (acc * diff**2 / sig**3).sum(axis=0)
+    m = model.centers.shape[1]
+    y, wbar = _forward(model, x)[:2] if state is None else state
+    # dL/dw_r = (2/n) e (f_r - y) / S; chained onto w_r itself for the
+    # log-derivative form, w_r / S = wbar_r; built in place in the rule outputs
+    glw = _rule_outputs(model, x)
+    glw -= y[:, None]
+    glw *= wbar
+    glw *= ((2.0 / n) * (y - t))[:, None]
+    # column (i, j) of the indicators is 1 on the rules that use MF j of input i
+    acc = (glw @ np.eye(m)[model.rules].reshape(-1, d * m)).reshape(n, d, m)
+    diff = x[:, :, None] - model.centers        # n x d x m
+    grad_c = (acc * diff / model.sigmas**2).sum(axis=0)
+    grad_s = (acc * diff**2 / model.sigmas**3).sum(axis=0)
     return grad_c, grad_s
 
 
@@ -398,11 +430,12 @@ def hybrid_train(
     for epoch in range(epochs):
         # the premises are fixed until the step at the end of the epoch, so
         # one forward pass serves every train-split quantity of the epoch
-        y, wbar, w = _forward(model, x_train)
+        # w, the unnormalized firing, is needed by none of them
+        y, wbar = _forward(model, x_train)[:2]
         history.pre_lse_mse.append(_rmse_of(y, t_train) ** 2)
         lse_consequents(model, x_train, t_train, wbar=wbar)
         history.lse_rank.append(model.lse_rank)
-        y = (wbar * _rule_outputs(model, x_train)).sum(axis=1)
+        y = _output(model, x_train, wbar)
         history.post_lse_mse.append(_rmse_of(y, t_train) ** 2)
         train_rmse = np.sqrt(history.post_lse_mse[-1])
         val_rmse = _rmse(model, x_val, t_val) if t_val.size else train_rmse
@@ -414,7 +447,8 @@ def hybrid_train(
             history.best_epoch = epoch
         # the step after the last epoch would change nothing that is returned
         if learning_rate > 0.0 and epoch + 1 < epochs:
-            _premise_step(model, x_train, t_train, learning_rate, (y, wbar, w))
+            _premise_step(model, x_train, t_train, learning_rate, (y, wbar))
+        del y, wbar   # so that the next epoch's pass is not built beside them
     best.trained = True
     return best, history
 

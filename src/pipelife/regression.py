@@ -40,7 +40,7 @@ class DeteriorationModel:
     material: str          # CI | DI | AC | Steel | Custom
     terms: tuple
     r2_fit: float
-    degenerate: bool = False  # rank-deficient fit, minimum-norm coefficients
+    degenerate: bool = False  # rank-deficient design or constant target
     # (age_power, wtl_power, R² after it) in the order the fit added the
     # terms; a diagnostic of fit_polynomial, not part of the document
     selection: tuple = field(default=(), compare=False)
@@ -158,19 +158,20 @@ def _solve(phi: np.ndarray, y: np.ndarray):
 def _forward_path(phi_full: np.ndarray, y: np.ndarray, greedy: bool) -> list:
     """The columns a fit adds, in order, each with the R² after it.
 
-    Full selection adds every column in basis order.  Greedy selection starts
-    from the intercept and adds the column with the largest drop in residual
-    sum of squares, while that drop is at least GREEDY_R2_GAIN·SST and fewer
-    terms than rows are chosen.  A drop within GREEDY_TIE·SST of the best
-    loses to the column that comes earlier in basis order.
+    Full selection adds, in basis order, every column outside the span of
+    the columns before it.  Greedy selection starts from the intercept and
+    adds the column with the largest drop in residual sum of squares, while
+    that drop is at least GREEDY_R2_GAIN·SST and fewer terms than rows are
+    chosen.  A drop within GREEDY_TIE·SST of the best loses to the column
+    that comes earlier in basis order.
 
     Both run on one QR factorization of the full basis with y beside it:
     [phi, y] = Q [R, z].  Every column of R and z have the chosen columns
     projected off, and a column u then drops the residual sum of squares by
     (uᵀz)²/(uᵀu).  A column left with less than √ε of its own length lies,
-    as far as rounding can tell, in the span of the chosen ones and drops
-    nothing.  A constant target has R² = 1 throughout, and greedy selection
-    keeps the intercept alone.
+    as far as rounding can tell, in the span of the chosen ones; it drops
+    nothing and is never added.  A constant target has R² = 1 throughout:
+    full selection keeps every column, greedy selection the intercept alone.
     """
     dev = y - y.mean()
     sst = float(dev @ dev)
@@ -190,7 +191,7 @@ def _forward_path(phi_full: np.ndarray, y: np.ndarray, greedy: bool) -> list:
             cols -= np.outer(u, u @ cols)
             if path:
                 r2 += along * along / sst
-        path.append((idx, r2))
+            path.append((idx, r2))
         left[idx] = False
         if not left.any():
             return path
@@ -226,7 +227,10 @@ def fit_polynomial(
     Ages and losses are rescaled by their ranges before solving so the
     degree-3 basis stays well conditioned; reported coefficients are in raw
     units.  `term_selection` is "full" for the complete basis or "greedy" to
-    add terms one at a time while R² improves by at least 0.005; a term
+    add terms one at a time while R² improves by at least 0.005.  A full fit
+    leaves out every term in the span of the terms before it in basis order
+    and is then degenerate: a minimum-norm solve would spread the intercept
+    over, say, the powers of a wall loss that never varies.  A term
     whose gain ties the best one within 1e-12 of SST loses to the term that
     comes earlier in basis order.  The model's `selection` lists the terms
     in the order they were added with the R² after each.
@@ -264,7 +268,9 @@ def fit_polynomial(
         material=material,
         terms=tuple(terms),
         r2_fit=float(r2_fit),
-        degenerate=degenerate or constant_target,
+        # a full fit that left out a column in the span of the others
+        degenerate=degenerate or constant_target or (
+            term_selection == "full" and len(chosen) < len(exponents)),
         selection=tuple((*exponents[idx], r2) for idx, r2 in path),
     )
 

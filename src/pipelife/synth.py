@@ -17,8 +17,8 @@ Construction per record (all draws from one seeded generator, fixed order):
     breaks       ~ Poisson(rate * age * ea / 8.35), capped at 95
     diameter     ~ weighted choice of standard sizes, mode 6 in
     length       ~ lognormal, mean near 2,870 ft
-    rul          = asl(material) - 0.2 * age - beta * wall loss + noise,
-                   clipped to [3, 90]
+    rul          = expected_rul + noise, clipped to [3, 90], where
+                   expected_rul = asl(material) - 0.2 * age - beta * wall loss
 
 The direct age coefficient is deliberately below one: the published moments
 put the RUL spread (std 20.46) far below the age spread (std 30.31), which
@@ -97,6 +97,7 @@ ASL_BY_MATERIAL = {
 }
 RUL_WTL_BETA = 2.0
 RUL_NOISE_SD = 0.75
+_ASL_BY_CODE = np.array([ASL_BY_MATERIAL.get(m, np.nan) for m in MATERIALS])
 
 # published inventory moments used as calibration targets:
 # column -> (min, max, mean, std, mode)
@@ -145,6 +146,19 @@ def _sample_ages(rng, n) -> np.ndarray:
     return out
 
 
+def expected_rul(age, wall_loss, material_codes) -> np.ndarray:
+    """The noiseless, unclipped RUL of the construction,
+    ASL(material) - RUL_AGE_COEF * age - RUL_WTL_BETA * wall loss, for
+    material codes as in data.MATERIALS.  A material outside MATERIAL_MIX has
+    no anticipated service life and raises ValueError."""
+    codes = np.asarray(material_codes)
+    asl = _ASL_BY_CODE[codes]
+    unknown = np.isnan(asl)
+    if unknown.any():
+        raise ValueError(f"no anticipated service life for {MATERIALS[codes[unknown][0]].value}")
+    return asl - RUL_AGE_COEF * np.asarray(age) - RUL_WTL_BETA * np.asarray(wall_loss)
+
+
 def generate(config: GeneratorConfig = GeneratorConfig()) -> Dataset:
     """Deterministic synthetic dataset for the given configuration."""
     config.validate()
@@ -176,19 +190,14 @@ def generate(config: GeneratorConfig = GeneratorConfig()) -> Dataset:
     length = np.exp(rng.normal(LENGTH_LOG_MU, LENGTH_LOG_SIGMA, size=n))
     length = np.round(np.clip(length, *LENGTH_CLIP), 1)
 
-    asl = np.array([ASL_BY_MATERIAL[m] for m in mats])[mat_idx]
-    rul = (
-        asl
-        - RUL_AGE_COEF * age
-        - RUL_WTL_BETA * wtl
-        + rng.normal(0.0, RUL_NOISE_SD, size=n)
-    )
+    codes = np.array([MATERIALS.index(m) for m in mats])[mat_idx]
+    rul = expected_rul(age, wtl, codes) + rng.normal(0.0, RUL_NOISE_SD, size=n)
     rul = np.round(np.clip(rul, *RUL_CLIP), 2)
 
     dataset = Dataset(
         {"age_years": age, "diameter_in": diameter, "length_ft": length, "breaks": breaks,
          "install_year": install_year, "wall_thickness_loss_pct": wtl, "rul_years": rul},
-        np.array([MATERIALS.index(m) for m in mats])[mat_idx],
+        codes,
         DEFAULT_REFERENCE_YEAR,
     )
     failing = first_failing_column(dataset.numeric, DEFAULT_REFERENCE_YEAR)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -386,6 +387,26 @@ def test_lse_matches_the_full_design_where_the_firing_spectrum_has_no_gap():
     assert phi @ model.consequents.ravel() == pytest.approx(phi @ theta, abs=1e-10)
 
 
+@pytest.mark.parametrize("collinear", [True, False])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_lse_blocks_match_the_full_design_at_the_block_edges(offset, collinear):
+    # one partial block, one whole block, and a whole block plus one row
+    n = anfis.LSE_BLOCK_ROWS + offset
+    fm = collinear_or_full_rank(collinear, n=n)
+    norm = fm.normalized()
+    x, y = norm[:, :2], norm[:, 2]
+    model = init_grid(("a", "b"), 3, fm)
+    lse_consequents(model, x, y)
+    phi = consequent_design(model, x)
+    theta = ridge_lstsq(phi, y)
+    assert model.consequents.ravel() == pytest.approx(theta, abs=1e-8)
+    assert phi @ model.consequents.ravel() == pytest.approx(phi @ theta, abs=1e-10)
+    # the directions kept by the two spans, whatever the blocks
+    _, wbar, _ = _forward(model, x)
+    unblocked = len(anfis._span(wbar)[1]) * len(anfis._span(np.hstack([x, np.ones((n, 1))]))[1])
+    assert model.lse_rank == unblocked == np.linalg.matrix_rank(phi)
+
+
 @pytest.mark.parametrize("which", ["collinear_firing", "random_full_rank"])
 def test_qr_first_span_keeps_the_thin_svd_directions(which, monkeypatch):
     if which == "collinear_firing":
@@ -543,6 +564,27 @@ def test_hybrid_logs_the_rank_of_every_solve():
     assert all(0 < rank <= 4 * 2 for rank in history.lse_rank)
     once, single = hybrid_train(model, fm, epochs=1)
     assert single.lse_rank == [once.lse_rank]
+
+
+def test_hybrid_training_peaks_below_four_n_by_r_arrays():
+    # the models_5k shape on 4,000 rows: an epoch holds the normalized firing
+    # and works in one more n x R array, and the solve's design is summed in
+    # blocks; keeping the unnormalized firing and the whole design peaked at
+    # ~6 n x R arrays
+    inputs = anfis.DEFAULT_INPUTS + ("diameter_in",)
+    dataset = synth.generate(synth.GeneratorConfig(n=4000, seed=11))
+    fm = build_features(split_dataset(dataset, (0.75, 0.1, 0.15), 11), inputs + ("rul_years",))
+    model = init_grid(inputs, 4, fm)
+    n = fm.split_arrays(inputs)[0].shape[0]
+    assert n >= 3000
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        hybrid_train(model, fm, epochs=2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * model.n_rules * 8
 
 
 def test_hybrid_stays_bounded_on_collinear_default_inputs():

@@ -185,6 +185,22 @@ def test_fit_degenerate_design_flagged():
     assert DeteriorationModel.from_dict(payload) == model
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_full_fit_on_a_constant_wall_loss_has_no_wall_loss_term(degree):
+    # W is the intercept times 20: a minimum-norm solve over the whole basis
+    # spread the intercept over W, W^2 and W^3, and 10 more points of wall
+    # loss then raised RUL by ~110%
+    age = 5.0 + 3.0 * np.arange(30)
+    y = 60.0 - np.arange(30)
+    model = fit_polynomial(age, np.full(30, 20.0), y, degree=degree, material="CI")
+    assert model.degenerate
+    assert all(w == 0 for _, _, w in model.terms)
+    assert [(a, w) for a, w, _ in model.selection] == [(a, w) for _, a, w in model.terms]
+    assert halflife_check(model, 40, 10, 20) == 0.0
+    fitted = [eval_terms(model.terms, a, 20.0) for a in age]
+    assert fitted == pytest.approx(list(y), abs=1e-8)
+
+
 # -- greedy term selection -----------------------------------------------------------
 
 def test_fit_records_the_selection_path():

@@ -6,8 +6,11 @@ from pipelife.errors import EmptyDataset, InvalidConfig
 from pipelife.stats import pearson
 from pipelife.synth import (
     MAX_RECORDS,
+    RUL_CLIP,
+    RUL_NOISE_SD,
     GeneratorConfig,
     INVENTORY_TARGETS,
+    expected_rul,
     generate,
     moment_report,
 )
@@ -128,6 +131,29 @@ def test_durable_materials_have_more_life(dataset):
 def test_install_year_consistency(dataset):
     install_year, age = dataset.column("install_year"), dataset.column("age_years")
     assert np.array_equal(install_year, dataset.reference_year - age)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 42])
+def test_rul_is_the_expected_rul_plus_the_noise(seed):
+    data = generate(GeneratorConfig(n=5000, seed=seed))
+    truth = expected_rul(data.column("age_years"), data.column("wall_thickness_loss_pct"),
+                         data.materials)
+    # rows whose noiseless RUL lies 6 noise SDs inside the clip: none is
+    # clipped, and the kept noise is not truncated by the clip
+    lo, hi = RUL_CLIP
+    inside = (truth > lo + 6 * RUL_NOISE_SD) & (truth < hi - 6 * RUL_NOISE_SD)
+    rul = data.column("rul_years")[inside]
+    assert inside.sum() > 2000 and ((rul > lo) & (rul < hi)).all()
+    noise = rul - truth[inside]
+    # five standard errors of the mean and of the SD of normal noise; the
+    # rounding of RUL to 0.01 adds ~6e-6 to the SD
+    assert abs(noise.mean()) < 5 * RUL_NOISE_SD / np.sqrt(noise.size)
+    assert abs(noise.std() - RUL_NOISE_SD) < 5 * RUL_NOISE_SD / np.sqrt(2 * noise.size)
+
+
+def test_expected_rul_refuses_a_material_without_a_service_life():
+    with pytest.raises(ValueError, match="Polyethylene"):
+        expected_rul([10.0], [20.0], [MATERIALS.index(Material.POLYETHYLENE)])
 
 
 def test_moment_report_contents(dataset):
