@@ -43,17 +43,35 @@ kept, and it is degenerate (lse_degenerate) when r k < R (d + 1).  One
 forward pass per epoch feeds the logged train MSE before and after the
 solve, the solve and the premise gradient.
 
-Training memory is counted in n x R arrays (7.7 MB at 3,750 rows and 256
+Arrays with a row axis are laid out rules-first: the row axis is last and
+contiguous, so the memberships are d x m x n and the firing w, the
+normalized firing Wbar and the rule outputs F are R x n, all in C order.
+Every elementwise product and every sum over rules or MFs then runs along
+the rows, and a sum over the leading rule axis adds the rules one at a
+time, in rule order, for each row.  `_forward` hands w and Wbar out as
+their (n, R) transposes, so the layer trace and the solve's design keep
+their n x R shape.  F comes from einsum over the contiguous d x n inputs,
+not from BLAS.  BLAS gives each row the same bits in every batch only with
+the rows as its M dimension, x Theta^T, which is n x R: a transposed copy
+of it took 7 ms at 3,713 x 256 (2-core x86-64, one BLAS thread), more than
+the layout saves.  Theta x^T is R x n, but its bits depend on the batch:
+816 of 256 x 4,999 rule outputs differed from the same rows in a 20,000-row
+batch.  einsum's loop gives each output the same bits in every batch of two
+or more rows.  A one-row batch is the exception: its rule outputs and its
+sums over the rules go through other numpy loops, which may change the last
+bits.
+
+Training memory is counted in R x n arrays (7.7 MB at 3,750 rows and 256
 rules).  An epoch keeps one, the normalized firing Wbar, with the outputs y:
 the unnormalized firing is dropped as the forward pass returns, and both
 are released before the next epoch's pass.  Layer 5, the post-solve train
-output and the premise gradient each work in one more n x R array, the rule
+output and the premise gradient each work in one more R x n array, the rule
 outputs, which the gradient turns in place into dL/dw_r w_r =
 (2/n) e (f_r - y) wbar_r and reduces with one product against every input's
 MF indicators.  Psi is never formed whole: its r k columns, up to R (d + 1),
-make it 2.3 n x R arrays at the 600 columns of a 256-rule, 4-input solve, so
+make it 2.3 R x n arrays at the 600 columns of a 256-rule, 4-input solve, so
 Psi^T Psi and Psi^T y are summed over blocks of LSE_BLOCK_ROWS rows.  The QR
-in `_span` copies Wbar once more.  hybrid_train peaks near 3.1 n x R
+in `_span` copies Wbar once more.  hybrid_train peaks near 3.1 R x n
 (tracemalloc); holding the unnormalized firing and the whole Psi took 6.1.
 
 The sensitivity ranking moves one input at a time.  For an ANFIS model it
@@ -242,12 +260,23 @@ def init_grid(
     )
 
 
-def _gaussians(x: np.ndarray, centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """exp(-(x - c)^2 / (2 sigma^2)) with the centers on a new last axis."""
-    diff = x[..., None] - centers
+def _gaussian(x, centers, sigmas) -> np.ndarray:
+    """The Gaussian membership exp(-(x - c)^2 / (2 sigma^2)), broadcast."""
+    diff = x - centers
     # a far-out x squares to inf, and exp(-inf) = 0 is its correct membership
     with np.errstate(over="ignore"):
         return np.exp(-(diff * diff) / (2.0 * sigmas**2))
+
+
+def _gaussians(x: np.ndarray, centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Memberships with the centers on a new last axis: n x d x m for n x d
+    rows, d x m for one row."""
+    return _gaussian(x[..., None], centers, sigmas)
+
+
+def _memberships(model: AnfisModel, x: np.ndarray) -> np.ndarray:
+    """Layer 1 for n x d rows, rules-first: d x m x n in C order."""
+    return _gaussian(x.T[:, None, :], model.centers[:, :, None], model.sigmas[:, :, None])
 
 
 def _grid_product(mu: Sequence[np.ndarray]) -> np.ndarray:
@@ -272,27 +301,30 @@ def _checked_total(total: np.ndarray) -> np.ndarray:
 def _forward(model: AnfisModel, x: np.ndarray):
     """Layers 1-5 for a batch of normalized rows.
 
-    Returns (y, wbar, w) with shapes (n,), (n, R), (n, R).
+    Returns (y, wbar, w) with shapes (n,), (n, R), (n, R).  wbar and w are
+    the transposes of R x n arrays in C order (see the module docstring).
     """
-    # w is the transpose of a C-order R x n product, so w.sum(axis=1) adds
-    # the rules one at a time, in rule order
-    mu = np.ascontiguousarray(_gaussians(x, model.centers, model.sigmas).transpose(1, 2, 0))
-    w = _grid_product(mu).T                           # n x R
-    wbar = w / _checked_total(w.sum(axis=1))[:, None]
-    return _output(model, x, wbar), wbar, w
+    w = _grid_product(_memberships(model, x))         # R x n
+    # a sum over the leading axis adds the rules one at a time, in rule order
+    wbar = w / _checked_total(w.sum(axis=0))
+    return _output(model, x, wbar.T), wbar.T, w.T
 
 
 def _rule_outputs(model: AnfisModel, x: np.ndarray) -> np.ndarray:
-    """Layer-4 linear rule outputs theta_r . [x, 1]: (n, R)."""
-    f = x @ model.consequents[:, :-1].T
-    f += model.consequents[:, -1]
-    return f
+    """Layer-4 linear rule outputs theta_r . [x, 1]: (n, R), the transpose
+    of an R x n array in C order, from einsum for the reason the module
+    docstring gives."""
+    f = np.einsum("rk,kn->rn", model.consequents[:, :-1], np.ascontiguousarray(x.T))
+    f += model.consequents[:, -1:]
+    return f.T
 
 
 def _output(model: AnfisModel, x: np.ndarray, wbar: np.ndarray) -> np.ndarray:
-    """Layer 5, sum_r wbar_r f_r, with the rule outputs as its one n x R
-    temporary.  Each row is summed on its own, so a row's output does not
-    depend on the batch it is in."""
+    """Layer 5, sum_r wbar_r f_r, for wbar as `_forward` returns it, with
+    the R x n rule outputs as its one temporary.  The product runs along the
+    rows and the sum adds the rules one at a time for each row, so a row's
+    output does not depend on the batch it is in, unless the batch has one
+    row (see the module docstring)."""
     f = _rule_outputs(model, x)
     f *= wbar
     return f.sum(axis=1)
@@ -352,16 +384,19 @@ def _premise_gradients(model: AnfisModel, x: np.ndarray, t: np.ndarray, state=No
     m = model.centers.shape[1]
     y, wbar = _forward(model, x)[:2] if state is None else state
     # dL/dw_r = (2/n) e (f_r - y) / S; chained onto w_r itself for the
-    # log-derivative form, w_r / S = wbar_r; built in place in the rule outputs
-    glw = _rule_outputs(model, x)
-    glw -= y[:, None]
-    glw *= wbar
-    glw *= ((2.0 / n) * (y - t))[:, None]
-    # column (i, j) of the indicators is 1 on the rules that use MF j of input i
-    acc = (glw @ np.eye(m)[model.rules].reshape(-1, d * m)).reshape(n, d, m)
-    diff = x[:, :, None] - model.centers        # n x d x m
-    grad_c = (acc * diff / model.sigmas**2).sum(axis=0)
-    grad_s = (acc * diff**2 / model.sigmas**3).sum(axis=0)
+    # log-derivative form, w_r / S = wbar_r; built in place in the R x n
+    # rule outputs
+    glw = _rule_outputs(model, x).T
+    glw -= y
+    glw *= wbar.T
+    glw *= (2.0 / n) * (y - t)
+    # row (i, j) of the indicators is 1 on the rules that use MF j of input i
+    acc = (np.eye(m)[model.rules].reshape(-1, d * m).T @ glw).reshape(d, m, n)
+    diff = x.T[:, None, :] - model.centers[:, :, None]     # d x m x n
+    acc *= diff
+    grad_c = acc.sum(axis=2) / model.sigmas**2
+    acc *= diff
+    grad_s = acc.sum(axis=2) / model.sigmas**3
     return grad_c, grad_s
 
 
@@ -516,27 +551,32 @@ def _perturbed_outputs(model: AnfisModel, raw: np.ndarray, steps):
     B_gj = [theta_r, 1] of that rule, and one product W_g B gives
     [sum W theta, S] per MF, from which P = (sum W theta) [x, 1] and Q is
     column i: m^(d-1) products, not m^d.
+
+    The arrays are rules-first, with the rows last: W is G x n, the sums
+    m x (d + 2) x n, and P, Q, S and mu_i are m x n, so each elementwise
+    product and each sum over the m MFs runs along the rows, not over an
+    axis of length m, which is 2 on the default grid.
     """
     x = scaled_inputs(model, raw)
-    mu = np.ascontiguousarray(_gaussians(x, model.centers, model.sigmas).transpose(1, 2, 0))
-    x1 = np.hstack([x, np.ones((x.shape[0], 1))])
+    mu = _memberships(model, x)
     n, d = x.shape
     m = model.centers.shape[1]
+    x1 = np.vstack([x.T, np.ones((1, n))])
     theta1 = np.hstack([model.consequents, np.ones((model.n_rules, 1))]).reshape((m,) * d + (-1,))
     for i, h in enumerate(steps):
         others = [mu[k] for k in range(d) if k != i]
         w = _grid_product(others) if others else np.ones((1, n))   # G x n
         sums = np.moveaxis(theta1, i, -2).reshape(len(w), m * (d + 2))
-        totals = (w.T @ sums).reshape(n, m, d + 2)
+        totals = (sums.T @ w).reshape(m, d + 2, n)
         del w   # so that the next input's product is not built beside this one
-        p = np.einsum("njk,nk->nj", totals[:, :, :-1], x1)
-        q, s = totals[:, :, i], totals[:, :, -1]
+        p = np.einsum("jkn,kn->jn", totals[:, :-1], x1)
+        q, s = totals[:, i], totals[:, -1]
         outputs = []
         for moved in (raw[:, i] + h, raw[:, i] - h):
             xi = normalize(moved[:, None], model.feature_constants[i:i + 1])[:, 0]
-            mu_i = _gaussians(xi, model.centers[i], model.sigmas[i])
-            total = _checked_total((mu_i * s).sum(axis=1))
-            y = (mu_i * (p + (xi - x[:, i])[:, None] * q)).sum(axis=1) / total
+            mu_i = _gaussian(xi, model.centers[i, :, None], model.sigmas[i, :, None])
+            total = _checked_total((mu_i * s).sum(axis=0))
+            y = (mu_i * (p + (xi - x[:, i]) * q)).sum(axis=0) / total
             outputs.append(raw_target(model, y))
         yield outputs
 
@@ -551,13 +591,15 @@ def contour_grid(
 
     Each input takes CONTOUR_GRID_SIZE evenly spaced values across its
     observed range.  Rows run over y for each x in turn; the whole grid is
-    one predict_batch.
+    one predict_batch.  The same input on both axes raises InvalidConfig.
     """
     columns = tuple(model.input_columns)
     if x_input not in columns or y_input not in columns:
         raise DimensionMismatch(
             f"contour inputs must be among the model inputs {columns}"
         )
+    if x_input == y_input:
+        raise InvalidConfig(f"contour inputs must be two different inputs, got {x_input!r} twice")
     raw = features.raw_matrix(columns)
     medians = np.median(raw, axis=0)
     xi = columns.index(x_input)
