@@ -57,9 +57,8 @@ of it took 7 ms at 3,713 x 256 (2-core x86-64, one BLAS thread), more than
 the layout saves.  Theta x^T is R x n, but its bits depend on the batch:
 816 of 256 x 4,999 rule outputs differed from the same rows in a 20,000-row
 batch.  einsum's loop gives each output the same bits in every batch of two
-or more rows.  A one-row batch is the exception: its rule outputs and its
-sums over the rules go through other numpy loops, which may change the last
-bits.
+or more rows, and `predict_batch` predicts a lone row as a pair, so a
+row's prediction does not depend on its batch.
 
 Training memory is counted in R x n arrays (7.7 MB at 3,750 rows and 256
 rules).  An epoch keeps one, the normalized firing Wbar, with the outputs y:
@@ -108,7 +107,9 @@ from .errors import (
 
 DEFAULT_INPUTS = ("age_years", "wall_thickness_loss_pct", "install_year")
 DEFAULT_MFS = 2
-DEFAULT_RULE_CAP = 256
+DEFAULT_EPOCHS = 50
+DEFAULT_LEARNING_RATE = 0.02
+RULE_CAP = 256  # init_grid refuses a grid of more rules
 SIGMA_FLOOR = 1e-4
 FIRING_FLOOR = 1e-300
 SENSITIVITY_STEP = 0.01  # central-difference step, as a fraction of the input's range
@@ -168,8 +169,11 @@ class AnfisModel:
     def predict_batch(self, raw: np.ndarray) -> np.ndarray:
         """RUL years for an n x d matrix of raw-unit inputs, clamped to the
         trained target range."""
-        y, _, _ = _forward(self, scaled_inputs(self, raw))
-        return raw_target(self, y)
+        x = scaled_inputs(self, raw)
+        # numpy takes other loops for one row than for two or more, which
+        # may change the last bits, so a lone row is predicted as a pair
+        y, _, _ = _forward(self, np.repeat(x, 2, axis=0) if len(x) == 1 else x)
+        return raw_target(self, y[:len(x)])
 
     def predict_dataset(self, dataset) -> np.ndarray:
         return self.predict_batch(dataset.matrix(self.inputs))
@@ -228,7 +232,6 @@ def init_grid(
     inputs: Sequence[str],
     mfs_per_input: int,
     features: FeatureMatrix,
-    rule_cap: int = DEFAULT_RULE_CAP,
 ) -> AnfisModel:
     """Grid-partition model over the observed range of each input.
 
@@ -236,7 +239,8 @@ def init_grid(
     normalized column (a constant column, all 0, gets the same grid); every
     width starts at spacing / sqrt(2).  Consequents start at zero.
     Inputs that `data.check_inputs` refuses (none, one named twice, or the
-    target) raise InvalidConfig.
+    target) raise InvalidConfig; a grid of more than RULE_CAP rules raises
+    RuleExplosion.
     """
     inputs = tuple(inputs)
     check_inputs(inputs, "inputs")
@@ -245,9 +249,9 @@ def init_grid(
     if m < 2:
         raise TooFewMfs(f"need at least 2 membership functions per input, got {m}")
     n_rules = m**d
-    if n_rules > rule_cap:
+    if n_rules > RULE_CAP:
         raise RuleExplosion(
-            f"{m}^{d} = {n_rules} rules exceeds the cap of {rule_cap}; "
+            f"{m}^{d} = {n_rules} rules exceeds the cap of {RULE_CAP}; "
             "reduce inputs or membership functions"
         )
     return AnfisModel(
@@ -323,8 +327,8 @@ def _output(model: AnfisModel, x: np.ndarray, wbar: np.ndarray) -> np.ndarray:
     """Layer 5, sum_r wbar_r f_r, for wbar as `_forward` returns it, with
     the R x n rule outputs as its one temporary.  The product runs along the
     rows and the sum adds the rules one at a time for each row, so a row's
-    output does not depend on the batch it is in, unless the batch has one
-    row (see the module docstring)."""
+    output does not depend on the batch of two or more rows it is in (see
+    the module docstring)."""
     f = _rule_outputs(model, x)
     f *= wbar
     return f.sum(axis=1)
@@ -437,8 +441,8 @@ def _rmse(model: AnfisModel, x: np.ndarray, t: np.ndarray) -> float:
 def hybrid_train(
     model: AnfisModel,
     features: FeatureMatrix,
-    epochs: int = 50,
-    learning_rate: float = 0.02,
+    epochs: int = DEFAULT_EPOCHS,
+    learning_rate: float = DEFAULT_LEARNING_RATE,
 ):
     """Hybrid learning: per epoch, ridge least-squares consequents then a
     gradient step on the Gaussian premises.

@@ -1,9 +1,12 @@
 """Command-line entry point wiring the library into reproducible workflows.
 
 Subcommands: generate, stats, train-ann, train-anfis, predict,
-fit-regression.  Every run writes a manifest (flags, seeds, input digests,
-outputs, duration, the input CSV's cleaning report) beside its outputs;
-identical flags and files reproduce byte-identical numeric outputs.
+fit-regression.  Every command that writes files writes a manifest beside
+them, built from the parsed command line: the subcommand, every flag it
+takes (`null` for one not given), the sha256 of each file flag given
+(--in, --model, --registry), the outputs, the duration and the input CSV's
+cleaning report.  Identical flags and files reproduce byte-identical
+numeric outputs.
 
 CSV text goes through the column-wise layer in `data`: inputs are read by
 `read_table` into header-width columns (a byte-order mark is dropped; a
@@ -64,19 +67,23 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(
-    out_dir: Path, command: str, args: dict, inputs, outputs, started: float, **sections
-):
-    """`started` is a time.perf_counter() reading; each keyword adds a section."""
+def _write_manifest(args, out_dir: Path, outputs, started: float, **sections):
+    """The manifest of the run that parsed `args`: every flag of its
+    subcommand, `infile` under its flag name `in`, and the digest of every
+    file flag given.  `--config` is left out, as its lines are flags.
+    `started` is a time.perf_counter() reading; each keyword adds a section."""
+    arguments = {"in" if key == "infile" else key: value for key, value in vars(args).items()
+                 if key not in ("func", "command", "config")}
+    inputs = [arguments[key] for key in ("in", "model", "registry") if arguments.get(key)]
     manifest = {
-        "command": command,
-        "arguments": args,
-        "input_digests": {str(p): _sha256(p) for p in inputs},
+        "command": args.command,
+        "arguments": arguments,
+        "input_digests": {path: _sha256(path) for path in inputs},
         "outputs": [str(p) for p in outputs],
         "duration_seconds": round(time.perf_counter() - started, 3),
         **sections,
     }
-    path = out_dir / f"{command.replace('-', '_')}_manifest.json"
+    path = out_dir / f"{args.command.replace('-', '_')}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path
 
@@ -100,11 +107,7 @@ def cmd_generate(args) -> int:
     report = synth.moment_report(dataset)
     report_path = out.with_suffix(out.suffix + ".report.txt")
     report_path.write_text(report.render() + "\n", encoding="utf-8")
-    manifest = _write_manifest(
-        out.parent, "generate",
-        {"n": args.n, "seed": args.seed, "out": str(out)},
-        [], [out, report_path], started,
-    )
+    manifest = _write_manifest(args, out.parent, [out, report_path], started)
     print(f"wrote {len(dataset)} records to {out}")
     print(f"moment report: {report_path}")
     print(f"manifest: {manifest}")
@@ -169,10 +172,7 @@ def cmd_train_ann(args) -> int:
         encoding="utf-8",
     )
     manifest = _write_manifest(
-        out_dir, "train-ann",
-        {"in": str(args.infile), "seed": args.seed, "registry": args.registry or "default",
-         "out_dir": str(out_dir)},
-        [args.infile], [metrics_path, model_path, scatter_path, fit_path], started,
+        args, out_dir, [metrics_path, model_path, scatter_path, fit_path], started,
         cleaning=cleaning.to_dict(),
         training=[{"name": row.name, "best_epoch": row.history.best_epoch,
                    "epochs": len(row.history), "restart": row.history.restart,
@@ -203,7 +203,7 @@ def cmd_train_anfis(args) -> int:
     dataset, cleaning = ingest_csv(args.infile, args.reference_year)
     labeled = split_dataset(dataset, mlp.DEFAULT_SPLIT_RATIOS, args.seed)
     features = build_features(labeled, inputs + ("rul_years",))
-    model = anfis.init_grid(inputs, args.mfs, features, rule_cap=args.rule_cap)
+    model = anfis.init_grid(inputs, args.mfs, features)
     trained, history = anfis.hybrid_train(
         model, features, epochs=args.epochs, learning_rate=args.learning_rate
     )
@@ -228,11 +228,7 @@ def cmd_train_anfis(args) -> int:
     write_columns(grid_path, (top_two[0], top_two[1], "predicted_rul"),
                   [_nums(cells) for cells in zip(*grid)])
     manifest = _write_manifest(
-        out_dir, "train-anfis",
-        {"in": str(args.infile), "inputs": args.inputs, "mfs": args.mfs,
-         "epochs": args.epochs, "learning_rate": args.learning_rate,
-         "rule_cap": args.rule_cap, "seed": args.seed, "out_dir": str(out_dir)},
-        [args.infile], [model_path, rmse_path, rank_path, grid_path], started,
+        args, out_dir, [model_path, rmse_path, rank_path, grid_path], started,
         cleaning=cleaning.to_dict(),
         training={"best_epoch": history.best_epoch,
                   "lse_rank": history.lse_rank[history.best_epoch],
@@ -286,12 +282,7 @@ def cmd_predict(args) -> int:
     # read_table padded or cut it to the header's width
     echoed = [list(map(column.__getitem__, cleaning.kept_rows)) for column in columns]
     write_columns(out, header + ["predicted_rul"], echoed + [_nums(predicted)])
-    manifest = _write_manifest(
-        out.parent, "predict",
-        {"in": str(args.infile), "model": args.model or f"builtin:{args.builtin}",
-         "out": str(out)},
-        [args.infile], [out], started, cleaning=cleaning.to_dict(),
-    )
+    manifest = _write_manifest(args, out.parent, [out], started, cleaning=cleaning.to_dict())
     print(f"wrote {len(predicted)} predictions to {out} (manifest: {manifest.name})")
     return EXIT_OK
 
@@ -336,12 +327,8 @@ def cmd_fit_regression(args) -> int:
     table_path = out_dir / "deterioration_models.txt"
     table_path.write_text(table, encoding="utf-8")
     outputs.append(table_path)
-    manifest = _write_manifest(
-        out_dir, "fit-regression",
-        {"in": str(args.infile), "degree": args.degree, "greedy": args.greedy,
-         "out_dir": str(out_dir)},
-        [args.infile], outputs, started, cleaning=cleaning.to_dict(), selection=selection,
-    )
+    manifest = _write_manifest(args, out_dir, outputs, started,
+                               cleaning=cleaning.to_dict(), selection=selection)
     print(table, end="")
     print(f"outputs in {out_dir} (manifest: {manifest.name})")
     return EXIT_OK
@@ -422,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     switch = dict(type=_switch, nargs="?", const=True, default=False, metavar="BOOL")
 
     p = sub.add_parser("generate", help="write a calibrated synthetic dataset CSV")
-    p.add_argument("--n", type=int, default=5000)
+    p.add_argument("--n", type=int, default=synth.GeneratorConfig.n)
     p.add_argument("--seed", **seed)
     p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_generate)
@@ -445,9 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated feature columns",
     )
     p.add_argument("--mfs", type=int, default=anfis.DEFAULT_MFS)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--learning-rate", type=float, default=0.02)
-    p.add_argument("--rule-cap", type=int, default=anfis.DEFAULT_RULE_CAP)
+    p.add_argument("--epochs", type=int, default=anfis.DEFAULT_EPOCHS)
+    p.add_argument("--learning-rate", type=float, default=anfis.DEFAULT_LEARNING_RATE)
     p.add_argument("--seed", **seed)
     p.add_argument("--out-dir", type=_path, required=True)
     p.set_defaults(func=cmd_train_anfis)

@@ -845,14 +845,14 @@ def test_contour_grid_refuses_the_same_input_on_both_axes(sensitivity_cases):
     (("age_years", "wall_thickness_loss_pct", "install_year", "diameter_in", "length_ft"), 2),
     (("age_years", "wall_thickness_loss_pct", "install_year"), 3),
 ], ids=["4x4", "5x2", "3x3"])
-def test_predict_batch_gives_each_row_the_same_bits_in_every_batch_of_two_or_more(inputs, mfs):
+def test_predict_batch_gives_each_row_the_same_bits_in_every_batch(inputs, mfs):
     dataset = synth.generate(synth.GeneratorConfig(n=500, seed=4))
     labeled = split_dataset(dataset, (0.75, 0.1, 0.15), 4)
     fm = build_features(labeled, inputs + ("rul_years",))
     model, _ = hybrid_train(init_grid(inputs, mfs, fm), fm, epochs=2)
     raw = fm.raw_matrix(inputs)[:300]
     whole = model.predict_batch(raw)
-    for cut in range(2, len(raw) - 1):
+    for cut in range(1, len(raw)):
         for rows in (slice(None, cut), slice(cut, None)):
             # the slice as it is, and as a copy in C order, as contour_grid builds one
             for part in (raw[rows], np.ascontiguousarray(raw[rows])):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import string
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipelife import anfis, mlp, regression, synth
-from pipelife.cli import main
+from pipelife.cli import build_parser, main
 from pipelife.data import CSV_COLUMNS, ingest_csv
 from pipelife.regression import builtin, predict_rul
 from pipelife.synth import DEFAULT_REFERENCE_YEAR
@@ -288,12 +289,12 @@ def test_train_anfis_manifest_records_the_ridge(small_csv, tmp_path):
     assert run([
         "train-anfis", "--in", str(small_csv), "--seed", "4",
         "--inputs", "age_years,wall_thickness_loss_pct",
-        "--mfs", "2", "--epochs", "1", "--learning-rate", "0.5", "--rule-cap", "64",
+        "--mfs", "2", "--epochs", "1", "--learning-rate", "0.5",
         "--out-dir", str(out_dir),
     ]) == 0
     manifest = json.loads((out_dir / "train_anfis_manifest.json").read_text())
     assert manifest["training"]["ridge"] == anfis.RIDGE
-    assert (manifest["arguments"]["learning_rate"], manifest["arguments"]["rule_cap"]) == (0.5, 64)
+    assert manifest["arguments"]["learning_rate"] == 0.5
 
 
 @pytest.fixture(scope="module")
@@ -639,6 +640,51 @@ def test_manifests_carry_the_cleaning_report(dirty_csv, tmp_path, capsys):
         assert run(argv) == 0, command
         manifest = json.loads((out_dir / f"{command}_manifest.json").read_text())
         assert manifest["cleaning"] == expected, command
+
+
+# a manifest-writing run per command; {csv}, {registry}, {model} and {out}
+# stand for the files the test makes, and the reading commands keep the
+# generator's rows (age + install year = 2011) at reference year 2012
+MANIFEST_RUNS = {
+    "generate": ["generate", "--n", "40", "--seed", "3", "--out", "{out}/gen.csv"],
+    "train-ann": ["train-ann", "--in", "{csv}", "--reference-year", "2012", "--seed", "2",
+                  "--registry", "{registry}", "--out-dir", "{out}"],
+    "train-anfis": ["train-anfis", "--in", "{csv}", "--reference-year", "2012",
+                    "--inputs", "age_years,wall_thickness_loss_pct", "--mfs", "2",
+                    "--epochs", "1", "--out-dir", "{out}"],
+    "predict-model": ["predict", "--in", "{csv}", "--reference-year", "2012",
+                      "--model", "{model}", "--out", "{out}/p.csv"],
+    "predict-builtin": ["predict", "--in", "{csv}", "--reference-year", "2012",
+                        "--builtin", "CI", "--out", "{out}/p.csv"],
+    "fit-regression": ["fit-regression", "--in", "{csv}", "--reference-year", "2012",
+                       "--greedy", "--out-dir", "{out}"],
+}
+
+
+@pytest.mark.parametrize("case", MANIFEST_RUNS)
+def test_the_manifest_records_every_parsed_flag_and_digests_every_file_flag(
+        case, small_csv, anfis_doc, tmp_path):
+    registry, model = tmp_path / "registry.json", tmp_path / "model.json"
+    registry.write_text(json.dumps([{"input_columns": ["age_years"], "hidden_neurons": 2,
+                                     "epochs": 2}]))
+    model.write_text(anfis_doc)
+    out = tmp_path / "out"
+    argv = [arg.format(csv=small_csv, registry=registry, model=model, out=out)
+            for arg in MANIFEST_RUNS[case]]
+    assert run(argv) == 0
+    command = argv[0]
+    manifest = json.loads((out / f"{command.replace('-', '_')}_manifest.json").read_text())
+    assert manifest["command"] == command
+    parsed = vars(build_parser().parse_args(argv))
+    assert manifest["arguments"] == {"in" if key == "infile" else key: value
+                                     for key, value in parsed.items()
+                                     if key not in ("func", "command", "config")}
+    if command != "generate":
+        assert manifest["arguments"]["reference_year"] == 2012
+        assert manifest["cleaning"]["rows_dropped"] == 0
+    files = [argv[i + 1] for i, arg in enumerate(argv) if arg in ("--in", "--model", "--registry")]
+    assert manifest["input_digests"] == {
+        path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in files}
 
 
 def test_train_anfis_negative_epochs_is_runtime_error(small_csv, tmp_path, capsys):
