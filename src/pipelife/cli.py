@@ -8,12 +8,14 @@ takes (`null` for one not given), the sha256 of each file flag given
 cleaning report.  Identical flags and files reproduce byte-identical
 numeric outputs.
 
-CSV text goes through the column-wise layer in `data`: inputs are read by
-`read_table` into header-width columns (a byte-order mark is dropped; a
-file csv.reader refuses is a runtime error), and every CSV output is one
-`write_columns` call, which writes what Python's csv writer would.
-`predict` echoes the kept rows' cells of every input column, then
-`predicted_rul`.
+CSV text goes through the column-wise layer in `data`: every input is read
+by one `ingest_csv` pass, which parses it block by block (a byte-order mark
+is dropped; a file csv.reader refuses is a runtime error), and every CSV
+output is one `write_columns` call, which writes what Python's csv writer
+would.  `predict` echoes the kept rows' cells of every input column, padded
+or cut to the header's width, then `predicted_rul`; it takes those cells
+from the same `ingest_csv` pass (`echo=True`), the only command that keeps
+its input's text.
 
 argparse is the one parser.  `--config FILE`, given before the subcommand,
 reads each KEY=VALUE line as the flag --KEY=VALUE (`_` reads as `-`); the
@@ -42,10 +44,8 @@ from .data import (
     SPLITS,
     Split,
     build_features,
-    clean_table,
     encode_material,
     ingest_csv,
-    read_table,
     split_dataset,
     write_columns,
     write_csv,
@@ -266,8 +266,7 @@ def _parse_model(text):
 
 def cmd_predict(args) -> int:
     started = time.perf_counter()
-    header, columns = read_table(args.infile)
-    dataset, cleaning = clean_table(header, columns, args.reference_year, args.infile)
+    dataset, cleaning, (header, echoed) = ingest_csv(args.infile, args.reference_year, echo=True)
     if args.builtin:
         predicted, _ = regression.predict_rul(
             regression.builtin(args.builtin),
@@ -278,9 +277,6 @@ def cmd_predict(args) -> int:
         predicted = _load_document(args.model, _parse_model).predict_dataset(dataset)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    # the k-th record came from data row cleaning.kept_rows[k], echoed as
-    # read_table padded or cut it to the header's width
-    echoed = [list(map(column.__getitem__, cleaning.kept_rows)) for column in columns]
     write_columns(out, header + ["predicted_rul"], echoed + [_nums(predicted)])
     manifest = _write_manifest(args, out.parent, [out], started, cleaning=cleaning.to_dict())
     print(f"wrote {len(predicted)} predictions to {out} (manifest: {manifest.name})")

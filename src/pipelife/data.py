@@ -8,25 +8,30 @@ where it is absent) and one array of material codes, each an index into
 `MATERIALS = tuple(Material)`.  Materials are read as a numeric deterioration-impact score
 (the EA value) so that every downstream model sees a purely numeric table.
 
-The CSV text layer is column-wise.  `read_table` makes one csv.reader pass
-and returns the header and one list of cells per header column: blank rows
-are skipped, a short row is padded with "" and a long row cut to the
-header's width, and the rows are transposed `_BLOCK` at a time.  A leading
-UTF-8 byte-order mark is dropped, and a file that is not UTF-8 or that
-csv.reader refuses (a field over `csv.field_size_limit()`, say) raises
-`FileUnreadable`.  `write_columns` writes columns of str as the text that
-Python's csv writer writes for them, `_BLOCK` lines at a time; `write_csv`
-is it on a Dataset's cells.
+The CSV text layer is column-wise and streams.  `_blocks`, the one
+csv.reader pass, yields the header, then the data rows `_BLOCK` at a time,
+each block transposed into one tuple of cells per header column: blank rows
+are skipped, and a short row is padded with "" and a long row cut to the
+header's width.  A leading UTF-8 byte-order mark is dropped, and a file
+that is not UTF-8 or that csv.reader refuses (a field over
+`csv.field_size_limit()`, say) raises `FileUnreadable`.  `read_table`
+collects the blocks into one list of cells per header column.
+`write_columns` writes columns of str as the text that Python's csv writer
+writes for them, `_BLOCK` lines at a time; `write_csv` is it on a Dataset's
+cells.
 
-`ingest_csv` is `read_table` then `clean_table`, which parses column by
-column: each numeric column with one float array conversion (a per-cell
-pass only for a column holding a cell that does not parse), each distinct
-material spelling encoded once.  A row that fails is counted under one
-column: its first empty required column, else its first column in
-CSV_COLUMNS order that does not parse (a non-finite number does not), else
-its first failing check.  `first_failing_column` is the one validator of
-those checks: `clean_table` runs it on the parsed columns, and
-`synth.generate` on what it generated.
+`ingest_csv` parses each block while its cells are fresh: each numeric
+column with one float array conversion (a per-cell pass only for a block
+holding a cell that does not parse), the material column by encoding each
+distinct spelling of the block once.  It keeps the parsed arrays and drops
+the block's text, so a command holds one block of text at a time; only
+`predict`, which echoes its input rows, asks it (`echo=True`) to keep every
+block and return the kept rows' cells.  Validation then runs on the joined
+arrays.  A row that fails is counted under one column: its first empty
+required column, else its first column in CSV_COLUMNS order that does not
+parse (a non-finite number does not), else its first failing check.
+`first_failing_column` is the one validator of those checks: `ingest_csv`
+runs it on the parsed columns, and `synth.generate` on what it generated.
 
 `split_dataset` labels each row Train, Validation or Test.  The labels are
 stored as materials are: `split` is one read-only int8 array of codes, each
@@ -45,7 +50,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import islice, zip_longest
+from itertools import chain, compress, islice, zip_longest
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -94,7 +99,7 @@ AGE_YEAR_TOLERANCE = 1  # fiscal vs calendar year slack
 # squares and cubes that stats and regression form stay finite
 MAGNITUDE_LIMIT = 2.0 ** 53
 
-# rows read_table transposes and write_columns joins at a time
+# rows _blocks transposes and write_columns joins at a time
 _BLOCK = 1024
 
 
@@ -290,15 +295,14 @@ class Dataset:
         return np.column_stack([self.column(name) for name in names])
 
 
-def read_table(path):
-    """(header, columns) of a CSV file: the first row's cells, then one list
-    of cells per header column.
+def _blocks(path):
+    """Yield a CSV file's header row, then its data rows _BLOCK at a time,
+    each block as one tuple of cells per header column.
 
     Blank rows are skipped, as csv.DictReader skips them; a short row reads
-    as padded with "" and a long row as cut to the header's width.  The rows
-    are transposed _BLOCK at a time, so only one block's row lists are alive
-    beside the columns.  A leading byte-order mark is dropped; a file that is
-    not UTF-8 or that csv.reader refuses raises FileUnreadable.
+    as padded with "" and a long row as cut to the header's width.  A
+    leading byte-order mark is dropped; a file that is not UTF-8 or that
+    csv.reader refuses raises FileUnreadable.
     """
     try:
         fh = open(path, "r", newline="", encoding="utf-8-sig")
@@ -308,17 +312,28 @@ def read_table(path):
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
-            columns = [[] for _ in header]
+            yield header
             rows = filter(None, reader)
             while block := list(islice(rows, _BLOCK)):
-                cells = islice(zip_longest(*block, fillvalue=""), len(header))
+                columns = tuple(islice(zip_longest(*block, fillvalue=""), len(header)))
                 # the columns past every row of the block read as empty
-                for column, block_cells in zip_longest(columns, cells, fillvalue=[""] * len(block)):
-                    column.extend(block_cells)
+                yield columns + (("",) * len(block),) * (len(header) - len(columns))
         except UnicodeDecodeError as exc:
             raise FileUnreadable(f"cannot read {path} as UTF-8: {exc}") from exc
         except csv.Error as exc:
             raise FileUnreadable(f"cannot read {path} as CSV: {exc}") from exc
+
+
+def read_table(path):
+    """(header, columns) of a CSV file: the first row's cells, then one list
+    of cells per header column, each row padded or cut to the header's
+    width as `ingest_csv` reads it."""
+    blocks = _blocks(path)
+    header = next(blocks)
+    columns = [[] for _ in header]
+    for block in blocks:
+        for column, cells in zip(columns, block):
+            column.extend(cells)
     return header, columns
 
 
@@ -339,7 +354,7 @@ def _parse_numbers(cells):
     try:
         return np.array(cells, dtype=float), None
     except ValueError:
-        # only a column holding an unparseable cell is parsed cell by cell
+        # only a block holding an unparseable cell is parsed cell by cell
         values = np.fromiter(map(_number_or_nan, cells), dtype=float, count=len(cells))
         return values, _empty(cells)
 
@@ -357,30 +372,71 @@ def _material_codes(cells):
     return values, _empty(cells) if "" in codes else None
 
 
-def clean_table(header: Sequence[str], columns: Sequence[Sequence[str]], reference_year: int,
-                source):
-    """Parse and validate the columns of `read_table`.
+def _joined(parts):
+    """(values, empty) of a column from the (values, empty) of its blocks."""
+    values, empties = zip(*parts)
+    if all(empty is None for empty in empties):
+        return np.concatenate(values), None
+    return np.concatenate(values), np.concatenate([
+        np.zeros(len(v), dtype=bool) if empty is None else empty
+        for v, empty in zip(values, empties)])
 
-    Returns (Dataset, CleaningReport) as `ingest_csv` does; `source` names the
-    input in the error raised when no row survives.  The columns are not changed.
+
+def ingest_csv(path, reference_year: int, echo: bool = False):
+    """Read the canonical CSV schema, dropping and counting invalid rows.
+
+    Returns (Dataset, CleaningReport).  Rows with any missing, unparseable
+    or non-finite cell, or failing `first_failing_column`, are removed,
+    never imputed, and counted under their first failing column; surviving
+    rows keep file order.  The file is read in one pass of `_blocks`, and
+    each block's cells are parsed as it is read.  With `echo`, a third item
+    (header, columns) holds the header and, per header column, the kept
+    rows' cells as they were read, so that `predict` can write them back.
     """
+    blocks = _blocks(path)
+    header = next(blocks)
     # a duplicated header name reads from its last copy, as in csv.DictReader
     position = {name: j for j, name in enumerate(header)}
     missing = [c for c in REQUIRED_COLUMNS if c not in position]
     if missing:
+        for _ in blocks:  # a file that cannot be read is reported as such first
+            pass
         raise SchemaMismatch(f"missing required column(s): {', '.join(missing)}")
-    n = len(columns[0])
-    empty, unparsed, parsed = {}, {}, {}
-    for name in CSV_COLUMNS:
-        if name not in position:  # rul_years is optional
+    present = [name for name in CSV_COLUMNS if name in position]
+    parts = {name: [] for name in present}
+    text = []
+    for block in blocks:
+        for name in present:
+            cells = block[position[name]]
+            parts[name].append(_material_codes(cells) if name == "material"
+                               else _parse_numbers(cells))
+        if echo:
+            text.append(block)
+    if not parts["material"]:  # no data row
+        raise EmptyAfterCleaning(f"no valid rows in {path}")
+    # validation's temporaries are freed before the echo is built
+    dataset, report, kept = _clean(parts, reference_year, path)
+    if not echo:
+        return dataset, report
+    keep = kept.tolist()
+    columns = [list(compress(chain.from_iterable(block[j] for block in text), keep))
+               for j in range(len(header))]
+    return dataset, report, (header, columns)
+
+
+def _clean(parts, reference_year: int, source):
+    """(Dataset, CleaningReport, kept mask) of the parsed blocks of each
+    column present: `parts` maps a column name to the (values, empty) of
+    each block, and is emptied as the blocks are joined.  `source` names the
+    input in the error raised when no row survives."""
+    codes, material_empty = _joined(parts.pop("material"))
+    n = len(codes)
+    empty, unparsed, parsed = {"material": material_empty}, {"material": codes < 0}, {}
+    for name in NUMERIC_COLUMNS:
+        if name not in parts:  # rul_years is optional
             parsed[name] = np.full(n, np.nan)
             continue
-        cells = columns[position[name]]
-        if name == "material":
-            codes, empty[name] = _material_codes(cells)
-            unparsed[name] = codes < 0
-            continue
-        values, empty[name] = _parse_numbers(cells)
+        values, empty[name] = _joined(parts.pop(name))
         bad = ~np.isfinite(values)
         if name == TARGET_COLUMN and empty[name] is not None:
             bad &= ~empty[name]  # an empty rul_years is absent, not invalid
@@ -412,19 +468,7 @@ def clean_table(header: Sequence[str], columns: Sequence[Sequence[str]], referen
         kept_rows=kept_rows,
     )
     numeric = {name: values[kept] for name, values in parsed.items()}
-    return Dataset(numeric, codes[kept], reference_year), report
-
-
-def ingest_csv(path, reference_year: int):
-    """Read the canonical CSV schema, dropping and counting invalid rows.
-
-    Returns (Dataset, CleaningReport).  Rows with any missing, unparseable or
-    non-finite cell, or failing `first_failing_column`, are removed, never
-    imputed, and counted under their first failing column; surviving rows
-    keep file order.  This is `read_table` followed by `clean_table`.
-    """
-    header, columns = read_table(path)
-    return clean_table(header, columns, reference_year, path)
+    return Dataset(numeric, codes[kept], reference_year), report, kept
 
 
 def write_csv(dataset: Dataset, path) -> None:

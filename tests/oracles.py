@@ -1,14 +1,38 @@
 """Reference computations that the ANFIS consequent solve is checked against,
 the five layers of one ANFIS inference pass, the rule lists that an ANFIS
-model document must not load with, and greedy term selection by one
-least-squares refit per candidate."""
+model document must not load with, greedy term selection by one
+least-squares refit per candidate, and the CSV ingest as a whole-file read
+(`read_table`) followed by a column-wise parse (`clean_table`)."""
 
+import csv
 from dataclasses import dataclass
+from itertools import islice, zip_longest
+from typing import Sequence
 
 import numpy as np
 
 from pipelife import anfis, regression
-from pipelife.errors import DimensionMismatch
+from pipelife.data import (
+    _INTEGER_COLUMNS,
+    CSV_COLUMNS,
+    MATERIALS,
+    REQUIRED_COLUMNS,
+    TARGET_COLUMN,
+    CleaningReport,
+    Dataset,
+    encode_material,
+    first_failing_column,
+)
+from pipelife.errors import (
+    DimensionMismatch,
+    EmptyAfterCleaning,
+    FileUnreadable,
+    SchemaMismatch,
+    UnknownMaterial,
+)
+
+# rows read_table transposes at a time; any size gives the same table
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -115,3 +139,141 @@ def fit_greedy_by_refit(age, wtl, rul, degree, material="Custom"):
         material=material, terms=tuple(terms), r2_fit=float(r2_fit),
         degenerate=degenerate or constant_target,
     )
+
+
+def read_table(path):
+    """(header, columns) of a CSV file: the first row's cells, then one list
+    of cells per header column.
+
+    Blank rows are skipped, as csv.DictReader skips them; a short row reads
+    as padded with "" and a long row as cut to the header's width.  The rows
+    are transposed _BLOCK at a time, so only one block's row lists are alive
+    beside the columns.  A leading byte-order mark is dropped; a file that is
+    not UTF-8 or that csv.reader refuses raises FileUnreadable.
+    """
+    try:
+        fh = open(path, "r", newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise FileUnreadable(f"cannot open {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            columns = [[] for _ in header]
+            rows = filter(None, reader)
+            while block := list(islice(rows, _BLOCK)):
+                cells = islice(zip_longest(*block, fillvalue=""), len(header))
+                # the columns past every row of the block read as empty
+                for column, block_cells in zip_longest(columns, cells, fillvalue=[""] * len(block)):
+                    column.extend(block_cells)
+        except UnicodeDecodeError as exc:
+            raise FileUnreadable(f"cannot read {path} as UTF-8: {exc}") from exc
+        except csv.Error as exc:
+            raise FileUnreadable(f"cannot read {path} as CSV: {exc}") from exc
+    return header, columns
+
+
+def _empty(cells) -> np.ndarray:
+    return np.fromiter(map("".__eq__, cells), dtype=bool, count=len(cells))
+
+
+def _number_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return np.nan
+
+
+def _parse_numbers(cells):
+    """(values, empty) of one column's cells: float() of each cell, NaN where
+    a cell does not parse, and the mask of empty cells (None when none is)."""
+    try:
+        return np.array(cells, dtype=float), None
+    except ValueError:
+        # only a column holding an unparseable cell is parsed cell by cell
+        values = np.fromiter(map(_number_or_nan, cells), dtype=float, count=len(cells))
+        return values, _empty(cells)
+
+
+def _material_codes(cells):
+    """(codes, empty) of one column's cells: each material's code, -1 where
+    the name is unknown or empty, and the mask of empty cells (None when none is)."""
+    codes = {}
+    for name in set(cells):
+        try:
+            codes[name] = MATERIALS.index(encode_material(name))
+        except UnknownMaterial:
+            codes[name] = -1
+    values = np.fromiter(map(codes.__getitem__, cells), dtype=np.int8, count=len(cells))
+    return values, _empty(cells) if "" in codes else None
+
+
+def clean_table(header: Sequence[str], columns: Sequence[Sequence[str]], reference_year: int,
+                source):
+    """Parse and validate the columns of `read_table`.
+
+    Returns (Dataset, CleaningReport) as `ingest_csv` does; `source` names the
+    input in the error raised when no row survives.  The columns are not changed.
+    """
+    # a duplicated header name reads from its last copy, as in csv.DictReader
+    position = {name: j for j, name in enumerate(header)}
+    missing = [c for c in REQUIRED_COLUMNS if c not in position]
+    if missing:
+        raise SchemaMismatch(f"missing required column(s): {', '.join(missing)}")
+    n = len(columns[0])
+    empty, unparsed, parsed = {}, {}, {}
+    for name in CSV_COLUMNS:
+        if name not in position:  # rul_years is optional
+            parsed[name] = np.full(n, np.nan)
+            continue
+        cells = columns[position[name]]
+        if name == "material":
+            codes, empty[name] = _material_codes(cells)
+            unparsed[name] = codes < 0
+            continue
+        values, empty[name] = _parse_numbers(cells)
+        bad = ~np.isfinite(values)
+        if name == TARGET_COLUMN and empty[name] is not None:
+            bad &= ~empty[name]  # an empty rul_years is absent, not invalid
+        if bad.any():
+            values[bad] = np.nan
+            unparsed[name] = bad
+        parsed[name] = np.trunc(values) + 0.0 if name in _INTEGER_COLUMNS else values
+    failing = first_failing_column(parsed, reference_year)
+    # an empty required cell outranks a cell that does not parse, which
+    # outranks the validator; within each, the first column counts
+    precedence = [(c, empty.get(c)) for c in REQUIRED_COLUMNS]
+    precedence += [(c, unparsed.get(c)) for c in CSV_COLUMNS]
+    precedence = [(c, mask) for c, mask in precedence if mask is not None and mask.any()]
+    if precedence:
+        names, masks = zip(*precedence)
+        hits = np.column_stack(masks)
+        failing = np.where(hits.any(axis=1), np.array(names)[hits.argmax(axis=1)], failing)
+    kept = failing == ""
+    kept_rows = tuple(np.flatnonzero(kept).tolist())
+    if not kept_rows:
+        raise EmptyAfterCleaning(f"no valid rows in {source}")
+    # drops are counted in the order their columns first fail in the file
+    labels, first, counts = np.unique(failing[~kept], return_index=True, return_counts=True)
+    report = CleaningReport(
+        rows_read=n,
+        rows_kept=len(kept_rows),
+        rows_dropped=n - len(kept_rows),
+        drops_by_column={str(labels[k]): int(counts[k]) for k in np.argsort(first)},
+        kept_rows=kept_rows,
+    )
+    numeric = {name: values[kept] for name, values in parsed.items()}
+    return Dataset(numeric, codes[kept], reference_year), report
+
+
+def ingest_csv(path, reference_year, echo=False):
+    """`read_table` then `clean_table`; with `echo`, a third item (header,
+    columns) holds each header column's cells of the kept rows, as `predict`
+    echoed them."""
+    header, columns = read_table(path)
+    dataset, report = clean_table(header, columns, reference_year, path)
+    if not echo:
+        return dataset, report
+    # the k-th record came from data row report.kept_rows[k]
+    return dataset, report, (header, [list(map(column.__getitem__, report.kept_rows))
+                                      for column in columns])
