@@ -272,12 +272,6 @@ def _gaussian(x, centers, sigmas) -> np.ndarray:
         return np.exp(-(diff * diff) / (2.0 * sigmas**2))
 
 
-def _gaussians(x: np.ndarray, centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """Memberships with the centers on a new last axis: n x d x m for n x d
-    rows, d x m for one row."""
-    return _gaussian(x[..., None], centers, sigmas)
-
-
 def _memberships(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     """Layer 1 for n x d rows, rules-first: d x m x n in C order."""
     return _gaussian(x.T[:, None, :], model.centers[:, :, None], model.sigmas[:, :, None])

@@ -122,7 +122,7 @@ def cmd_stats(args) -> int:
         payload = {
             "cleaning": cleaning.to_dict(),
             "summary": {name: s.to_dict() for name, s in report_rows},
-            "significance": json.loads(significance.to_json()) if significance else None,
+            "significance": significance.to_dict() if significance else None,
         }
         print(json.dumps(payload, indent=2))
         return EXIT_OK

@@ -20,18 +20,17 @@ collects the blocks into one list of cells per header column.
 writes for them, `_BLOCK` lines at a time; `write_csv` is it on a Dataset's
 cells.
 
-`ingest_csv` parses each block while its cells are fresh: each numeric
-column with one float array conversion (a per-cell pass only for a block
-holding a cell that does not parse), the material column by encoding each
-distinct spelling of the block once.  It keeps the parsed arrays and drops
-the block's text, so a command holds one block of text at a time; only
-`predict`, which echoes its input rows, asks it (`echo=True`) to keep every
-block and return the kept rows' cells.  Validation then runs on the joined
-arrays.  A row that fails is counted under one column: its first empty
-required column, else its first column in CSV_COLUMNS order that does not
-parse (a non-finite number does not), else its first failing check.
-`first_failing_column` is the one validator of those checks: `ingest_csv`
-runs it on the parsed columns, and `synth.generate` on what it generated.
+`ingest_csv` parses and judges each block while its cells are fresh: each
+numeric column with one float array conversion (a per-cell pass only for a
+block holding a cell that does not parse), the material column by encoding
+each distinct spelling of the block once.  A row that fails is counted under
+its first empty required column, else its first column in CSV_COLUMNS order
+that does not parse (a non-finite number does not), else its first failing
+check (`_judged`).  Only the kept rows' values stay and the block's text is
+dropped; only `predict`, which echoes its input rows, asks (`echo=True`) for
+the kept rows' cells too.  `validity_checks` is the one validator of those
+checks: `ingest_csv` runs it on each block, `synth.generate` on what it
+generated, and `first_failing_column` names each row's first failing check.
 
 `split_dataset` labels each row Train, Validation or Test.  The labels are
 stored as materials are: `split` is one read-only int8 array of codes, each
@@ -50,7 +49,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain, compress, islice, zip_longest
+from itertools import compress, islice, zip_longest
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -179,34 +178,48 @@ def _split_codes(split, n: int) -> Optional[np.ndarray]:
     return codes
 
 
-def first_failing_column(numeric: Mapping[str, np.ndarray], reference_year: int) -> np.ndarray:
-    """Each row's first failing column, '' when the row is valid.
-
-    The checks run in this order: age >= 0, diameter in range, 0 < length <
-    MAGNITUDE_LIMIT, 0 <= breaks < MAGNITUDE_LIMIT, wall loss in range, age
-    within AGE_YEAR_TOLERANCE of reference_year - install_year, then
-    |rul_years| < MAGNITUDE_LIMIT.  NaN fails every check but the last, as
-    it is an absent target.  The install-year check is exact for whole
-    numbers below MAGNITUDE_LIMIT, so an age or install year from it up
-    fails that check: 2011 - (-1e308) - 1e308 would be 0.
+def validity_checks(numeric: Mapping[str, np.ndarray], reference_year: int) -> list:
+    """The validator: (column, mask of the rows that pass) of each check, in
+    this order: age >= 0, diameter in range, 0 < length < MAGNITUDE_LIMIT,
+    0 <= breaks < MAGNITUDE_LIMIT, wall loss in range, age within
+    AGE_YEAR_TOLERANCE of reference_year - install_year, then |rul_years| <
+    MAGNITUDE_LIMIT.  NaN fails every check but the last, as it is an absent
+    target.  The install-year check is exact for whole numbers below
+    MAGNITUDE_LIMIT, so an age or install year from it up fails that check:
+    2011 - (-1e308) - 1e308 would be 0.
     """
     age, install = numeric["age_years"], numeric["install_year"]
     diameter, wtl = numeric["diameter_in"], numeric["wall_thickness_loss_pct"]
     exact = (np.abs(age) < MAGNITUDE_LIMIT) & (np.abs(install) < MAGNITUDE_LIMIT)
     # NaN stands in for the other rows' gap, which fails and cannot overflow
     gap = reference_year - np.where(exact, install, np.nan) - age
-    passes = {
-        "age_years": age >= 0,
-        "diameter_in": (DIAMETER_RANGE[0] <= diameter) & (diameter <= DIAMETER_RANGE[1]),
-        "length_ft": (0 < numeric["length_ft"]) & (numeric["length_ft"] < MAGNITUDE_LIMIT),
-        "breaks": (0 <= numeric["breaks"]) & (numeric["breaks"] < MAGNITUDE_LIMIT),
-        "wall_thickness_loss_pct": (WTL_RANGE[0] <= wtl) & (wtl <= WTL_RANGE[1]),
-        "install_year": np.abs(gap) <= AGE_YEAR_TOLERANCE,
-        TARGET_COLUMN: ~(np.abs(numeric[TARGET_COLUMN]) >= MAGNITUDE_LIMIT),
-    }
-    fails = ~np.column_stack(list(passes.values()))
-    first = np.where(fails.any(axis=1), fails.argmax(axis=1), len(passes))
-    return np.array(tuple(passes) + ("",))[first]
+    return [
+        ("age_years", age >= 0),
+        ("diameter_in", (DIAMETER_RANGE[0] <= diameter) & (diameter <= DIAMETER_RANGE[1])),
+        ("length_ft", (0 < numeric["length_ft"]) & (numeric["length_ft"] < MAGNITUDE_LIMIT)),
+        ("breaks", (0 <= numeric["breaks"]) & (numeric["breaks"] < MAGNITUDE_LIMIT)),
+        ("wall_thickness_loss_pct", (WTL_RANGE[0] <= wtl) & (wtl <= WTL_RANGE[1])),
+        ("install_year", np.abs(gap) <= AGE_YEAR_TOLERANCE),
+        (TARGET_COLUMN, ~(np.abs(numeric[TARGET_COLUMN]) >= MAGNITUDE_LIMIT)),
+    ]
+
+
+def _first_failure(failing: Sequence[tuple]) -> np.ndarray:
+    """Each row's verdict over the (column, mask of failing rows) pairs: the
+    index of its first failing mask, len(failing) when none fails."""
+    stack = np.array([mask for _, mask in failing])
+    bad = stack.any(axis=0)
+    verdicts = np.full(len(bad), len(failing))
+    # most rows fail nothing, so only the failing ones are searched
+    verdicts[bad] = stack[:, bad].argmax(axis=0)
+    return verdicts
+
+
+def first_failing_column(numeric: Mapping[str, np.ndarray], reference_year: int) -> np.ndarray:
+    """Each row's first failing column among `validity_checks`, '' when the
+    row is valid."""
+    failing = [(name, ~passes) for name, passes in validity_checks(numeric, reference_year)]
+    return np.array([name for name, _ in failing] + [""])[_first_failure(failing)]
 
 
 @dataclass(frozen=True)
@@ -372,26 +385,48 @@ def _material_codes(cells):
     return values, _empty(cells) if "" in codes else None
 
 
-def _joined(parts):
-    """(values, empty) of a column from the (values, empty) of its blocks."""
-    values, empties = zip(*parts)
-    if all(empty is None for empty in empties):
-        return np.concatenate(values), None
-    return np.concatenate(values), np.concatenate([
-        np.zeros(len(v), dtype=bool) if empty is None else empty
-        for v, empty in zip(values, empties)])
+def _judged(block, position, reference_year: int):
+    """(parsed, codes, failing, verdicts) of one block of `_blocks`.
+
+    `parsed` maps each of NUMERIC_COLUMNS to the block's floats, NaN where a
+    cell is empty, does not parse or is not finite (rul_years NaN where it
+    is absent), and `codes` holds its material codes.  `failing` lists
+    (column, mask of failing rows): first the empty required cells, in
+    REQUIRED_COLUMNS order, then the cells that do not parse, in CSV_COLUMNS
+    order, then the validator's checks; each row's verdict is the index of
+    its first failing mask, len(failing) for a row that is kept.
+    """
+    n = len(block[0])
+    codes, material_empty = _material_codes(block[position["material"]])
+    empty, unparsed, parsed = {"material": material_empty}, {"material": codes < 0}, {}
+    for name in NUMERIC_COLUMNS:
+        if name not in position:  # rul_years is optional
+            parsed[name] = np.full(n, np.nan)
+            continue
+        values, empty[name] = _parse_numbers(block[position[name]])
+        bad = ~np.isfinite(values)
+        if name == TARGET_COLUMN and empty[name] is not None:
+            bad &= ~empty[name]  # an empty rul_years is absent, not invalid
+        if bad.any():
+            values[bad] = np.nan
+            unparsed[name] = bad
+        parsed[name] = np.trunc(values) + 0.0 if name in _INTEGER_COLUMNS else values
+    failing = [(c, empty[c]) for c in REQUIRED_COLUMNS if empty[c] is not None]
+    failing += [(c, unparsed[c]) for c in CSV_COLUMNS if c in unparsed]
+    failing += [(c, ~passes) for c, passes in validity_checks(parsed, reference_year)]
+    return parsed, codes, failing, _first_failure(failing)
 
 
 def ingest_csv(path, reference_year: int, echo: bool = False):
     """Read the canonical CSV schema, dropping and counting invalid rows.
 
     Returns (Dataset, CleaningReport).  Rows with any missing, unparseable
-    or non-finite cell, or failing `first_failing_column`, are removed,
-    never imputed, and counted under their first failing column; surviving
-    rows keep file order.  The file is read in one pass of `_blocks`, and
-    each block's cells are parsed as it is read.  With `echo`, a third item
-    (header, columns) holds the header and, per header column, the kept
-    rows' cells as they were read, so that `predict` can write them back.
+    or non-finite cell, or failing `validity_checks`, are removed, never
+    imputed, and counted under their first failing column (`_judged`);
+    surviving rows keep file order.  Each block of `_blocks` is judged as it
+    is read.  With `echo`, a third item (header, columns) holds the header
+    and, per header column, the kept rows' cells as they were read, so that
+    `predict` can write them back.
     """
     blocks = _blocks(path)
     header = next(blocks)
@@ -402,73 +437,39 @@ def ingest_csv(path, reference_year: int, echo: bool = False):
         for _ in blocks:  # a file that cannot be read is reported as such first
             pass
         raise SchemaMismatch(f"missing required column(s): {', '.join(missing)}")
-    present = [name for name in CSV_COLUMNS if name in position]
-    parts = {name: [] for name in present}
-    text = []
+    numeric, codes = {name: [] for name in NUMERIC_COLUMNS}, []
+    rows_read, kept_rows, drops = 0, [], {}
+    columns = [[] for _ in header]
     for block in blocks:
-        for name in present:
-            cells = block[position[name]]
-            parts[name].append(_material_codes(cells) if name == "material"
-                               else _parse_numbers(cells))
+        parsed, block_codes, failing, verdicts = _judged(block, position, reference_year)
+        kept = verdicts == len(failing)
+        dropped = verdicts[~kept]
+        counts = np.bincount(dropped)
+        # drops are counted in the order their columns first fail in the file
+        for k in dict.fromkeys(dropped.tolist()):
+            drops[failing[k][0]] = drops.get(failing[k][0], 0) + int(counts[k])
+        kept_rows += (np.flatnonzero(kept) + rows_read).tolist()
+        rows_read += len(kept)
+        for name, values in parsed.items():
+            numeric[name].append(values[kept])
+        codes.append(block_codes[kept])
         if echo:
-            text.append(block)
-    if not parts["material"]:  # no data row
-        raise EmptyAfterCleaning(f"no valid rows in {path}")
-    # validation's temporaries are freed before the echo is built
-    dataset, report, kept = _clean(parts, reference_year, path)
-    if not echo:
-        return dataset, report
-    keep = kept.tolist()
-    columns = [list(compress(chain.from_iterable(block[j] for block in text), keep))
-               for j in range(len(header))]
-    return dataset, report, (header, columns)
-
-
-def _clean(parts, reference_year: int, source):
-    """(Dataset, CleaningReport, kept mask) of the parsed blocks of each
-    column present: `parts` maps a column name to the (values, empty) of
-    each block, and is emptied as the blocks are joined.  `source` names the
-    input in the error raised when no row survives."""
-    codes, material_empty = _joined(parts.pop("material"))
-    n = len(codes)
-    empty, unparsed, parsed = {"material": material_empty}, {"material": codes < 0}, {}
-    for name in NUMERIC_COLUMNS:
-        if name not in parts:  # rul_years is optional
-            parsed[name] = np.full(n, np.nan)
-            continue
-        values, empty[name] = _joined(parts.pop(name))
-        bad = ~np.isfinite(values)
-        if name == TARGET_COLUMN and empty[name] is not None:
-            bad &= ~empty[name]  # an empty rul_years is absent, not invalid
-        if bad.any():
-            values[bad] = np.nan
-            unparsed[name] = bad
-        parsed[name] = np.trunc(values) + 0.0 if name in _INTEGER_COLUMNS else values
-    failing = first_failing_column(parsed, reference_year)
-    # an empty required cell outranks a cell that does not parse, which
-    # outranks the validator; within each, the first column counts
-    precedence = [(c, empty.get(c)) for c in REQUIRED_COLUMNS]
-    precedence += [(c, unparsed.get(c)) for c in CSV_COLUMNS]
-    precedence = [(c, mask) for c, mask in precedence if mask is not None and mask.any()]
-    if precedence:
-        names, masks = zip(*precedence)
-        hits = np.column_stack(masks)
-        failing = np.where(hits.any(axis=1), np.array(names)[hits.argmax(axis=1)], failing)
-    kept = failing == ""
-    kept_rows = tuple(np.flatnonzero(kept).tolist())
+            keep = kept.tolist()
+            for column, cells in zip(columns, block):
+                column += compress(cells, keep)
     if not kept_rows:
-        raise EmptyAfterCleaning(f"no valid rows in {source}")
-    # drops are counted in the order their columns first fail in the file
-    labels, first, counts = np.unique(failing[~kept], return_index=True, return_counts=True)
+        raise EmptyAfterCleaning(f"no valid rows in {path}")
     report = CleaningReport(
-        rows_read=n,
+        rows_read=rows_read,
         rows_kept=len(kept_rows),
-        rows_dropped=n - len(kept_rows),
-        drops_by_column={str(labels[k]): int(counts[k]) for k in np.argsort(first)},
-        kept_rows=kept_rows,
+        rows_dropped=rows_read - len(kept_rows),
+        drops_by_column=drops,
+        kept_rows=tuple(kept_rows),
     )
-    numeric = {name: values[kept] for name, values in parsed.items()}
-    return Dataset(numeric, codes[kept], reference_year), report, kept
+    # each column's blocks are freed as it is joined
+    numeric = {name: np.concatenate(numeric.pop(name)) for name in NUMERIC_COLUMNS}
+    dataset = Dataset(numeric, np.concatenate(codes), reference_year)
+    return (dataset, report, (header, columns)) if echo else (dataset, report)
 
 
 def write_csv(dataset: Dataset, path) -> None:

@@ -306,11 +306,11 @@ class SignificanceReport:
                 return f
         raise KeyError(name)
 
+    def to_dict(self) -> dict:
+        return {"alpha": self.alpha, "features": [f.to_dict() for f in self.features]}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"alpha": self.alpha, "features": [f.to_dict() for f in self.features]},
-            indent=2,
-        )
+        return json.dumps(self.to_dict(), indent=2)
 
     def render(self) -> str:
         header = (

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MATERIALS, Dataset, Material, first_failing_column
+from .data import MATERIALS, Dataset, Material, validity_checks
 from .errors import EmptyDataset, InvalidConfig
 from .stats import summarize_columns
 
@@ -75,8 +75,8 @@ LENGTH_CLIP = (20.5, 36161.4)
 RUL_CLIP = (3.0, 90.0)
 
 # the largest inventory generated: a city's main inventory holds 10^4-10^6
-# pipes, and the generator peaks near 280 bytes a record (tracemalloc, 100k
-# records), so 10^7 records stay under ~3 GB; a larger n would end in
+# pipes, and the generator peaks near 180 bytes a record (tracemalloc, 100k
+# records), so 10^7 records stay under ~2 GB; a larger n would end in
 # MemoryError or numpy's "Maximum allowed dimension exceeded"
 MAX_RECORDS = 10**7
 
@@ -200,9 +200,10 @@ def generate(config: GeneratorConfig = GeneratorConfig()) -> Dataset:
         codes,
         DEFAULT_REFERENCE_YEAR,
     )
-    failing = first_failing_column(dataset.numeric, DEFAULT_REFERENCE_YEAR)
-    if (failing != "").any():
-        raise ValueError(f"generated rows fail validation: {sorted(set(failing) - {''})}")
+    failing = [name for name, passes in validity_checks(dataset.numeric, DEFAULT_REFERENCE_YEAR)
+               if not passes.all()]
+    if failing:
+        raise ValueError(f"generated rows fail validation: {failing}")
     return dataset
 
 

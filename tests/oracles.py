@@ -58,7 +58,7 @@ def infer(model, x) -> tuple:
     f = anfis._rule_outputs(model, batch)[0]
     y = float(y[0])
     return y, LayerTrace(
-        memberships=anfis._gaussians(x, model.centers, model.sigmas),
+        memberships=anfis._gaussian(x[..., None], model.centers, model.sigmas),
         firing=w[0],
         normalized=wbar[0],
         rule_outputs=f,

@@ -107,11 +107,11 @@ def test_gaussian_membership_properties():
     fm = toy_sine_matrix()
     model = init_grid(("x",), 3, fm)
     c = model.centers[0][1]
-    at_center = anfis._gaussians(np.array([[c]]), model.centers, model.sigmas)[0, 0, 1]
+    at_center = anfis._gaussian(np.array([[c]])[..., None], model.centers, model.sigmas)[0, 0, 1]
     assert at_center == pytest.approx(1.0, abs=0)
     offsets = np.array([0.05, 0.1, 0.2, 0.4])
-    left = anfis._gaussians((c - offsets)[:, None], model.centers, model.sigmas)[:, 0, 1]
-    right = anfis._gaussians((c + offsets)[:, None], model.centers, model.sigmas)[:, 0, 1]
+    left = anfis._gaussian((c - offsets)[:, None, None], model.centers, model.sigmas)[:, 0, 1]
+    right = anfis._gaussian((c + offsets)[:, None, None], model.centers, model.sigmas)[:, 0, 1]
     assert left == pytest.approx(right, abs=1e-12)     # symmetry
     assert np.all(np.diff(left) < 0)                   # decreasing in |x - c|
     assert np.all((left > 0) & (left <= 1))
@@ -121,7 +121,8 @@ def test_far_out_input_has_membership_zero_without_a_warning():
     model = single_rule_model(center=0.5, sigma=0.2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mu = anfis._gaussians(np.array([[1e200], [-1e200], [0.5]]), model.centers, model.sigmas)
+        mu = anfis._gaussian(np.array([[1e200], [-1e200], [0.5]])[..., None], model.centers,
+                             model.sigmas)
     assert mu[:, 0, 0].tolist() == [0.0, 0.0, 1.0]
 
 
@@ -210,7 +211,7 @@ def test_forward_firing_equals_the_gathered_product():
     model = init_grid(("a", "b", "c"), 3, fm)
     model.centers += rng.normal(0, 0.05, model.centers.shape)
     model.sigmas *= rng.uniform(0.5, 1.5, model.sigmas.shape)
-    mu = anfis._gaussians(x, model.centers, model.sigmas)
+    mu = anfis._gaussian(x[..., None], model.centers, model.sigmas)
     gathered = mu[:, np.arange(3)[:, None], model.rules.T].prod(axis=1)
     _, _, w = _forward(model, x)
     assert np.array_equal(w, gathered)

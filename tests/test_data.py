@@ -669,6 +669,56 @@ def test_ingest_holds_no_more_than_the_read_table_holds(tmp_path):
     assert traced_peak(ingest_csv, path, REF_YEAR) < 1.25 * traced_peak(read_table, path)
 
 
+def test_ingest_holds_well_below_what_the_read_table_holds(tmp_path):
+    # judging each block as it is parsed keeps no per-row label strings: 20k
+    # generated rows peak at 0.41x the read's peak, against 0.74x when the
+    # whole file's verdicts were taken at once
+    path = tmp_path / "pipes.csv"
+    write_csv(synth.generate(synth.GeneratorConfig(n=20_000, seed=11)), path)
+    ingest_csv(path, REF_YEAR)  # imports and caches stay out of both peaks
+    assert traced_peak(ingest_csv, path, REF_YEAR) < 0.6 * traced_peak(read_table, path)
+
+
+# (data row, column, cell) of the invalid rows of a 3,000-row file, three
+# blocks at the real _BLOCK: length_ft first fails in the second block, after
+# material, yet drops the most rows; in that block a wall loss that does not
+# parse comes before an empty length, though an empty cell outranks a cell
+# that does not parse within a row; row 2300 has two empty cells
+BAD_CELLS = [
+    (5, "material", "Unobtainium"),
+    (1100, "wall_thickness_loss_pct", "nan"),
+    (1200, "length_ft", ""),
+    (1300, "length_ft", "-5"),
+    (2100, "length_ft", "0"),
+    (2200, "diameter_in", "30"),
+    (2300, "length_ft", ""),
+    (2300, "material", ""),
+    (2999, "diameter_in", "30"),
+]
+
+
+def test_drops_are_counted_in_file_order_across_blocks(tmp_path):
+    assert data_module._BLOCK == 1024
+    path = tmp_path / "pipes.csv"
+    write_csv(synth.generate(synth.GeneratorConfig(n=3000, seed=5)), path)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    for i, column, cell in BAD_CELLS:
+        rows[i][header.index(column)] = cell
+    write_lines(path, [",".join(cells) for cells in [header] + rows])
+    bad = {i for i, _, _ in BAD_CELLS}
+    _, report = ingest_csv(path, REF_YEAR)
+    assert report.rows_read == 3000
+    assert report.kept_rows == tuple(i for i in range(3000) if i not in bad)
+    assert list(report.drops_by_column.items()) == [
+        ("material", 1), ("wall_thickness_loss_pct", 1), ("length_ft", 4), ("diameter_in", 2)]
+    out = tmp_path / "out.csv"
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["predict", "--builtin", "CI", "--in", str(path), "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        echoed = [cells[:-1] for cells in csv.reader(fh)]
+    assert echoed == [header] + [cells for i, cells in enumerate(rows) if i not in bad]
+
+
 def test_ingest_reads_the_last_copy_of_a_duplicated_column(tmp_path):
     path = tmp_path / "pipes.csv"
     header = HEADER + ",length_ft"
