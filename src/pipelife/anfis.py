@@ -51,14 +51,12 @@ the rows, and a sum over the leading rule axis adds the rules one at a
 time, in rule order, for each row.  `_forward` hands w and Wbar out as
 their (n, R) transposes, so the layer trace and the solve's design keep
 their n x R shape.  F comes from einsum over the contiguous d x n inputs,
-not from BLAS.  BLAS gives each row the same bits in every batch only with
-the rows as its M dimension, x Theta^T, which is n x R: a transposed copy
-of it took 7 ms at 3,713 x 256 (2-core x86-64, one BLAS thread), more than
-the layout saves.  Theta x^T is R x n, but its bits depend on the batch:
-816 of 256 x 4,999 rule outputs differed from the same rows in a 20,000-row
-batch.  einsum's loop gives each output the same bits in every batch of two
-or more rows, and `predict_batch` predicts a lone row as a pair, so a
-row's prediction does not depend on its batch.
+not from BLAS, which keeps a row's bits in every batch only as x Theta^T,
+n x R, whose transposed copy costs more than the layout saves, while Theta
+x^T, R x n, changes bits with the batch.  einsum's loop gives each output
+the same bits in every batch of two or more rows, and `predict_batch`
+predicts a lone row as a pair, so a row's prediction does not depend on its
+batch.
 
 Training memory is counted in R x n arrays (7.7 MB at 3,750 rows and 256
 rules).  An epoch keeps one, the normalized firing Wbar, with the outputs y:
@@ -118,8 +116,8 @@ RIDGE = 1e-8  # ridge lambda of hybrid training's consequent solve; see the modu
 # rows of the solve's design Psi formed at a time.  A block holds at most
 # 512 R (d + 1) numbers (2.4 MB at the 600 columns of a 256-rule, 4-input
 # solve), small beside the n x R firing matrix, and is still tall enough
-# that each Psi_b^T Psi_b is one efficient BLAS product: 256 rows ran
-# hybrid_train 5-7% slower, 1024 rows no faster (5k and 50k rows)
+# that each Psi_b^T Psi_b is one efficient BLAS product; shorter blocks ran
+# slower and longer ones no faster
 LSE_BLOCK_ROWS = 512
 
 
@@ -426,8 +424,6 @@ def _rmse_of(y: np.ndarray, t: np.ndarray) -> float:
 
 
 def _rmse(model: AnfisModel, x: np.ndarray, t: np.ndarray) -> float:
-    if len(t) == 0:
-        return np.inf
     y, _, _ = _forward(model, x)
     return _rmse_of(y, t)
 

@@ -14,8 +14,7 @@ each block transposed into one tuple of cells per header column: blank rows
 are skipped, and a short row is padded with "" and a long row cut to the
 header's width.  A leading UTF-8 byte-order mark is dropped, and a file
 that is not UTF-8 or that csv.reader refuses (a field over
-`csv.field_size_limit()`, say) raises `FileUnreadable`.  `read_table`
-collects the blocks into one list of cells per header column.
+`csv.field_size_limit()`, say) raises `FileUnreadable`.
 `write_columns` writes columns of str as the text that Python's csv writer
 writes for them, `_BLOCK` lines at a time; `write_csv` is it on a Dataset's
 cells.
@@ -29,8 +28,8 @@ that does not parse (a non-finite number does not), else its first failing
 check (`_judged`).  Only the kept rows' values stay and the block's text is
 dropped; only `predict`, which echoes its input rows, asks (`echo=True`) for
 the kept rows' cells too.  `validity_checks` is the one validator of those
-checks: `ingest_csv` runs it on each block, `synth.generate` on what it
-generated, and `first_failing_column` names each row's first failing check.
+checks: `ingest_csv` runs it on each block and `synth.generate` on what it
+generated.
 
 `split_dataset` labels each row Train, Validation or Test.  The labels are
 stored as materials are: `split` is one read-only int8 array of codes, each
@@ -166,15 +165,29 @@ class Split(Enum):
 SPLITS = tuple(Split)  # a split label's code is its index here
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
+def _kept(values, dtype) -> np.ndarray:
+    """values itself when it is a read-only array of dtype that owns its
+    data, else a read-only copy: a caller's writeable array is neither
+    frozen nor shared."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.flags.owndata and not values.flags.writeable):
+        return values
+    return _read_only(np.array(values, dtype=dtype))
+
+
 def _split_codes(split, n: int) -> Optional[np.ndarray]:
-    """A read-only int8 copy of the split codes, DimensionMismatch unless
-    there is one per row; None (no split) stays None."""
+    """The split codes as a read-only int8 array (`_kept`), DimensionMismatch
+    unless there is one per row; None (no split) stays None."""
     if split is None:
         return None
-    codes = np.array(split, dtype=np.int8)
+    codes = _kept(split, np.int8)
     if codes.shape != (n,):
         raise DimensionMismatch(f"split of shape {codes.shape} beside {n} rows")
-    codes.setflags(write=False)
     return codes
 
 
@@ -215,13 +228,6 @@ def _first_failure(failing: Sequence[tuple]) -> np.ndarray:
     return verdicts
 
 
-def first_failing_column(numeric: Mapping[str, np.ndarray], reference_year: int) -> np.ndarray:
-    """Each row's first failing column among `validity_checks`, '' when the
-    row is valid."""
-    failing = [(name, ~passes) for name, passes in validity_checks(numeric, reference_year)]
-    return np.array([name for name, _ in failing] + [""])[_first_failure(failing)]
-
-
 @dataclass(frozen=True)
 class CleaningReport:
     """Row accounting for one ingestion pass."""
@@ -259,8 +265,11 @@ class Dataset:
     `numeric` maps each of NUMERIC_COLUMNS to a float array, rul_years NaN
     where absent; `materials` holds each row's material code, its index in
     MATERIALS, and `split` (None before `split_dataset`) each row's split
-    code, its index in SPLITS.  All are copied into read-only arrays on
-    construction, so a Dataset is immutable and safe to share across workers.
+    code, its index in SPLITS.  Each is kept as a read-only array (`_kept`):
+    one that is already read-only, of its dtype and owns its data is shared,
+    anything else is copied.  So a Dataset is immutable and safe to share
+    across workers, and `ingest_csv`, `synth.generate` and `split_dataset`,
+    which freeze the arrays they build, hand them over without a copy.
     """
 
     numeric: Mapping[str, np.ndarray]
@@ -269,13 +278,12 @@ class Dataset:
     split: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        numeric = {name: np.array(self.numeric[name], dtype=float) for name in NUMERIC_COLUMNS}
-        materials = np.array(self.materials, dtype=np.int8)
-        for values in (materials, *numeric.values()):
+        numeric = {name: _kept(self.numeric[name], float) for name in NUMERIC_COLUMNS}
+        materials = _kept(self.materials, np.int8)
+        for values in numeric.values():
             if values.shape != materials.shape:
                 raise DimensionMismatch(f"column of shape {values.shape} beside "
                                         f"{materials.shape} material codes")
-            values.setflags(write=False)
         object.__setattr__(self, "numeric", numeric)
         object.__setattr__(self, "materials", materials)
         object.__setattr__(self, "split", _split_codes(self.split, len(materials)))
@@ -335,19 +343,6 @@ def _blocks(path):
             raise FileUnreadable(f"cannot read {path} as UTF-8: {exc}") from exc
         except csv.Error as exc:
             raise FileUnreadable(f"cannot read {path} as CSV: {exc}") from exc
-
-
-def read_table(path):
-    """(header, columns) of a CSV file: the first row's cells, then one list
-    of cells per header column, each row padded or cut to the header's
-    width as `ingest_csv` reads it."""
-    blocks = _blocks(path)
-    header = next(blocks)
-    columns = [[] for _ in header]
-    for block in blocks:
-        for column, cells in zip(columns, block):
-            column.extend(cells)
-    return header, columns
 
 
 def _empty(cells) -> np.ndarray:
@@ -467,8 +462,8 @@ def ingest_csv(path, reference_year: int, echo: bool = False):
         kept_rows=tuple(kept_rows),
     )
     # each column's blocks are freed as it is joined
-    numeric = {name: np.concatenate(numeric.pop(name)) for name in NUMERIC_COLUMNS}
-    dataset = Dataset(numeric, np.concatenate(codes), reference_year)
+    numeric = {name: _read_only(np.concatenate(numeric.pop(name))) for name in NUMERIC_COLUMNS}
+    dataset = Dataset(numeric, _read_only(np.concatenate(codes)), reference_year)
     return (dataset, report, (header, columns)) if echo else (dataset, report)
 
 
@@ -558,7 +553,7 @@ def split_dataset(dataset: Dataset, ratios, seed: int) -> Dataset:
     # the first counts[0] rows of the shuffled order train, and so on
     codes = np.empty(n, dtype=np.int8)
     codes[order] = np.repeat(np.arange(len(SPLITS)), counts)
-    return replace(dataset, split=codes)
+    return replace(dataset, split=_read_only(codes))
 
 
 def _constant_pairs(constants, n_columns: int):

@@ -41,18 +41,6 @@ class MetricsReport:
     n: int
     mape_skipped: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "rrse": self.rrse,
-            "mape": self.mape,
-            "rae": self.rae,
-            "r2": self.r2,
-            "rmse": self.rmse,
-            "n": self.n,
-            "mape_skipped": self.mape_skipped,
-        }
-
 
 def evaluate(predicted, actual) -> MetricsReport:
     """Score predictions against actuals with all six measures."""

@@ -12,7 +12,6 @@ tolerance well below 1e-10.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -308,9 +307,6 @@ class SignificanceReport:
 
     def to_dict(self) -> dict:
         return {"alpha": self.alpha, "features": [f.to_dict() for f in self.features]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def render(self) -> str:
         header = (

@@ -194,12 +194,11 @@ def generate(config: GeneratorConfig = GeneratorConfig()) -> Dataset:
     rul = expected_rul(age, wtl, codes) + rng.normal(0.0, RUL_NOISE_SD, size=n)
     rul = np.round(np.clip(rul, *RUL_CLIP), 2)
 
-    dataset = Dataset(
-        {"age_years": age, "diameter_in": diameter, "length_ft": length, "breaks": breaks,
-         "install_year": install_year, "wall_thickness_loss_pct": wtl, "rul_years": rul},
-        codes,
-        DEFAULT_REFERENCE_YEAR,
-    )
+    numeric = {"age_years": age, "diameter_in": diameter, "length_ft": length, "breaks": breaks,
+               "install_year": install_year, "wall_thickness_loss_pct": wtl, "rul_years": rul}
+    for values in numeric.values():
+        values.setflags(write=False)  # so the Dataset keeps, not copies, each float column
+    dataset = Dataset(numeric, codes, DEFAULT_REFERENCE_YEAR)
     failing = [name for name, passes in validity_checks(dataset.numeric, DEFAULT_REFERENCE_YEAR)
                if not passes.all()]
     if failing:
@@ -212,21 +211,6 @@ class MomentReport:
     """Computed column statistics beside the published targets."""
 
     columns: tuple  # (name, SummaryStats, target tuple or None)
-
-    def to_dict(self) -> dict:
-        out = {}
-        for name, stats, target in self.columns:
-            entry = {"computed": stats.to_dict()}
-            if target is not None:
-                t_min, t_max, t_mean, t_std, t_mode = target
-                entry["target"] = {
-                    "min": t_min, "max": t_max, "mean": t_mean,
-                    "std": t_std, "mode": t_mode,
-                }
-                entry["mean_deviation_pct"] = _pct(stats.mean, t_mean)
-                entry["std_deviation_pct"] = _pct(stats.std, t_std)
-            out[name] = entry
-        return out
 
     def render(self) -> str:
         header = (

@@ -1,7 +1,8 @@
 """Reference computations that the ANFIS consequent solve is checked against,
 the five layers of one ANFIS inference pass, the rule lists that an ANFIS
 model document must not load with, greedy term selection by one
-least-squares refit per candidate, and the CSV ingest as a whole-file read
+least-squares refit per candidate, each row's first failing validity check
+(`first_failing_column`), and the CSV ingest as a whole-file read
 (`read_table`) followed by a column-wise parse (`clean_table`)."""
 
 import csv
@@ -11,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from pipelife import anfis, regression
+from pipelife import anfis, data, regression
 from pipelife.data import (
     _INTEGER_COLUMNS,
     CSV_COLUMNS,
@@ -21,7 +22,7 @@ from pipelife.data import (
     CleaningReport,
     Dataset,
     encode_material,
-    first_failing_column,
+    validity_checks,
 )
 from pipelife.errors import (
     DimensionMismatch,
@@ -139,6 +140,13 @@ def fit_greedy_by_refit(age, wtl, rul, degree, material="Custom"):
         material=material, terms=tuple(terms), r2_fit=float(r2_fit),
         degenerate=degenerate or constant_target,
     )
+
+
+def first_failing_column(numeric, reference_year: int) -> np.ndarray:
+    """Each row's first failing column among `validity_checks`, '' when the
+    row is valid."""
+    failing = [(name, ~passes) for name, passes in validity_checks(numeric, reference_year)]
+    return np.array([name for name, _ in failing] + [""])[data._first_failure(failing)]
 
 
 def read_table(path):

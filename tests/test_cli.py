@@ -568,8 +568,21 @@ def test_cli_reproducibility(tmp_path):
         assert run(["train-anfis", "--in", str(out_a), "--seed", "11",
                     "--inputs", "age_years,wall_thickness_loss_pct,diameter_in",
                     "--mfs", "3", "--epochs", "2", "--out-dir", str(out_dir)]) == 0
+    for out_dir in dirs:
+        assert run(["predict", "--model", str(out_dir / "anfis_model.json"), "--in", str(out_a),
+                    "--out", str(out_dir / "predicted.csv")]) == 0
     for name in ("anfis_model.json", "anfis_rmse.csv", "anfis_sensitivity.csv",
-                 "anfis_contour.csv"):
+                 "anfis_contour.csv", "predicted.csv"):
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps([{
+        "input_columns": ["material", "length_ft", "diameter_in", "age_years"],
+        "hidden_neurons": 5, "activation": "tanh", "epochs": 3, "seed": 1, "name": "tanh_h5"}]))
+    dirs = (tmp_path / "ann_a", tmp_path / "ann_b")
+    for out_dir in dirs:
+        assert run(["train-ann", "--in", str(out_a), "--registry", str(registry),
+                    "--out-dir", str(out_dir)]) == 0
+    for name in ("ann_metrics.csv", "ann_best_model.json", "ann_scatter.csv"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 

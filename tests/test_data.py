@@ -36,10 +36,8 @@ from pipelife.data import (
     build_features,
     denormalize,
     encode_material,
-    first_failing_column,
     ingest_csv,
     normalize,
-    read_table,
     split_dataset,
     write_columns,
     write_csv,
@@ -68,6 +66,18 @@ def dataset_of(records):
     columns = dict(zip(CSV_COLUMNS, np.array(records, dtype=float).reshape(-1, len(CSV_COLUMNS)).T))
     materials = columns.pop("material")
     return Dataset(columns, materials, REF_YEAR)
+
+
+def read_blocks(path):
+    """(header, columns) of a CSV file as `data._blocks` reads it: the
+    header, then one list of cells per header column."""
+    blocks = data_module._blocks(path)
+    header = next(blocks)
+    columns = [[] for _ in header]
+    for block in blocks:
+        for column, cells in zip(columns, block):
+            column.extend(cells)
+    return header, columns
 
 
 def make_dataset(n=20, with_rul=True):
@@ -133,14 +143,14 @@ def test_ea_values_bounded_and_tied():
 def test_record_validation_rejects_bad_fields():
     records = [make_record(diameter=30.0), make_record(length=0.0),
                make_record(wtl=120.0), make_record(breaks=-1)]
-    failing = first_failing_column(dataset_of(records).numeric, REF_YEAR)
+    failing = oracles.first_failing_column(dataset_of(records).numeric, REF_YEAR)
     assert failing.tolist() == ["diameter_in", "length_ft", "wall_thickness_loss_pct", "breaks"]
 
 
 def test_record_age_install_year_consistency():
     good = make_record(30, 8.0, 100.0, Material.STEEL, 0, install_year=REF_YEAR - 31, wtl=10.0)
     bad = make_record(30, 8.0, 100.0, Material.STEEL, 0, install_year=REF_YEAR - 35, wtl=10.0)
-    failing = first_failing_column(dataset_of([good, bad]).numeric, REF_YEAR)
+    failing = oracles.first_failing_column(dataset_of([good, bad]).numeric, REF_YEAR)
     assert failing.tolist() == ["", "install_year"]  # one year of slack allowed
 
 
@@ -171,7 +181,7 @@ def test_a_length_breaks_or_rul_from_2_to_the_53_fails_its_column():
     records = [make_record(length=1e308), make_record(breaks=2**53), make_record(rul=-1e308),
                make_record(length=2**53 - 1, breaks=2**53 - 1, rul=1 - 2**53),
                make_record(rul=np.nan)]
-    failing = first_failing_column(dataset_of(records).numeric, REF_YEAR)
+    failing = oracles.first_failing_column(dataset_of(records).numeric, REF_YEAR)
     assert failing.tolist() == ["length_ft", "breaks", "rul_years", "", ""]
 
 
@@ -187,7 +197,7 @@ def test_validation_reports_the_first_failing_check():
         make_record(length=np.nan),
         make_record(),
     ]
-    failing = first_failing_column(dataset_of(records).numeric, REF_YEAR)
+    failing = oracles.first_failing_column(dataset_of(records).numeric, REF_YEAR)
     assert failing.tolist() == [
         "age_years", "diameter_in", "length_ft", "breaks", "wall_thickness_loss_pct",
         "install_year", "length_ft", "",
@@ -370,7 +380,7 @@ def test_write_csv_keeps_a_negative_zero(tmp_path):
     dataset = dataset_of([make_record(wtl=-0.0, rul=-0.0), make_record(wtl=0.0, rul=0.0)])
     path = tmp_path / "pipes.csv"
     write_csv(dataset, path)
-    header, columns = read_table(path)
+    header, columns = read_blocks(path)
     wtl, rul = header.index("wall_thickness_loss_pct"), header.index("rul_years")
     assert list(zip(columns[wtl], columns[rul])) == [("-0.0", "-0.0"), ("0", "0")]
 
@@ -450,7 +460,7 @@ def ingest_row_by_row(path, reference_year):
             if values is not None:
                 parsed.append(values)
     columns = dict(zip(CSV_COLUMNS, np.array(parsed, dtype=float).reshape(-1, len(CSV_COLUMNS)).T))
-    checked = first_failing_column(columns, reference_year)
+    checked = oracles.first_failing_column(columns, reference_year)
     verdicts = iter(checked.tolist())
     failing = [col or next(verdicts) for col in failing]
     kept_rows = tuple(i for i, col in enumerate(failing) if not col)
@@ -659,24 +669,35 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_ingest_holds_no_more_than_the_read_table_holds(tmp_path):
+@pytest.fixture(scope="module")
+def inventory_20k(tmp_path_factory):
+    """20k generated rows, seed 11, as a CSV file."""
+    path = tmp_path_factory.mktemp("inventory") / "pipes.csv"
+    write_csv(synth.generate(synth.GeneratorConfig(n=20_000, seed=11)), path)
+    ingest_csv(path, REF_YEAR)  # imports and caches stay out of the peaks
+    return path
+
+
+def ingest_share_of_the_read(path):
+    """ingest_csv's tracemalloc peak over that of the whole-file read
+    (oracles.read_table), which holds every cell as a string."""
+    return traced_peak(ingest_csv, path, REF_YEAR) / traced_peak(oracles.read_table, path)
+
+
+def test_ingest_holds_no_more_than_the_read_table_holds(inventory_20k):
     # parsing each block as it is read keeps one block's cells alive, not
-    # the whole file's: 20k generated rows peak at 0.74x the read's peak,
-    # and at 1.68x when the whole file is read first (oracles.ingest_csv)
-    path = tmp_path / "pipes.csv"
-    write_csv(synth.generate(synth.GeneratorConfig(n=20_000, seed=11)), path)
-    ingest_csv(path, REF_YEAR)  # imports and caches stay out of both peaks
-    assert traced_peak(ingest_csv, path, REF_YEAR) < 1.25 * traced_peak(read_table, path)
+    # the whole file's
+    assert ingest_share_of_the_read(inventory_20k) < 1.25
 
 
-def test_ingest_holds_well_below_what_the_read_table_holds(tmp_path):
-    # judging each block as it is parsed keeps no per-row label strings: 20k
-    # generated rows peak at 0.41x the read's peak, against 0.74x when the
-    # whole file's verdicts were taken at once
-    path = tmp_path / "pipes.csv"
-    write_csv(synth.generate(synth.GeneratorConfig(n=20_000, seed=11)), path)
-    ingest_csv(path, REF_YEAR)  # imports and caches stay out of both peaks
-    assert traced_peak(ingest_csv, path, REF_YEAR) < 0.6 * traced_peak(read_table, path)
+def test_ingest_holds_well_below_what_the_read_table_holds(inventory_20k):
+    # judging each block as it is parsed keeps no per-row label strings
+    assert ingest_share_of_the_read(inventory_20k) < 0.6
+
+
+def test_ingest_keeps_each_column_once(inventory_20k):
+    # the Dataset keeps the columns ingest joined and froze, not copies of them
+    assert ingest_share_of_the_read(inventory_20k) < 0.38
 
 
 # (data row, column, cell) of the invalid rows of a 3,000-row file, three
@@ -731,7 +752,7 @@ def test_ingest_reads_the_last_copy_of_a_duplicated_column(tmp_path):
 def test_read_table_skips_blank_rows_and_keeps_short_ones(tmp_path):
     path = tmp_path / "pipes.csv"
     path.write_text("a,b,c\n1,2,3\n\n4\n,\n5,6,7,8\n", encoding="utf-8")
-    header, columns = read_table(path)
+    header, columns = read_blocks(path)
     assert header == ["a", "b", "c"]
     # the rows [1, 2, 3], [4], ["", ""] and [5, 6, 7, 8], padded or cut to the header's width
     assert columns == [["1", "4", "", "5"], ["2", "", "", "6"], ["3", "", "", "7"]]
@@ -799,7 +820,7 @@ def test_read_table_transposes_the_csv_reader_rows(table, block):
         csv_writer_bytes(path, [header] + rows)
         with open(path, newline="", encoding="utf-8") as fh:
             read = list(csv.reader(fh))
-        got = read_table(path)
+        got = read_blocks(path)
     kept = [row for row in read[1:] if row]  # blank rows are skipped
     fitted = [(row + [""] * len(header))[:len(header)] for row in kept]
     assert got == (read[0], [[row[j] for row in fitted] for j in range(len(header))])
@@ -810,7 +831,7 @@ def test_read_table_drops_a_byte_order_mark(tmp_path):
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
     write_csv(dataset, plain)
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-    assert read_table(marked) == read_table(plain)
+    assert read_blocks(marked) == read_blocks(plain)
     back, report = ingest_csv(marked, REF_YEAR)
     want, want_report = ingest_csv(plain, REF_YEAR)
     assert report == want_report and report.kept_rows == want_report.kept_rows
@@ -823,7 +844,7 @@ def test_read_table_reports_a_field_over_the_csv_limit_as_unreadable(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1," + "x" * (csv.field_size_limit() + 1) + "\n", encoding="utf-8")
     with pytest.raises(FileUnreadable, match="as CSV: field larger than field limit"):
-        read_table(path)
+        read_blocks(path)
 
 
 # -- splitting ------------------------------------------------------------------
@@ -904,6 +925,30 @@ def test_a_split_of_the_wrong_length_is_refused():
         replace(features, split=np.zeros(10, dtype=np.int8))
     with pytest.raises(DimensionMismatch):
         FeatureMatrix(features.values, features.column_names, np.zeros(51, dtype=np.int8))
+
+
+def test_a_split_shares_every_column_with_its_source():
+    dataset = make_dataset(100)
+    labeled = split_dataset(dataset, (0.75, 0.10, 0.15), seed=7)
+    assert np.shares_memory(labeled.materials, dataset.materials)
+    for name in NUMERIC_COLUMNS:
+        assert np.shares_memory(labeled.numeric[name], dataset.numeric[name]), name
+    assert np.shares_memory(build_features(labeled, ("age_years",)).split, labeled.split)
+
+
+def test_a_dataset_copies_a_callers_writeable_arrays():
+    columns = {name: np.arange(1.0, 4.0) for name in NUMERIC_COLUMNS}
+    base, materials, split = np.arange(1.0, 4.0), np.zeros(3, np.int8), np.zeros(3, np.int8)
+    view = base[:]  # a read-only view of a writeable array is copied too
+    view.setflags(write=False)
+    dataset = Dataset(dict(columns, age_years=view), materials, REF_YEAR, split)
+    for values in (base, materials, split, *columns.values()):
+        assert values.flags.writeable
+        values[:] = 2
+    assert dataset.materials.tolist() == dataset.split.tolist() == [0, 0, 0]
+    for name in NUMERIC_COLUMNS:
+        assert dataset.numeric[name].tolist() == [1.0, 2.0, 3.0], name
+        assert not dataset.numeric[name].flags.writeable, name
 
 
 # -- feature building ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -139,6 +140,6 @@ def test_classify_accuracy():
 
 def test_report_serializes():
     r = evaluate([1.0, 2.0, 4.0], [1.0, 2.5, 3.5])
-    payload = r.to_dict()
+    payload = dataclasses.asdict(r)
     assert set(payload) == {"mae", "rrse", "mape", "rae", "r2", "rmse", "n", "mape_skipped"}
     assert payload["n"] == 3

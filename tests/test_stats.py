@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -276,7 +277,7 @@ def test_significance_requires_rul():
 def test_significance_report_serializes():
     dataset = synth.generate(synth.GeneratorConfig(n=300, seed=2))
     report = significance_report(dataset)
-    text = report.to_json()
+    text = json.dumps(report.to_dict(), indent=2)
     assert '"features"' in text
     rendered = report.render()
     assert "age_years" in rendered

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pipelife.data import MATERIALS, NUMERIC_COLUMNS, Dataset, Material, first_failing_column
+from oracles import first_failing_column
+from pipelife.data import MATERIALS, NUMERIC_COLUMNS, Dataset, Material
 from pipelife.errors import EmptyDataset, InvalidConfig
 from pipelife.stats import pearson
 from pipelife.synth import (
@@ -56,18 +57,26 @@ def test_every_record_satisfies_invariants(dataset):
     assert len(dataset) == 5000
 
 
-def test_generate_peaks_below_220_bytes_a_record():
-    # the validator's pass masks are checked with .all(), with no label
-    # string per record: 100k records peak at 177 bytes a record, against
-    # 276 when every record's first failing column was named
+def generate_peak_per_record(n=100_000):
+    """generate's tracemalloc peak over n records, in bytes a record."""
     generate(GeneratorConfig(n=100, seed=0))  # imports and caches stay out of the peak
     tracemalloc.start()
     try:
-        generate(GeneratorConfig(n=100_000, seed=0))
-        peak = tracemalloc.get_traced_memory()[1]
+        generate(GeneratorConfig(n=n, seed=0))
+        return tracemalloc.get_traced_memory()[1] / n
     finally:
         tracemalloc.stop()
-    assert peak < 220 * 100_000
+
+
+def test_generate_peaks_below_220_bytes_a_record():
+    # the validator's pass masks are checked with .all(), with no label
+    # string per record
+    assert generate_peak_per_record() < 220
+
+
+def test_generate_keeps_each_float_column_once():
+    # the Dataset keeps the float columns generate froze, not copies of them
+    assert generate_peak_per_record() < 165
 
 
 def test_moment_calibration(dataset):
@@ -172,12 +181,17 @@ def test_expected_rul_refuses_a_material_without_a_service_life():
         expected_rul([10.0], [20.0], [MATERIALS.index(Material.POLYETHYLENE)])
 
 
+def mean_deviation_pct(report, name):
+    """100 (mean - target mean) / target mean of one column of a MomentReport."""
+    stats, target = {n: (s, t) for n, s, t in report.columns}[name]
+    return 100.0 * (stats.mean - target[2]) / target[2]
+
+
 def test_moment_report_contents(dataset):
     report = moment_report(dataset)
-    payload = report.to_dict()
-    assert "age_years" in payload
-    assert abs(payload["age_years"]["mean_deviation_pct"]) < 5.0
-    assert abs(payload["rul_years"]["mean_deviation_pct"]) < 10.0
+    assert "age_years" in [name for name, _, _ in report.columns]
+    assert abs(mean_deviation_pct(report, "age_years")) < 5.0
+    assert abs(mean_deviation_pct(report, "rul_years")) < 10.0
     text = report.render()
     assert "age_years" in text and "rul_years" in text
 
@@ -185,8 +199,8 @@ def test_moment_report_contents(dataset):
 def test_moment_report_single_record():
     record = dict(zip(NUMERIC_COLUMNS, ([30], [8.0], [100.0], [1], [1981], [20.0], [50.0])))
     report = moment_report(Dataset(record, [MATERIALS.index(Material.STEEL)], 2011))
-    entry = report.to_dict()["age_years"]
-    assert entry["computed"]["std"] == 0.0
+    stats = {name: s for name, s, _ in report.columns}["age_years"]
+    assert stats.std == 0.0
 
 
 def test_moment_report_empty():
