@@ -10,12 +10,15 @@ numeric outputs.
 
 CSV text goes through the column-wise layer in `data`: every input is read
 by one `ingest_csv` pass, which parses it block by block (a byte-order mark
-is dropped; a file csv.reader refuses is a runtime error), and every CSV
-output is one `write_columns` call, which writes what Python's csv writer
-would.  `predict` echoes the kept rows' cells of every input column, padded
-or cut to the header's width, then `predicted_rul`; it takes those cells
-from the same `ingest_csv` pass (`echo=True`), the only command that keeps
-its input's text.
+is dropped; a file csv.reader refuses is a runtime error), and every other
+CSV output is one `write_columns` call, which writes what Python's csv
+writer would.  `predict` echoes each kept row, padded or cut to the
+header's width, then adds `predicted_rul`; it takes each row as one line of
+text from the same `ingest_csv` pass (`echo=True`), the only command that
+keeps its input's text, and writes the lines with `write_lines`, the writer
+that `write_columns` ends in.  `generate` and `predict`, which write one
+`--out FILE`, name their manifest `<FILE stem>_manifest.json`, so two runs
+into one directory keep both; the other commands name it after themselves.
 
 argparse is the one parser.  `--config FILE`, given before the subcommand,
 reads each KEY=VALUE line as the flag --KEY=VALUE (`_` reads as `-`); the
@@ -46,9 +49,11 @@ from .data import (
     build_features,
     encode_material,
     ingest_csv,
+    quoted,
     split_dataset,
     write_columns,
     write_csv,
+    write_lines,
 )
 from .errors import FileUnreadable, InvalidConfig, PipeLifeError
 from .metrics import classify_accuracy
@@ -83,7 +88,10 @@ def _write_manifest(args, out_dir: Path, outputs, started: float, **sections):
         "duration_seconds": round(time.perf_counter() - started, 3),
         **sections,
     }
-    path = out_dir / f"{args.command.replace('-', '_')}_manifest.json"
+    # a command that writes one --out FILE names its manifest after it, so
+    # runs into one directory keep theirs apart
+    name = Path(args.out).stem if "out" in args else args.command.replace("-", "_")
+    path = out_dir / f"{name}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path
 
@@ -277,7 +285,8 @@ def cmd_predict(args) -> int:
         predicted = _load_document(args.model, _parse_model).predict_dataset(dataset)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_columns(out, header + ["predicted_rul"], echoed + [_nums(predicted)])
+    write_lines(out, ",".join(quoted(header + ["predicted_rul"])),
+                map(",".join, zip(echoed, _nums(predicted))))
     manifest = _write_manifest(args, out.parent, [out], started, cleaning=cleaning.to_dict())
     print(f"wrote {len(predicted)} predictions to {out} (manifest: {manifest.name})")
     return EXIT_OK

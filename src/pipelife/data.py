@@ -15,9 +15,10 @@ are skipped, and a short row is padded with "" and a long row cut to the
 header's width.  A leading UTF-8 byte-order mark is dropped, and a file
 that is not UTF-8 or that csv.reader refuses (a field over
 `csv.field_size_limit()`, say) raises `FileUnreadable`.
-`write_columns` writes columns of str as the text that Python's csv writer
-writes for them, `_BLOCK` lines at a time; `write_csv` is it on a Dataset's
-cells.
+`write_lines` writes a header line and lines of text, each ended by \\r\\n,
+`_BLOCK` lines at a time: every CSV file goes through it.  `write_columns`
+joins columns of str into the lines that Python's csv writer writes for
+them (`quoted`, then `write_lines`); `write_csv` is it on a Dataset's cells.
 
 `ingest_csv` parses and judges each block while its cells are fresh: each
 numeric column with one float array conversion (a per-cell pass only for a
@@ -27,9 +28,10 @@ its first empty required column, else its first column in CSV_COLUMNS order
 that does not parse (a non-finite number does not), else its first failing
 check (`_judged`).  Only the kept rows' values stay and the block's text is
 dropped; only `predict`, which echoes its input rows, asks (`echo=True`) for
-the kept rows' cells too.  `validity_checks` is the one validator of those
-checks: `ingest_csv` runs it on each block and `synth.generate` on what it
-generated.
+each kept row as one line of text too: the csv writer's line for its cells,
+joined while its block is read.  `validity_checks` is the one validator of
+those checks: `ingest_csv` runs it on each block and `synth.generate` on
+what it generated.
 
 `split_dataset` labels each row Train, Validation or Test.  The labels are
 stored as materials are: `split` is one read-only int8 array of codes, each
@@ -97,7 +99,7 @@ AGE_YEAR_TOLERANCE = 1  # fiscal vs calendar year slack
 # squares and cubes that stats and regression form stay finite
 MAGNITUDE_LIMIT = 2.0 ** 53
 
-# rows _blocks transposes and write_columns joins at a time
+# rows _blocks transposes and lines write_lines writes at a time
 _BLOCK = 1024
 
 
@@ -419,9 +421,10 @@ def ingest_csv(path, reference_year: int, echo: bool = False):
     or non-finite cell, or failing `validity_checks`, are removed, never
     imputed, and counted under their first failing column (`_judged`);
     surviving rows keep file order.  Each block of `_blocks` is judged as it
-    is read.  With `echo`, a third item (header, columns) holds the header
-    and, per header column, the kept rows' cells as they were read, so that
-    `predict` can write them back.
+    is read.  With `echo`, a third item (header, lines) holds the header and
+    one str per kept row: the line Python's csv writer writes for the row's
+    cells as they were read, padded or cut to the header's width, without a
+    line end, so that `predict` can write them back.
     """
     blocks = _blocks(path)
     header = next(blocks)
@@ -433,8 +436,7 @@ def ingest_csv(path, reference_year: int, echo: bool = False):
             pass
         raise SchemaMismatch(f"missing required column(s): {', '.join(missing)}")
     numeric, codes = {name: [] for name in NUMERIC_COLUMNS}, []
-    rows_read, kept_rows, drops = 0, [], {}
-    columns = [[] for _ in header]
+    rows_read, kept_rows, drops, lines = 0, [], {}, []
     for block in blocks:
         parsed, block_codes, failing, verdicts = _judged(block, position, reference_year)
         kept = verdicts == len(failing)
@@ -449,9 +451,7 @@ def ingest_csv(path, reference_year: int, echo: bool = False):
             numeric[name].append(values[kept])
         codes.append(block_codes[kept])
         if echo:
-            keep = kept.tolist()
-            for column, cells in zip(columns, block):
-                column += compress(cells, keep)
+            lines += compress(map(",".join, zip(*map(quoted, block))), kept.tolist())
     if not kept_rows:
         raise EmptyAfterCleaning(f"no valid rows in {path}")
     report = CleaningReport(
@@ -464,7 +464,7 @@ def ingest_csv(path, reference_year: int, echo: bool = False):
     # each column's blocks are freed as it is joined
     numeric = {name: _read_only(np.concatenate(numeric.pop(name))) for name in NUMERIC_COLUMNS}
     dataset = Dataset(numeric, _read_only(np.concatenate(codes)), reference_year)
-    return (dataset, report, (header, columns)) if echo else (dataset, report)
+    return (dataset, report, (header, lines)) if echo else (dataset, report)
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -482,7 +482,7 @@ def _needs_quotes(text: str) -> bool:
     return any(char in text for char in '",\r\n')
 
 
-def _quoted(cells: Sequence[str]) -> Sequence[str]:
+def quoted(cells: Sequence[str]) -> Sequence[str]:
     """The cells as the csv writer's QUOTE_MINIMAL writes them: a cell
     holding a quote, comma or line break is quoted and its quotes doubled.
     The column is scanned once, joined, and cell by cell only if it holds one."""
@@ -491,26 +491,32 @@ def _quoted(cells: Sequence[str]) -> Sequence[str]:
     return ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in cells]
 
 
+def write_lines(path, header_line: str, lines: Iterable[str]) -> None:
+    """Write the header line, then each of the lines, every line ended by
+    \\r\\n as the csv writer ends it; the lines are written _BLOCK at a time."""
+    lines = iter(lines)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header_line + "\r\n")
+        while block := list(islice(lines, _BLOCK)):
+            fh.write("\r\n".join(block) + "\r\n")
+
+
 def write_columns(path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
     """Write one header cell and one equal-length column of str per CSV
     column: the text Python's csv writer (excel dialect, QUOTE_MINIMAL,
-    \\r\\n line ends) writes for the header and the rows.  The lines are
-    joined _BLOCK rows at a time.  DimensionMismatch unless there is one
-    column per header cell and all columns have one length."""
+    \\r\\n line ends) writes for the header and the rows, through
+    `write_lines`.  DimensionMismatch unless there is one column per header
+    cell and all columns have one length."""
     if len(columns) != len(header):
         raise DimensionMismatch(f"{len(columns)} columns beside {len(header)} header cells")
     n = len(columns[0]) if columns else 0
     if any(len(column) != n for column in columns):
         raise DimensionMismatch(f"columns of lengths {sorted({len(c) for c in columns})}")
-    header, columns = _quoted(header), [_quoted(column) for column in columns]
+    header, columns = quoted(header), [quoted(column) for column in columns]
     if len(header) == 1:
         # the csv writer quotes a row's lone empty cell, which would read back as a blank row
         header, *columns = [['""' if c == "" else c for c in cells] for cells in (header, *columns)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, n, _BLOCK):
-            rows = zip(*(column[start:start + _BLOCK] for column in columns))
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+    write_lines(path, ",".join(header), map(",".join, zip(*columns)))
 
 
 def _cells(values: np.ndarray) -> list:
@@ -660,9 +666,11 @@ def check_shapes(model, payload: dict, **expected) -> None:
 class FeatureMatrix:
     """Numeric design matrix and its min-max scaling constants.
 
-    Raw values are stored; `constants`, each column's (min, max), are
-    derived from them on construction, and `normalized()` maps each column
-    onto [0, 1].  A constant column maps to 0.0 with min == max recorded.
+    Raw values are stored, kept as a Dataset keeps its columns (`_kept`),
+    so a caller's writeable array is copied, not frozen; `constants`, each
+    column's (min, max), are derived from them on construction, and
+    `normalized()` maps each column onto [0, 1].  A constant column maps to
+    0.0 with min == max recorded.
     """
 
     values: np.ndarray            # n x d raw values
@@ -671,7 +679,7 @@ class FeatureMatrix:
     constants: tuple = field(init=False)   # per column: (min, max)
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        object.__setattr__(self, "values", _kept(self.values, float))
         object.__setattr__(self, "split", _split_codes(self.split, self.n))
         bounds = zip(self.values.min(axis=0).tolist(), self.values.max(axis=0).tolist())
         object.__setattr__(self, "constants", tuple(bounds))
@@ -731,4 +739,5 @@ def build_features(dataset: Dataset, columns: Iterable[str]) -> FeatureMatrix:
     columns = tuple(columns)
     if len(dataset) == 0:
         raise EmptyAfterCleaning("dataset is empty")
-    return FeatureMatrix(dataset.matrix(columns), columns, dataset.split)  # raises UnknownColumn
+    values = _read_only(dataset.matrix(columns))  # raises UnknownColumn
+    return FeatureMatrix(values, columns, dataset.split)

@@ -3,9 +3,11 @@ the five layers of one ANFIS inference pass, the rule lists that an ANFIS
 model document must not load with, greedy term selection by one
 least-squares refit per candidate, each row's first failing validity check
 (`first_failing_column`), and the CSV ingest as a whole-file read
-(`read_table`) followed by a column-wise parse (`clean_table`)."""
+(`read_table`) followed by a column-wise parse (`clean_table`), whose echo
+writes each kept row through the stdlib csv.writer (`csv_line`)."""
 
 import csv
+import io
 from dataclasses import dataclass
 from itertools import islice, zip_longest
 from typing import Sequence
@@ -274,14 +276,22 @@ def clean_table(header: Sequence[str], columns: Sequence[Sequence[str]], referen
     return Dataset(numeric, codes[kept], reference_year), report
 
 
+def csv_line(cells) -> str:
+    """The line the stdlib csv.writer writes for one row, without its line
+    end: each row is written alone, as a quoted cell may hold a line break."""
+    text = io.StringIO(newline="")
+    csv.writer(text).writerow(cells)
+    return text.getvalue().removesuffix("\r\n")
+
+
 def ingest_csv(path, reference_year, echo=False):
     """`read_table` then `clean_table`; with `echo`, a third item (header,
-    columns) holds each header column's cells of the kept rows, as `predict`
-    echoed them."""
+    lines) holds the header and the `csv_line` of each kept row, padded or
+    cut to the header's width, as `predict` echoes it."""
     header, columns = read_table(path)
     dataset, report = clean_table(header, columns, reference_year, path)
     if not echo:
         return dataset, report
     # the k-th record came from data row report.kept_rows[k]
-    return dataset, report, (header, [list(map(column.__getitem__, report.kept_rows))
-                                      for column in columns])
+    return dataset, report, (header, [csv_line([column[i] for column in columns])
+                                      for i in report.kept_rows])

@@ -40,7 +40,7 @@ def test_generate_writes_rows_and_report(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 51  # header + rows
     assert out.with_suffix(".csv.report.txt").exists()
-    manifest = json.loads((tmp_path / "generate_manifest.json").read_text())
+    manifest = json.loads((tmp_path / "pipes_manifest.json").read_text())
     assert manifest["command"] == "generate"
     assert manifest["outputs"]
 
@@ -651,7 +651,8 @@ def test_manifests_carry_the_cleaning_report(dirty_csv, tmp_path, capsys):
         if command != "predict":
             argv = argv + ["--out-dir", str(out_dir)]
         assert run(argv) == 0, command
-        manifest = json.loads((out_dir / f"{command}_manifest.json").read_text())
+        name = "p" if command == "predict" else command  # named after --out p.csv
+        manifest = json.loads((out_dir / f"{name}_manifest.json").read_text())
         assert manifest["cleaning"] == expected, command
 
 
@@ -686,7 +687,10 @@ def test_the_manifest_records_every_parsed_flag_and_digests_every_file_flag(
             for arg in MANIFEST_RUNS[case]]
     assert run(argv) == 0
     command = argv[0]
-    manifest = json.loads((out / f"{command.replace('-', '_')}_manifest.json").read_text())
+    # generate and predict name the manifest after their --out file
+    name = (Path(argv[argv.index("--out") + 1]).stem if "--out" in argv
+            else command.replace("-", "_"))
+    manifest = json.loads((out / f"{name}_manifest.json").read_text())
     assert manifest["command"] == command
     parsed = vars(build_parser().parse_args(argv))
     assert manifest["arguments"] == {"in" if key == "infile" else key: value
@@ -698,6 +702,107 @@ def test_the_manifest_records_every_parsed_flag_and_digests_every_file_flag(
     files = [argv[i + 1] for i, arg in enumerate(argv) if arg in ("--in", "--model", "--registry")]
     assert manifest["input_digests"] == {
         path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in files}
+
+
+def test_two_predicts_into_one_directory_keep_both_manifests(small_csv, mlp_doc, tmp_path,
+                                                            monkeypatch):
+    # the README's two predict runs, each writing its --out file into "."
+    monkeypatch.chdir(tmp_path)
+    model = tmp_path / "model.json"
+    model.write_text(mlp_doc)
+    assert run(["predict", "--model", str(model), "--in", str(small_csv),
+                "--out", "predicted.csv"]) == 0
+    assert run(["predict", "--builtin", "CI", "--in", str(small_csv),
+                "--out", "ci_predicted.csv"]) == 0
+    assert sorted(path.name for path in tmp_path.glob("*_manifest.json")) == [
+        "ci_predicted_manifest.json", "predicted_manifest.json"]
+    for stem, flag, value in (("predicted", "model", str(model)),
+                              ("ci_predicted", "builtin", "CI")):
+        manifest = json.loads((tmp_path / f"{stem}_manifest.json").read_text())
+        assert manifest["outputs"] == [f"{stem}.csv"]
+        assert manifest["arguments"][flag] == value
+
+
+def csv_module_text(rows) -> str:
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
+
+
+def read_csv_text(path) -> str:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_generate_and_predict_write_what_the_csv_module_writes(small_csv, anfis_doc, tmp_path):
+    # pipelife writes CSV text itself; each file equals the csv module's re-serialization
+    model = tmp_path / "model.json"
+    model.write_text(anfis_doc)
+    out = tmp_path / "predicted.csv"
+    assert run(["predict", "--model", str(model), "--in", str(small_csv), "--out", str(out)]) == 0
+    for written in (small_csv, out):
+        text = read_csv_text(written)
+        assert text == csv_module_text(csv.reader(io.StringIO(text, newline=""))), written
+
+
+def _dirty_copy(header, rows):
+    """A byte-order mark, a blank line, a short row, a long row, a quoted
+    material, a wall loss that is not finite and an empty length."""
+    rows[1] = rows[1][:3]
+    rows[2] += ["extra", "7"]
+    rows[3][3] = '"CI"'
+    rows[4][6] = "nan"
+    rows[5][2] = ""
+    body = [",".join(row) for row in rows]
+    body.insert(1, "")
+    return "\ufeff" + "\r\n".join([header] + body) + "\r\n"
+
+
+def _blocks_copy(header, rows):
+    """Three 1,024-row blocks with invalid rows in each."""
+    rows[100][3] = "Unobtainium"
+    rows[1100][6] = "nan"
+    rows[1500][2] = ""
+    rows[2500][1] = "30"
+    return "\r\n".join([header] + [",".join(row) for row in rows]) + "\r\n"
+
+
+# rows generated, the edited copy, its cleaning (rows read, rows kept, drops
+# by column in file order) and the data rows it drops
+EDITED_FILES = {
+    "dirty": (50, _dirty_copy, (50, 47, [("material", 1), ("wall_thickness_loss_pct", 1),
+                                         ("length_ft", 1)]), {1, 4, 5}),
+    "blocks": (3000, _blocks_copy, (3000, 2996, [("material", 1), ("wall_thickness_loss_pct", 1),
+                                                 ("length_ft", 1), ("diameter_in", 1)]),
+               {100, 1100, 1500, 2500}),
+}
+
+
+@pytest.mark.parametrize("case", EDITED_FILES)
+def test_predict_echoes_the_kept_rows_of_an_edited_file(case, tmp_path, capsys):
+    n, edit, cleaning, dropped = EDITED_FILES[case]
+    generated = tmp_path / "pipes.csv"
+    assert run(["generate", "--n", str(n), "--seed", "0", "--out", str(generated)]) == 0
+    header, *lines = generated.read_text().splitlines()
+    path = tmp_path / f"{case}.csv"
+    path.write_bytes(edit(header, [line.split(",") for line in lines]).encode("utf-8"))
+    capsys.readouterr()
+    assert run(["stats", "--json", "--in", str(path)]) == 0
+    got = json.loads(capsys.readouterr().out)["cleaning"]
+    assert (got["rows_read"], got["rows_kept"], list(got["drops_by_column"].items())) == cleaning
+    out = tmp_path / "predicted.csv"
+    assert run(["predict", "--builtin", "CI", "--in", str(path), "--out", str(out)]) == 0
+    # the output is what the csv module writes, and it echoes the kept rows
+    # as csv.reader reads them, padded or cut to the header's width
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row]
+    text = read_csv_text(out)
+    written = list(csv.reader(io.StringIO(text, newline="")))
+    assert text == csv_module_text(written)
+    width = len(header)
+    kept = [(row + [""] * width)[:width] for i, row in enumerate(rows) if i not in dropped]
+    assert written[0] == header + ["predicted_rul"]
+    assert [row[:-1] for row in written[1:]] == kept
 
 
 def test_train_anfis_negative_epochs_is_runtime_error(small_csv, tmp_path, capsys):

@@ -640,6 +640,8 @@ HEADER_ONLY = (HEADER + "\r\n").encode()
 @example(raw=HEADER_ONLY, block=2).via("a header without rows keeps no row")
 @example(raw=b"\xef\xbb\xbf" + (HEADER + '\n"30",8,500,"CI",2,1981,25,\n\n30,8\n').encode(),
          block=1).via("a mark, quoted cells, a blank and a short row")
+@example(raw=(HEADER + ',notes\n30,8,500,CI,2,1981,25,,"c\rd"\n').encode(),
+         block=1).via("a kept row whose echoed cell holds a lone carriage return")
 def test_streaming_ingest_matches_the_whole_file_oracle(raw, block):
     with tempfile.TemporaryDirectory() as tmp, patch.object(data_module, "_BLOCK", block):
         path = Path(tmp) / "pipes.csv"
@@ -698,6 +700,13 @@ def test_ingest_holds_well_below_what_the_read_table_holds(inventory_20k):
 def test_ingest_keeps_each_column_once(inventory_20k):
     # the Dataset keeps the columns ingest joined and froze, not copies of them
     assert ingest_share_of_the_read(inventory_20k) < 0.38
+
+
+def test_the_echo_holds_each_kept_row_as_one_line(inventory_20k):
+    # predict's echo keeps one str per kept row, joined while its block is
+    # read, not one str per kept cell
+    echo_peak = traced_peak(ingest_csv, inventory_20k, REF_YEAR, True)
+    assert echo_peak / traced_peak(oracles.read_table, inventory_20k) < 0.75
 
 
 # (data row, column, cell) of the invalid rows of a 3,000-row file, three
@@ -952,6 +961,28 @@ def test_a_dataset_copies_a_callers_writeable_arrays():
 
 
 # -- feature building ---------------------------------------------------------------
+
+def test_a_feature_matrix_copies_a_callers_writeable_array():
+    values = np.zeros((3, 1))
+    features = FeatureMatrix(values, ("a",))
+    assert values.flags.writeable
+    values[:] = 2
+    assert features.values.tolist() == [[0.0]] * 3
+    assert not features.values.flags.writeable
+
+
+def test_build_features_keeps_the_matrix_it_builds():
+    built, matrix = [], Dataset.matrix
+
+    def recorded(self, names):
+        built.append(matrix(self, names))
+        return built[-1]
+
+    with patch.object(Dataset, "matrix", recorded):
+        features = build_features(make_dataset(10), ("age_years", "material"))
+    assert features.values is built[0]
+    assert not features.values.flags.writeable
+
 
 def test_build_features_minmax_endpoints():
     dataset = make_dataset(30)
