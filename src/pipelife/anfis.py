@@ -17,16 +17,19 @@ the row-wise Khatri-Rao product of the firing matrix Wbar and the inputs, so
 a null direction of either factor is one of Phi.  Both occur on the default
 inputs: install year = reference year - age makes [x, 1] rank deficient, and
 the product of an age and an install-year Gaussian is one Gaussian in age,
-so Wbar repeats columns.  The solve factors each as QR and then takes the
-SVD of the small triangular R, which gives [x, 1] = U S V^T (kept:
-Z = U_k S_k = [x, 1] V_k) and Wbar = U_W S_W V_W^T (kept:
-G = U_W,r S_W,r = Wbar V_W,r) without forming the tall U.  Each factor
-keeps its singular values above eps max(shape) s_1, the rule of
-numpy.linalg.matrix_rank.  The solve runs on the r k columns Psi, rows
-g_n (x) z_n, rather than the R (d + 1) of Phi, and maps back with
-theta = V_W,r C V_k.  Both maps have orthonormal columns, so |theta| = |C|
-and the ridge solution on Psi is the one on Phi; the ridge, not the
-cutoff, keeps the solve well posed.
+so Wbar repeats columns.  The solve finds the right singular vectors of each,
+[x, 1] = U S V^T (kept: V_k) and Wbar = U_W S_W V_W^T (kept: V_W,r), by the
+tall-skinny QR (Demmel, Grigori, Hoemmen and Langou, arXiv:0808.2664): each
+block of QR_BLOCK_ROWS rows is factored as QR, and the SVD of the stacked
+triangular factors, whose Gram matrix is that of the whole factor, has its
+singular values and right vectors, so neither the tall U nor a whole copy
+of Wbar is formed.  Each factor keeps its singular values above
+eps max(shape) s_1, the rule of numpy.linalg.matrix_rank.  The solve runs
+on the r k columns Psi, rows g_n (x) z_n with g_n = V_W,r wbar_n and
+z_n = V_k [x_n, 1], rather than the R (d + 1) of Phi, and maps back with
+theta = V_W,r^T C V_k.  Both maps have orthonormal columns, so
+|theta| = |C| and the ridge solution on Psi is the one on Phi; the ridge,
+not the cutoff, keeps the solve well posed.
 
 The solve is a ridge, min mean((Phi theta - y)^2) + RIDGE |theta|^2, from
 the r k x r k system (Psi^T Psi + RIDGE n I) c = Psi^T y.  An exact
@@ -48,28 +51,34 @@ contiguous, so the memberships are d x m x n and the firing w, the
 normalized firing Wbar and the rule outputs F are R x n, all in C order.
 Every elementwise product and every sum over rules or MFs then runs along
 the rows, and a sum over the leading rule axis adds the rules one at a
-time, in rule order, for each row.  `_forward` hands w and Wbar out as
-their (n, R) transposes, so the layer trace and the solve's design keep
-their n x R shape.  F comes from einsum over the contiguous d x n inputs,
-not from BLAS, which keeps a row's bits in every batch only as x Theta^T,
-n x R, whose transposed copy costs more than the layout saves, while Theta
-x^T, R x n, changes bits with the batch.  einsum's loop gives each output
-the same bits in every batch of two or more rows, and `predict_batch`
-predicts a lone row as a pair, so a row's prediction does not depend on its
-batch.
+time, in rule order, for each row.  `_forward` hands Wbar out as its (n, R)
+transpose, so the layer trace and the solve's design keep their n x R
+shape.  F comes from einsum over the contiguous d x n inputs, not from
+BLAS, which keeps a row's bits in every batch only as x Theta^T, n x R,
+whose transposed copy costs more than the layout saves, while Theta x^T,
+R x n, changes bits with the batch.  einsum's loop gives each output the
+same bits in every batch of two or more rows, but other loops for a single
+row.  So `_row_blocks` never leaves a row alone in a block (a lone last row
+joins the block before it), and `predict_batch` predicts a lone row as a
+pair: a row's prediction does not depend on its batch.
 
 Training memory is counted in R x n arrays (7.7 MB at 3,750 rows and 256
 rules).  An epoch keeps one, the normalized firing Wbar, with the outputs y:
-the unnormalized firing is dropped as the forward pass returns, and both
-are released before the next epoch's pass.  Layer 5, the post-solve train
-output and the premise gradient each work in one more R x n array, the rule
-outputs, which the gradient turns in place into dL/dw_r w_r =
-(2/n) e (f_r - y) wbar_r and reduces with one product against every input's
-MF indicators.  Psi is never formed whole: its r k columns, up to R (d + 1),
-make it 2.3 R x n arrays at the 600 columns of a 256-rule, 4-input solve, so
-Psi^T Psi and Psi^T y are summed over blocks of LSE_BLOCK_ROWS rows.  The QR
-in `_span` copies Wbar once more.  hybrid_train peaks near 3.1 R x n
-(tracemalloc); holding the unnormalized firing and the whole Psi took 6.1.
+the forward pass normalizes the firing in place, and both are released
+before the next epoch's pass.  Every other pass over the rows works on
+blocks of rows.  Layer 5, the post-solve train output and the premise
+gradient form the R x B rule outputs of one block of LSE_BLOCK_ROWS rows at
+a time; the gradient turns them in place into dL/dw_r w_r =
+(2/n) e (f_r - y) wbar_r and reduces each block with one product against
+every input's MF indicators.  Psi is never formed whole: its r k columns,
+up to R (d + 1), would make it 2.3 R x n arrays at the 600 columns of a
+256-rule, 4-input solve, so each block's Psi^T is built as (k, r, B) from
+that block's rows of Wbar and [x, 1], and Psi^T Psi and Psi^T y are summed
+over the blocks.  The QR copies one block of QR_BLOCK_ROWS rows of Wbar at
+a time.  hybrid_train peaks near 2.3 R x n (tracemalloc, 3,750 rows and 256
+rules; 2.0 at 15,000 rows and 32 rules) and `predict_batch` near 1.3 R x n
+(256 rules); holding the unnormalized firing, the n x r span G = Wbar V_W,r
+and a whole copy of Wbar for the QR took 3.0-3.4, and the whole Psi 6.1.
 
 The sensitivity ranking moves one input at a time.  For an ANFIS model it
 makes one pass per input of sums over the rules that both moves share (the
@@ -113,12 +122,20 @@ FIRING_FLOOR = 1e-300
 SENSITIVITY_STEP = 0.01  # central-difference step, as a fraction of the input's range
 CONTOUR_GRID_SIZE = 25    # contour points along each of its two inputs
 RIDGE = 1e-8  # ridge lambda of hybrid training's consequent solve; see the module docstring
-# rows of the solve's design Psi formed at a time.  A block holds at most
+# rows of the solve's design Psi formed at a time, and of the rule outputs
+# in layer 5 and the premise gradient.  A Psi block holds at most
 # 512 R (d + 1) numbers (2.4 MB at the 600 columns of a 256-rule, 4-input
 # solve), small beside the n x R firing matrix, and is still tall enough
 # that each Psi_b^T Psi_b is one efficient BLAS product; shorter blocks ran
 # slower and longer ones no faster
 LSE_BLOCK_ROWS = 512
+# rows of Wbar (and of [x, 1]) that each QR of the solve factors.  On one
+# core, the span of a 3,750 x 256 Wbar took 100-112 ms in 512-row blocks,
+# 69-74 in 1,024-row blocks and 53-58 in 2,048-row blocks, against 51-60
+# whole; that of a 15,000 x 32 Wbar took 4.6-6.2 ms in 2,048-row blocks
+# against 7.4-8.4 whole.  numpy's qr holds ~1.1 copies of what it is given
+# (tracemalloc), so the QR holds ~1.1 x 2,048 R numbers, not a copy of Wbar
+QR_BLOCK_ROWS = 2048
 
 
 @dataclass
@@ -170,7 +187,7 @@ class AnfisModel:
         x = scaled_inputs(self, raw)
         # numpy takes other loops for one row than for two or more, which
         # may change the last bits, so a lone row is predicted as a pair
-        y, _, _ = _forward(self, np.repeat(x, 2, axis=0) if len(x) == 1 else x)
+        y, _ = _forward(self, np.repeat(x, 2, axis=0) if len(x) == 1 else x)
         return raw_target(self, y[:len(x)])
 
     def predict_dataset(self, dataset) -> np.ndarray:
@@ -294,16 +311,28 @@ def _checked_total(total: np.ndarray) -> np.ndarray:
     return total
 
 
+def _row_blocks(n: int, size: int) -> list:
+    """Slices of at most size consecutive rows that cover range(n) in order,
+    except that a lone last row joins the block before it: a block of one
+    row would take numpy's one-row loops (see the module docstring)."""
+    bounds = list(range(0, n, size))
+    if len(bounds) > 1 and n - bounds[-1] == 1:
+        bounds.pop()
+    bounds.append(n)
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def _forward(model: AnfisModel, x: np.ndarray):
     """Layers 1-5 for a batch of normalized rows.
 
-    Returns (y, wbar, w) with shapes (n,), (n, R), (n, R).  wbar and w are
-    the transposes of R x n arrays in C order (see the module docstring).
+    Returns (y, wbar) with shapes (n,) and (n, R); wbar is the transpose of
+    an R x n array in C order (see the module docstring), the firing
+    normalized in place.
     """
     w = _grid_product(_memberships(model, x))         # R x n
     # a sum over the leading axis adds the rules one at a time, in rule order
-    wbar = w / _checked_total(w.sum(axis=0))
-    return _output(model, x, wbar.T), wbar.T, w.T
+    w /= _checked_total(w.sum(axis=0))
+    return _output(model, x, w.T), w.T
 
 
 def _rule_outputs(model: AnfisModel, x: np.ndarray) -> np.ndarray:
@@ -316,27 +345,34 @@ def _rule_outputs(model: AnfisModel, x: np.ndarray) -> np.ndarray:
 
 
 def _output(model: AnfisModel, x: np.ndarray, wbar: np.ndarray) -> np.ndarray:
-    """Layer 5, sum_r wbar_r f_r, for wbar as `_forward` returns it, with
-    the R x n rule outputs as its one temporary.  The product runs along the
-    rows and the sum adds the rules one at a time for each row, so a row's
-    output does not depend on the batch of two or more rows it is in (see
-    the module docstring)."""
-    f = _rule_outputs(model, x)
-    f *= wbar
-    return f.sum(axis=1)
+    """Layer 5, sum_r wbar_r f_r, for wbar as `_forward` returns it, from
+    the R x B rule outputs of one `_row_blocks` block of LSE_BLOCK_ROWS
+    rows at a time.  The product runs along the rows and the sum adds the
+    rules one at a time for each row, so a row's output does not depend on
+    the batch or block of two or more rows it is in (see the module
+    docstring)."""
+    y = np.empty(len(x))
+    for rows in _row_blocks(len(x), LSE_BLOCK_ROWS):
+        f = _rule_outputs(model, x[rows]).T
+        f *= wbar[rows].T
+        y[rows] = f.sum(axis=0)
+    return y
 
 
-def _span(a: np.ndarray) -> tuple:
-    """Leading directions of the thin SVD a = U S V^T: (U_r S_r, V_r^T).
+def _row_span(a: np.ndarray) -> np.ndarray:
+    """V_r^T, the leading right singular vectors of the thin SVD a = U S V^T.
 
     r counts the singular values above eps max(a.shape) s[0], the rank that
-    numpy.linalg.matrix_rank gives.  a is factored as QR first: the SVD of
-    the small triangular R has the singular values and right vectors of a,
-    and U_r S_r = a V_r, so the tall factor U is never formed.
+    numpy.linalg.matrix_rank gives.  Each block of QR_BLOCK_ROWS rows of a
+    is factored as QR, and the SVD of the stacked triangular factors, whose
+    Gram matrix is a^T a, has the singular values and right vectors of a
+    (the tall-skinny QR), so neither the tall U nor a whole copy of a is
+    formed.
     """
-    _, s, vt = np.linalg.svd(np.linalg.qr(a, mode="r"), full_matrices=False)
+    factors = [np.linalg.qr(a[rows], mode="r") for rows in _row_blocks(len(a), QR_BLOCK_ROWS)]
+    _, s, vt = np.linalg.svd(np.vstack(factors), full_matrices=False)
     r = int(np.count_nonzero(s > np.finfo(float).eps * max(a.shape) * s[0]))
-    return a @ vt[:r].T, vt[:r]
+    return vt[:r]
 
 
 def lse_consequents(
@@ -345,29 +381,32 @@ def lse_consequents(
     """Solve the consequents by ridge least squares with premises frozen.
 
     The problem is solved in the span of the firing matrix and of the inputs,
-    each factored by `_span` as QR, then an SVD of R; the module docstring
-    gives the method and the reason for the ridge RIDGE.  wbar, the
-    normalized firing strengths of x under the model's premises, is computed
-    when not given.  The model is updated in place and returned.
+    each found by `_row_span` (QR over row blocks, then an SVD of the
+    stacked R factors); the module docstring gives the method and the
+    reason for the ridge RIDGE.  wbar, the normalized firing strengths of x
+    under the model's premises, is computed when not given.  The model is
+    updated in place and returned.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if wbar is None:
-        _, wbar, _ = _forward(model, x)
+        _, wbar = _forward(model, x)
     n = wbar.shape[0]
-    z, v_k = _span(np.hstack([x, np.ones((n, 1))]))
-    g, v_r = _span(wbar)
-    cols = g.shape[1] * z.shape[1]
-    gram, rhs = np.zeros((cols, cols)), np.zeros(cols)
-    for start in range(0, n, LSE_BLOCK_ROWS):
-        rows = slice(start, start + LSE_BLOCK_ROWS)
-        psi = (g[rows, :, None] * z[rows, None, :]).reshape(-1, cols)
-        gram += psi.T @ psi
-        rhs += psi.T @ y[rows]
-    gram.flat[::cols + 1] += RIDGE * n
+    x1 = np.hstack([x, np.ones((n, 1))])
+    v_k, v_r = _row_span(x1), _row_span(wbar)
+    k, r = len(v_k), len(v_r)
+    gram, rhs = np.zeros((k * r, k * r)), np.zeros(k * r)
+    for rows in _row_blocks(n, LSE_BLOCK_ROWS):
+        # Psi_b^T as (k, r, B): z_b (x) g_b with g_b = V_r Wbar_b^T and
+        # z_b = V_k [x_b, 1]^T, the row axis last
+        g = v_r @ wbar[rows].T
+        psi_t = ((v_k @ x1[rows].T)[:, None, :] * g).reshape(k * r, -1)
+        gram += psi_t @ psi_t.T
+        rhs += psi_t @ y[rows]
+    gram.flat[::k * r + 1] += RIDGE * n
     c = np.linalg.solve(gram, rhs)
-    model.consequents = v_r.T @ c.reshape(len(v_r), len(v_k)) @ v_k
-    model.lse_rank = cols
+    model.consequents = v_r.T @ c.reshape(k, r).T @ v_k
+    model.lse_rank = k * r
     return model
 
 
@@ -378,16 +417,21 @@ def _premise_gradients(model: AnfisModel, x: np.ndarray, t: np.ndarray, state=No
     """
     n, d = x.shape
     m = model.centers.shape[1]
-    y, wbar = _forward(model, x)[:2] if state is None else state
-    # dL/dw_r = (2/n) e (f_r - y) / S; chained onto w_r itself for the
-    # log-derivative form, w_r / S = wbar_r; built in place in the R x n
-    # rule outputs
-    glw = _rule_outputs(model, x).T
-    glw -= y
-    glw *= wbar.T
-    glw *= (2.0 / n) * (y - t)
+    y, wbar = _forward(model, x) if state is None else state
+    scale = (2.0 / n) * (y - t)
     # row (i, j) of the indicators is 1 on the rules that use MF j of input i
-    acc = (np.eye(m)[model.rules].reshape(-1, d * m).T @ glw).reshape(d, m, n)
+    indicators = np.eye(m)[model.rules].reshape(-1, d * m).T
+    acc = np.empty((d * m, n))
+    for rows in _row_blocks(n, LSE_BLOCK_ROWS):
+        # dL/dw_r = (2/n) e (f_r - y) / S; chained onto w_r itself for the
+        # log-derivative form, w_r / S = wbar_r; built in place in the
+        # block's R x B rule outputs
+        glw = _rule_outputs(model, x[rows]).T
+        glw -= y[rows]
+        glw *= wbar[rows].T
+        glw *= scale[rows]
+        acc[:, rows] = indicators @ glw
+    acc = acc.reshape(d, m, n)
     diff = x.T[:, None, :] - model.centers[:, :, None]     # d x m x n
     acc *= diff
     grad_c = acc.sum(axis=2) / model.sigmas**2
@@ -424,7 +468,7 @@ def _rmse_of(y: np.ndarray, t: np.ndarray) -> float:
 
 
 def _rmse(model: AnfisModel, x: np.ndarray, t: np.ndarray) -> float:
-    y, _, _ = _forward(model, x)
+    y, _ = _forward(model, x)
     return _rmse_of(y, t)
 
 
@@ -459,8 +503,7 @@ def hybrid_train(
     for epoch in range(epochs):
         # the premises are fixed until the step at the end of the epoch, so
         # one forward pass serves every train-split quantity of the epoch
-        # w, the unnormalized firing, is needed by none of them
-        y, wbar = _forward(model, x_train)[:2]
+        y, wbar = _forward(model, x_train)
         history.pre_lse_mse.append(_rmse_of(y, t_train) ** 2)
         lse_consequents(model, x_train, t_train, wbar=wbar)
         history.lse_rank.append(model.lse_rank)

@@ -238,8 +238,6 @@ class CleaningReport:
     rows_kept: int
     rows_dropped: int
     drops_by_column: dict
-    # data row index (0 = first data row, blank rows not counted) of every kept record
-    kept_rows: tuple = field(default=(), repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -436,7 +434,7 @@ def ingest_csv(path, reference_year: int, echo: bool = False):
             pass
         raise SchemaMismatch(f"missing required column(s): {', '.join(missing)}")
     numeric, codes = {name: [] for name in NUMERIC_COLUMNS}, []
-    rows_read, kept_rows, drops, lines = 0, [], {}, []
+    rows_read, rows_kept, drops, lines = 0, 0, {}, []
     for block in blocks:
         parsed, block_codes, failing, verdicts = _judged(block, position, reference_year)
         kept = verdicts == len(failing)
@@ -445,21 +443,20 @@ def ingest_csv(path, reference_year: int, echo: bool = False):
         # drops are counted in the order their columns first fail in the file
         for k in dict.fromkeys(dropped.tolist()):
             drops[failing[k][0]] = drops.get(failing[k][0], 0) + int(counts[k])
-        kept_rows += (np.flatnonzero(kept) + rows_read).tolist()
+        rows_kept += int(np.count_nonzero(kept))
         rows_read += len(kept)
         for name, values in parsed.items():
             numeric[name].append(values[kept])
         codes.append(block_codes[kept])
         if echo:
             lines += compress(map(",".join, zip(*map(quoted, block))), kept.tolist())
-    if not kept_rows:
+    if not rows_kept:
         raise EmptyAfterCleaning(f"no valid rows in {path}")
     report = CleaningReport(
         rows_read=rows_read,
-        rows_kept=len(kept_rows),
-        rows_dropped=rows_read - len(kept_rows),
+        rows_kept=rows_kept,
+        rows_dropped=rows_read - rows_kept,
         drops_by_column=drops,
-        kept_rows=tuple(kept_rows),
     )
     # each column's blocks are freed as it is joined
     numeric = {name: _read_only(np.concatenate(numeric.pop(name))) for name in NUMERIC_COLUMNS}

@@ -3,8 +3,9 @@ the five layers of one ANFIS inference pass, the rule lists that an ANFIS
 model document must not load with, greedy term selection by one
 least-squares refit per candidate, each row's first failing validity check
 (`first_failing_column`), and the CSV ingest as a whole-file read
-(`read_table`) followed by a column-wise parse (`clean_table`), whose echo
-writes each kept row through the stdlib csv.writer (`csv_line`)."""
+(`read_table`) followed by a column-wise parse (`clean_table`), which also
+names the rows it keeps (`kept_rows`), and whose echo writes each kept row
+through the stdlib csv.writer (`csv_line`)."""
 
 import csv
 import io
@@ -57,12 +58,14 @@ def infer(model, x) -> tuple:
     if x.size != model.n_inputs:
         raise DimensionMismatch(f"expected {model.n_inputs} inputs, got {x.size}")
     batch = x[None, :]
-    y, wbar, w = anfis._forward(model, batch)
+    y, wbar = anfis._forward(model, batch)
+    # _forward normalizes the firing in place, so the firing is rebuilt
+    w = anfis._grid_product(anfis._memberships(model, batch))[:, 0]
     f = anfis._rule_outputs(model, batch)[0]
     y = float(y[0])
     return y, LayerTrace(
         memberships=anfis._gaussian(x[..., None], model.centers, model.sigmas),
-        firing=w[0],
+        firing=w,
         normalized=wbar[0],
         rule_outputs=f,
         weighted_outputs=wbar[0] * f,
@@ -73,7 +76,7 @@ def infer(model, x) -> tuple:
 def consequent_design(model, x):
     """The full design Phi: row n holds the blocks wbar_nr * [x_n, 1] for
     every rule r, R (d + 1) columns in all."""
-    _, wbar, _ = anfis._forward(model, x)
+    _, wbar = anfis._forward(model, x)
     x1 = np.hstack([x, np.ones((x.shape[0], 1))])
     blocks = wbar[:, :, None] * x1[:, None, :]
     return blocks.reshape(x.shape[0], -1)
@@ -222,8 +225,10 @@ def clean_table(header: Sequence[str], columns: Sequence[Sequence[str]], referen
                 source):
     """Parse and validate the columns of `read_table`.
 
-    Returns (Dataset, CleaningReport) as `ingest_csv` does; `source` names the
-    input in the error raised when no row survives.  The columns are not changed.
+    Returns (Dataset, CleaningReport) as `ingest_csv` does, then the data
+    row index (0 = first data row, blank rows not counted) of every kept
+    record; `source` names the input in the error raised when no row
+    survives.  The columns are not changed.
     """
     # a duplicated header name reads from its last copy, as in csv.DictReader
     position = {name: j for j, name in enumerate(header)}
@@ -270,10 +275,9 @@ def clean_table(header: Sequence[str], columns: Sequence[Sequence[str]], referen
         rows_kept=len(kept_rows),
         rows_dropped=n - len(kept_rows),
         drops_by_column={str(labels[k]): int(counts[k]) for k in np.argsort(first)},
-        kept_rows=kept_rows,
     )
     numeric = {name: values[kept] for name, values in parsed.items()}
-    return Dataset(numeric, codes[kept], reference_year), report
+    return Dataset(numeric, codes[kept], reference_year), report, kept_rows
 
 
 def csv_line(cells) -> str:
@@ -289,9 +293,15 @@ def ingest_csv(path, reference_year, echo=False):
     lines) holds the header and the `csv_line` of each kept row, padded or
     cut to the header's width, as `predict` echoes it."""
     header, columns = read_table(path)
-    dataset, report = clean_table(header, columns, reference_year, path)
+    dataset, report, kept = clean_table(header, columns, reference_year, path)
     if not echo:
         return dataset, report
-    # the k-th record came from data row report.kept_rows[k]
+    # the k-th record came from data row kept[k]
     return dataset, report, (header, [csv_line([column[i] for column in columns])
-                                      for i in report.kept_rows])
+                                      for i in kept])
+
+
+def kept_rows(path, reference_year) -> tuple:
+    """The data row index (0 = first data row, blank rows not counted) of
+    every record the whole-file ingest keeps, in file order."""
+    return clean_table(*read_table(path), reference_year, path)[2]

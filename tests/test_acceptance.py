@@ -164,7 +164,7 @@ def test_criterion_05_anfis_structural_invariants():
                 consequents=rng.normal(0, 1, (m**d, d + 1)),
             )
             xs = rng.uniform(0, 1, (25, d))
-            _, wbar, _ = anfis._forward(model, xs)
+            _, wbar = anfis._forward(model, xs)
             assert np.abs(wbar.sum(axis=1) - 1.0).max() < 1e-9
             pairs += 25
         # LSE residual orthogonality on random instances: the solve is a ridge,
@@ -214,7 +214,7 @@ def test_criterion_06_anfis_learning():
             grad_c, grad_s = anfis._premise_gradients(probe, xs, ts)
 
             def mse(m):
-                out, _, _ = anfis._forward(m, xs)
+                out, _ = anfis._forward(m, xs)
                 return float(np.mean((out - ts) ** 2))
 
             h = 1e-6

@@ -196,42 +196,55 @@ def test_normalized_firing_sums_to_one_randomized():
         model.centers += rng.normal(0, 0.1, model.centers.shape)
         model.sigmas *= rng.uniform(0.5, 1.5, model.sigmas.shape)
         xs = rng.uniform(0, 1, (20, d))
-        _, wbar, _ = _forward(model, xs)
+        _, wbar = _forward(model, xs)
         assert np.abs(wbar.sum(axis=1) - 1.0).max() < 1e-9
         checked += 20
     assert checked == 1000
 
 
+# the row counts B - 1, B, B + 1 and 2B + 1 at each block constant B, named
+# by the offset from B: no prefix for LSE_BLOCK_ROWS, "qr" for QR_BLOCK_ROWS
+BLOCK_EDGES = [
+    pytest.param(b + offset, id=prefix + label)
+    for prefix, b in (("", anfis.LSE_BLOCK_ROWS), ("qr", anfis.QR_BLOCK_ROWS))
+    for offset, label in ((-1, "-1"), (0, "0"), (1, "1"), (b + 1, "2B+1"))
+]
+EDGE_ROWS = [edge.values[0] for edge in BLOCK_EDGES]
+
+
 def test_forward_firing_equals_the_gathered_product():
-    rng = np.random.default_rng(13)
-    x = rng.uniform(0, 1, (60, 3))
-    fm = matrix_from_columns(
-        {"a": x[:, 0], "b": x[:, 1], "c": x[:, 2], "rul_years": np.zeros(60)}
-    )
-    model = init_grid(("a", "b", "c"), 3, fm)
-    model.centers += rng.normal(0, 0.05, model.centers.shape)
-    model.sigmas *= rng.uniform(0.5, 1.5, model.sigmas.shape)
-    mu = anfis._gaussian(x[..., None], model.centers, model.sigmas)
-    gathered = mu[:, np.arange(3)[:, None], model.rules.T].prod(axis=1)
-    _, _, w = _forward(model, x)
-    assert np.array_equal(w, gathered)
+    for n in [60] + EDGE_ROWS:
+        rng = np.random.default_rng(13)
+        x = rng.uniform(0, 1, (n, 3))
+        fm = matrix_from_columns(
+            {"a": x[:, 0], "b": x[:, 1], "c": x[:, 2], "rul_years": np.zeros(n)}
+        )
+        model = init_grid(("a", "b", "c"), 3, fm)
+        model.centers += rng.normal(0, 0.05, model.centers.shape)
+        model.sigmas *= rng.uniform(0.5, 1.5, model.sigmas.shape)
+        mu = anfis._gaussian(x[..., None], model.centers, model.sigmas)
+        gathered = mu[:, np.arange(3)[:, None], model.rules.T].prod(axis=1)
+        w = anfis._grid_product(anfis._memberships(model, x)).T
+        assert np.array_equal(w, gathered)
 
 
 def test_forward_normalizes_by_the_rule_by_rule_total():
     # the total adds the rules one at a time, in rule order, so trained
     # models and their outputs keep their bytes across releases
-    rng = np.random.default_rng(14)
-    x = rng.uniform(0, 1, (200, 3))
-    fm = matrix_from_columns(
-        {"a": x[:, 0], "b": x[:, 1], "c": x[:, 2], "rul_years": np.zeros(200)}
-    )
-    model = init_grid(("a", "b", "c"), 3, fm)
-    model.sigmas *= rng.uniform(0.5, 1.5, model.sigmas.shape)
-    _, wbar, w = _forward(model, x)
-    total = np.zeros(len(x))
-    for r in range(model.n_rules):
-        total += w[:, r]
-    assert np.array_equal(wbar, w / total[:, None])
+    for n in [200] + EDGE_ROWS:
+        rng = np.random.default_rng(14)
+        x = rng.uniform(0, 1, (n, 3))
+        fm = matrix_from_columns(
+            {"a": x[:, 0], "b": x[:, 1], "c": x[:, 2], "rul_years": np.zeros(n)}
+        )
+        model = init_grid(("a", "b", "c"), 3, fm)
+        model.sigmas *= rng.uniform(0.5, 1.5, model.sigmas.shape)
+        w = anfis._grid_product(anfis._memberships(model, x)).T
+        _, wbar = _forward(model, x)
+        total = np.zeros(len(x))
+        for r in range(model.n_rules):
+            total += w[:, r]
+        assert np.array_equal(wbar, w / total[:, None])
 
 
 @pytest.mark.parametrize("d, m", [(1, 3), (3, 3), (4, 4), (5, 2)])
@@ -254,7 +267,7 @@ def test_lse_recovers_planted_consequents():
     model = init_grid(("a", "b"), 2, fm)
     planted = rng.normal(0, 1, model.consequents.shape)
     model.consequents = planted
-    y, _, _ = _forward(model, x)
+    y, _ = _forward(model, x)
     model.consequents = np.zeros_like(planted)
     lse_consequents(model, x, y)
     # the ridge shrinks the planted consequents by (Phi^T Phi + RIDGE n I)^-1
@@ -347,14 +360,14 @@ def equal_width_collinear(n=120, seed=14):
     model = init_grid(("a", "b"), 4, fm)
     assert np.array_equal(model.sigmas[0], model.sigmas[1])
     model.consequents = np.random.default_rng(seed).normal(0, 1, model.consequents.shape)
-    y, _, _ = _forward(model, x)
+    y, _ = _forward(model, x)
     model.consequents = np.zeros_like(model.consequents)
     return model, x, y
 
 
 def test_lse_on_a_rank_deficient_firing_matrix_matches_the_full_design():
     model, x, y = equal_width_collinear()
-    _, wbar, _ = _forward(model, x)
+    _, wbar = _forward(model, x)
     assert np.linalg.matrix_rank(wbar) == 7
     lse_consequents(model, x, y)
     phi = consequent_design(model, x)
@@ -376,7 +389,7 @@ def test_lse_matches_the_full_design_where_the_firing_spectrum_has_no_gap():
     model = init_grid(inputs, 4, fm)
     lse_consequents(model, x, y)
     _premise_step(model, x, y, 0.02)
-    _, wbar, _ = _forward(model, x)
+    _, wbar = _forward(model, x)
     s = np.linalg.svd(wbar, compute_uv=False)
     r = np.linalg.matrix_rank(wbar)
     assert r < model.n_rules and s[r - 1] < 10 * s[r]
@@ -389,10 +402,10 @@ def test_lse_matches_the_full_design_where_the_firing_spectrum_has_no_gap():
 
 
 @pytest.mark.parametrize("collinear", [True, False])
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_lse_blocks_match_the_full_design_at_the_block_edges(offset, collinear):
-    # one partial block, one whole block, and a whole block plus one row
-    n = anfis.LSE_BLOCK_ROWS + offset
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_lse_blocks_match_the_full_design_at_the_block_edges(n, collinear):
+    # one partial block, one whole block, a whole block plus one row, and two
+    # whole blocks plus one row, for the design's blocks and for the QR's
     fm = collinear_or_full_rank(collinear, n=n)
     norm = fm.normalized()
     x, y = norm[:, :2], norm[:, 2]
@@ -403,18 +416,22 @@ def test_lse_blocks_match_the_full_design_at_the_block_edges(offset, collinear):
     assert model.consequents.ravel() == pytest.approx(theta, abs=1e-8)
     assert phi @ model.consequents.ravel() == pytest.approx(phi @ theta, abs=1e-10)
     # the directions kept by the two spans, whatever the blocks
-    _, wbar, _ = _forward(model, x)
-    unblocked = len(anfis._span(wbar)[1]) * len(anfis._span(np.hstack([x, np.ones((n, 1))]))[1])
-    assert model.lse_rank == unblocked == np.linalg.matrix_rank(phi)
+    _, wbar = _forward(model, x)
+    spans = len(anfis._row_span(wbar)) * len(anfis._row_span(np.hstack([x, np.ones((n, 1))])))
+    assert model.lse_rank == spans == np.linalg.matrix_rank(phi)
 
 
-@pytest.mark.parametrize("which", ["collinear_firing", "random_full_rank"])
-def test_qr_first_span_keeps_the_thin_svd_directions(which, monkeypatch):
+@pytest.mark.parametrize("which, n", [
+    pytest.param(which, n, id=which if n is None else f"{which}-{edge_id}")
+    for which in ("collinear_firing", "random_full_rank")
+    for n, edge_id in [(None, "")] + [(edge.values[0], edge.id) for edge in BLOCK_EDGES]
+])
+def test_qr_first_span_keeps_the_thin_svd_directions(which, n, monkeypatch):
     if which == "collinear_firing":
-        model, x, _ = equal_width_collinear()
-        _, a, _ = _forward(model, x)
+        model, x, _ = equal_width_collinear() if n is None else equal_width_collinear(n=n)
+        _, a = _forward(model, x)
     else:
-        a = np.random.default_rng(21).normal(0, 1, (300, 20))
+        a = np.random.default_rng(21).normal(0, 1, (n or 300, 20))
     s_svd = np.linalg.svd(a, compute_uv=False)
     seen = []
     svd = np.linalg.svd
@@ -425,8 +442,9 @@ def test_qr_first_span_keeps_the_thin_svd_directions(which, monkeypatch):
         return result
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    g, vt = anfis._span(a)
+    vt = anfis._row_span(a)
     monkeypatch.undo()
+    g = a @ vt.T
     (s,) = seen
     r = len(vt)
     assert r == np.linalg.matrix_rank(a) == (7 if which == "collinear_firing" else 20)
@@ -507,7 +525,7 @@ def test_premise_gradients_match_finite_differences():
         grad_c, grad_s = _premise_gradients(model, xs, ts)
 
         def mse(m):
-            out, _, _ = _forward(m, xs)
+            out, _ = _forward(m, xs)
             return float(np.mean((out - ts) ** 2))
 
         h = 1e-6
@@ -567,25 +585,58 @@ def test_hybrid_logs_the_rank_of_every_solve():
     assert single.lse_rank == [once.lse_rank]
 
 
-def test_hybrid_training_peaks_below_four_n_by_r_arrays():
-    # the models_5k shape on 4,000 rows: an epoch holds the normalized firing
-    # and works in one more n x R array, and the solve's design is summed in
-    # blocks; keeping the unnormalized firing and the whole design peaked at
-    # ~6 n x R arrays
-    inputs = anfis.DEFAULT_INPUTS + ("diameter_in",)
-    dataset = synth.generate(synth.GeneratorConfig(n=4000, seed=11))
-    fm = build_features(split_dataset(dataset, (0.75, 0.1, 0.15), 11), inputs + ("rul_years",))
-    model = init_grid(inputs, 4, fm)
-    n = fm.split_arrays(inputs)[0].shape[0]
-    assert n >= 3000
+def traced_peak(call) -> int:
+    """The tracemalloc peak of call(), in bytes above what was held before."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        hybrid_train(model, fm, epochs=2)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * n * model.n_rules * 8
+
+
+def models_5k_shape(n=4000):
+    """The models_5k training set-up (4 inputs x 4 MFs, 256 rules) on n rows."""
+    inputs = anfis.DEFAULT_INPUTS + ("diameter_in",)
+    dataset = synth.generate(synth.GeneratorConfig(n=n, seed=11))
+    fm = build_features(split_dataset(dataset, (0.75, 0.1, 0.15), 11), inputs + ("rul_years",))
+    return init_grid(inputs, 4, fm), fm
+
+
+def test_hybrid_training_peaks_below_2_75_n_by_r_arrays():
+    # an epoch holds the normalized firing; the rule outputs, the solve's
+    # design and each QR work on blocks of rows; numpy's qr copies the
+    # 2,048-row block it factors, and the solve's r k x r k system is summed
+    # beside the design's block.  Keeping the
+    # unnormalized firing, the n x r span of the firing and a whole copy of
+    # it for the QR peaked at ~3.0 n x R arrays here, and the whole design
+    # at ~6
+    model, fm = models_5k_shape()
+    n = fm.split_arrays(model.inputs)[0].shape[0]
+    assert n >= 3000
+    peak = traced_peak(lambda: hybrid_train(model, fm, epochs=2))
+    assert peak <= 2.75 * n * model.n_rules * 8
+
+
+def test_row_span_peaks_below_half_a_copy_of_its_matrix():
+    # the QR factors QR_BLOCK_ROWS rows at a time, and numpy's qr copies
+    # what it is given, so a QR of the whole matrix held ~1.1 copies of it
+    n = 4 * anfis.QR_BLOCK_ROWS
+    a = np.ascontiguousarray(np.random.default_rng(22).uniform(0, 1, (64, n))).T
+    peak = traced_peak(lambda: anfis._row_span(a))
+    assert peak <= 0.5 * a.nbytes
+
+
+def test_predict_batch_peaks_below_1_5_n_by_r_arrays():
+    # the forward pass normalizes the firing in place and forms the rule
+    # outputs a block of rows at a time, so it holds one n x R array, with
+    # the (R / m) x n product it is built from; holding the unnormalized
+    # firing, the normalized one and the whole rule outputs peaked at ~3.0
+    model, fm = models_5k_shape()
+    raw = fm.raw_matrix(model.inputs)
+    peak = traced_peak(lambda: model.predict_batch(raw))
+    assert peak <= 1.5 * len(raw) * model.n_rules * 8
 
 
 def test_hybrid_stays_bounded_on_collinear_default_inputs():
@@ -858,3 +909,22 @@ def test_predict_batch_gives_each_row_the_same_bits_in_every_batch(inputs, mfs):
             # the slice as it is, and as a copy in C order, as contour_grid builds one
             for part in (raw[rows], np.ascontiguousarray(raw[rows])):
                 assert np.array_equal(model.predict_batch(part), whole[rows]), (cut, rows)
+
+
+@pytest.mark.parametrize("n", [anfis.LSE_BLOCK_ROWS + 1, 2 * anfis.LSE_BLOCK_ROWS + 1])
+def test_predict_batch_gives_a_row_its_bits_alone_in_a_pair_and_at_every_block_position(n):
+    # layer 5 works on blocks of LSE_BLOCK_ROWS rows; at these sizes the last
+    # block would hold one row, which joins the block before it
+    inputs = anfis.DEFAULT_INPUTS
+    dataset = synth.generate(synth.GeneratorConfig(n=n, seed=5))
+    fm = build_features(split_dataset(dataset, (0.75, 0.1, 0.15), 5), inputs + ("rul_years",))
+    model, _ = hybrid_train(init_grid(inputs, 3, fm), fm, epochs=2)
+    raw = fm.raw_matrix(inputs)
+    whole = model.predict_batch(raw)
+    for i in range(n):
+        assert np.array_equal(model.predict_batch(raw[i:i + 1]), whole[i:i + 1]), i
+        assert np.array_equal(model.predict_batch(raw[i:i + 2]), whole[i:i + 2]), i
+    # every row at every position of the batch
+    for shift in range(1, n):
+        assert np.array_equal(model.predict_batch(np.roll(raw, shift, axis=0)),
+                              np.roll(whole, shift)), shift

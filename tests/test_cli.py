@@ -2,7 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import string
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -518,7 +521,25 @@ def test_fit_regression_on_a_constant_wall_loss_flags_a_degenerate_fit(tmp_path,
     out_dir = tmp_path / "reg"
     assert run(["fit-regression", "--in", str(path), "--degree", degree,
                 "--out-dir", str(out_dir)]) == 0
-    assert '"degenerate": true' in (out_dir / "deterioration_CI.json").read_text()
+    document = (out_dir / "deterioration_CI.json").read_text()
+    assert '"degenerate": true' in document
+    # and the fit has no wall-loss term to spread the intercept over
+    assert not any(w > 0 for _, _, w in json.loads(document)["terms"])
+
+
+def test_the_greedy_search_writes_the_same_files_in_two_processes(small_csv, tmp_path):
+    # each run is its own interpreter, with its own hash seed
+    src = Path(regression.__file__).parents[1]
+    for run_id in ("1", "2"):
+        argv = ["fit-regression", "--in", str(small_csv), "--greedy", "--degree", "3",
+                "--out-dir", str(tmp_path / f"reg{run_id}")]
+        subprocess.run([sys.executable, "-c", "import sys; from pipelife.cli import main; "
+                        "sys.exit(main(sys.argv[1:]))", *argv], check=True,
+                       env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": run_id})
+    written = sorted(p.name for p in (tmp_path / "reg1").glob("deterioration_*"))
+    assert written and written == sorted(p.name for p in (tmp_path / "reg2").glob("deterioration_*"))
+    for name in written:
+        assert (tmp_path / "reg1" / name).read_bytes() == (tmp_path / "reg2" / name).read_bytes()
 
 
 def test_fit_regression_greedy_tie_goes_to_the_earlier_term(tmp_path):
@@ -540,10 +561,11 @@ def test_fit_regression_degree_4_usage_error():
     assert exc.value.code == 2
 
 
-def test_config_file_provides_defaults(tmp_path, small_csv):
+def test_config_file_provides_defaults(tmp_path, small_csv, capsys):
     config = tmp_path / "pipelife.conf"
     config.write_text(f"in={small_csv}\njson=true\n")
     assert run(["--config", str(config), "stats"]) == 0
+    assert json.loads(capsys.readouterr().out)
 
 
 def test_config_file_with_a_byte_order_mark_reads_its_first_line(tmp_path, small_csv, capsys):

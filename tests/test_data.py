@@ -6,6 +6,7 @@ import warnings
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from functools import partial
 from math import isfinite
 from pathlib import Path
 from unittest.mock import patch
@@ -170,8 +171,9 @@ def test_an_age_or_install_year_from_2_to_the_53_fails_the_install_year_check(tm
     write_lines(path, [HEADER] + rows)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dataset, report = ingest_csv(path, REF_YEAR)
-    assert report.kept_rows == (0, 5)
+        dataset, report, (_, echoed) = ingest_csv(path, REF_YEAR, echo=True)
+        assert oracles.kept_rows(path, REF_YEAR) == (0, 5)
+    assert echoed == [rows[0], rows[5]]
     assert report.drops_by_column == {"install_year": 4}
     assert dataset.column("age_years").tolist() == [30.0, float(below)]
 
@@ -471,11 +473,11 @@ def ingest_row_by_row(path, reference_year):
         rows_kept=len(kept_rows),
         rows_dropped=len(failing) - len(kept_rows),
         drops_by_column=dict(Counter(filter(None, failing))),
-        kept_rows=kept_rows,
     )
     valid = checked == ""
     materials = columns.pop("material")[valid]
-    return Dataset({name: v[valid] for name, v in columns.items()}, materials, reference_year), report
+    dataset = Dataset({name: v[valid] for name, v in columns.items()}, materials, reference_year)
+    return dataset, report, kept_rows
 
 
 def spellings(value):
@@ -554,14 +556,23 @@ def dirty_files(draw):
 
 
 def ingest_both(path):
-    """(result or exception) of ingest_csv and of the row-by-row oracle."""
+    """(result or exception) of ingest_csv with its echo and of the
+    row-by-row oracle, then the echo of the rows that oracle keeps, or None."""
     results = []
-    for ingest in (ingest_csv, ingest_row_by_row):
+    for ingest in (partial(ingest_csv, echo=True), ingest_row_by_row):
         try:
             results.append(ingest(path, REF_YEAR))
         except (SchemaMismatch, EmptyAfterCleaning) as exc:
             results.append(exc)
-    return results
+    kept = None if isinstance(results[1], Exception) else results[1][2]
+    return results + [None if kept is None else echo_of(path, kept)]
+
+
+def echo_of(path, kept):
+    """The `oracles.csv_line` of each data row of path whose index is in
+    kept, padded or cut to the header's width, as predict echoes it."""
+    _, columns = oracles.read_table(path)
+    return [oracles.csv_line([column[i] for column in columns]) for i in kept]
 
 
 @settings(deadline=None, max_examples=200)
@@ -570,14 +581,16 @@ def test_column_wise_ingest_matches_the_row_by_row_oracle(lines):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pipes.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        got, want = ingest_both(path)
+        got, want, want_echo = ingest_both(path)
+        oracle_kept = None if want_echo is None else oracles.kept_rows(path, REF_YEAR)
     if isinstance(want, Exception) or isinstance(got, Exception):
         assert (type(got), str(got)) == (type(want), str(want))
         return
-    (dataset, report), (expected, expected_report) = got, want
+    (dataset, report, (_, echoed)), (expected, expected_report, expected_kept) = got, want
+    assert echoed == want_echo
+    assert oracle_kept == expected_kept
     assert report == expected_report
     assert list(report.drops_by_column.items()) == list(expected_report.drops_by_column.items())
-    assert report.kept_rows == expected_report.kept_rows
     assert np.array_equal(dataset.materials, expected.materials)
     for name in NUMERIC_COLUMNS:
         assert np.array_equal(bits(dataset.numeric[name]), bits(expected.numeric[name])), name
@@ -656,7 +669,6 @@ def test_streaming_ingest_matches_the_whole_file_oracle(raw, block):
     (dataset, report), (expected, expected_report) = got, want
     assert report == expected_report
     assert list(report.drops_by_column.items()) == list(expected_report.drops_by_column.items())
-    assert report.kept_rows == expected_report.kept_rows
     assert np.array_equal(dataset.materials, expected.materials)
     for name in NUMERIC_COLUMNS:
         assert np.array_equal(bits(dataset.numeric[name]), bits(expected.numeric[name])), name
@@ -738,7 +750,7 @@ def test_drops_are_counted_in_file_order_across_blocks(tmp_path):
     bad = {i for i, _, _ in BAD_CELLS}
     _, report = ingest_csv(path, REF_YEAR)
     assert report.rows_read == 3000
-    assert report.kept_rows == tuple(i for i in range(3000) if i not in bad)
+    assert oracles.kept_rows(path, REF_YEAR) == tuple(i for i in range(3000) if i not in bad)
     assert list(report.drops_by_column.items()) == [
         ("material", 1), ("wall_thickness_loss_pct", 1), ("length_ft", 4), ("diameter_in", 2)]
     out = tmp_path / "out.csv"
@@ -841,9 +853,10 @@ def test_read_table_drops_a_byte_order_mark(tmp_path):
     write_csv(dataset, plain)
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     assert read_blocks(marked) == read_blocks(plain)
-    back, report = ingest_csv(marked, REF_YEAR)
-    want, want_report = ingest_csv(plain, REF_YEAR)
-    assert report == want_report and report.kept_rows == want_report.kept_rows
+    back, report, echo = ingest_csv(marked, REF_YEAR, echo=True)
+    want, want_report, want_echo = ingest_csv(plain, REF_YEAR, echo=True)
+    assert report == want_report and echo == want_echo
+    assert oracles.kept_rows(marked, REF_YEAR) == oracles.kept_rows(plain, REF_YEAR)
     assert np.array_equal(back.materials, want.materials)
     for name in NUMERIC_COLUMNS:
         assert np.array_equal(bits(back.numeric[name]), bits(want.numeric[name])), name
