@@ -43,8 +43,8 @@ validation RMSE is flat, and it bounds the condition number of the system
 by 1 + (d + 1) / RIDGE for inputs in [0, 1], so the normal equations lose
 at most ~1e-7 relative.  A solve's rank (lse_rank) is the r k directions
 kept, and it is degenerate (lse_degenerate) when r k < R (d + 1).  One
-forward pass per epoch feeds the logged train MSE before and after the
-solve, the solve and the premise gradient.
+forward pass per epoch feeds the logged train MSE before the solve and
+RMSE after it, the solve and the premise gradient.
 
 Arrays with a row axis are laid out rules-first: the row axis is last and
 contiguous, so the memberships are d x m x n and the firing w, the
@@ -77,8 +77,7 @@ that block's rows of Wbar and [x, 1], and Psi^T Psi and Psi^T y are summed
 over the blocks.  The QR copies one block of QR_BLOCK_ROWS rows of Wbar at
 a time.  hybrid_train peaks near 2.3 R x n (tracemalloc, 3,750 rows and 256
 rules; 2.0 at 15,000 rows and 32 rules) and `predict_batch` near 1.3 R x n
-(256 rules); holding the unnormalized firing, the n x r span G = Wbar V_W,r
-and a whole copy of Wbar for the QR took 3.0-3.4, and the whole Psi 6.1.
+(256 rules).
 
 The sensitivity ranking moves one input at a time.  For an ANFIS model it
 makes one pass per input of sums over the rules that both moves share (the
@@ -101,7 +100,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import TARGET_COLUMN, FeatureMatrix, check_inputs, check_shapes, normalize, raw_target
-from .data import scaled_inputs, whole_number
+from .data import read_scaling, scaled_inputs, scaling_block, whole_number
 from .errors import (
     AllRulesZero,
     DimensionMismatch,
@@ -142,7 +141,7 @@ QR_BLOCK_ROWS = 2048
 class AnfisModel:
     """Premise and consequent parameters plus normalization constants."""
 
-    inputs: tuple                 # feature column names, length d
+    input_columns: tuple          # feature column names, length d
     centers: np.ndarray           # d x m Gaussian centers (normalized units)
     sigmas: np.ndarray            # d x m Gaussian widths, > 0
     consequents: np.ndarray       # R x (d + 1), one row per rule; last column is the constant
@@ -153,7 +152,7 @@ class AnfisModel:
 
     @property
     def n_inputs(self) -> int:
-        return len(self.inputs)
+        return len(self.input_columns)
 
     @property
     def n_rules(self) -> int:
@@ -164,10 +163,6 @@ class AnfisModel:
         """R x d membership indices: the m^d grid, last input fastest."""
         d = self.n_inputs
         return np.indices((self.centers.shape[1],) * d).reshape(d, -1).T
-
-    @property
-    def input_columns(self) -> tuple:
-        return tuple(self.inputs)
 
     @property
     def lse_degenerate(self) -> bool:
@@ -191,7 +186,7 @@ class AnfisModel:
         return raw_target(self, y[:len(x)])
 
     def predict_dataset(self, dataset) -> np.ndarray:
-        return self.predict_batch(dataset.matrix(self.inputs))
+        return self.predict_batch(dataset.matrix(self.input_columns))
 
     # -- serialization ----------------------------------------------------------
 
@@ -199,14 +194,12 @@ class AnfisModel:
         return json.dumps(
             {
                 "format": "pipelife-anfis-v1",
-                "inputs": list(self.inputs),
+                "inputs": list(self.input_columns),
                 "centers": self.centers.tolist(),
                 "sigmas": self.sigmas.tolist(),
                 "rules": self.rules.tolist(),
                 "consequents": self.consequents.tolist(),
-                "feature_constants": [list(c) for c in self.feature_constants],
-                "target_constants": list(self.target_constants),
-                "norm_mode": "minmax",
+                **scaling_block(self),
                 "trained": self.trained,
             },
             indent=2,
@@ -225,17 +218,16 @@ class AnfisModel:
         indices = [whole_number("rules", v) for v in rules.flat]
         check_inputs(payload["inputs"], "inputs")
         model = cls(
-            inputs=tuple(payload["inputs"]),
+            input_columns=tuple(payload["inputs"]),
             centers=np.array(payload["centers"], dtype=float),
             sigmas=np.array(payload["sigmas"], dtype=float),
             consequents=np.array(payload["consequents"], dtype=float),
-            feature_constants=tuple(tuple(c) for c in payload["feature_constants"]),
-            target_constants=tuple(payload["target_constants"]),
+            **read_scaling(payload),
             trained=bool(payload.get("trained", False)),
         )
         d = model.n_inputs
         m = model.centers.shape[1] if model.centers.ndim == 2 else -1
-        check_shapes(model, payload, centers=(d, m), sigmas=(d, m), consequents=(m**d, d + 1))
+        check_shapes(model, centers=(d, m), sigmas=(d, m), consequents=(m**d, d + 1))
         if not (model.sigmas > 0).all():
             raise InvalidConfig("sigmas must all be > 0")
         if rules.shape != (m**d, d) or indices != model.rules.ravel().tolist():
@@ -270,7 +262,7 @@ def init_grid(
             "reduce inputs or membership functions"
         )
     return AnfisModel(
-        inputs=inputs,
+        input_columns=inputs,
         centers=np.tile(np.linspace(0.0, 1.0, m), (d, 1)),
         sigmas=np.full((d, m), 1.0 / (m - 1) / np.sqrt(2.0)),
         consequents=np.zeros((n_rules, d + 1)),
@@ -455,7 +447,6 @@ class AnfisHistory:
     train_rmse: list = field(default_factory=list)
     val_rmse: list = field(default_factory=list)
     pre_lse_mse: list = field(default_factory=list)
-    post_lse_mse: list = field(default_factory=list)
     lse_rank: list = field(default_factory=list)   # rank of each solve
     best_epoch: int = -1
 
@@ -494,7 +485,7 @@ def hybrid_train(
         raise InvalidConfig(f"epochs must be >= 1, got {epochs}")
     if not (np.isfinite(learning_rate) and learning_rate >= 0.0):
         raise InvalidConfig(f"learning_rate must be finite and >= 0, got {learning_rate}")
-    x_train, t_train, x_val, t_val = features.split_arrays(model.inputs)
+    x_train, t_train, x_val, t_val = features.split_arrays(model.input_columns)
 
     model = model.copy()
     model.target_constants = features.column_constants((TARGET_COLUMN,))[0]
@@ -508,8 +499,7 @@ def hybrid_train(
         lse_consequents(model, x_train, t_train, wbar=wbar)
         history.lse_rank.append(model.lse_rank)
         y = _output(model, x_train, wbar)
-        history.post_lse_mse.append(_rmse_of(y, t_train) ** 2)
-        train_rmse = np.sqrt(history.post_lse_mse[-1])
+        train_rmse = _rmse_of(y, t_train)
         val_rmse = _rmse(model, x_val, t_val) if t_val.size else train_rmse
         history.train_rmse.append(train_rmse)
         history.val_rmse.append(val_rmse)

@@ -37,6 +37,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,6 @@ from .metrics import classify_accuracy
 SEED_ENV_VAR = "PIPELIFE_SEED"
 EXIT_OK = 0
 EXIT_RUNTIME = 1
-EXIT_USAGE = 2
 
 
 def _sha256(path) -> str:
@@ -128,8 +128,8 @@ def cmd_stats(args) -> int:
     significance = stats.significance_report(dataset) if dataset.has_rul() else None
     if args.json:
         payload = {
-            "cleaning": cleaning.to_dict(),
-            "summary": {name: s.to_dict() for name, s in report_rows},
+            "cleaning": asdict(cleaning),
+            "summary": {name: asdict(s) for name, s in report_rows},
             "significance": significance.to_dict() if significance else None,
         }
         print(json.dumps(payload, indent=2))
@@ -181,7 +181,7 @@ def cmd_train_ann(args) -> int:
     )
     manifest = _write_manifest(
         args, out_dir, [metrics_path, model_path, scatter_path, fit_path], started,
-        cleaning=cleaning.to_dict(),
+        cleaning=asdict(cleaning),
         training=[{"name": row.name, "best_epoch": row.history.best_epoch,
                    "epochs": len(row.history), "restart": row.history.restart,
                    "stop": row.history.stop}
@@ -237,7 +237,7 @@ def cmd_train_anfis(args) -> int:
                   [_nums(cells) for cells in zip(*grid)])
     manifest = _write_manifest(
         args, out_dir, [model_path, rmse_path, rank_path, grid_path], started,
-        cleaning=cleaning.to_dict(),
+        cleaning=asdict(cleaning),
         training={"best_epoch": history.best_epoch,
                   "lse_rank": history.lse_rank[history.best_epoch],
                   "lse_columns": trained.n_rules * (trained.n_inputs + 1),
@@ -287,7 +287,7 @@ def cmd_predict(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_lines(out, ",".join(quoted(header + ["predicted_rul"])),
                 map(",".join, zip(echoed, _nums(predicted))))
-    manifest = _write_manifest(args, out.parent, [out], started, cleaning=cleaning.to_dict())
+    manifest = _write_manifest(args, out.parent, [out], started, cleaning=asdict(cleaning))
     print(f"wrote {len(predicted)} predictions to {out} (manifest: {manifest.name})")
     return EXIT_OK
 
@@ -333,7 +333,7 @@ def cmd_fit_regression(args) -> int:
     table_path.write_text(table, encoding="utf-8")
     outputs.append(table_path)
     manifest = _write_manifest(args, out_dir, outputs, started,
-                               cleaning=cleaning.to_dict(), selection=selection)
+                               cleaning=asdict(cleaning), selection=selection)
     print(table, end="")
     print(f"outputs in {out_dir} (manifest: {manifest.name})")
     return EXIT_OK

@@ -41,8 +41,9 @@ ascending row indices of one label.
 Features are scaled min-max by `normalize`/`denormalize`, each column from
 its (min, max) pair; the MLP and ANFIS models keep these constants, and both
 scale a prediction's inputs with `scaled_inputs` and its output with
-`raw_target`.  `check_inputs` and `check_shapes` are the checks that model
-configs and documents share.
+`raw_target`.  A model document's scaling block is written by
+`scaling_block` and read back by `read_scaling`; `check_inputs` and
+`check_shapes` are the checks that model configs and documents share.
 """
 
 from __future__ import annotations
@@ -84,8 +85,6 @@ NUMERIC_COLUMNS = tuple(c for c in CSV_COLUMNS if c != "material")
 # numeric columns read as whole numbers, truncated toward zero
 _INTEGER_COLUMNS = ("age_years", "breaks", "install_year")
 
-# Feature identifiers usable with build_features: the seven inventory attributes.
-FEATURE_COLUMNS = REQUIRED_COLUMNS
 TARGET_COLUMN = "rul_years"
 
 # decimals used when rounding a column for its mode; EA scores are the only
@@ -239,14 +238,6 @@ class CleaningReport:
     rows_dropped: int
     drops_by_column: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "rows_read": self.rows_read,
-            "rows_kept": self.rows_kept,
-            "rows_dropped": self.rows_dropped,
-            "drops_by_column": dict(self.drops_by_column),
-        }
-
     def render(self) -> str:
         lines = [
             f"rows read:    {self.rows_read}",
@@ -274,7 +265,6 @@ class Dataset:
 
     numeric: Mapping[str, np.ndarray]
     materials: np.ndarray
-    reference_year: int
     split: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -460,7 +450,7 @@ def ingest_csv(path, reference_year: int, echo: bool = False):
     )
     # each column's blocks are freed as it is joined
     numeric = {name: _read_only(np.concatenate(numeric.pop(name))) for name in NUMERIC_COLUMNS}
-    dataset = Dataset(numeric, _read_only(np.concatenate(codes)), reference_year)
+    dataset = Dataset(numeric, _read_only(np.concatenate(codes)))
     return (dataset, report, (header, lines)) if echo else (dataset, report)
 
 
@@ -633,17 +623,36 @@ def check_inputs(columns, key: str) -> None:
         raise InvalidConfig(f"the target {TARGET_COLUMN} cannot be an input")
 
 
-def check_shapes(model, payload: dict, **expected) -> None:
-    """Check a model loaded from the document `payload`: InvalidConfig
-    unless its norm_mode is "minmax" (or absent), every number is finite and
-    every scaling pair is a (min, max) below MAGNITUDE_LIMIT, whose range
-    max - min cannot overflow; DimensionMismatch unless each named array has
-    its expected shape, with one pair per input (or none) and one for the
-    target.  A value that is not a float raises TypeError, ValueError or
-    OverflowError."""
+def scaling_block(model) -> dict:
+    """The keys of a model document that hold its min-max scaling: one
+    (min, max) pair per input, the target's pair and the mode."""
+    return {
+        "feature_constants": [list(c) for c in model.feature_constants],
+        "target_constants": list(model.target_constants),
+        "norm_mode": "minmax",
+    }
+
+
+def read_scaling(payload: dict) -> dict:
+    """The feature_constants and target_constants of a model document, as a
+    model keeps them; InvalidConfig unless its norm_mode is "minmax" (or
+    absent)."""
     norm_mode = payload.get("norm_mode", "minmax")
     if norm_mode != "minmax":
         raise InvalidConfig(f"unknown norm_mode: {norm_mode!r}")
+    return {
+        "feature_constants": tuple(tuple(c) for c in payload["feature_constants"]),
+        "target_constants": tuple(payload["target_constants"]),
+    }
+
+
+def check_shapes(model, **expected) -> None:
+    """Check a model loaded from a document: InvalidConfig unless every
+    number is finite and every scaling pair is a (min, max) below
+    MAGNITUDE_LIMIT, whose range max - min cannot overflow; DimensionMismatch
+    unless each named array has its expected shape, with one pair per input
+    (or none) and one for the target.  A value that is not a float raises
+    TypeError, ValueError or OverflowError."""
     expected["target_constants"] = (2,)
     if len(model.feature_constants):
         expected["feature_constants"] = (len(model.input_columns), 2)

@@ -37,14 +37,14 @@ ANFIS does.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .data import SPLITS, Dataset, FeatureMatrix, Split, build_features, split_dataset
-from .data import TARGET_COLUMN, check_inputs, check_shapes, raw_target, scaled_inputs
-from .data import whole_number
+from .data import TARGET_COLUMN, check_inputs, check_shapes, raw_target, read_scaling
+from .data import scaled_inputs, scaling_block, whole_number
 from .errors import (
     ConstantSeries,
     DimensionMismatch,
@@ -91,15 +91,7 @@ class MlpConfig:
         check_inputs(self.input_columns, "input_columns")
 
     def to_dict(self) -> dict:
-        return {
-            "input_columns": list(self.input_columns),
-            "hidden_neurons": self.hidden_neurons,
-            "activation": self.activation,
-            "epochs": self.epochs,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "name": self.name,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MlpConfig":
@@ -163,9 +155,7 @@ class MlpModel:
                 "b1": self.b1.tolist(),
                 "w2": self.w2.tolist(),
                 "b2": self.b2,
-                "feature_constants": [list(c) for c in self.feature_constants],
-                "target_constants": list(self.target_constants),
-                "norm_mode": "minmax",
+                **scaling_block(self),
             },
             indent=2,
         )
@@ -186,11 +176,10 @@ class MlpModel:
             b1=np.array(payload["b1"], dtype=float),
             w2=np.array(payload["w2"], dtype=float),
             b2=float(payload["b2"]),
-            feature_constants=tuple(tuple(c) for c in payload["feature_constants"]),
-            target_constants=tuple(payload["target_constants"]),
+            **read_scaling(payload),
         )
         d, h = len(model.input_columns), len(model.b1)
-        check_shapes(model, payload, w1=(d, h), b1=(h,), w2=(h,), b2=())
+        check_shapes(model, w1=(d, h), b1=(h,), w2=(h,), b2=())
         return model
 
 

@@ -63,15 +63,6 @@ class DeteriorationModel:
     def to_json(self) -> str:
         return json.dumps({"format": "pipelife-deterioration-v1", **self.to_dict()}, indent=2)
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DeteriorationModel":
-        return cls(
-            material=payload["material"],
-            terms=tuple((float(c), int(a), int(w)) for c, a, w in payload["terms"]),
-            r2_fit=float(payload["r2_fit"]),
-            degenerate=bool(payload.get("degenerate", False)),
-        )
-
     def formula(self) -> str:
         parts = []
         for coef, a_pow, w_pow in self.terms:

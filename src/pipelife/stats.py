@@ -13,12 +13,12 @@ tolerance well below 1e-10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import COLUMN_MODE_PRECISION, CSV_COLUMNS, FEATURE_COLUMNS, TARGET_COLUMN, Dataset
+from .data import COLUMN_MODE_PRECISION, CSV_COLUMNS, REQUIRED_COLUMNS, TARGET_COLUMN, Dataset
 from .errors import (
     ConstantSeries,
     DegenerateWithinVariance,
@@ -125,15 +125,6 @@ class SummaryStats:
     mean: float
     std: float   # sample std, n-1 denominator
     mode: float
-
-    def to_dict(self) -> dict:
-        return {
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "std": self.std,
-            "mode": self.mode,
-        }
 
 
 def summarize(series, precision: int = 0) -> SummaryStats:
@@ -281,23 +272,10 @@ class FeatureSignificance:
     significant: bool
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "pearson_r": self.pearson_r,
-            "anova_f": self.anova_f,
-            "anova_p": self.anova_p,
-            "t_stat": self.t_stat,
-            "t_p": self.t_p,
-            "significant": self.significant,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class SignificanceReport:
     features: tuple
-    alpha: float = SIGNIFICANCE_ALPHA
 
     def for_feature(self, name: str) -> FeatureSignificance:
         for f in self.features:
@@ -306,7 +284,7 @@ class SignificanceReport:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "features": [f.to_dict() for f in self.features]}
+        return {"alpha": SIGNIFICANCE_ALPHA, "features": [asdict(f) for f in self.features]}
 
     def render(self) -> str:
         header = (
@@ -343,24 +321,23 @@ def significance_report(dataset: Dataset) -> SignificanceReport:
         raise EmptySeries("significance report requires rul targets")
     target = dataset.column("rul_years")
     results = []
-    for name in FEATURE_COLUMNS:
+    for name in REQUIRED_COLUMNS:
         feature = dataset.column(name)
-        note = ""
+        notes = []
         try:
             r = pearson(feature, target)
         except ConstantSeries:
             r = None
-            note = "constant feature"
+            notes.append("constant feature")
         groups = _quantile_groups(feature, target)
-        if len(groups) >= 2:
+        f_value, p_value = 0.0, 1.0
+        if len(groups) < 2:
+            notes.append("too few distinct bins")
+        else:
             try:
                 f_value, p_value = anova_one_way(groups)
             except DegenerateWithinVariance:
-                f_value, p_value = 0.0, 1.0
-                note = (note + "; " if note else "") + "degenerate ANOVA"
-        else:
-            f_value, p_value = 0.0, 1.0
-            note = (note + "; " if note else "") + "too few distinct bins"
+                notes.append("degenerate ANOVA")
         median = float(np.median(feature))
         low = target[feature <= median]
         high = target[feature > median]
@@ -369,7 +346,7 @@ def significance_report(dataset: Dataset) -> SignificanceReport:
             t_stat, t_p = tt.t, tt.p
         else:
             t_stat, t_p = 0.0, 1.0
-            note = (note + "; " if note else "") + "degenerate median split"
+            notes.append("degenerate median split")
         results.append(
             FeatureSignificance(
                 feature=name,
@@ -379,7 +356,7 @@ def significance_report(dataset: Dataset) -> SignificanceReport:
                 t_stat=t_stat,
                 t_p=t_p,
                 significant=p_value < SIGNIFICANCE_ALPHA,
-                note=note,
+                note="; ".join(notes),
             )
         )
-    return SignificanceReport(tuple(results), SIGNIFICANCE_ALPHA)
+    return SignificanceReport(tuple(results))

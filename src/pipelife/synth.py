@@ -198,7 +198,7 @@ def generate(config: GeneratorConfig = GeneratorConfig()) -> Dataset:
                "install_year": install_year, "wall_thickness_loss_pct": wtl, "rul_years": rul}
     for values in numeric.values():
         values.setflags(write=False)  # so the Dataset keeps, not copies, each float column
-    dataset = Dataset(numeric, codes, DEFAULT_REFERENCE_YEAR)
+    dataset = Dataset(numeric, codes)
     failing = [name for name, passes in validity_checks(dataset.numeric, DEFAULT_REFERENCE_YEAR)
                if not passes.all()]
     if failing:

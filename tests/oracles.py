@@ -5,7 +5,8 @@ least-squares refit per candidate, each row's first failing validity check
 (`first_failing_column`), and the CSV ingest as a whole-file read
 (`read_table`) followed by a column-wise parse (`clean_table`), which also
 names the rows it keeps (`kept_rows`), and whose echo writes each kept row
-through the stdlib csv.writer (`csv_line`)."""
+through the stdlib csv.writer (`csv_line`); and a deterioration model read
+back from its document (`deterioration_from_dict`)."""
 
 import csv
 import io
@@ -147,6 +148,16 @@ def fit_greedy_by_refit(age, wtl, rul, degree, material="Custom"):
     )
 
 
+def deterioration_from_dict(payload: dict) -> regression.DeteriorationModel:
+    """The model a deterioration document's to_dict keys describe."""
+    return regression.DeteriorationModel(
+        material=payload["material"],
+        terms=tuple((float(c), int(a), int(w)) for c, a, w in payload["terms"]),
+        r2_fit=float(payload["r2_fit"]),
+        degenerate=bool(payload.get("degenerate", False)),
+    )
+
+
 def first_failing_column(numeric, reference_year: int) -> np.ndarray:
     """Each row's first failing column among `validity_checks`, '' when the
     row is valid."""
@@ -277,7 +288,7 @@ def clean_table(header: Sequence[str], columns: Sequence[Sequence[str]], referen
         drops_by_column={str(labels[k]): int(counts[k]) for k in np.argsort(first)},
     )
     numeric = {name: values[kept] for name, values in parsed.items()}
-    return Dataset(numeric, codes[kept], reference_year), report, kept_rows
+    return Dataset(numeric, codes[kept]), report, kept_rows
 
 
 def csv_line(cells) -> str:

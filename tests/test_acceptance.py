@@ -158,7 +158,7 @@ def test_criterion_05_anfis_structural_invariants():
             d = int(rng.integers(1, 4))
             m = int(rng.integers(2, 4))
             model = anfis.AnfisModel(
-                inputs=tuple(f"f{i}" for i in range(d)),
+                input_columns=tuple(f"f{i}" for i in range(d)),
                 centers=rng.uniform(0, 1, (d, m)),
                 sigmas=rng.uniform(0.05, 0.6, (d, m)),
                 consequents=rng.normal(0, 1, (m**d, d + 1)),

@@ -55,7 +55,7 @@ def toy_sine_matrix(n=50, with_split=False):
 def single_rule_model(center=0.4, sigma=0.2, coeffs=(2.0, 0.5)):
     """One input, one membership function, one rule (built directly)."""
     return AnfisModel(
-        inputs=("x",),
+        input_columns=("x",),
         centers=np.array([[center]]),
         sigmas=np.array([[sigma]]),
         consequents=np.array([list(coeffs)]),
@@ -90,7 +90,7 @@ def test_init_grid_too_few_mfs():
 
 def test_init_grid_repeated_input_is_invalid():
     fm = toy_sine_matrix()
-    assert init_grid(("x",), 2, fm).inputs == ("x",)  # one input is a model
+    assert init_grid(("x",), 2, fm).input_columns == ("x",)  # one input is a model
     with pytest.raises(InvalidConfig):
         init_grid(("x", "x"), 2, fm)
 
@@ -137,7 +137,7 @@ def test_infer_single_rule_normalization():
 
 def test_infer_symmetric_rules_share_weight():
     model = AnfisModel(
-        inputs=("x",),
+        input_columns=("x",),
         centers=np.array([[0.3, 0.7]]),
         sigmas=np.array([[0.2, 0.2]]),
         consequents=np.array([[1.0, 0.0], [3.0, 0.0]]),
@@ -309,13 +309,13 @@ def test_lse_never_increases_training_mse():
     model = init_grid(("x",), 4, fm)
     _, history = hybrid_train(model, fm, epochs=15, learning_rate=0.05)
     # the training solve is a ridge: it minimizes MSE + RIDGE |theta|^2, not MSE
-    x, t, _, _ = fm.split_arrays(model.inputs)
+    x, t, _, _ = fm.split_arrays(model.input_columns)
     replay = model.copy()
-    for pre, post in zip(history.pre_lse_mse, history.post_lse_mse):
+    for pre, rmse in zip(history.pre_lse_mse, history.train_rmse):
         penalty_pre = anfis.RIDGE * np.sum(replay.consequents ** 2)
         lse_consequents(replay, x, t)
         penalty_post = anfis.RIDGE * np.sum(replay.consequents ** 2)
-        assert post + penalty_post <= pre + penalty_pre + 1e-12
+        assert rmse ** 2 + penalty_post <= pre + penalty_pre + 1e-12
         _premise_step(replay, x, t, 0.05)
 
 
@@ -467,7 +467,7 @@ def test_hybrid_logged_mse_matches_recomputed(collinear):
     for epoch in range(3):
         assert history.pre_lse_mse[epoch] == _rmse(replay, x, t) ** 2
         lse_consequents(replay, x, t)
-        assert history.post_lse_mse[epoch] == _rmse(replay, x, t) ** 2
+        assert history.train_rmse[epoch] == _rmse(replay, x, t)
         _premise_step(replay, x, t, 0.02)
 
 
@@ -613,7 +613,7 @@ def test_hybrid_training_peaks_below_2_75_n_by_r_arrays():
     # it for the QR peaked at ~3.0 n x R arrays here, and the whole design
     # at ~6
     model, fm = models_5k_shape()
-    n = fm.split_arrays(model.inputs)[0].shape[0]
+    n = fm.split_arrays(model.input_columns)[0].shape[0]
     assert n >= 3000
     peak = traced_peak(lambda: hybrid_train(model, fm, epochs=2))
     assert peak <= 2.75 * n * model.n_rules * 8
@@ -634,7 +634,7 @@ def test_predict_batch_peaks_below_1_5_n_by_r_arrays():
     # the (R / m) x n product it is built from; holding the unnormalized
     # firing, the normalized one and the whole rule outputs peaked at ~3.0
     model, fm = models_5k_shape()
-    raw = fm.raw_matrix(model.inputs)
+    raw = fm.raw_matrix(model.input_columns)
     peak = traced_peak(lambda: model.predict_batch(raw))
     assert peak <= 1.5 * len(raw) * model.n_rules * 8
 
@@ -805,7 +805,7 @@ def sensitivity_cases():
 def test_anfis_sensitivity_matches_predict_batch_differences(sensitivity_cases, case):
     model, fm = sensitivity_cases[case]
     if case == "clipped":
-        raw = fm.raw_matrix(model.inputs)
+        raw = fm.raw_matrix(model.input_columns)
         at_bound = np.isin(model.predict_batch(raw), model.target_constants).mean()
         assert 0.1 < at_bound < 0.9
     ranking = sensitivity_ranking(model, fm)
@@ -817,9 +817,9 @@ def test_anfis_sensitivity_matches_predict_batch_differences(sensitivity_cases, 
 
 def test_anfis_sensitivity_raises_where_predict_batch_does(sensitivity_cases):
     model, fm = sensitivity_cases["collinear_4mf"]
-    raw = fm.raw_matrix(model.inputs)[:5].copy()
+    raw = fm.raw_matrix(model.input_columns)[:5].copy()
     raw[3, 1] = 1e6        # far outside the trained wall-loss range
-    far = matrix_from_columns(dict(zip(model.inputs, raw.T)))
+    far = matrix_from_columns(dict(zip(model.input_columns, raw.T)))
     errors = []
     for candidate in (model, PredictBatchOnly(model)):
         with pytest.raises(AllRulesZero) as exc:
@@ -871,9 +871,9 @@ def test_minmax_predictions_lie_inside_the_target_range(minmax_models, raw):
 def test_contour_grid_equals_one_predict_batch_per_x(sensitivity_cases):
     model, fm = sensitivity_cases["collinear_4mf"]
     x_input, y_input = "age_years", "wall_thickness_loss_pct"
-    raw = fm.raw_matrix(model.inputs)
+    raw = fm.raw_matrix(model.input_columns)
     medians = np.median(raw, axis=0)
-    xi, yi = model.inputs.index(x_input), model.inputs.index(y_input)
+    xi, yi = model.input_columns.index(x_input), model.input_columns.index(y_input)
     xs = np.linspace(raw[:, xi].min(), raw[:, xi].max(), 25)
     ys = np.linspace(raw[:, yi].min(), raw[:, yi].max(), 25)
     expected = []

@@ -643,6 +643,31 @@ def dirty_csv(small_csv, tmp_path_factory):
     return path
 
 
+CLEANING_KEYS = ["rows_read", "rows_kept", "rows_dropped", "drops_by_column"]
+
+
+def test_json_outputs_keep_their_key_order(small_csv, tmp_path, capsys):
+    # these blocks are written from dataclass fields, so their key order is
+    # the order of the fields; reordering a field changes the documents
+    assert run(["stats", "--json", "--in", str(small_csv)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["cleaning", "summary", "significance"]
+    assert list(payload["cleaning"]) == CLEANING_KEYS
+    assert list(payload["summary"]) == list(CSV_COLUMNS)
+    for summary in payload["summary"].values():
+        assert list(summary) == ["min", "max", "mean", "std", "mode"]
+    assert list(payload["significance"]) == ["alpha", "features"]
+    for feature in payload["significance"]["features"]:
+        assert list(feature) == ["feature", "pearson_r", "anova_f", "anova_p", "t_stat", "t_p",
+                                 "significant", "note"]
+    out_dir = tmp_path / "fit"
+    assert run(["fit-regression", "--in", str(small_csv), "--out-dir", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "fit_regression_manifest.json").read_text())
+    assert list(manifest["cleaning"]) == CLEANING_KEYS
+    assert list(mlp.MlpConfig().to_dict()) == ["input_columns", "hidden_neurons", "activation",
+                                                "epochs", "restarts", "seed", "name"]
+
+
 def test_stats_drops_non_finite_cells(dirty_csv, capsys):
     assert run(["stats", "--json", "--in", str(dirty_csv)]) == 0
     cleaning = json.loads(capsys.readouterr().out)["cleaning"]

@@ -66,7 +66,7 @@ def make_record(age=30, diameter=8.0, length=500.0, material=Material.CAST_IRON,
 def dataset_of(records):
     columns = dict(zip(CSV_COLUMNS, np.array(records, dtype=float).reshape(-1, len(CSV_COLUMNS)).T))
     materials = columns.pop("material")
-    return Dataset(columns, materials, REF_YEAR)
+    return Dataset(columns, materials)
 
 
 def read_blocks(path):
@@ -476,7 +476,7 @@ def ingest_row_by_row(path, reference_year):
     )
     valid = checked == ""
     materials = columns.pop("material")[valid]
-    dataset = Dataset({name: v[valid] for name, v in columns.items()}, materials, reference_year)
+    dataset = Dataset({name: v[valid] for name, v in columns.items()}, materials)
     return dataset, report, kept_rows
 
 
@@ -963,7 +963,7 @@ def test_a_dataset_copies_a_callers_writeable_arrays():
     base, materials, split = np.arange(1.0, 4.0), np.zeros(3, np.int8), np.zeros(3, np.int8)
     view = base[:]  # a read-only view of a writeable array is copied too
     view.setflags(write=False)
-    dataset = Dataset(dict(columns, age_years=view), materials, REF_YEAR, split)
+    dataset = Dataset(dict(columns, age_years=view), materials, split)
     for values in (base, materials, split, *columns.values()):
         assert values.flags.writeable
         values[:] = 2

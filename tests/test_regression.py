@@ -22,7 +22,7 @@ from pipelife.regression import (
     predict_rul,
 )
 
-from oracles import fit_greedy_by_refit
+from oracles import deterioration_from_dict, fit_greedy_by_refit
 
 # Hand-evaluated grid points for the four published models, exact to 1e-9.
 # CI:    Y = -0.342 A^2 + 0.0548 W + 48.163
@@ -182,7 +182,7 @@ def test_fit_degenerate_design_flagged():
     assert fitted == pytest.approx(list(y), abs=1e-8)
     payload = json.loads(model.to_json())
     assert payload["degenerate"] is True
-    assert DeteriorationModel.from_dict(payload) == model
+    assert deterioration_from_dict(payload) == model
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -332,7 +332,7 @@ def test_halflife_nonpositive_baseline():
 def test_model_json_round_trip():
     model = builtin("DI")
     payload = json.loads(model.to_json())
-    back = DeteriorationModel.from_dict(payload)
+    back = deterioration_from_dict(payload)
     assert back.terms == model.terms
     assert back.r2_fit == model.r2_fit
     assert back.material == "DI"

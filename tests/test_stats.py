@@ -283,6 +283,22 @@ def test_significance_report_serializes():
     assert "age_years" in rendered
 
 
+def test_significance_notes_name_each_degenerate_step():
+    dataset = synth.generate(synth.GeneratorConfig(n=40, seed=3))
+    constant = dict(dataset.numeric, diameter_in=np.full(40, 6.0))
+    report = significance_report(dataclasses.replace(dataset, numeric=constant))
+    assert report.for_feature("diameter_in").note == (
+        "constant feature; too few distinct bins; degenerate median split")
+    assert report.for_feature("age_years").note == ""
+    # the row with 0 breaks is alone in its quartile bin, which is left out,
+    # and the target is one value in the other three bins
+    breaks = np.repeat([0.0, 1.0, 2.0, 3.0], [1, 13, 13, 13])
+    flat = dict(dataset.numeric, breaks=breaks, rul_years=np.where(breaks == 0, 50.0, 30.0))
+    screened = significance_report(dataclasses.replace(dataset, numeric=flat)).for_feature("breaks")
+    assert screened.note == "degenerate ANOVA"
+    assert (screened.anova_f, screened.anova_p) == (0.0, 1.0)
+
+
 def test_anova_degenerate_group_conventions():
     # constant but separated groups: infinite separation, zero p
     f, p = anova_one_way([[1.0, 1.0], [2.0, 2.0]])

@@ -8,6 +8,7 @@ from pipelife.data import MATERIALS, NUMERIC_COLUMNS, Dataset, Material
 from pipelife.errors import EmptyDataset, InvalidConfig
 from pipelife.stats import pearson
 from pipelife.synth import (
+    DEFAULT_REFERENCE_YEAR,
     MAX_RECORDS,
     RUL_CLIP,
     RUL_NOISE_SD,
@@ -52,7 +53,7 @@ def test_determinism():
 
 
 def test_every_record_satisfies_invariants(dataset):
-    failing = first_failing_column(dataset.numeric, dataset.reference_year)
+    failing = first_failing_column(dataset.numeric, DEFAULT_REFERENCE_YEAR)
     assert (failing == "").all()
     assert len(dataset) == 5000
 
@@ -155,7 +156,7 @@ def test_durable_materials_have_more_life(dataset):
 
 def test_install_year_consistency(dataset):
     install_year, age = dataset.column("install_year"), dataset.column("age_years")
-    assert np.array_equal(install_year, dataset.reference_year - age)
+    assert np.array_equal(install_year, DEFAULT_REFERENCE_YEAR - age)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 42])
@@ -198,11 +199,11 @@ def test_moment_report_contents(dataset):
 
 def test_moment_report_single_record():
     record = dict(zip(NUMERIC_COLUMNS, ([30], [8.0], [100.0], [1], [1981], [20.0], [50.0])))
-    report = moment_report(Dataset(record, [MATERIALS.index(Material.STEEL)], 2011))
+    report = moment_report(Dataset(record, [MATERIALS.index(Material.STEEL)]))
     stats = {name: s for name, s, _ in report.columns}["age_years"]
     assert stats.std == 0.0
 
 
 def test_moment_report_empty():
     with pytest.raises(EmptyDataset):
-        moment_report(Dataset({name: [] for name in NUMERIC_COLUMNS}, [], 2011))
+        moment_report(Dataset({name: [] for name in NUMERIC_COLUMNS}, []))

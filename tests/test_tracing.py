@@ -1,12 +1,23 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps the functions it
-names in `TRACED` by name, so renaming or deleting one of them breaks every
-traced benchmark run; this test catches that with the unit tests."""
+names in `TRACED` by name, and its set-up (perfbench/workloads.py) calls
+library functions and constants by name, so renaming or deleting one of
+them breaks every benchmark run; these tests catch that with the unit
+tests."""
 
 import importlib
+import importlib.util
+import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+import pytest
+
+from pipelife import anfis, cli, data, mlp, synth
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def traced_function(module: str, attr: str):
@@ -32,3 +43,25 @@ def test_the_benchmark_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for key, original in originals.items():
         assert traced_function(*key) is original, key
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, loaded from its file (its dataclasses look
+    their module up in sys.modules)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_the_benchmark_set_up_and_operations_pass_their_checks(tmp_path, capsys, name):
+    wl = benchmark_workloads()
+    workload = wl.tiny(wl.WORKLOADS[name])
+    pl = SimpleNamespace(anfis=anfis, data=data, mlp=mlp, synth=synth)
+    inp = wl.set_up(pl, workload, 11, tmp_path)
+    for op in wl.OPS:
+        capsys.readouterr()
+        assert cli.main(wl.argv(op, workload, inp, 11)) == 0, op
+        problems, _ = wl.check(op, workload, inp, 11, capsys.readouterr().out)
+        assert problems == [], op
