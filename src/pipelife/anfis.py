@@ -42,16 +42,22 @@ value 1e-8 sits in the middle of the 1e-10..1e-6 range over which the
 validation RMSE is flat, and it bounds the condition number of the system
 by 1 + (d + 1) / RIDGE for inputs in [0, 1], so the normal equations lose
 at most ~1e-7 relative.  A solve's rank (lse_rank) is the r k directions
-kept, and it is degenerate (lse_degenerate) when r k < R (d + 1).  One
-forward pass per epoch feeds the logged train MSE before the solve and
-RMSE after it, the solve and the premise gradient.
+kept, and it is degenerate (lse_degenerate) when r k < R (d + 1).
+
+An epoch of hybrid training makes one firing pass (`_firing`), which builds
+Wbar for the solve, and after the solve one pass of the rule outputs
+(`_output_pass`), which gives the train output and, when a premise step
+follows, the premise gradient.  That pass is the only code that forms rule
+outputs for layer 5 or the gradient, so `_forward` and `_premise_gradients`
+go through it too.  Training ends at its epoch cap or once the validation
+RMSE stops improving (`hybrid_train`).
 
 Arrays with a row axis are laid out rules-first: the row axis is last and
 contiguous, so the memberships are d x m x n and the firing w, the
 normalized firing Wbar and the rule outputs F are R x n, all in C order.
 Every elementwise product and every sum over rules or MFs then runs along
 the rows, and a sum over the leading rule axis adds the rules one at a
-time, in rule order, for each row.  `_forward` hands Wbar out as its (n, R)
+time, in rule order, for each row.  `_firing` hands Wbar out as its (n, R)
 transpose, so the layer trace and the solve's design keep their n x R
 shape.  F comes from einsum over the contiguous d x n inputs, not from
 BLAS, which keeps a row's bits in every batch only as x Theta^T, n x R,
@@ -63,21 +69,20 @@ joins the block before it), and `predict_batch` predicts a lone row as a
 pair: a row's prediction does not depend on its batch.
 
 Training memory is counted in R x n arrays (7.7 MB at 3,750 rows and 256
-rules).  An epoch keeps one, the normalized firing Wbar, with the outputs y:
-the forward pass normalizes the firing in place, and both are released
-before the next epoch's pass.  Every other pass over the rows works on
-blocks of rows.  Layer 5, the post-solve train output and the premise
-gradient form the R x B rule outputs of one block of LSE_BLOCK_ROWS rows at
-a time; the gradient turns them in place into dL/dw_r w_r =
+rules).  An epoch keeps one, the normalized firing Wbar: the firing pass
+normalizes the firing in place, and Wbar is released before the next
+epoch's pass.  Every other pass over the rows works on blocks of rows.  The
+output pass forms the R x B rule outputs of one block of LSE_BLOCK_ROWS
+rows at a time; the gradient turns them in place into dL/dw_r w_r =
 (2/n) e (f_r - y) wbar_r and reduces each block with one product against
 every input's MF indicators.  Psi is never formed whole: its r k columns,
 up to R (d + 1), would make it 2.3 R x n arrays at the 600 columns of a
 256-rule, 4-input solve, so each block's Psi^T is built as (k, r, B) from
 that block's rows of Wbar and [x, 1], and Psi^T Psi and Psi^T y are summed
-over the blocks.  The QR copies one block of QR_BLOCK_ROWS rows of Wbar at
-a time.  hybrid_train peaks near 2.3 R x n (tracemalloc, 3,750 rows and 256
-rules; 2.0 at 15,000 rows and 32 rules) and `predict_batch` near 1.3 R x n
-(256 rules).
+over the blocks, each block's Psi^T Psi through one r k x r k buffer.  The
+QR copies one block of QR_BLOCK_ROWS rows of Wbar at a time.  hybrid_train
+peaks near 2.3 R x n (tracemalloc, 3,750 rows and 256 rules; 2.1 at 15,000
+rows and 32 rules) and `predict_batch` near 1.3 R x n (256 rules).
 
 The sensitivity ranking moves one input at a time.  For an ANFIS model it
 makes one pass per input of sums over the rules that both moves share (the
@@ -113,7 +118,7 @@ from .errors import (
 
 DEFAULT_INPUTS = ("age_years", "wall_thickness_loss_pct", "install_year")
 DEFAULT_MFS = 2
-DEFAULT_EPOCHS = 50
+DEFAULT_EPOCHS = 50  # the cap on hybrid training's epochs
 DEFAULT_LEARNING_RATE = 0.02
 RULE_CAP = 256  # init_grid refuses a grid of more rules
 SIGMA_FLOOR = 1e-4
@@ -121,6 +126,12 @@ FIRING_FLOOR = 1e-300
 SENSITIVITY_STEP = 0.01  # central-difference step, as a fraction of the input's range
 CONTOUR_GRID_SIZE = 25    # contour points along each of its two inputs
 RIDGE = 1e-8  # ridge lambda of hybrid training's consequent solve; see the module docstring
+# hybrid training stops once the validation RMSE of STOP_PATIENCE epochs in a
+# row has not fallen below the best before them by STOP_TOLERANCE of it.  On
+# the default inputs it falls by ~1e-7 of itself an epoch after the first;
+# five epochs is Prechelt's strip length
+STOP_TOLERANCE = 1e-4
+STOP_PATIENCE = 5
 # rows of the solve's design Psi formed at a time, and of the rule outputs
 # in layer 5 and the premise gradient.  A Psi block holds at most
 # 512 R (d + 1) numbers (2.4 MB at the 600 columns of a 256-rule, 4-input
@@ -314,17 +325,21 @@ def _row_blocks(n: int, size: int) -> list:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _forward(model: AnfisModel, x: np.ndarray):
-    """Layers 1-5 for a batch of normalized rows.
-
-    Returns (y, wbar) with shapes (n,) and (n, R); wbar is the transpose of
-    an R x n array in C order (see the module docstring), the firing
-    normalized in place.
-    """
+def _firing(model: AnfisModel, x: np.ndarray) -> np.ndarray:
+    """Layers 1-3 for a batch of normalized rows: the normalized firing
+    wbar, (n, R), the transpose of an R x n array in C order (see the module
+    docstring), normalized in place."""
     w = _grid_product(_memberships(model, x))         # R x n
     # a sum over the leading axis adds the rules one at a time, in rule order
     w /= _checked_total(w.sum(axis=0))
-    return _output(model, x, w.T), w.T
+    return w.T
+
+
+def _forward(model: AnfisModel, x: np.ndarray):
+    """Layers 1-5 for a batch of normalized rows: (y, wbar) with shapes (n,)
+    and (n, R), wbar as `_firing` returns it."""
+    wbar = _firing(model, x)
+    return _output_pass(model, x, wbar)[0], wbar
 
 
 def _rule_outputs(model: AnfisModel, x: np.ndarray) -> np.ndarray:
@@ -336,19 +351,48 @@ def _rule_outputs(model: AnfisModel, x: np.ndarray) -> np.ndarray:
     return f.T
 
 
-def _output(model: AnfisModel, x: np.ndarray, wbar: np.ndarray) -> np.ndarray:
-    """Layer 5, sum_r wbar_r f_r, for wbar as `_forward` returns it, from
-    the R x B rule outputs of one `_row_blocks` block of LSE_BLOCK_ROWS
-    rows at a time.  The product runs along the rows and the sum adds the
-    rules one at a time for each row, so a row's output does not depend on
-    the batch or block of two or more rows it is in (see the module
-    docstring)."""
-    y = np.empty(len(x))
-    for rows in _row_blocks(len(x), LSE_BLOCK_ROWS):
+def _output_pass(model: AnfisModel, x: np.ndarray, wbar: np.ndarray, t=None):
+    """Layer 5, y = sum_r wbar_r f_r, for wbar as `_firing` returns it and,
+    given targets t, the analytic gradient of the MSE against t with respect
+    to the centers and the sigmas: (y, (grad_c, grad_s)), or (y, None)
+    without t.
+
+    The R x B rule outputs f of one `_row_blocks` block of LSE_BLOCK_ROWS
+    rows are formed once and serve both.  Each product runs along the rows
+    and the sum adds the rules one at a time for each row, so a row's output
+    does not depend on the batch or block of two or more rows it is in (see
+    the module docstring).
+    """
+    n = len(x)
+    y = np.empty(n)
+    if t is not None:
+        d, m = model.centers.shape
+        # row (i, j) of the indicators is 1 on the rules that use MF j of input i
+        indicators = np.eye(m)[model.rules].reshape(-1, d * m).T
+        acc = np.empty((d * m, n))
+    for rows in _row_blocks(n, LSE_BLOCK_ROWS):
         f = _rule_outputs(model, x[rows]).T
-        f *= wbar[rows].T
-        y[rows] = f.sum(axis=0)
-    return y
+        wb = wbar[rows].T
+        if t is None:
+            f *= wb
+            y[rows] = f.sum(axis=0)
+            continue
+        yb = y[rows] = (f * wb).sum(axis=0)
+        # dL/dw_r = (2/n) e (f_r - y) / S; chained onto w_r itself for the
+        # log-derivative form, w_r / S = wbar_r; built in place in f
+        f -= yb
+        f *= wb
+        f *= (2.0 / n) * (yb - t[rows])
+        acc[:, rows] = indicators @ f
+    if t is None:
+        return y, None
+    acc = acc.reshape(d, m, n)
+    diff = x.T[:, None, :] - model.centers[:, :, None]     # d x m x n
+    acc *= diff
+    grad_c = acc.sum(axis=2) / model.sigmas**2
+    acc *= diff
+    grad_s = acc.sum(axis=2) / model.sigmas**3
+    return y, (grad_c, grad_s)
 
 
 def _row_span(a: np.ndarray) -> np.ndarray:
@@ -382,19 +426,22 @@ def lse_consequents(
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if wbar is None:
-        _, wbar = _forward(model, x)
+        wbar = _firing(model, x)
     n = wbar.shape[0]
     x1 = np.hstack([x, np.ones((n, 1))])
     v_k, v_r = _row_span(x1), _row_span(wbar)
     k, r = len(v_k), len(v_r)
     gram, rhs = np.zeros((k * r, k * r)), np.zeros(k * r)
+    product = np.empty_like(gram)   # one buffer for every block's Psi_b^T Psi_b
     for rows in _row_blocks(n, LSE_BLOCK_ROWS):
         # Psi_b^T as (k, r, B): z_b (x) g_b with g_b = V_r Wbar_b^T and
         # z_b = V_k [x_b, 1]^T, the row axis last
         g = v_r @ wbar[rows].T
         psi_t = ((v_k @ x1[rows].T)[:, None, :] * g).reshape(k * r, -1)
-        gram += psi_t @ psi_t.T
+        np.matmul(psi_t, psi_t.T, out=product)
+        gram += product
         rhs += psi_t @ y[rows]
+        del g, psi_t   # so that the next block's are not built beside them
     gram.flat[::k * r + 1] += RIDGE * n
     c = np.linalg.solve(gram, rhs)
     model.consequents = v_r.T @ c.reshape(k, r).T @ v_k
@@ -402,41 +449,15 @@ def lse_consequents(
     return model
 
 
-def _premise_gradients(model: AnfisModel, x: np.ndarray, t: np.ndarray, state=None):
-    """Analytic d(MSE)/d(center), d(MSE)/d(sigma) through all five layers.
-
-    state is (y, wbar) of _forward(model, x) when the caller already has it.
-    """
-    n, d = x.shape
-    m = model.centers.shape[1]
-    y, wbar = _forward(model, x) if state is None else state
-    scale = (2.0 / n) * (y - t)
-    # row (i, j) of the indicators is 1 on the rules that use MF j of input i
-    indicators = np.eye(m)[model.rules].reshape(-1, d * m).T
-    acc = np.empty((d * m, n))
-    for rows in _row_blocks(n, LSE_BLOCK_ROWS):
-        # dL/dw_r = (2/n) e (f_r - y) / S; chained onto w_r itself for the
-        # log-derivative form, w_r / S = wbar_r; built in place in the
-        # block's R x B rule outputs
-        glw = _rule_outputs(model, x[rows]).T
-        glw -= y[rows]
-        glw *= wbar[rows].T
-        glw *= scale[rows]
-        acc[:, rows] = indicators @ glw
-    acc = acc.reshape(d, m, n)
-    diff = x.T[:, None, :] - model.centers[:, :, None]     # d x m x n
-    acc *= diff
-    grad_c = acc.sum(axis=2) / model.sigmas**2
-    acc *= diff
-    grad_s = acc.sum(axis=2) / model.sigmas**3
-    return grad_c, grad_s
+def _premise_gradients(model: AnfisModel, x: np.ndarray, t: np.ndarray):
+    """Analytic d(MSE)/d(center), d(MSE)/d(sigma) through all five layers."""
+    return _output_pass(model, x, _firing(model, x), t)[1]
 
 
-def _premise_step(
-    model: AnfisModel, x: np.ndarray, t: np.ndarray, lr: float, state=None
-) -> None:
-    """One gradient-descent step on centers and sigmas, widths floored."""
-    grad_c, grad_s = _premise_gradients(model, x, t, state)
+def _premise_step(model: AnfisModel, grads, lr: float) -> None:
+    """One gradient-descent step on centers and sigmas along grads, as
+    `_premise_gradients` gives them, widths floored."""
+    grad_c, grad_s = grads
     model.centers -= lr * grad_c
     model.sigmas -= lr * grad_s
     np.clip(model.sigmas, SIGMA_FLOOR, None, out=model.sigmas)
@@ -446,9 +467,9 @@ def _premise_step(
 class AnfisHistory:
     train_rmse: list = field(default_factory=list)
     val_rmse: list = field(default_factory=list)
-    pre_lse_mse: list = field(default_factory=list)
     lse_rank: list = field(default_factory=list)   # rank of each solve
     best_epoch: int = -1
+    stop: str = "cap"             # cap | patience
 
     def __len__(self) -> int:
         return len(self.train_rmse)
@@ -463,6 +484,15 @@ def _rmse(model: AnfisModel, x: np.ndarray, t: np.ndarray) -> float:
     return _rmse_of(y, t)
 
 
+def _stalled(scores: list) -> bool:
+    """No score of the last STOP_PATIENCE epochs is below the best score
+    before them by more than STOP_TOLERANCE of it."""
+    if len(scores) <= STOP_PATIENCE:
+        return False
+    before = min(scores[:-STOP_PATIENCE])
+    return min(scores[-STOP_PATIENCE:]) >= (1.0 - STOP_TOLERANCE) * before
+
+
 def hybrid_train(
     model: AnfisModel,
     features: FeatureMatrix,
@@ -472,14 +502,21 @@ def hybrid_train(
     """Hybrid learning: per epoch, ridge least-squares consequents then a
     gradient step on the Gaussian premises.
 
-    RMSE (normalized target units) is logged per epoch on the train and
-    validation splits right after the consequent solve, and the snapshot
+    An epoch makes one firing pass over the train split, which builds Wbar;
+    the consequent solve; and one pass of the rule outputs (`_output_pass`),
+    which gives the train output and, when a premise step follows, the
+    premise gradient.  RMSE (normalized target units) is logged per epoch on
+    the train and validation splits right after the solve, and the snapshot
     with the best validation RMSE is returned (the first epoch's, unless a
-    later one is strictly lower).  Widths are clamped at 1e-4.  The rank of
-    every solve is logged; history.lse_rank[history.best_epoch] is the
-    returned model's.  Epochs below 1, and a learning rate that is negative
-    or not finite, raise InvalidConfig; a rate of 0 trains the consequents
-    only.
+    later one is strictly lower).  Without a validation split the train RMSE
+    stands in for it.  Training stops at `epochs` ("cap"), or once the
+    validation RMSE of STOP_PATIENCE epochs in a row has not improved on the
+    best before them by STOP_TOLERANCE, relative ("patience"; L. Prechelt,
+    "Early stopping -- but when?", 1998); history.stop says which.  Widths
+    are clamped at 1e-4.  The rank of every solve is logged;
+    history.lse_rank[history.best_epoch] is the returned model's.  Epochs
+    below 1, and a learning rate that is negative or not finite, raise
+    InvalidConfig; a rate of 0 trains the consequents only.
     """
     if epochs < 1:
         raise InvalidConfig(f"epochs must be >= 1, got {epochs}")
@@ -492,25 +529,32 @@ def hybrid_train(
     history = AnfisHistory()
     best, best_score = None, np.inf
     for epoch in range(epochs):
-        # the premises are fixed until the step at the end of the epoch, so
-        # one forward pass serves every train-split quantity of the epoch
-        y, wbar = _forward(model, x_train)
-        history.pre_lse_mse.append(_rmse_of(y, t_train) ** 2)
+        wbar = _firing(model, x_train)
         lse_consequents(model, x_train, t_train, wbar=wbar)
         history.lse_rank.append(model.lse_rank)
-        y = _output(model, x_train, wbar)
+        # a step after the last epoch would change nothing that is returned;
+        # the validation RMSE, when there is one, tells before the train pass
+        # whether this epoch is the last
+        step = learning_rate > 0.0 and epoch + 1 < epochs
+        if t_val.size:
+            val_rmse = _rmse(model, x_val, t_val)
+            step = step and not _stalled(history.val_rmse + [val_rmse])
+        y, grads = _output_pass(model, x_train, wbar, t_train if step else None)
+        del wbar   # so that the next epoch's pass is not built beside it
         train_rmse = _rmse_of(y, t_train)
-        val_rmse = _rmse(model, x_val, t_val) if t_val.size else train_rmse
+        if not t_val.size:
+            val_rmse = train_rmse
         history.train_rmse.append(train_rmse)
         history.val_rmse.append(val_rmse)
         if best is None or val_rmse < best_score:
             best_score = val_rmse
             best = model.copy()
             history.best_epoch = epoch
-        # the step after the last epoch would change nothing that is returned
-        if learning_rate > 0.0 and epoch + 1 < epochs:
-            _premise_step(model, x_train, t_train, learning_rate, (y, wbar))
-        del y, wbar   # so that the next epoch's pass is not built beside them
+        if _stalled(history.val_rmse):
+            history.stop = "patience"
+            break
+        if step:
+            _premise_step(model, grads, learning_rate)
     best.trained = True
     return best, history
 

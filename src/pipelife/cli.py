@@ -238,7 +238,8 @@ def cmd_train_anfis(args) -> int:
     manifest = _write_manifest(
         args, out_dir, [model_path, rmse_path, rank_path, grid_path], started,
         cleaning=asdict(cleaning),
-        training={"best_epoch": history.best_epoch,
+        training={"best_epoch": history.best_epoch, "epochs": len(history),
+                  "stop": history.stop,
                   "lse_rank": history.lse_rank[history.best_epoch],
                   "lse_columns": trained.n_rules * (trained.n_inputs + 1),
                   "ridge": anfis.RIDGE},

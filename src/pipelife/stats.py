@@ -315,7 +315,9 @@ def significance_report(dataset: Dataset) -> SignificanceReport:
     Per feature: Pearson correlation with RUL, one-way ANOVA of RUL over
     ANOVA_BINS quantile bins of the feature, and a t-test of RUL between the
     below- and above-median halves.  significant <=> anova_p <
-    SIGNIFICANCE_ALPHA.
+    SIGNIFICANCE_ALPHA.  A feature whose correlation is undefined is noted
+    "constant feature", or "constant target" for every feature when the
+    target is constant.
     """
     if not dataset.has_rul():
         raise EmptySeries("significance report requires rul targets")
@@ -328,7 +330,8 @@ def significance_report(dataset: Dataset) -> SignificanceReport:
             r = pearson(feature, target)
         except ConstantSeries:
             r = None
-            notes.append("constant feature")
+            # a constant target leaves every feature's correlation undefined
+            notes.append("constant target" if np.ptp(target) == 0.0 else "constant feature")
         groups = _quantile_groups(feature, target)
         f_value, p_value = 0.0, 1.0
         if len(groups) < 2:

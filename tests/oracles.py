@@ -1,5 +1,7 @@
 """Reference computations that the ANFIS consequent solve is checked against,
-the five layers of one ANFIS inference pass, the rule lists that an ANFIS
+the five layers of one ANFIS inference pass, the ANFIS output and premise
+gradient as two passes that each form the rule outputs (`two_pass_output`,
+`two_pass_gradients`), the rule lists that an ANFIS
 model document must not load with, greedy term selection by one
 least-squares refit per candidate, each row's first failing validity check
 (`first_failing_column`), and the CSV ingest as a whole-file read
@@ -81,6 +83,42 @@ def consequent_design(model, x):
     x1 = np.hstack([x, np.ones((x.shape[0], 1))])
     blocks = wbar[:, :, None] * x1[:, None, :]
     return blocks.reshape(x.shape[0], -1)
+
+
+def two_pass_output(model, x, wbar):
+    """Layer 5, sum_r wbar_r f_r, from the R x B rule outputs of one block of
+    rows at a time, as its own pass."""
+    y = np.empty(len(x))
+    for rows in anfis._row_blocks(len(x), anfis.LSE_BLOCK_ROWS):
+        f = anfis._rule_outputs(model, x[rows]).T
+        f *= wbar[rows].T
+        y[rows] = f.sum(axis=0)
+    return y
+
+
+def two_pass_gradients(model, x, t):
+    """(y, (d(MSE)/d(center), d(MSE)/d(sigma))): y from `two_pass_output`, and
+    the gradient from a second pass that forms the rule outputs again."""
+    n, d = x.shape
+    m = model.centers.shape[1]
+    wbar = anfis._firing(model, x)
+    y = two_pass_output(model, x, wbar)
+    scale = (2.0 / n) * (y - t)
+    indicators = np.eye(m)[model.rules].reshape(-1, d * m).T
+    acc = np.empty((d * m, n))
+    for rows in anfis._row_blocks(n, anfis.LSE_BLOCK_ROWS):
+        glw = anfis._rule_outputs(model, x[rows]).T
+        glw -= y[rows]
+        glw *= wbar[rows].T
+        glw *= scale[rows]
+        acc[:, rows] = indicators @ glw
+    acc = acc.reshape(d, m, n)
+    diff = x.T[:, None, :] - model.centers[:, :, None]
+    acc *= diff
+    grad_c = acc.sum(axis=2) / model.sigmas**2
+    acc *= diff
+    grad_s = acc.sum(axis=2) / model.sigmas**3
+    return y, (grad_c, grad_s)
 
 
 # edits of a 3 x 3 grid's rule list that are not the grid, each index in range

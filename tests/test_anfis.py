@@ -33,7 +33,7 @@ from pipelife.errors import (
 )
 from pipelife.mlp import MlpConfig, init as mlp_init, train as mlp_train
 
-from oracles import NOT_THE_GRID, consequent_design, infer, ridge_lstsq
+from oracles import NOT_THE_GRID, consequent_design, infer, ridge_lstsq, two_pass_gradients
 
 
 def matrix_from_columns(named_columns, split=None):
@@ -256,6 +256,37 @@ def test_rules_are_the_grid_last_input_fastest(d, m):
     assert model.rules.tolist() == [list(r) for r in itertools.product(range(m), repeat=d)]
 
 
+# the benchmark's two ANFIS set-ups: inputs, MFs per input and train rows
+WORKLOAD_SHAPES = {"models_5k": (4, 4, 3750), "inventory_20k": (5, 2, 15000)}
+
+
+@pytest.mark.parametrize("rows", ["block-1", "block", "block+1", "workload"])
+@pytest.mark.parametrize("shape", sorted(WORKLOAD_SHAPES))
+def test_output_pass_equals_the_two_pass_oracle_bit_for_bit(shape, rows):
+    # one pass forms each block's rule outputs once for layer 5 and the
+    # premise gradient; a pass for each gave these same bits
+    d, m, n_train = WORKLOAD_SHAPES[shape]
+    block = anfis.LSE_BLOCK_ROWS
+    n = {"block-1": block - 1, "block": block, "block+1": block + 1, "workload": n_train}[rows]
+    rng = np.random.default_rng(n * 10 + d)
+    model = AnfisModel(
+        input_columns=tuple(f"f{i}" for i in range(d)),
+        centers=np.linspace(0.0, 1.0, m) + rng.normal(0, 0.05, (d, m)),
+        sigmas=rng.uniform(0.2, 0.6, (d, m)),
+        consequents=rng.normal(0, 1, (m**d, d + 1)),
+    )
+    x, t = rng.uniform(0, 1, (n, d)), rng.uniform(0, 1, n)
+    y_oracle, grads_oracle = two_pass_gradients(model, x, t)
+    wbar = anfis._firing(model, x)
+    y, grads = anfis._output_pass(model, x, wbar, t)
+    assert np.array_equal(y, y_oracle)
+    assert all(np.array_equal(g, g_oracle) for g, g_oracle in zip(grads, grads_oracle))
+    assert all(np.array_equal(g, g_oracle)
+               for g, g_oracle in zip(_premise_gradients(model, x, t), grads_oracle))
+    assert np.array_equal(anfis._output_pass(model, x, wbar)[0], y_oracle)
+    assert np.array_equal(_forward(model, x)[0], y_oracle)
+
+
 # -- least squares -----------------------------------------------------------------
 
 def test_lse_recovers_planted_consequents():
@@ -311,12 +342,13 @@ def test_lse_never_increases_training_mse():
     # the training solve is a ridge: it minimizes MSE + RIDGE |theta|^2, not MSE
     x, t, _, _ = fm.split_arrays(model.input_columns)
     replay = model.copy()
-    for pre, rmse in zip(history.pre_lse_mse, history.train_rmse):
+    for rmse in history.train_rmse:
+        pre = _rmse(replay, x, t) ** 2
         penalty_pre = anfis.RIDGE * np.sum(replay.consequents ** 2)
         lse_consequents(replay, x, t)
         penalty_post = anfis.RIDGE * np.sum(replay.consequents ** 2)
         assert rmse ** 2 + penalty_post <= pre + penalty_pre + 1e-12
-        _premise_step(replay, x, t, 0.05)
+        _premise_step(replay, _premise_gradients(replay, x, t), 0.05)
 
 
 def collinear_or_full_rank(collinear, n=80, seed=12):
@@ -388,7 +420,7 @@ def test_lse_matches_the_full_design_where_the_firing_spectrum_has_no_gap():
     x, y, _, _ = fm.split_arrays(inputs)
     model = init_grid(inputs, 4, fm)
     lse_consequents(model, x, y)
-    _premise_step(model, x, y, 0.02)
+    _premise_step(model, _premise_gradients(model, x, y), 0.02)
     _, wbar = _forward(model, x)
     s = np.linalg.svd(wbar, compute_uv=False)
     r = np.linalg.matrix_rank(wbar)
@@ -465,10 +497,9 @@ def test_hybrid_logged_mse_matches_recomputed(collinear):
     _, history = hybrid_train(model, fm, epochs=3, learning_rate=0.02)
     replay = model.copy()
     for epoch in range(3):
-        assert history.pre_lse_mse[epoch] == _rmse(replay, x, t) ** 2
         lse_consequents(replay, x, t)
         assert history.train_rmse[epoch] == _rmse(replay, x, t)
-        _premise_step(replay, x, t, 0.02)
+        _premise_step(replay, _premise_gradients(replay, x, t), 0.02)
 
 
 # -- hybrid training ------------------------------------------------------------------
@@ -568,7 +599,7 @@ def test_sigma_floor_enforced():
     i, j = positive[0]
     # a step this large would drive the width negative without the floor
     lr = float(2.0 * model.sigmas[i, j] / grad_s[i, j])
-    _premise_step(model, xs, ts, lr)
+    _premise_step(model, _premise_gradients(model, xs, ts), lr)
     assert np.all(model.sigmas >= 1e-4)
     assert model.sigmas[i, j] == pytest.approx(1e-4)
 
@@ -647,9 +678,64 @@ def test_hybrid_stays_bounded_on_collinear_default_inputs():
     fm = build_features(labeled, anfis.DEFAULT_INPUTS + ("rul_years",))
     model = init_grid(anfis.DEFAULT_INPUTS, 3, fm)
     trained, history = hybrid_train(model, fm, epochs=4)
-    assert all(mse < 1e-2 for mse in history.pre_lse_mse[1:])
+    x, t, _, _ = fm.split_arrays(model.input_columns)
+    replay, pre_lse_mse = model.copy(), []
+    for _ in history.train_rmse:
+        pre_lse_mse.append(_rmse(replay, x, t) ** 2)
+        lse_consequents(replay, x, t)
+        _premise_step(replay, _premise_gradients(replay, x, t), anfis.DEFAULT_LEARNING_RATE)
+    assert all(mse < 1e-2 for mse in pre_lse_mse[1:])
     assert max(history.val_rmse[1:]) <= 1.01 * history.val_rmse[0]
     assert np.abs(trained.consequents).max() < 100
+
+
+def test_stop_rule_counts_only_improvements_beyond_the_tolerance():
+    tau, patience = anfis.STOP_TOLERANCE, anfis.STOP_PATIENCE
+    # patience epochs that lower the score by tau / 2 in all
+    creep = [1.0 - 0.5 * tau * k / patience for k in range(patience + 1)]
+    assert not any(anfis._stalled(creep[:k]) for k in range(1, patience + 1))
+    assert anfis._stalled(creep)
+    # the last epoch beats the best before the window by more than tau
+    assert not anfis._stalled(creep[:-1] + [1.0 - 2.0 * tau])
+
+
+def test_training_stops_after_patience_epochs_of_flat_validation():
+    # with the premises fixed every epoch solves the same consequents, so
+    # the validation RMSE is flat from the first epoch on
+    fm = toy_sine_matrix(60, with_split=True)
+    model = init_grid(("x",), 3, fm)
+    _, history = hybrid_train(model, fm, epochs=50, learning_rate=0.0)
+    assert len(set(history.val_rmse)) == 1
+    assert (len(history), history.stop) == (anfis.STOP_PATIENCE + 1, "patience")
+    assert history.best_epoch == 0
+    # a 2-epoch run, as the benchmark's, never stops early
+    assert anfis.STOP_PATIENCE >= 2
+    _, history = hybrid_train(model, fm, epochs=2, learning_rate=0.0)
+    assert (len(history), history.stop) == (2, "cap")
+
+
+def test_training_that_keeps_improving_reaches_the_cap():
+    x = np.linspace(0, 1, 60)
+    split = np.full(60, SPLITS.index(Split.TRAIN))
+    split[::5] = SPLITS.index(Split.VALIDATION)
+    fm = matrix_from_columns({"x": x, "rul_years": np.tanh(12 * (x - 0.3))}, split)
+    _, history = hybrid_train(init_grid(("x",), 3, fm), fm, epochs=30, learning_rate=0.5)
+    val = np.array(history.val_rmse)
+    assert np.all(val[1:] < (1.0 - anfis.STOP_TOLERANCE) * val[:-1])
+    assert (len(history), history.stop, history.best_epoch) == (30, "cap", 29)
+
+
+def test_a_patience_stop_returns_what_a_cap_at_its_epoch_returns():
+    dataset = synth.generate(synth.GeneratorConfig(n=2000, seed=3))
+    fm = build_features(split_dataset(dataset, (0.75, 0.1, 0.15), 3),
+                        anfis.DEFAULT_INPUTS + ("rul_years",))
+    model = init_grid(anfis.DEFAULT_INPUTS, 3, fm)
+    stopped, history = hybrid_train(model, fm, epochs=50)
+    assert history.stop == "patience" and len(history) < 50
+    capped, capped_history = hybrid_train(model, fm, epochs=len(history))
+    for name in ("centers", "sigmas", "consequents"):
+        assert np.array_equal(getattr(stopped, name), getattr(capped, name)), name
+    assert capped_history == history
 
 
 # -- model persistence -----------------------------------------------------------------

@@ -227,11 +227,26 @@ def test_train_anfis_outputs(small_csv, tmp_path):
     model = json.loads((out_dir / "anfis_model.json").read_text())
     assert model["format"] == "pipelife-anfis-v1"
     assert len(model["rules"]) == 27  # 3 inputs at 3 MFs each
+    training = json.loads((out_dir / "train_anfis_manifest.json").read_text())["training"]
+    assert 1 <= training["epochs"] <= 5
     rmse_lines = (out_dir / "anfis_rmse.csv").read_text().splitlines()
-    assert len(rmse_lines) == 6  # header + 5 epochs
+    assert len(rmse_lines) == 1 + training["epochs"]  # header + one row per epoch run
     sens = (out_dir / "anfis_sensitivity.csv").read_text().splitlines()
     assert len(sens) == 4  # header + 3 configured inputs
     assert (out_dir / "anfis_contour.csv").exists()
+
+
+def test_train_anfis_stops_before_the_default_cap_when_validation_stalls(small_csv, tmp_path):
+    out_dir = tmp_path / "anfis"
+    assert run([
+        "train-anfis", "--in", str(small_csv), "--seed", "4",
+        "--inputs", "age_years,wall_thickness_loss_pct", "--mfs", "3", "--out-dir", str(out_dir),
+    ]) == 0
+    training = json.loads((out_dir / "train_anfis_manifest.json").read_text())["training"]
+    assert (training["epochs"], training["stop"]) == (anfis.STOP_PATIENCE + 1, "patience")
+    assert training["epochs"] < anfis.DEFAULT_EPOCHS
+    rows = (out_dir / "anfis_rmse.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [str(e) for e in range(training["epochs"])]
 
 
 def test_train_anfis_rule_cap(small_csv, tmp_path, capsys):
@@ -265,6 +280,8 @@ def test_train_anfis_manifest_records_training(small_csv, tmp_path):
         "--mfs", "2", "--epochs", "4", "--out-dir", str(out_dir),
     ]) == 0
     training = json.loads((out_dir / "train_anfis_manifest.json").read_text())["training"]
+    assert list(training) == ["best_epoch", "epochs", "stop", "lse_rank", "lse_columns", "ridge"]
+    assert (training["epochs"], training["stop"]) == (4, "cap")
     rows = (out_dir / "anfis_rmse.csv").read_text().splitlines()[1:]
     val = [float(row.split(",")[2]) for row in rows]
     assert training["best_epoch"] == int(np.argmin(val))

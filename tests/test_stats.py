@@ -299,6 +299,17 @@ def test_significance_notes_name_each_degenerate_step():
     assert (screened.anova_f, screened.anova_p) == (0.0, 1.0)
 
 
+def test_significance_notes_name_a_constant_target():
+    dataset = synth.generate(synth.GeneratorConfig(n=40, seed=1))
+    flat = dict(dataset.numeric, rul_years=np.full(40, 30.0))
+    report = significance_report(dataclasses.replace(dataset, numeric=flat))
+    for row in report.features:
+        # the features vary; it is the target that leaves r and F undefined
+        assert row.pearson_r is None, row.feature
+        assert row.note.startswith("constant target; degenerate ANOVA"), row
+        assert "constant feature" not in row.note, row
+
+
 def test_anova_degenerate_group_conventions():
     # constant but separated groups: infinite separation, zero p
     f, p = anova_one_way([[1.0, 1.0], [2.0, 2.0]])

@@ -2,11 +2,13 @@
 names in `TRACED` by name, and its set-up (perfbench/workloads.py) calls
 library functions and constants by name, so renaming or deleting one of
 them breaks every benchmark run; these tests catch that with the unit
-tests."""
+tests.  A traced benchmark run must also see each call it counts, which a
+call through a name the tracer does not replace would hide."""
 
 import importlib
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -65,3 +67,16 @@ def test_the_benchmark_set_up_and_operations_pass_their_checks(tmp_path, capsys,
         assert cli.main(wl.argv(op, workload, inp, 11)) == 0, op
         problems, _ = wl.check(op, workload, inp, 11, capsys.readouterr().out)
         assert problems == [], op
+
+
+def test_a_traced_run_counts_mlp_training_and_one_solve_per_anfis_epoch(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "models_5k", "--seed", "3",
+         "--seconds", "0.1", "--trace", "1", "--tiny", "--workdir", str(tmp_path)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
+    assert metrics["mlp.train.calls"]["value"] > 0
+    manifest = tmp_path / "out" / "train_anfis" / "train_anfis_manifest.json"
+    epochs = json.loads(manifest.read_text())["training"]["epochs"]
+    assert metrics["anfis.lse_consequents.calls"]["value"] == epochs
