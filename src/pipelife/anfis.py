@@ -99,7 +99,7 @@ inputs and target, and `predict_batch` scales with `data.scaled_inputs` and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -115,6 +115,7 @@ from .errors import (
     TooFewMfs,
     UntrainedModel,
 )
+from .metrics import TrainingHistory, stalled
 
 DEFAULT_INPUTS = ("age_years", "wall_thickness_loss_pct", "install_year")
 DEFAULT_MFS = 2
@@ -127,7 +128,8 @@ SENSITIVITY_STEP = 0.01  # central-difference step, as a fraction of the input's
 CONTOUR_GRID_SIZE = 25    # contour points along each of its two inputs
 RIDGE = 1e-8  # ridge lambda of hybrid training's consequent solve; see the module docstring
 # hybrid training stops once the validation RMSE of STOP_PATIENCE epochs in a
-# row has not fallen below the best before them by STOP_TOLERANCE of it.  On
+# row has not fallen below the best before them by STOP_TOLERANCE of it
+# (`metrics.stalled`, the MLP's rule at other settings).  On
 # the default inputs it falls by ~1e-7 of itself an epoch after the first;
 # five epochs is Prechelt's strip length
 STOP_TOLERANCE = 1e-4
@@ -463,34 +465,12 @@ def _premise_step(model: AnfisModel, grads, lr: float) -> None:
     np.clip(model.sigmas, SIGMA_FLOOR, None, out=model.sigmas)
 
 
-@dataclass
-class AnfisHistory:
-    train_rmse: list = field(default_factory=list)
-    val_rmse: list = field(default_factory=list)
-    lse_rank: list = field(default_factory=list)   # rank of each solve
-    best_epoch: int = -1
-    stop: str = "cap"             # cap | patience
-
-    def __len__(self) -> int:
-        return len(self.train_rmse)
-
-
 def _rmse_of(y: np.ndarray, t: np.ndarray) -> float:
     return float(np.sqrt(np.mean((y - t) ** 2)))
 
 
 def _rmse(model: AnfisModel, x: np.ndarray, t: np.ndarray) -> float:
-    y, _ = _forward(model, x)
-    return _rmse_of(y, t)
-
-
-def _stalled(scores: list) -> bool:
-    """No score of the last STOP_PATIENCE epochs is below the best score
-    before them by more than STOP_TOLERANCE of it."""
-    if len(scores) <= STOP_PATIENCE:
-        return False
-    before = min(scores[:-STOP_PATIENCE])
-    return min(scores[-STOP_PATIENCE:]) >= (1.0 - STOP_TOLERANCE) * before
+    return _rmse_of(_forward(model, x)[0], t)
 
 
 def hybrid_train(
@@ -505,18 +485,15 @@ def hybrid_train(
     An epoch makes one firing pass over the train split, which builds Wbar;
     the consequent solve; and one pass of the rule outputs (`_output_pass`),
     which gives the train output and, when a premise step follows, the
-    premise gradient.  RMSE (normalized target units) is logged per epoch on
-    the train and validation splits right after the solve, and the snapshot
-    with the best validation RMSE is returned (the first epoch's, unless a
-    later one is strictly lower).  Without a validation split the train RMSE
-    stands in for it.  Training stops at `epochs` ("cap"), or once the
-    validation RMSE of STOP_PATIENCE epochs in a row has not improved on the
-    best before them by STOP_TOLERANCE, relative ("patience"; L. Prechelt,
-    "Early stopping -- but when?", 1998); history.stop says which.  Widths
-    are clamped at 1e-4.  The rank of every solve is logged;
-    history.lse_rank[history.best_epoch] is the returned model's.  Epochs
-    below 1, and a learning rate that is negative or not finite, raise
-    InvalidConfig; a rate of 0 trains the consequents only.
+    premise gradient.  Each epoch's train and validation RMSE (normalized
+    target units), right after the solve, go to a `metrics.TrainingHistory`,
+    and the snapshot of its best epoch is returned; the train rows validate
+    when no row is labelled validation (`FeatureMatrix.split_arrays`).
+    Training stops at `epochs` ("cap") or when `metrics.stalled` holds at
+    STOP_PATIENCE and STOP_TOLERANCE ("patience"); history.stop says which.
+    Widths are clamped at 1e-4; the returned model's lse_rank is that of its
+    epoch's solve.  Epochs below 1, and a learning rate that is negative or
+    not finite, raise InvalidConfig; a rate of 0 trains the consequents only.
     """
     if epochs < 1:
         raise InvalidConfig(f"epochs must be >= 1, got {epochs}")
@@ -526,31 +503,20 @@ def hybrid_train(
 
     model = model.copy()
     model.target_constants = features.column_constants((TARGET_COLUMN,))[0]
-    history = AnfisHistory()
-    best, best_score = None, np.inf
+    history = TrainingHistory()
     for epoch in range(epochs):
         wbar = _firing(model, x_train)
         lse_consequents(model, x_train, t_train, wbar=wbar)
-        history.lse_rank.append(model.lse_rank)
         # a step after the last epoch would change nothing that is returned;
-        # the validation RMSE, when there is one, tells before the train pass
-        # whether this epoch is the last
-        step = learning_rate > 0.0 and epoch + 1 < epochs
-        if t_val.size:
-            val_rmse = _rmse(model, x_val, t_val)
-            step = step and not _stalled(history.val_rmse + [val_rmse])
+        # the validation RMSE tells before the train pass if this is the last
+        val_rmse = _rmse(model, x_val, t_val)
+        last = stalled(history.val + [val_rmse], STOP_PATIENCE, STOP_TOLERANCE)
+        step = learning_rate > 0.0 and epoch + 1 < epochs and not last
         y, grads = _output_pass(model, x_train, wbar, t_train if step else None)
         del wbar   # so that the next epoch's pass is not built beside it
-        train_rmse = _rmse_of(y, t_train)
-        if not t_val.size:
-            val_rmse = train_rmse
-        history.train_rmse.append(train_rmse)
-        history.val_rmse.append(val_rmse)
-        if best is None or val_rmse < best_score:
-            best_score = val_rmse
+        if history.record(_rmse_of(y, t_train), val_rmse):
             best = model.copy()
-            history.best_epoch = epoch
-        if _stalled(history.val_rmse):
+        if last:
             history.stop = "patience"
             break
         if step:

@@ -224,7 +224,7 @@ def cmd_train_anfis(args) -> int:
     write_columns(
         rmse_path,
         ("epoch", "train_rmse", "validation_rmse"),
-        [list(map(str, range(len(history)))), _nums(history.train_rmse), _nums(history.val_rmse)],
+        [list(map(str, range(len(history)))), _nums(history.train), _nums(history.val)],
     )
     ranking = anfis.sensitivity_ranking(trained, features)
     rank_path = out_dir / "anfis_sensitivity.csv"
@@ -240,7 +240,7 @@ def cmd_train_anfis(args) -> int:
         cleaning=asdict(cleaning),
         training={"best_epoch": history.best_epoch, "epochs": len(history),
                   "stop": history.stop,
-                  "lse_rank": history.lse_rank[history.best_epoch],
+                  "lse_rank": trained.lse_rank,
                   "lse_columns": trained.n_rules * (trained.n_inputs + 1),
                   "ridge": anfis.RIDGE},
     )

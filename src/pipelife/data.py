@@ -722,18 +722,20 @@ class FeatureMatrix:
     def split_arrays(self, input_columns: Sequence[str]) -> tuple:
         """Normalized (x_train, y_train, x_val, y_val) for training on rul_years.
 
-        Without split labels every row trains and the validation arrays are
-        empty.  Raises EmptySplit when no row is labelled Train.
+        Without split labels every row trains.  When no row is labelled
+        Validation the train rows validate; both trainers take this fallback
+        from here.  Raises EmptySplit when no row is labelled Train.
         """
         norm = self.normalized()
         x = norm[:, self._indices(input_columns)]
         y = norm[:, self.column_index(TARGET_COLUMN)]
         if self.split is None:
-            train_rows, val_rows = np.arange(self.n), np.array([], dtype=int)
+            train_rows = val_rows = np.arange(self.n)
         else:
             train_rows, val_rows = self.rows_for(Split.TRAIN), self.rows_for(Split.VALIDATION)
         if train_rows.size == 0:
             raise EmptySplit("train split is empty")
+        val_rows = val_rows if val_rows.size else train_rows
         return x[train_rows], y[train_rows], x[val_rows], y[val_rows]
 
 

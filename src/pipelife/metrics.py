@@ -11,12 +11,16 @@ Definitions (n paired values, residual e_i = p_i - a_i, actual mean ā):
 
 MAPE terms with a zero actual are skipped and counted instead of failing;
 synthetic RUL targets can legitimately sit at zero.
+
+Both learners, the MLP and ANFIS, log their epochs in a `TrainingHistory`,
+which picks the best epoch, and stop early by one rule, `stalled` (L.
+Prechelt, "Early stopping -- but when?", 1998), at their own settings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,3 +84,39 @@ def classify_accuracy(mape: float) -> str:
     if mape < 0:
         raise NegativeMape(f"MAPE cannot be negative, got {mape}")
     return "high-accuracy" if mape < HIGH_ACCURACY_MAPE else "not high-accuracy"
+
+
+@dataclass
+class TrainingHistory:
+    """Per-epoch train and validation scores (MLP: MSE, ANFIS: RMSE)."""
+
+    train: list = field(default_factory=list)
+    val: list = field(default_factory=list)
+    best_epoch: int = -1
+    stop: str = "cap"            # cap | patience | damping
+    restart: int = 0             # index of the winning restart (seed + restart)
+
+    def __len__(self) -> int:
+        return len(self.train)
+
+    @property
+    def best(self) -> float:
+        return self.val[self.best_epoch]
+
+    def record(self, train: float, val: float) -> bool:
+        """Log one epoch's scores; True when it is the new best epoch: the
+        first one, or one whose validation score is strictly below the best."""
+        self.train.append(train)
+        self.val.append(val)
+        if self.best_epoch >= 0 and not val < self.best:
+            return False
+        self.best_epoch = len(self.val) - 1
+        return True
+
+
+def stalled(scores: list, patience: int, tolerance: float) -> bool:
+    """No score of the last `patience` is below the best before them by more
+    than `tolerance` of it (at 0: the first lowest is `patience` or more back)."""
+    if len(scores) <= patience:
+        return False
+    return min(scores[-patience:]) >= (1.0 - tolerance) * min(scores[:-patience])

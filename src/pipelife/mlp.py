@@ -25,7 +25,9 @@ accepted trial's activations give the next Jacobian.  A network stops at
 the first of `epochs` iterations ("cap"), PATIENCE iterations without a
 strictly lower validation MSE ("patience"), or mu above MU_MAX, when no
 trial lowers the SSE ("damping"); `TrainingHistory.stop` names which.  The
-parameters with the lowest validation MSE are kept.  A config with
+patience rule is ANFIS's, `metrics.stalled`, at tolerance 0, and the
+parameters of the first iteration with the strictly lowest validation MSE
+are kept (`metrics.TrainingHistory.record`).  A config with
 restarts = k becomes k members seeded seed, seed + 1, ..., and the first
 member with the strictly lowest validation MSE wins.
 
@@ -37,7 +39,7 @@ ANFIS does.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +54,7 @@ from .errors import (
     EmptySplit,
     InvalidConfig,
 )
-from .metrics import MetricsReport, evaluate
+from .metrics import MetricsReport, TrainingHistory, evaluate, stalled
 
 DEFAULT_INPUT_COLUMNS = (
     "material",
@@ -301,18 +303,6 @@ def loss_and_gradient(model: MlpModel, x: np.ndarray, y: np.ndarray):
     return sse / y.size, {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
 
 
-@dataclass
-class TrainingHistory:
-    train_mse: list = field(default_factory=list)
-    val_mse: list = field(default_factory=list)
-    best_epoch: int = -1
-    restart: int = 0             # index of the winning restart (seed + restart)
-    stop: str = "cap"            # cap | patience | damping
-
-    def __len__(self) -> int:
-        return len(self.train_mse)
-
-
 def train(config: MlpConfig, features: FeatureMatrix):
     """Levenberg–Marquardt training on the matrix's train split.
 
@@ -326,7 +316,7 @@ def train(config: MlpConfig, features: FeatureMatrix):
     for r in range(config.restarts):
         model, history = _train_member(replace(config, restarts=1, seed=config.seed + r), arrays)
         history.restart = r
-        if chosen is None or min(history.val_mse) < min(chosen[1].val_mse):
+        if chosen is None or history.best < chosen[1].best:
             chosen = (model, history)
     model = chosen[0]
     model.feature_constants = features.column_constants(config.input_columns)
@@ -335,22 +325,21 @@ def train(config: MlpConfig, features: FeatureMatrix):
 
 
 def _train_member(config: MlpConfig, arrays: tuple) -> tuple:
-    """Levenberg–Marquardt for one network on (x_train, y_train, x_val, y_val).
+    """Levenberg–Marquardt for one network on `FeatureMatrix.split_arrays`,
+    whose train rows validate when no row is labelled validation.
 
-    Validation MSE is tracked each iteration and the best snapshot kept;
-    without a validation split the train MSE is used instead.  An iteration
-    in which no trial lowers the SSE leaves the parameters as they were.
+    The history's `record` says when to keep the snapshot.  An iteration in
+    which no trial lowers the SSE leaves the parameters as they were.
     """
     x_train, y_train, x_val, y_val = arrays
     x_train, x_val = _with_ones(x_train), _with_ones(x_val)
     activation, n = config.activation, y_train.size
-    theta = best = _pack(init(config))
+    theta = _pack(init(config))
     p = theta.size
     jac_t = np.empty((p, n))
     hidden, err, sse = _sse(theta, x_train, y_train, activation)
-    history = TrainingHistory()
-    best_score, mu = np.inf, MU_START
-    for epoch in range(config.epochs):
+    history, mu = TrainingHistory(), MU_START
+    for _ in range(config.epochs):
         _jacobian(theta, x_train, hidden, activation, jac_t)
         jtj, jte = jac_t @ jac_t.T, jac_t @ err
         diagonal = jtj.diagonal().copy()
@@ -363,15 +352,12 @@ def _train_member(config: MlpConfig, arrays: tuple) -> tuple:
                 mu *= MU_DEC
                 break
             mu *= MU_INC
-        history.train_mse.append(sse / n)
-        score = _sse(theta, x_val, y_val, activation)[2] / y_val.size if y_val.size else sse / n
-        history.val_mse.append(score)
-        if score < best_score:
-            best, best_score, history.best_epoch = theta, score, epoch
+        if history.record(sse / n, _sse(theta, x_val, y_val, activation)[2] / y_val.size):
+            best = theta
         if mu > MU_MAX:
             history.stop = "damping"
             break
-        if epoch - history.best_epoch == PATIENCE:
+        if stalled(history.val, PATIENCE, 0.0):
             history.stop = "patience"
             break
     d = len(config.input_columns)

@@ -317,7 +317,8 @@ def significance_report(dataset: Dataset) -> SignificanceReport:
     below- and above-median halves.  significant <=> anova_p <
     SIGNIFICANCE_ALPHA.  A feature whose correlation is undefined is noted
     "constant feature", or "constant target" for every feature when the
-    target is constant.
+    target is constant, or "one observation" for every feature of a
+    one-row dataset.
     """
     if not dataset.has_rul():
         raise EmptySeries("significance report requires rul targets")
@@ -328,10 +329,11 @@ def significance_report(dataset: Dataset) -> SignificanceReport:
         notes = []
         try:
             r = pearson(feature, target)
-        except ConstantSeries:
+        except (ConstantSeries, LengthMismatch):
             r = None
-            # a constant target leaves every feature's correlation undefined
-            notes.append("constant target" if np.ptp(target) == 0.0 else "constant feature")
+            # one row, or a constant target, leaves every feature's correlation undefined
+            notes.append("one observation" if target.size < 2 else
+                         "constant target" if np.ptp(target) == 0.0 else "constant feature")
         groups = _quantile_groups(feature, target)
         f_value, p_value = 0.0, 1.0
         if len(groups) < 2:

@@ -8,7 +8,9 @@ least-squares refit per candidate, each row's first failing validity check
 (`read_table`) followed by a column-wise parse (`clean_table`), which also
 names the rows it keeps (`kept_rows`), and whose echo writes each kept row
 through the stdlib csv.writer (`csv_line`); and a deterioration model read
-back from its document (`deterioration_from_dict`)."""
+back from its document (`deterioration_from_dict`); and the MLP's early
+stop written as its own rule (`patience_stop`), which `metrics.stalled`
+at tolerance 0 must match."""
 
 import csv
 import io
@@ -354,3 +356,19 @@ def kept_rows(path, reference_year) -> tuple:
     """The data row index (0 = first data row, blank rows not counted) of
     every record the whole-file ingest keeps, in file order."""
     return clean_table(*read_table(path), reference_year, path)[2]
+
+
+def patience_stop(scores, patience) -> tuple:
+    """The MLP's stop rule run epoch by epoch over a list of validation
+    scores: training stops at the first epoch with epoch - best_epoch ==
+    patience, best_epoch being the first epoch of the strictly lowest score
+    so far.  Returns (that epoch, or None when the rule never fires, and
+    best_epoch after each epoch run)."""
+    best_score, best_epoch, bests = float("inf"), -1, []
+    for epoch, score in enumerate(scores):
+        if score < best_score:
+            best_score, best_epoch = score, epoch
+        bests.append(best_epoch)
+        if epoch - best_epoch == patience:
+            return epoch, bests
+    return None, bests

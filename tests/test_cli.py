@@ -123,6 +123,22 @@ def test_stats_missing_file():
     assert run(["stats", "--in", "/nonexistent/pipes.csv"]) == 1
 
 
+def test_stats_on_one_row_notes_it_on_every_feature(small_csv, tmp_path, capsys):
+    one_row = tmp_path / "one.csv"
+    one_row.write_text("".join(small_csv.read_text().splitlines(keepends=True)[:2]))
+    assert run(["stats", "--in", str(one_row)]) == 0
+    out = capsys.readouterr().out
+    assert "rows kept:    1" in out and "significant" in out
+    assert run(["stats", "--in", str(one_row), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {s["std"] for s in payload["summary"].values()} == {0.0}
+    features = payload["significance"]["features"]
+    assert len(features) == 7
+    for feature in features:
+        assert feature["pearson_r"] is None and not feature["significant"]
+        assert feature["note"].startswith("one observation"), feature
+
+
 def test_train_ann_registry_of_one(small_csv, tmp_path):
     registry = tmp_path / "registry.json"
     registry.write_text(json.dumps([

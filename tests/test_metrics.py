@@ -3,14 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pipelife import anfis, mlp
+from pipelife.data import SPLITS, FeatureMatrix, Split
 from pipelife.errors import (
     AllMapeTermsSkipped,
     ConstantActuals,
     LengthMismatch,
     NegativeMape,
 )
-from pipelife.metrics import classify_accuracy, evaluate
+from pipelife.metrics import TrainingHistory, classify_accuracy, evaluate, stalled
+
+from oracles import patience_stop
 
 
 def brute_force(predicted, actual):
@@ -143,3 +149,60 @@ def test_report_serializes():
     payload = dataclasses.asdict(r)
     assert set(payload) == {"mae", "rrse", "mape", "rae", "r2", "rmse", "n", "mape_skipped"}
     assert payload["n"] == 3
+
+
+# -- early stopping ---------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # a few small whole numbers make ties between scores common
+    scores=st.lists(st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 10.0)),
+                    min_size=1, max_size=40),
+    patience=st.integers(1, 12),
+)
+def test_the_stop_rule_at_tolerance_zero_fires_where_the_mlp_rule_did(scores, patience):
+    stop, bests = patience_stop(scores, patience)
+    history = TrainingHistory()
+    for epoch, score in enumerate(scores[:len(bests)]):
+        assert history.record(score + 1.0, score) == (bests[epoch] == epoch)
+        assert history.best_epoch == bests[epoch]
+        assert stalled(history.val, patience, 0.0) == (epoch == stop), epoch
+
+
+def no_validation_matrix(split):
+    """Inputs a, b and c on 60 rows, none of them labelled validation.  The
+    target is a one-unit sigmoid network of a, which the MLP fits until no
+    step lowers its error; to ANFIS on b and c it is noise."""
+    a, b, c = np.random.default_rng(8).uniform(0, 1, size=(3, 60))
+    y = 0.2 + 0.5 / (1.0 + np.exp(2.0 - 4.0 * a))
+    return FeatureMatrix(np.column_stack([a, b, c, y]), ("a", "b", "c", "rul_years"), split)
+
+
+def train_mlp(fm, epochs=300):
+    model, history = mlp.train(
+        mlp.MlpConfig(input_columns=("a",), hidden_neurons=1, epochs=epochs, seed=1), fm)
+    return (model.w1, model.b1, model.w2, model.b2), history
+
+
+def train_anfis(fm, epochs=30):
+    model, history = anfis.hybrid_train(anfis.init_grid(("b", "c"), 3, fm), fm, epochs=epochs,
+                                        learning_rate=5.0)
+    return (model.centers, model.sigmas, model.consequents), history
+
+
+@pytest.mark.parametrize("trainer", [train_mlp, train_anfis])
+@pytest.mark.parametrize("split", [None, "train and test"])
+def test_without_validation_rows_the_train_rows_validate(trainer, split):
+    if split is not None:
+        split = np.full(60, SPLITS.index(Split.TRAIN), dtype=np.int8)
+        split[::4] = SPLITS.index(Split.TEST)
+    fm = no_validation_matrix(split)
+    params, history = trainer(fm)
+    assert history.val == history.train
+    # the best epoch is not the last, and the run capped there ends on the
+    # snapshot that the whole run returned
+    assert history.best_epoch < len(history) - 1
+    snapshot, capped = trainer(fm, history.best_epoch + 1)
+    assert capped.best_epoch == history.best_epoch
+    for got, want in zip(params, snapshot):
+        assert np.array_equal(got, want)

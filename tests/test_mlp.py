@@ -225,7 +225,7 @@ def test_train_learns_linear_function():
     fm = toy_matrix(lambda x: 0.5 * x, n=60)
     cfg = toy_config(hidden_neurons=4, epochs=200)
     model, history = train(cfg, fm)
-    assert history.train_mse[-1] < 1e-3
+    assert history.train[-1] < 1e-3
 
 
 def test_train_history_length_matches_epochs():
@@ -240,7 +240,7 @@ def test_train_constant_target():
     fm = toy_matrix(lambda x: np.full_like(x, 0.0) + 5.0, n=40)
     cfg = toy_config(hidden_neurons=2, epochs=300)
     model, history = train(cfg, fm)
-    assert min(history.val_mse) < 1e-6
+    assert min(history.val) < 1e-6
 
 
 def test_train_deterministic():
@@ -330,10 +330,10 @@ def test_lockstep_restarts_keep_the_first_best_member(registry_features):
     model, history = train(config, registry_features)
     assert model.config.seed == config.seed + history.restart
     scores = [min(train(replace(config, restarts=1, seed=config.seed + r),
-                        registry_features)[1].val_mse)
+                        registry_features)[1].val)
               for r in range(config.restarts)]
     assert history.restart == scores.index(min(scores))
-    assert min(history.val_mse) == min(scores)
+    assert min(history.val) == min(scores)
 
 
 @pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
@@ -364,7 +364,7 @@ def test_jacobian_matches_central_differences_of_forward(activation):
 def test_train_mse_never_increases(registry_features):
     for config in mixed_registry():
         _, history = train(replace(config, epochs=40), registry_features)
-        assert all(b <= a for a, b in zip(history.train_mse, history.train_mse[1:])), config.name
+        assert all(b <= a for a, b in zip(history.train, history.train[1:])), config.name
 
 
 def stop_matrix(n=60):
@@ -390,8 +390,19 @@ def test_each_stop_reason():
     assert len(cap) == 3
     assert len(patience) == patience.best_epoch + mlp.PATIENCE + 1
     # no trial lowered the SSE, so the last iteration left it as it was
-    assert len(damping) < 300 and damping.train_mse[-1] == damping.train_mse[-2]
-    assert damping.train_mse[-1] < 1e-25
+    assert len(damping) < 300 and damping.train[-1] == damping.train[-2]
+    assert damping.train[-1] < 1e-25
+
+
+def test_a_patience_stop_returns_the_snapshot_of_the_best_epoch():
+    config = MlpConfig(input_columns=("z",), hidden_neurons=3, epochs=300)
+    stopped, history = train(config, stop_matrix())
+    assert history.stop == "patience"
+    capped, capped_history = train(replace(config, epochs=history.best_epoch + 1), stop_matrix())
+    assert capped_history.val == history.val[:history.best_epoch + 1]
+    # the run went on past its best epoch and still returns that epoch's weights
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(stopped, name), getattr(capped, name)), name
 
 
 # -- experiment suite ----------------------------------------------------------------
@@ -507,7 +518,7 @@ def test_train_restarts_picks_best_validation():
     multi = toy_config(hidden_neurons=3, epochs=20, seed=5, restarts=4)
     _, h_single = train(single, fm)
     _, h_multi = train(multi, fm)
-    assert min(h_multi.val_mse) <= min(h_single.val_mse)
+    assert min(h_multi.val) <= min(h_single.val)
     with pytest.raises(InvalidConfig):
         init(toy_config(restarts=0))
 
