@@ -198,9 +198,6 @@ class AnfisModel:
         y, _ = _forward(self, np.repeat(x, 2, axis=0) if len(x) == 1 else x)
         return raw_target(self, y[:len(x)])
 
-    def predict_dataset(self, dataset) -> np.ndarray:
-        return self.predict_batch(dataset.matrix(self.input_columns))
-
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> str:

@@ -12,13 +12,15 @@ CSV text goes through the column-wise layer in `data`: every input is read
 by one `ingest_csv` pass, which parses it block by block (a byte-order mark
 is dropped; a file csv.reader refuses is a runtime error), and every other
 CSV output is one `write_columns` call, which writes what Python's csv
-writer would.  `predict` echoes each kept row, padded or cut to the
-header's width, then adds `predicted_rul`; it takes each row as one line of
-text from the same `ingest_csv` pass (`echo=True`), the only command that
-keeps its input's text, and writes the lines with `write_lines`, the writer
-that `write_columns` ends in.  `generate` and `predict`, which write one
-`--out FILE`, name their manifest `<FILE stem>_manifest.json`, so two runs
-into one directory keep both; the other commands name it after themselves.
+writer would.  `predict` takes a model from `--model FILE` or `--builtin
+NAME` and makes one `predict_batch` call on its `input_columns`.  It echoes
+each kept row, padded or cut to the header's width, then adds
+`predicted_rul`; it takes each row as one line of text from the same
+`ingest_csv` pass (`echo=True`), the only command that keeps its input's
+text, and writes the lines with `write_lines`, the writer that
+`write_columns` ends in.  `generate` and `predict`, which write one `--out
+FILE`, name their manifest `<FILE stem>_manifest.json`, so two runs into one
+directory keep both; the other commands name it after themselves.
 
 argparse is the one parser.  `--config FILE`, given before the subcommand,
 reads each KEY=VALUE line as the flag --KEY=VALUE (`_` reads as `-`); the
@@ -46,6 +48,7 @@ from . import anfis, mlp, regression, stats, synth
 from .data import (
     MATERIALS,
     SPLITS,
+    TARGET_COLUMN,
     Split,
     build_features,
     encode_material,
@@ -169,7 +172,7 @@ def cmd_train_ann(args) -> int:
     model_path.write_text(result.best.model.to_json() + "\n", encoding="utf-8")
 
     test_rows = result.labeled.rows_for(Split.TEST)
-    actual = result.labeled.column("rul_years")[test_rows]
+    actual = result.labeled.column(TARGET_COLUMN)[test_rows]
     predicted = result.best.predicted[test_rows]
     slope, intercept, r2 = mlp.scatter_fit(predicted, actual)
     scatter_path = out_dir / "ann_scatter.csv"
@@ -210,7 +213,7 @@ def cmd_train_anfis(args) -> int:
         raise InvalidConfig(f"train-anfis needs at least two --inputs, got {args.inputs!r}")
     dataset, cleaning = ingest_csv(args.infile, args.reference_year)
     labeled = split_dataset(dataset, mlp.DEFAULT_SPLIT_RATIOS, args.seed)
-    features = build_features(labeled, inputs + ("rul_years",))
+    features = build_features(labeled, inputs + (TARGET_COLUMN,))
     model = anfis.init_grid(inputs, args.mfs, features)
     trained, history = anfis.hybrid_train(
         model, features, epochs=args.epochs, learning_rate=args.learning_rate
@@ -276,14 +279,9 @@ def _parse_model(text):
 def cmd_predict(args) -> int:
     started = time.perf_counter()
     dataset, cleaning, (header, echoed) = ingest_csv(args.infile, args.reference_year, echo=True)
-    if args.builtin:
-        predicted, _ = regression.predict_rul(
-            regression.builtin(args.builtin),
-            dataset.column("age_years"),
-            dataset.column("wall_thickness_loss_pct"),
-        )
-    else:
-        predicted = _load_document(args.model, _parse_model).predict_dataset(dataset)
+    model = (regression.builtin(args.builtin) if args.builtin
+             else _load_document(args.model, _parse_model))
+    predicted = model.predict_batch(dataset.matrix(model.input_columns))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_lines(out, ",".join(quoted(header + ["predicted_rul"])),
@@ -298,9 +296,8 @@ def cmd_fit_regression(args) -> int:
     dataset, cleaning = ingest_csv(args.infile, args.reference_year)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    age = dataset.column("age_years")
-    wtl = dataset.column("wall_thickness_loss_pct")
-    rul = dataset.column("rul_years")
+    age, wtl = map(dataset.column, regression.DeteriorationModel.input_columns)
+    rul = dataset.column(TARGET_COLUMN)
     outputs = []
     selection = {}
     fitted = []

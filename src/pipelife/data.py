@@ -584,7 +584,8 @@ def denormalize(values, constants) -> np.ndarray:
 
 def scaled_inputs(model, raw) -> np.ndarray:
     """A model's normalized inputs for an n x d matrix of raw-unit rows;
-    DimensionMismatch unless d is the model's number of inputs."""
+    DimensionMismatch unless d is the model's number of inputs.  A model with
+    no feature constants (a polynomial) takes raw units: rows come back as is."""
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     d = len(model.input_columns)
     if raw.shape[1] != d:

@@ -143,9 +143,6 @@ class MlpModel:
         trained target range."""
         return raw_target(self, forward(self, scaled_inputs(self, raw)))
 
-    def predict_dataset(self, dataset: Dataset) -> np.ndarray:
-        return self.predict_batch(dataset.matrix(self.input_columns))
-
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> str:

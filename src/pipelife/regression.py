@@ -6,7 +6,9 @@ most three.  Four built-in models ship with the package, one per material
 class; they are implemented exactly as published, which
 means the CI model goes negative for ages above roughly 12 years and the DI
 and AC models grow with age.  The clamped output exists for consumers that
-need a physically sensible floor.
+need a physically sensible floor.  A model answers as the MLP and ANFIS
+ones do: `predict_batch` maps an n x 2 matrix of raw rows of its
+`input_columns` to the raw polynomial, not clamped.
 
 fit_polynomial reproduces the construction procedure on data: least squares
 over the monomial basis (degrees 1-3), optionally with greedy term selection
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import scaled_inputs
 from .errors import NonpositiveBaseline, OutOfDomain, Underdetermined, UnsupportedMaterial
 
 GREEDY_R2_GAIN = 0.005
@@ -36,6 +39,9 @@ MAX_DEGREE = 3
 @dataclass(frozen=True)
 class DeteriorationModel:
     """Polynomial RUL model: terms are (coefficient, age_power, wtl_power)."""
+
+    input_columns = ("age_years", "wall_thickness_loss_pct")  # not fields: one for every model
+    feature_constants = ()  # raw units, so `scaled_inputs` leaves them as they are
 
     material: str          # CI | DI | AC | Steel | Custom
     terms: tuple
@@ -69,6 +75,11 @@ class DeteriorationModel:
             mono = monomial(a_pow, w_pow)
             parts.append(f"{coef:+g}" + (f"*{mono}" if mono else ""))
         return "Y = " + " ".join(parts)
+
+    def predict_batch(self, raw: np.ndarray) -> np.ndarray:
+        """The raw polynomial at n x 2 raw rows; OutOfDomain as in predict_rul."""
+        age, wtl = scaled_inputs(self, raw).T
+        return predict_rul(self, age, wtl)[0]
 
 
 def monomial(a_pow: int, w_pow: int) -> str:
@@ -272,12 +283,12 @@ def halflife_check(
     """Fractional RUL drop when wall loss rises from baseline by delta.
 
     Returns (Y(age, w0) - Y(age, w0 + delta)) / Y(age, w0) on the raw
-    polynomial; the baseline RUL must be positive.
+    polynomial; the baseline RUL must be positive.  Both rows are checked
+    against the domain first, so OutOfDomain wins over NonpositiveBaseline.
     """
-    base, _ = predict_rul(model, age, baseline_wtl)
+    base, bumped = model.predict_batch([[age, baseline_wtl], [age, baseline_wtl + delta_wtl]])
     if base <= 0:
         raise NonpositiveBaseline(
             f"baseline RUL {base:.3f} at (age={age}, wtl={baseline_wtl}) is not positive"
         )
-    bumped, _ = predict_rul(model, age, baseline_wtl + delta_wtl)
-    return (base - bumped) / base
+    return float((base - bumped) / base)

@@ -298,6 +298,8 @@ class SignificanceReport:
                 f"{f.feature:<24}{r:>10}{f.anova_f:>12.3f}{f.anova_p:>12.4g}"
                 f"{f.t_stat:>10.3f}{f.t_p:>12.4g}  {'yes' if f.significant else 'no'}"
             )
+        # why a row shows n/a, F 0 or p 1; a feature with no note adds no line
+        lines += [f"note: {f.feature}: {f.note}" for f in self.features if f.note]
         return "\n".join(lines)
 
 
@@ -322,7 +324,7 @@ def significance_report(dataset: Dataset) -> SignificanceReport:
     """
     if not dataset.has_rul():
         raise EmptySeries("significance report requires rul targets")
-    target = dataset.column("rul_years")
+    target = dataset.column(TARGET_COLUMN)
     results = []
     for name in REQUIRED_COLUMNS:
         feature = dataset.column(name)

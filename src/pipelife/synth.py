@@ -210,7 +210,7 @@ def generate(config: GeneratorConfig = GeneratorConfig()) -> Dataset:
 class MomentReport:
     """Computed column statistics beside the published targets."""
 
-    columns: tuple  # (name, SummaryStats, target tuple or None)
+    columns: tuple  # (name, SummaryStats, target tuple)
 
     def render(self) -> str:
         header = (
@@ -218,16 +218,10 @@ class MomentReport:
             f"{'std':>10}{'target':>10}{'dev%':>8}"
         )
         lines = [header, "-" * len(header)]
-        for name, stats, target in self.columns:
-            if target is None:
-                lines.append(f"{name:<26}{stats.mean:>10.2f}{'-':>10}{'-':>8}")
-                continue
-            _, _, t_mean, t_std, _ = target
-            lines.append(
-                f"{name:<26}{stats.mean:>10.2f}{t_mean:>10.2f}"
-                f"{_pct(stats.mean, t_mean):>8.1f}"
-                f"{stats.std:>10.2f}{t_std:>10.2f}{_pct(stats.std, t_std):>8.1f}"
-            )
+        for name, stats, (_, _, t_mean, t_std, _) in self.columns:
+            lines.append(f"{name:<26}{stats.mean:>10.2f}{t_mean:>10.2f}"
+                         f"{_pct(stats.mean, t_mean):>8.1f}{stats.std:>10.2f}"
+                         f"{t_std:>10.2f}{_pct(stats.std, t_std):>8.1f}")
         return "\n".join(lines)
 
 

@@ -143,7 +143,7 @@ def test_criterion_04_ann_synthetic_performance(default_dataset):
         assert test_report.mape < 10.0, test_report
         labeled = split_dataset(default_dataset, mlp.DEFAULT_SPLIT_RATIOS, DEFAULT_SEED)
         actual = labeled.column("rul_years")
-        predicted = best.model.predict_dataset(labeled)
+        predicted = best.model.predict_batch(labeled.matrix(best.model.input_columns))
         idx = labeled.rows_for(Split.TEST)
         slope, _, _ = mlp.scatter_fit(predicted[idx], actual[idx])
         assert 0.8 <= slope <= 1.1, slope

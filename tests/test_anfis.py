@@ -755,8 +755,8 @@ def test_anfis_json_round_trip():
     model = init_grid(inputs, 2, fm)
     trained, _ = hybrid_train(model, fm, epochs=10, learning_rate=0.02)
     clone = AnfisModel.from_json(trained.to_json())
-    a = trained.predict_dataset(dataset)
-    b = clone.predict_dataset(dataset)
+    a = trained.predict_batch(dataset.matrix(trained.input_columns))
+    b = clone.predict_batch(dataset.matrix(clone.input_columns))
     assert a == pytest.approx(b, abs=0)
 
 
@@ -775,7 +775,8 @@ def test_anfis_document_with_the_old_lse_degenerate_key_loads_the_same(flag):
     assert "lse_degenerate" not in payload
     payload["lse_degenerate"] = flag
     old, new = AnfisModel.from_json(json.dumps(payload)), AnfisModel.from_json(text)
-    assert np.array_equal(old.predict_dataset(dataset), new.predict_dataset(dataset))
+    raw = dataset.matrix(new.input_columns)
+    assert np.array_equal(old.predict_batch(raw), new.predict_batch(raw))
     assert old.to_json() == new.to_json()
     assert old.lse_degenerate is new.lse_degenerate is False
 

@@ -139,6 +139,22 @@ def test_stats_on_one_row_notes_it_on_every_feature(small_csv, tmp_path, capsys)
         assert feature["note"].startswith("one observation"), feature
 
 
+def test_text_stats_prints_each_note_under_the_table(small_csv, tmp_path, capsys):
+    one_row = tmp_path / "one.csv"
+    one_row.write_text("".join(small_csv.read_text().splitlines(keepends=True)[:2]))
+    assert run(["stats", "--in", str(one_row), "--json"]) == 0
+    features = json.loads(capsys.readouterr().out)["significance"]["features"]
+    assert run(["stats", "--in", str(one_row)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-7:] == [f"note: {f['feature']}: {f['note']}" for f in features]
+    assert lines[-8].startswith(features[-1]["feature"])  # the last table row
+    assert "note: age_years: one observation; too few distinct bins; " \
+        "degenerate median split" in lines
+    # a feature with an empty note adds no line
+    assert run(["stats", "--in", str(small_csv)]) == 0
+    assert "note:" not in capsys.readouterr().out
+
+
 def test_train_ann_registry_of_one(small_csv, tmp_path):
     registry = tmp_path / "registry.json"
     registry.write_text(json.dumps([

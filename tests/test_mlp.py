@@ -271,8 +271,8 @@ def test_model_json_round_trip_and_prediction_consistency():
     fm = build_features(labeled, tuple(cfg.input_columns) + ("rul_years",))
     model, _ = train(cfg, fm)
     clone = MlpModel.from_json(model.to_json())
-    a = model.predict_dataset(dataset)
-    b = clone.predict_dataset(dataset)
+    a = model.predict_batch(dataset.matrix(model.input_columns))
+    b = clone.predict_batch(dataset.matrix(clone.input_columns))
     assert a == pytest.approx(b, abs=0)
 
 
@@ -467,7 +467,8 @@ def test_suite_carries_the_split_and_the_best_predictions():
     assert np.array_equal(result.labeled.split, labeled.split)
     for row in result.rows:
         # bit for bit what re-predicting over every row gives
-        assert np.array_equal(row.predicted, row.model.predict_dataset(labeled))
+        raw = labeled.matrix(row.model.input_columns)
+        assert np.array_equal(row.predicted, row.model.predict_batch(raw))
         assert len(row.history) == row.config.epochs
 
 

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipelife import regression, synth
-from pipelife.data import MATERIALS, encode_material
+from pipelife.anfis import contour_grid, sensitivity_ranking
+from pipelife.data import MATERIALS, FeatureMatrix, encode_material
 from pipelife.errors import (
+    DimensionMismatch,
     NonpositiveBaseline,
     OutOfDomain,
     Underdetermined,
@@ -327,6 +329,43 @@ def test_halflife_nonpositive_baseline():
         halflife_check(model, 0.0, 10.0)
 
 
+def test_halflife_checks_the_domain_before_the_baseline():
+    # both rows are predicted in one call, so the bumped row's wall loss
+    # is refused before the nonpositive baseline is
+    model = DeteriorationModel("Custom", ((-5.0, 0, 0),), 1.0)
+    with pytest.raises(OutOfDomain):
+        halflife_check(model, 0.0, 10.0, baseline_wtl=95.0)
+
+
+# -- the prediction contract --------------------------------------------------------
+
+def test_predict_batch_checks_width_and_domain():
+    model = builtin("CI")
+    assert model.input_columns == ("age_years", "wall_thickness_loss_pct")
+    with pytest.raises(DimensionMismatch):
+        model.predict_batch(np.ones((4, 3)))
+    with pytest.raises(OutOfDomain):
+        model.predict_batch([[10.0, 20.0], [10.0, 101.0]])
+    # the raw polynomial, not clamped: CI is negative at age 20
+    assert model.predict_batch([[20.0, 59.0]])[0] == pytest.approx(-85.4038, abs=1e-9)
+
+
+def test_sensitivity_ranking_of_a_polynomial_is_its_analytic_slope():
+    # Y = -0.342 A^2 + 0.0548 W + 48.163: a central difference is exact
+    # for a quadratic, so each slope is mean |dY/dx| times the input's range
+    rng = np.random.default_rng(7)
+    age, wtl = rng.uniform(10.0, 60.0, 200), rng.uniform(10.0, 60.0, 200)
+    fm = FeatureMatrix(np.column_stack([age, wtl, np.zeros(200)]),
+                       ("age_years", "wall_thickness_loss_pct", "rul_years"))
+    ranking = sensitivity_ranking(builtin("CI"), fm)
+    assert [name for name, _ in ranking] == ["age_years", "wall_thickness_loss_pct"]
+    expected = [0.684 * age.mean() * np.ptp(age), 0.0548 * np.ptp(wtl)]
+    assert [slope for _, slope in ranking] == pytest.approx(expected, rel=1e-9)
+    grid = contour_grid(builtin("CI"), fm, "age_years", "wall_thickness_loss_pct")
+    a, w, y = np.array(grid).T
+    assert np.array_equal(y, predict_rul(builtin("CI"), a, w)[0])
+
+
 # -- serialization ----------------------------------------------------------------
 
 def test_model_json_round_trip():
@@ -367,6 +406,7 @@ def test_predict_rul_array_matches_scalar(model, points):
         raw_i, clamped_i = predict_rul(model, a, w)
         assert isinstance(raw_i, float) and isinstance(clamped_i, float)
         assert raw[i] == raw_i and clamped[i] == clamped_i
+    assert np.array_equal(model.predict_batch(np.column_stack([age, wtl])), raw)
 
 
 @given(
